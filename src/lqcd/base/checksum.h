@@ -27,15 +27,33 @@ class Fletcher32 {
   void update(const void* data, std::size_t bytes) noexcept {
     const auto* p = static_cast<const unsigned char*>(data);
     std::size_t i = 0;
+    std::uint64_t a = sum1_;
+    std::uint64_t b = sum2_;
     if (have_pending_ && bytes > 0) {
-      accumulate(static_cast<std::uint16_t>(
-          pending_ | (static_cast<std::uint16_t>(p[0]) << 8)));
+      a = (a + (pending_ | (static_cast<std::uint32_t>(p[0]) << 8))) % 65535u;
+      b = (b + a) % 65535u;
       have_pending_ = false;
       i = 1;
     }
-    for (; i + 1 < bytes; i += 2)
-      accumulate(static_cast<std::uint16_t>(
-          p[i] | (static_cast<std::uint16_t>(p[i + 1]) << 8)));
+    // The sums are kept in 64 bits and reduced mod 65535 once per block
+    // of kBlockWords words, which gives the same residues as reducing
+    // after every word. Starting below 65535, a block adds at most
+    // kBlockWords * 65535 to `a` and kBlockWords^2 * 65535 to `b`, far
+    // below 2^64.
+    while (i + 1 < bytes) {
+      const std::size_t words = (bytes - i) / 2 < kBlockWords
+                                    ? (bytes - i) / 2
+                                    : kBlockWords;
+      for (std::size_t w = 0; w < words; ++w, i += 2) {
+        a += static_cast<std::uint32_t>(p[i]) |
+             (static_cast<std::uint32_t>(p[i + 1]) << 8);
+        b += a;
+      }
+      a %= 65535u;
+      b %= 65535u;
+    }
+    sum1_ = static_cast<std::uint32_t>(a);
+    sum2_ = static_cast<std::uint32_t>(b);
     if (i < bytes) {
       pending_ = p[i];
       have_pending_ = true;
@@ -55,12 +73,9 @@ class Fletcher32 {
   void reset() noexcept { *this = Fletcher32{}; }
 
  private:
-  void accumulate(std::uint16_t w) noexcept {
-    sum1_ = (sum1_ + w) % 65535u;
-    sum2_ = (sum2_ + sum1_) % 65535u;
-  }
+  static constexpr std::size_t kBlockWords = std::size_t{1} << 20;
 
-  std::uint32_t sum1_ = 0;
+  std::uint32_t sum1_ = 0;  // both sums are kept reduced mod 65535
   std::uint32_t sum2_ = 0;
   std::uint16_t pending_ = 0;
   bool have_pending_ = false;

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <complex>
+#include <vector>
 
 #include "lqcd/linalg/fermion_field.h"
 
@@ -87,24 +88,60 @@ void scal(T a, FermionField<T>& x) {
   scal(Complex<T>(a, 0), x);
 }
 
+namespace detail {
+
+inline int reduction_slots() noexcept {
+#if defined(LQCD_HAVE_OPENMP)
+  return omp_get_max_threads();
+#else
+  return 1;
+#endif
+}
+
+inline int reduction_slot() noexcept {
+#if defined(LQCD_HAVE_OPENMP)
+  return omp_get_thread_num();
+#else
+  return 0;
+#endif
+}
+
+}  // namespace detail
+
+// Global sums are deterministic: each thread sums its contiguous static
+// block of sites into its own partial, and the partials are added in
+// thread-index order. An OpenMP reduction clause would combine them in
+// thread-arrival order, so two identical solves could differ in the last
+// bits. At one thread this is the plain sequential sum.
+
 /// <x|y> = sum_i conj(x_i) y_i, accumulated in double.
 template <class T>
 std::complex<double> dot(const FermionField<T>& x, const FermionField<T>& y) {
   LQCD_CHECK(x.size() == y.size());
   const std::int64_t n = x.size();
+  std::vector<std::complex<double>> partial(
+      static_cast<std::size_t>(detail::reduction_slots()));
+#pragma omp parallel default(none) shared(n, x, y, partial)
+  {
+    double re = 0, im = 0;
+#pragma omp for schedule(static)
+    for (std::int64_t i = 0; i < n; ++i) {
+      for (int sp = 0; sp < kNumSpins; ++sp)
+        for (int c = 0; c < kNumColors; ++c) {
+          const auto& a = x[i].s[sp].c[c];
+          const auto& b = y[i].s[sp].c[c];
+          re += static_cast<double>(a.real()) * b.real() +
+                static_cast<double>(a.imag()) * b.imag();
+          im += static_cast<double>(a.real()) * b.imag() -
+                static_cast<double>(a.imag()) * b.real();
+        }
+    }
+    partial[static_cast<std::size_t>(detail::reduction_slot())] = {re, im};
+  }
   double re = 0, im = 0;
-#pragma omp parallel for schedule(static) default(none) shared(n, x, y) \
-    reduction(+ : re, im)
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (int sp = 0; sp < kNumSpins; ++sp)
-      for (int c = 0; c < kNumColors; ++c) {
-        const auto& a = x[i].s[sp].c[c];
-        const auto& b = y[i].s[sp].c[c];
-        re += static_cast<double>(a.real()) * b.real() +
-              static_cast<double>(a.imag()) * b.imag();
-        im += static_cast<double>(a.real()) * b.imag() -
-              static_cast<double>(a.imag()) * b.real();
-      }
+  for (const auto& p : partial) {
+    re += p.real();
+    im += p.imag();
   }
   return {re, im};
 }
@@ -113,10 +150,17 @@ std::complex<double> dot(const FermionField<T>& x, const FermionField<T>& y) {
 template <class T>
 double norm2(const FermionField<T>& x) {
   const std::int64_t n = x.size();
+  std::vector<double> partial(
+      static_cast<std::size_t>(detail::reduction_slots()));
+#pragma omp parallel default(none) shared(n, x, partial)
+  {
+    double acc = 0;
+#pragma omp for schedule(static)
+    for (std::int64_t i = 0; i < n; ++i) acc += norm2(x[i]);
+    partial[static_cast<std::size_t>(detail::reduction_slot())] = acc;
+  }
   double acc = 0;
-#pragma omp parallel for schedule(static) default(none) shared(n, x) \
-    reduction(+ : acc)
-  for (std::int64_t i = 0; i < n; ++i) acc += norm2(x[i]);
+  for (const double p : partial) acc += p;
   return acc;
 }
 

@@ -18,11 +18,18 @@
 //    reconstructs. In a multi-node run these same buffers are what is
 //    handed to MPI (Sec. III-A, III-E).
 //  * Gauge links and clover blocks are stored in storage scalar S — float
-//    or Half — while all arithmetic is float (Sec. III-B).
+//    or Half — while all arithmetic is float (Sec. III-B). A domain visit
+//    up-converts the domain's matrices once, as it starts, and every
+//    kernel of the block solve reads that float copy — the software
+//    counterpart of the KNC's convert-on-load.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <memory>
+#include <numeric>
+#include <type_traits>
 #include <utility>
 
 #include "lqcd/dirac/wilson_clover.h"
@@ -193,6 +200,25 @@ class SchwarzSetup final : public PackedDomainStore {
         c[mu_s] = part.block()[mu_s] - 1;  // consumer's forward face
         partner_bwd_[mu_s][i] = part.local_index(c);
       }
+    }
+
+    // Incoming faces of every destination domain, in halo-update order.
+    // The neighbor behind d in mu packed its forward face toward d; the
+    // one ahead of d packed its backward face.
+    halo_sources_.resize(static_cast<std::size_t>(nd));
+    for (int d = 0; d < nd; ++d) {
+      auto& src = halo_sources_[static_cast<std::size_t>(d)];
+      for (int mu = 0; mu < kNumDims; ++mu) {
+        const auto k = static_cast<std::size_t>(mu) * 2;
+        src[k] = {part.neighbor_domain(d, mu, Dir::kBackward), mu,
+                  Dir::kForward};
+        src[k + 1] = {part.neighbor_domain(d, mu, Dir::kForward), mu,
+                      Dir::kBackward};
+      }
+      std::stable_sort(src.begin(), src.end(),
+                       [](const HaloSource& a, const HaloSource& b) {
+                         return a.producer < b.producer;
+                       });
     }
 
     // Count the in-domain hops of one parity->other-parity half dslash,
@@ -370,38 +396,25 @@ class SchwarzSetup final : public PackedDomainStore {
   /// deterministic corruption hook's target).
   void component_range(int d, PackedComponent c, S*& data,
                        std::int64_t& count) noexcept {
-    const std::int64_t vd = part_->domain_volume();
-    const std::int64_t hv = part_->domain_half_volume();
     switch (c) {
-      case PackedComponent::kGaugeLinks:
-        data = link_ptr(d, 0, 0);
-        count = vd * kNumDims * kSU3Reals;
-        break;
-      case PackedComponent::kCloverDiag:
-        data = diag_e_ptr(d, 0, 0);
-        count = hv * 2 * kCloverBlockReals;
-        break;
-      case PackedComponent::kCloverInv:
-        data = inv_o_ptr(d, 0, 0);
-        count = hv * 2 * kCloverBlockReals;
-        break;
+      case PackedComponent::kGaugeLinks: data = link_ptr(d, 0, 0); break;
+      case PackedComponent::kCloverDiag: data = diag_e_ptr(d, 0, 0); break;
+      case PackedComponent::kCloverInv: data = inv_o_ptr(d, 0, 0); break;
     }
+    count = static_cast<std::int64_t>(component_count(c));
   }
 
   /// Fresh Fletcher-32 of one packed component of domain d (what the
   /// parallel verification compares against the pack-time stamp).
   std::uint32_t component_checksum(int d, PackedComponent c) const noexcept {
-    const auto vd = static_cast<std::size_t>(part_->domain_volume());
-    const auto hv = static_cast<std::size_t>(part_->domain_half_volume());
+    const std::size_t n = component_count(c);
     switch (c) {
       case PackedComponent::kGaugeLinks:
-        return packed_checksum(link_ptr(d, 0, 0), vd * kNumDims * kSU3Reals);
+        return packed_checksum(link_ptr(d, 0, 0), n);
       case PackedComponent::kCloverDiag:
-        return packed_checksum(diag_e_ptr(d, 0, 0),
-                               hv * 2 * kCloverBlockReals);
+        return packed_checksum(diag_e_ptr(d, 0, 0), n);
       case PackedComponent::kCloverInv:
-        return packed_checksum(inv_o_ptr(d, 0, 0),
-                               hv * 2 * kCloverBlockReals);
+        return packed_checksum(inv_o_ptr(d, 0, 0), n);
     }
     return 0;
   }
@@ -421,7 +434,85 @@ class SchwarzSetup final : public PackedDomainStore {
   }
   std::int64_t hops_per_parity() const noexcept { return hops_per_parity_; }
 
+  /// One face buffer a destination domain's halo update consumes: the
+  /// (mu, dir) face that domain `producer` packed toward it.
+  struct HaloSource {
+    int producer;
+    int mu;
+    Dir dir;
+  };
+  /// The 2 * kNumDims incoming faces of destination domain d, in the
+  /// order its halo update adds them: by producer index, then mu, then
+  /// forward before backward. That is the per-site addition order of a
+  /// serial loop over producers (then mu, then direction), so a halo
+  /// update run in parallel over destinations gives the same bits at
+  /// every thread count.
+  const std::array<HaloSource, 2 * kNumDims>& halo_sources(
+      int d) const noexcept {
+    return halo_sources_[static_cast<std::size_t>(d)];
+  }
+
+  /// Floats decode_domain() writes: one domain's links and both clover
+  /// components for S = Half, 0 for S = float (the view then points at
+  /// the packed store).
+  std::size_t decode_size() const noexcept {
+    if constexpr (std::is_same_v<S, float>) {
+      return 0;
+    } else {
+      return component_count(PackedComponent::kGaugeLinks) +
+             2 * component_count(PackedComponent::kCloverDiag);
+    }
+  }
+
+  /// Float view of domain d's packed matrices for one domain visit. For
+  /// S = float it points at the packed store; for S = Half the domain is
+  /// decoded into `buf` (decode_size() floats) through the dispatched
+  /// array converter, so each packed value is converted once per visit
+  /// and a packed-data upset since the last visit is what this one reads.
+  DomainMatrices decode_domain(int d, AlignedVector<float>& buf) const {
+    if constexpr (std::is_same_v<S, float>) {
+      (void)buf;
+      return {link_ptr(d, 0, 0), diag_e_ptr(d, 0, 0), inv_o_ptr(d, 0, 0)};
+    } else {
+      const std::size_t nl = component_count(PackedComponent::kGaugeLinks);
+      const std::size_t nc = component_count(PackedComponent::kCloverDiag);
+      float* out = buf.data();
+      const simd::Kernels& k = simd::kernels();
+      k.half_to_float_n(link_ptr(d, 0, 0), out,
+                        static_cast<std::int64_t>(nl));
+      k.half_to_float_n(diag_e_ptr(d, 0, 0), out + nl,
+                        static_cast<std::int64_t>(nc));
+      k.half_to_float_n(inv_o_ptr(d, 0, 0), out + nl + nc,
+                        static_cast<std::int64_t>(nc));
+      return {out, out + nl, out + nl + nc};
+    }
+  }
+
+  /// Links-only form of decode_domain(): the halo update's backward-face
+  /// multiply reads the destination's own links and nothing else.
+  const float* decode_links(int d, AlignedVector<float>& buf) const {
+    if constexpr (std::is_same_v<S, float>) {
+      (void)buf;
+      return link_ptr(d, 0, 0);
+    } else {
+      simd::kernels().half_to_float_n(
+          link_ptr(d, 0, 0), buf.data(),
+          static_cast<std::int64_t>(
+              component_count(PackedComponent::kGaugeLinks)));
+      return buf.data();
+    }
+  }
+
  private:
+  /// Scalars in one domain's packed component.
+  std::size_t component_count(PackedComponent c) const noexcept {
+    return c == PackedComponent::kGaugeLinks
+               ? static_cast<std::size_t>(part_->domain_volume()) *
+                     kNumDims * kSU3Reals
+               : static_cast<std::size_t>(part_->domain_half_volume()) * 2 *
+                     kCloverBlockReals;
+  }
+
   /// Per-domain pack-time checksums, one per packed component, so a
   /// verification failure localizes to (domain, component).
   struct DomainSums {
@@ -431,12 +522,12 @@ class SchwarzSetup final : public PackedDomainStore {
   };
 
   std::uint32_t compute_domain_checksum(int d) const noexcept {
-    const auto vd = static_cast<std::size_t>(part_->domain_volume());
-    const auto hv = static_cast<std::size_t>(part_->domain_half_volume());
+    const std::size_t nl = component_count(PackedComponent::kGaugeLinks);
+    const std::size_t nc = component_count(PackedComponent::kCloverDiag);
     Fletcher32 f;
-    f.update(link_ptr(d, 0, 0), vd * kNumDims * kSU3Reals * sizeof(S));
-    f.update(diag_e_ptr(d, 0, 0), hv * 2 * kCloverBlockReals * sizeof(S));
-    f.update(inv_o_ptr(d, 0, 0), hv * 2 * kCloverBlockReals * sizeof(S));
+    f.update(link_ptr(d, 0, 0), nl * sizeof(S));
+    f.update(diag_e_ptr(d, 0, 0), nc * sizeof(S));
+    f.update(inv_o_ptr(d, 0, 0), nc * sizeof(S));
     return f.value();
   }
 
@@ -503,6 +594,7 @@ class SchwarzSetup final : public PackedDomainStore {
   std::int64_t face_offset_[2 * kNumDims] = {};
   std::vector<std::int32_t> partner_fwd_[kNumDims];
   std::vector<std::int32_t> partner_bwd_[kNumDims];
+  std::vector<std::array<HaloSource, 2 * kNumDims>> halo_sources_;
   std::int64_t hops_per_parity_ = 0;
 };
 
@@ -537,6 +629,8 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
     simd::kernels();
     buffers_.resize(static_cast<std::size_t>(part_->num_domains()) *
                     static_cast<std::size_t>(buffer_stride_));
+    all_domains_.resize(static_cast<std::size_t>(part_->num_domains()));
+    std::iota(all_domains_.begin(), all_domains_.end(), 0);
     ensure_scratch();
     r_batch_.resize(1);  // residual(0) is addressable even before apply()
   }
@@ -639,6 +733,9 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
   struct Scratch {
     FermionField<float> r_loc, z, rhs_e, mr_r, mr_ar, t1_o, t2_o;
     SchwarzStats stats;  // merged into stats_ at the end of apply()
+    /// Float copy of the visited domain's matrices (S = Half only; see
+    /// SchwarzSetup::decode_domain).
+    AlignedVector<float> decoded;
 
     // Lane-vectorized (SOA-over-RHS) working set, allocated lazily on the
     // first batched domain visit and reused until the batch width changes.
@@ -694,6 +791,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
       sc.mr_ar = FermionField<float>(hv);
       sc.t1_o = FermionField<float>(hv);
       sc.t2_o = FermionField<float>(hv);
+      sc.decoded.resize(setup_->decode_size());
     }
   }
 
@@ -755,21 +853,23 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
         static_cast<std::int64_t>(params_.schwarz_iterations) *
             kNumPackedComponents,
         1);
-    const std::int64_t n_black =
-        static_cast<std::int64_t>(part_->domains_of_color(0).size());
+    const std::vector<int>& black = part_->domains_of_color(0);
+    const std::vector<int>& white = part_->domains_of_color(1);
+    const auto n_black = static_cast<std::int64_t>(black.size());
 
     for (int s = 0; s < params_.schwarz_iterations; ++s) {
       ++stats_.sweeps;
       const std::int64_t visit_base = static_cast<std::int64_t>(s) * nd;
       if (params_.additive) {
-        sweep_all_domains(nrhs, u, visit_base);
-        apply_all_halo_updates(nrhs);
+        sweep(all_domains_, nrhs, u, visit_base);
+        apply_halo_updates(all_domains_, nrhs);
       } else {
-        // Multiplicative: black phase, exchange, white phase, exchange.
-        sweep_color(0, nrhs, u, visit_base);
-        apply_halo_updates(0, nrhs);
-        sweep_color(1, nrhs, u, visit_base + n_black);
-        apply_halo_updates(1, nrhs);
+        // Multiplicative: black phase, exchange into the white domains,
+        // white phase, exchange into the black domains.
+        sweep(black, nrhs, u, visit_base);
+        apply_halo_updates(white, nrhs);
+        sweep(white, nrhs, u, visit_base + n_black);
+        apply_halo_updates(black, nrhs);
       }
       if (params_.packed_fault_injector != nullptr)
         inject_packed_between_sweeps(packed_scope, s);
@@ -779,12 +879,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
     packed_scope.merge();
 
     for (auto& sc : scratch_) {
-      stats_.block_solves += sc.stats.block_solves;
-      stats_.mr_iterations += sc.stats.mr_iterations;
-      stats_.flops += sc.stats.flops;
-      stats_.boundary_bytes += sc.stats.boundary_bytes;
-      stats_.matrix_block_loads += sc.stats.matrix_block_loads;
-      stats_.injected_faults += sc.stats.injected_faults;
+      stats_ += sc.stats;
       sc.stats.reset();
     }
   }
@@ -813,18 +908,6 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
     return static_cast<std::int64_t>(b) * part_->num_domains() + d;
   }
 
-  // Packed-array accessors: thin forwarders into the shared setup so the
-  // kernel bodies below read exactly as they did when the arrays were
-  // members.
-  const S* link_ptr(int d, std::int32_t l, int mu) const noexcept {
-    return setup_->link_ptr(d, l, mu);
-  }
-  const S* diag_e_ptr(int d, std::int32_t le, int chi) const noexcept {
-    return setup_->diag_e_ptr(d, le, chi);
-  }
-  const S* inv_o_ptr(int d, std::int32_t lo, int chi) const noexcept {
-    return setup_->inv_o_ptr(d, lo, chi);
-  }
   float* buffer_ptr(std::int64_t slot, int mu, Dir dir) noexcept {
     return buffers_.data() + static_cast<std::size_t>(slot) *
                                  static_cast<std::size_t>(buffer_stride_) +
@@ -853,7 +936,8 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
   /// dropped): out = D_{out_parity, 1-out_parity} in. Both fields are
   /// half-volume, indexed by the parity-local index (even local l for
   /// parity 0, l - hv for parity 1).
-  void local_dslash_impl(int d, int out_parity, const FermionField<float>& in,
+  void local_dslash_impl(const DomainMatrices& m, int out_parity,
+                         const FermionField<float>& in,
                          FermionField<float>& out) const {
     const std::int32_t hv = part_->domain_half_volume();
     const std::int32_t l0 = out_parity == 0 ? 0 : hv;
@@ -866,35 +950,31 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
         const std::int32_t lf = part_->local_neighbor(l, mu, Dir::kForward);
         if (lf >= 0) {
           const HalfSpinor<float> h = project(in[lf - in_off], mu, -1);
-          reconstruct_add(acc, mul(load_su3(link_ptr(d, l, mu)), h), mu, -1);
+          reconstruct_add(acc, mul(load_su3(m.link(l, mu)), h), mu, -1);
         }
         const std::int32_t lb = part_->local_neighbor(l, mu, Dir::kBackward);
         if (lb >= 0) {
           const HalfSpinor<float> h = project(in[lb - in_off], mu, +1);
-          reconstruct_add(acc, mul_adj(load_su3(link_ptr(d, lb, mu)), h), mu,
-                          +1);
+          reconstruct_add(acc, mul_adj(load_su3(m.link(lb, mu)), h), mu, +1);
         }
       }
       out[i] = acc;
     }
   }
 
-  /// out_e = Dtilde_ee in_e within domain d (Dirichlet boundaries).
-  void local_schur(int d, const FermionField<float>& in_e,
+  /// out_e = Dtilde_ee in_e within the domain (Dirichlet boundaries).
+  void local_schur(const DomainMatrices& m, const FermionField<float>& in_e,
                    FermionField<float>& out_e, Scratch& sc) const {
     const std::int32_t hv = part_->domain_half_volume();
-    local_dslash_impl(d, 1, in_e, sc.t1_o);  // D_oe in_e
-    for (std::int32_t lo = 0; lo < hv; ++lo) {
-      apply_block_pair(
-          load_block(inv_o_ptr(d, lo, 0)),
-          load_block(inv_o_ptr(d, lo, 1)), sc.t1_o[lo], sc.t2_o[lo]);
-    }
-    local_dslash_impl(d, 0, sc.t2_o, out_e);  // D_eo A_oo^-1 D_oe in_e
+    local_dslash_impl(m, 1, in_e, sc.t1_o);  // D_oe in_e
+    for (std::int32_t lo = 0; lo < hv; ++lo)
+      apply_block_pair(load_block(m.inv(lo, 0)), load_block(m.inv(lo, 1)),
+                       sc.t1_o[lo], sc.t2_o[lo]);
+    local_dslash_impl(m, 0, sc.t2_o, out_e);  // D_eo A_oo^-1 D_oe in_e
     for (std::int32_t le = 0; le < hv; ++le) {
       Spinor<float> diag;
-      apply_block_pair(load_block(diag_e_ptr(d, le, 0)),
-                       load_block(diag_e_ptr(d, le, 1)), in_e[le],
-                       diag);
+      apply_block_pair(load_block(m.diag(le, 0)), load_block(m.diag(le, 1)),
+                       in_e[le], diag);
       for (int sp = 0; sp < kNumSpins; ++sp)
         for (int c = 0; c < kNumColors; ++c)
           out_e[le].s[sp].c[c] =
@@ -920,8 +1000,8 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
   /// r, pack the boundary buffers of the correction into `slot`. Writes
   /// stats into sc.stats (so concurrent domain solves never share a
   /// counter).
-  void solve_domain(int d, FermionField<float>& u, FermionField<float>& r,
-                    std::int64_t slot, Scratch& sc) {
+  void solve_domain(const DomainMatrices& m, int d, FermionField<float>& u,
+                    FermionField<float>& r, std::int64_t slot, Scratch& sc) {
     const std::int32_t vd = part_->domain_volume();
     const std::int32_t hv = part_->domain_half_volume();
 
@@ -933,10 +1013,9 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
 
     // Schur RHS: rhs_e = r_e + 1/2 D_eo A_oo^-1 r_o.
     for (std::int32_t lo = 0; lo < hv; ++lo)
-      apply_block_pair(load_block(inv_o_ptr(d, lo, 0)),
-                       load_block(inv_o_ptr(d, lo, 1)),
+      apply_block_pair(load_block(m.inv(lo, 0)), load_block(m.inv(lo, 1)),
                        sc.r_loc[hv + lo], sc.t1_o[lo]);
-    local_dslash_impl(d, 0, sc.t1_o, sc.rhs_e);
+    local_dslash_impl(m, 0, sc.t1_o, sc.rhs_e);
     for (std::int32_t le = 0; le < hv; ++le)
       for (int sp = 0; sp < kNumSpins; ++sp)
         for (int c = 0; c < kNumColors; ++c)
@@ -949,7 +1028,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
     for (std::int32_t le = 0; le < hv; ++le) z[le].zero();
     copy_range(sc.rhs_e, sc.mr_r, hv);
     for (int it = 0; it < params_.block_mr_iterations; ++it) {
-      local_schur(d, sc.mr_r, sc.mr_ar, sc);
+      local_schur(m, sc.mr_r, sc.mr_ar, sc);
       double arr_re = 0, arr_im = 0, arar = 0;
       for (std::int32_t le = 0; le < hv; ++le)
         for (int sp = 0; sp < kNumSpins; ++sp)
@@ -978,16 +1057,15 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
     }
 
     // Odd reconstruction: z_o = A_oo^-1 (r_o + 1/2 D_oe z_e).
-    local_dslash_impl(d, 1, z /* even half */, sc.t1_o);
+    local_dslash_impl(m, 1, z /* even half */, sc.t1_o);
     for (std::int32_t lo = 0; lo < hv; ++lo) {
       Spinor<float> rhs_o;
       for (int sp = 0; sp < kNumSpins; ++sp)
         for (int c = 0; c < kNumColors; ++c)
           rhs_o.s[sp].c[c] = sc.r_loc[hv + lo].s[sp].c[c] +
                              0.5f * sc.t1_o[lo].s[sp].c[c];
-      apply_block_pair(load_block(inv_o_ptr(d, lo, 0)),
-                       load_block(inv_o_ptr(d, lo, 1)), rhs_o,
-                       z[hv + lo]);
+      apply_block_pair(load_block(m.inv(lo, 0)), load_block(m.inv(lo, 1)),
+                       rhs_o, z[hv + lo]);
     }
     sc.stats.flops += 168 * hops_per_parity_ + hv * (504 + 24);
 
@@ -1006,7 +1084,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
       }
     }
 
-    pack_boundaries(d, slot, z, sc.stats);
+    pack_boundaries(m, slot, z, sc.stats);
     ++sc.stats.block_solves;
   }
 
@@ -1019,17 +1097,16 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
   /// buffers (paper Fig. 3). Forward faces are link-multiplied by the
   /// producer (it owns U_mu(x)); backward faces are packed raw and
   /// link-multiplied by the consumer.
-  void pack_boundaries(int d, std::int64_t slot, const FermionField<float>& z,
-                       SchwarzStats& stats) {
+  void pack_boundaries(const DomainMatrices& m, std::int64_t slot,
+                       const FermionField<float>& z, SchwarzStats& stats) {
     for (int mu = 0; mu < kNumDims; ++mu) {
-      const auto mu_s = static_cast<std::size_t>(mu);
       {
         const auto& face = part_->face_sites(mu, Dir::kForward);
         float* buf = buffer_ptr(slot, mu, Dir::kForward);
         for (std::size_t i = 0; i < face.size(); ++i) {
           const std::int32_t l = face[i];
           const HalfSpinor<float> h =
-              mul_adj(load_su3(link_ptr(d, l, mu)), project(z[l], mu, +1));
+              mul_adj(load_su3(m.link(l, mu)), project(z[l], mu, +1));
           write_halfspinor(h, buf + i * 12);
         }
         stats.boundary_bytes +=
@@ -1047,7 +1124,6 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
             static_cast<std::int64_t>(face.size()) * 12 * 4;
         stats.flops += static_cast<std::int64_t>(face.size()) * 12;
       }
-      (void)mu_s;
     }
   }
 
@@ -1073,50 +1149,39 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
     return h;
   }
 
-  /// Consume the face buffers of the domains in `producers`: add the R
-  /// coupling of their corrections to the residual of the neighboring
-  /// domains.
-  void consume_buffers_of(int d, std::int64_t slot, FermionField<float>& r) {
-    for (int mu = 0; mu < kNumDims; ++mu) {
-      // Producer's forward face -> consumer's backward boundary sites.
-      {
-        const int nd = part_->neighbor_domain(d, mu, Dir::kForward);
-        const float* buf = buffer_ptr(slot, mu, Dir::kForward);
-        const auto& partners = setup_->partner_fwd(mu);
-        for (std::size_t i = 0; i < partners.size(); ++i) {
-          const HalfSpinor<float> h = read_halfspinor(buf + i * 12);
-          const std::int32_t g = part_->global_site(nd, partners[i]);
-          Spinor<float> add;
-          add.zero();
-          reconstruct_add(add, h, mu, +1);
-          for (int sp = 0; sp < kNumSpins; ++sp)
-            for (int c = 0; c < kNumColors; ++c)
-              r[g].s[sp].c[c] += 0.5f * add.s[sp].c[c];
-        }
-        stats_.flops += static_cast<std::int64_t>(partners.size()) * (24 + 24);
-      }
-      // Producer's backward face -> consumer's forward boundary sites.
-      {
-        const int nd = part_->neighbor_domain(d, mu, Dir::kBackward);
-        const float* buf = buffer_ptr(slot, mu, Dir::kBackward);
-        const auto& partners = setup_->partner_bwd(mu);
-        for (std::size_t i = 0; i < partners.size(); ++i) {
-          const HalfSpinor<float> raw = read_halfspinor(buf + i * 12);
-          const std::int32_t pl = partners[i];
-          const HalfSpinor<float> h =
-              mul(load_su3(link_ptr(nd, pl, mu)), raw);
-          const std::int32_t g = part_->global_site(nd, pl);
-          Spinor<float> add;
-          add.zero();
-          reconstruct_add(add, h, mu, -1);
-          for (int sp = 0; sp < kNumSpins; ++sp)
-            for (int c = 0; c < kNumColors; ++c)
-              r[g].s[sp].c[c] += 0.5f * add.s[sp].c[c];
-        }
-        stats_.flops +=
-            static_cast<std::int64_t>(partners.size()) * (132 + 24 + 24);
-      }
+  /// Add one incoming face buffer's R coupling to the residual of
+  /// destination domain `dst`. A forward face lands on dst's backward
+  /// boundary sites as packed; a backward face is first multiplied by
+  /// dst's own link U_mu (`dst_links`, dst's decoded links) at its
+  /// forward boundary sites.
+  void apply_face(int dst, const float* dst_links,
+                  const typename SchwarzSetup<S>::HaloSource& src,
+                  std::int64_t slot, FermionField<float>& r,
+                  SchwarzStats& stats) {
+    const int mu = src.mu;
+    const bool fwd = src.dir == Dir::kForward;
+    const float* buf = buffer_ptr(slot, mu, src.dir);
+    const auto& partners =
+        fwd ? setup_->partner_fwd(mu) : setup_->partner_bwd(mu);
+    for (std::size_t i = 0; i < partners.size(); ++i) {
+      const std::int32_t pl = partners[i];
+      HalfSpinor<float> h = read_halfspinor(buf + i * 12);
+      if (!fwd)
+        h = mul(load_su3(dst_links + (static_cast<std::size_t>(pl) *
+                                          kNumDims +
+                                      static_cast<std::size_t>(mu)) *
+                                         kSU3Reals),
+                h);
+      const std::int32_t g = part_->global_site(dst, pl);
+      Spinor<float> add;
+      add.zero();
+      reconstruct_add(add, h, mu, fwd ? +1 : -1);
+      for (int sp = 0; sp < kNumSpins; ++sp)
+        for (int c = 0; c < kNumColors; ++c)
+          r[g].s[sp].c[c] += 0.5f * add.s[sp].c[c];
     }
+    stats.flops += static_cast<std::int64_t>(partners.size()) *
+                   (fwd ? 24 + 24 : 132 + 24 + 24);
   }
 
   /// One domain visit: stream the packed matrices once, apply them to
@@ -1126,14 +1191,15 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
   /// with apply()).
   void solve_domain_batch(int d, int nrhs, FermionField<float>* const* u,
                           Scratch& sc) {
+    const DomainMatrices m = setup_->decode_domain(d, sc.decoded);
     ++sc.stats.matrix_block_loads;
     if (nrhs == 1 || !params_.lane_vectorized) {
       for (int b = 0; b < nrhs; ++b)
-        solve_domain(d, *u[b], r_batch_[static_cast<std::size_t>(b)],
+        solve_domain(m, d, *u[b], r_batch_[static_cast<std::size_t>(b)],
                      buffer_slot(b, d), sc);
       return;
     }
-    solve_domain_lanes(d, nrhs, u, sc);
+    solve_domain_lanes(m, d, nrhs, u, sc);
   }
 
   // -------------------------------------------------------------------------
@@ -1164,11 +1230,11 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
     simd::kernels().reconstruct_add_lanes(acc_site, h, mu, sign, lanes);
   }
 
-  /// y = U x (or U^dagger x) on half-spinor lane vectors: the link is
-  /// loaded once and applied to every lane.
-  static void lane_su3_mul(const SU3<float>& u, const float* x, float* y,
+  /// y = U x (or U^dagger x) on half-spinor lane vectors: the link (18
+  /// floats of the decoded view) is loaded once and applied to every lane.
+  static void lane_su3_mul(const float* u, const float* x, float* y,
                            int lanes, bool adjoint) {
-    simd::kernels().su3_mul_lanes(flat(u), x, y, lanes, adjoint ? 1 : 0);
+    simd::kernels().su3_mul_lanes(u, x, y, lanes, adjoint ? 1 : 0);
   }
 
   /// Apply the two chirality clover blocks at a site to the spinor lane
@@ -1184,8 +1250,9 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
   /// applied to all lanes, each link loaded once per hop. `in` is indexed
   /// by the parity-local convention of the scalar path (even fields by
   /// local site < hv, odd fields by l - hv).
-  void lane_dslash(int d, int out_parity, const BlockSpinorLanes& in,
-                   BlockSpinorLanes& out, Scratch& sc) {
+  void lane_dslash(const DomainMatrices& m, int out_parity,
+                   const BlockSpinorLanes& in, BlockSpinorLanes& out,
+                   Scratch& sc) {
     const std::int32_t hv = part_->domain_half_volume();
     const std::int32_t l0 = out_parity == 0 ? 0 : hv;
     const std::int32_t in_off = out_parity == 0 ? hv : 0;
@@ -1202,13 +1269,13 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
         const std::int32_t lf = part_->local_neighbor(l, mu, Dir::kForward);
         if (lf >= 0) {
           lane_project(in.lane_vec(lf - in_off, 0), mu, -1, h1, L);
-          lane_su3_mul(load_su3(link_ptr(d, l, mu)), h1, h2, L, false);
+          lane_su3_mul(m.link(l, mu), h1, h2, L, false);
           lane_reconstruct_add(acc, h2, mu, -1, L);
         }
         const std::int32_t lb = part_->local_neighbor(l, mu, Dir::kBackward);
         if (lb >= 0) {
           lane_project(in.lane_vec(lb - in_off, 0), mu, +1, h1, L);
-          lane_su3_mul(load_su3(link_ptr(d, lb, mu)), h1, h2, L, true);
+          lane_su3_mul(m.link(lb, mu), h1, h2, L, true);
           lane_reconstruct_add(acc, h2, mu, +1, L);
         }
       }
@@ -1216,21 +1283,20 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
   }
 
   /// Lane version of local_schur: out_e = Dtilde_ee in_e for all lanes.
-  void lane_schur(int d, const BlockSpinorLanes& in_e, BlockSpinorLanes& out_e,
-                  Scratch& sc) {
+  void lane_schur(const DomainMatrices& m, const BlockSpinorLanes& in_e,
+                  BlockSpinorLanes& out_e, Scratch& sc) {
     const std::int32_t hv = part_->domain_half_volume();
     const int L = in_e.lanes();
-    lane_dslash(d, 1, in_e, sc.t1_lanes, sc);
+    lane_dslash(m, 1, in_e, sc.t1_lanes, sc);
     for (std::int32_t lo = 0; lo < hv; ++lo)
-      lane_apply_block_pair(load_block(inv_o_ptr(d, lo, 0)),
-                            load_block(inv_o_ptr(d, lo, 1)),
+      lane_apply_block_pair(load_block(m.inv(lo, 0)), load_block(m.inv(lo, 1)),
                             sc.t1_lanes.lane_vec(lo, 0),
                             sc.t2_lanes.lane_vec(lo, 0), L);
-    lane_dslash(d, 0, sc.t2_lanes, out_e, sc);
+    lane_dslash(m, 0, sc.t2_lanes, out_e, sc);
     for (std::int32_t le = 0; le < hv; ++le) {
-      lane_apply_block_pair(load_block(diag_e_ptr(d, le, 0)),
-                            load_block(diag_e_ptr(d, le, 1)),
-                            in_e.lane_vec(le, 0), sc.s24.data(), L);
+      lane_apply_block_pair(load_block(m.diag(le, 0)),
+                            load_block(m.diag(le, 1)), in_e.lane_vec(le, 0),
+                            sc.s24.data(), L);
       float* o = out_e.lane_vec(le, 0);
       const float* diag = sc.s24.data();
       simd::kernels().xpay_lanes(diag, -0.25f, o, o, kSpinorReals * L);
@@ -1245,8 +1311,8 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
   /// SOA-over-RHS containers, run ONE even-odd MR block solve across all
   /// lanes (per-lane alpha, lane masking for converged/zero RHS), scatter
   /// the corrections back, and pack each RHS's boundary buffers.
-  void solve_domain_lanes(int d, int nrhs, FermionField<float>* const* u,
-                          Scratch& sc) {
+  void solve_domain_lanes(const DomainMatrices& m, int d, int nrhs,
+                          FermionField<float>* const* u, Scratch& sc) {
     const std::int32_t vd = part_->domain_volume();
     const std::int32_t hv = part_->domain_half_volume();
     sc.ensure_lanes(vd, hv, nrhs);
@@ -1262,11 +1328,10 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
 
     // Schur RHS: rhs_e = r_e + 1/2 D_eo A_oo^-1 r_o, all lanes at once.
     for (std::int32_t lo = 0; lo < hv; ++lo)
-      lane_apply_block_pair(load_block(inv_o_ptr(d, lo, 0)),
-                            load_block(inv_o_ptr(d, lo, 1)),
+      lane_apply_block_pair(load_block(m.inv(lo, 0)), load_block(m.inv(lo, 1)),
                             sc.r_lanes.lane_vec(hv + lo, 0),
                             sc.t1_lanes.lane_vec(lo, 0), L);
-    lane_dslash(d, 0, sc.t1_lanes, sc.rhs_e_lanes, sc);
+    lane_dslash(m, 0, sc.t1_lanes, sc.rhs_e_lanes, sc);
     for (std::int32_t le = 0; le < hv; ++le) {
       const float* rv = sc.r_lanes.lane_vec(le, 0);
       float* ev = sc.rhs_e_lanes.lane_vec(le, 0);
@@ -1289,7 +1354,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
     for (int it = 0; it < params_.block_mr_iterations; ++it) {
       const int active_before = sc.mr_state.num_active();
       if (active_before == 0) break;
-      lane_schur(d, sc.mr_r_lanes, sc.mr_ar_lanes, sc);
+      lane_schur(m, sc.mr_r_lanes, sc.mr_ar_lanes, sc);
       lane_mr_dots(sc.mr_r_lanes.data(), sc.mr_ar_lanes.data(), ncplx, L,
                    sc.mr_state);
       sc.stats.mr_iterations += active_before;
@@ -1302,15 +1367,14 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
     }
 
     // Odd reconstruction: z_o = A_oo^-1 (r_o + 1/2 D_oe z_e).
-    lane_dslash(d, 1, sc.z_lanes, sc.t1_lanes, sc);
+    lane_dslash(m, 1, sc.z_lanes, sc.t1_lanes, sc);
     for (std::int32_t lo = 0; lo < hv; ++lo) {
       const float* rv = sc.r_lanes.lane_vec(hv + lo, 0);
       const float* tv = sc.t1_lanes.lane_vec(lo, 0);
       float* rhs_o = sc.s24.data();
       simd::kernels().xpay_lanes(rv, 0.5f, tv, rhs_o, kSpinorReals * L);
-      lane_apply_block_pair(load_block(inv_o_ptr(d, lo, 0)),
-                            load_block(inv_o_ptr(d, lo, 1)), rhs_o,
-                            sc.z_lanes.lane_vec(hv + lo, 0), L);
+      lane_apply_block_pair(load_block(m.inv(lo, 0)), load_block(m.inv(lo, 1)),
+                            rhs_o, sc.z_lanes.lane_vec(hv + lo, 0), L);
     }
     sc.stats.flops += nb * (168 * hops_per_parity_ + hv * (504 + 24));
 
@@ -1345,14 +1409,15 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
       }
     }
 
-    pack_boundaries_lanes(d, nrhs, sc);
+    pack_boundaries_lanes(m, d, nrhs, sc);
     sc.stats.block_solves += nrhs;
   }
 
   /// Lane version of pack_boundaries: each face site's link is loaded
   /// once, projected/multiplied across all lanes, then fanned out to the
   /// per-(RHS, domain) AOS buffers the halo exchange consumes unchanged.
-  void pack_boundaries_lanes(int d, int nrhs, Scratch& sc) {
+  void pack_boundaries_lanes(const DomainMatrices& m, int d, int nrhs,
+                             Scratch& sc) {
     const int L = sc.z_lanes.lanes();
     const auto nb = static_cast<std::int64_t>(nrhs);
     float* h1 = sc.h1.data();
@@ -1363,7 +1428,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
         for (std::size_t i = 0; i < face.size(); ++i) {
           const std::int32_t l = face[i];
           lane_project(sc.z_lanes.lane_vec(l, 0), mu, +1, h1, L);
-          lane_su3_mul(load_su3(link_ptr(d, l, mu)), h1, h2, L, true);
+          lane_su3_mul(m.link(l, mu), h1, h2, L, true);
           for (int b = 0; b < nrhs; ++b) {
             float* buf =
                 buffer_ptr(buffer_slot(b, d), mu, Dir::kForward) + i * 12;
@@ -1395,9 +1460,9 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
 
   /// Visit one domain on the calling thread: block solve, then the (inert
   /// when unarmed) deterministic parallel fault hook. A fired visit
-  /// corrupts the domain's packed RHS-0 face buffers — the data the
-  /// serial halo-update phase consumes next — and is charged to the
-  /// per-thread scratch stats so counters merge thread-count-invariantly.
+  /// corrupts the domain's packed RHS-0 face buffers — the data the next
+  /// halo update consumes — and is charged to the per-thread scratch
+  /// stats so counters merge thread-count-invariantly.
   void visit_domain(int d, int nrhs, FermionField<float>* const* u, int tid,
                     std::int64_t visit_key) {
     auto& sc = scratch_[static_cast<std::size_t>(tid)];
@@ -1411,9 +1476,11 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
       ++sc.stats.injected_faults;
   }
 
-  void sweep_color(int color, int nrhs, FermionField<float>* const* u,
-                   std::int64_t visit_base) {
-    const auto& list = part_->domains_of_color(color);
+  /// One sweep phase: visit every domain of `list` (one color, or all
+  /// domains for additive Schwarz) in parallel; visit i draws fault key
+  /// visit_base + i.
+  void sweep(const std::vector<int>& list, int nrhs,
+             FermionField<float>* const* u, std::int64_t visit_base) {
     const auto n = static_cast<std::int64_t>(list.size());
 #pragma omp parallel for schedule(static) default(none) \
     shared(list, n, nrhs, u, visit_base)
@@ -1427,32 +1494,29 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
     }
   }
 
-  void sweep_all_domains(int nrhs, FermionField<float>* const* u,
-                         std::int64_t visit_base) {
-    const std::int64_t n = part_->num_domains();
+  /// Halo update after a sweep phase: each domain of `destinations` adds
+  /// its neighbors' freshly packed face buffers to its boundary residual
+  /// sites. Destinations own disjoint sites, so they run in parallel, and
+  /// each applies its faces in SchwarzSetup::halo_sources() order — the
+  /// per-site addition order of a serial producer-major loop — so the
+  /// residual is bit-identical at every thread count.
+  void apply_halo_updates(const std::vector<int>& destinations, int nrhs) {
+    const auto n = static_cast<std::int64_t>(destinations.size());
 #pragma omp parallel for schedule(static) default(none) \
-    shared(n, nrhs, u, visit_base)
+    shared(destinations, n, nrhs)
     for (std::int64_t i = 0; i < n; ++i) {
       int tid = 0;
 #if defined(LQCD_HAVE_OPENMP)
       tid = omp_get_thread_num();
 #endif
-      visit_domain(static_cast<int>(i), nrhs, u, tid, visit_base + i);
+      auto& sc = scratch_[static_cast<std::size_t>(tid)];
+      const int dst = destinations[static_cast<std::size_t>(i)];
+      const float* links = setup_->decode_links(dst, sc.decoded);
+      for (int b = 0; b < nrhs; ++b)
+        for (const auto& src : setup_->halo_sources(dst))
+          apply_face(dst, links, src, buffer_slot(b, src.producer),
+                     r_batch_[static_cast<std::size_t>(b)], sc.stats);
     }
-  }
-
-  void apply_halo_updates(int color, int nrhs) {
-    for (const int d : part_->domains_of_color(color))
-      for (int b = 0; b < nrhs; ++b)
-        consume_buffers_of(d, buffer_slot(b, d),
-                           r_batch_[static_cast<std::size_t>(b)]);
-  }
-
-  void apply_all_halo_updates(int nrhs) {
-    for (int d = 0; d < part_->num_domains(); ++d)
-      for (int b = 0; b < nrhs; ++b)
-        consume_buffers_of(d, buffer_slot(b, d),
-                           r_batch_[static_cast<std::size_t>(b)]);
   }
 
   /// Shared per-configuration packed state (matrices, checksums,
@@ -1474,6 +1538,8 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
   /// bridge; rebuilt at the start of every apply_impl().
   std::vector<const FermionField<float>*> r_ptrs_;
   std::vector<Scratch> scratch_;
+  /// 0 .. num_domains - 1: the additive sweep's visit and halo list.
+  std::vector<int> all_domains_;
   /// Live only while apply_impl()'s sweep loop runs; points at the
   /// stack-local ParallelFaultScope of the current application.
   ParallelFaultScope* domain_scope_ = nullptr;

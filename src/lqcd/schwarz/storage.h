@@ -15,6 +15,7 @@
 #include <algorithm>
 
 #include "lqcd/base/checksum.h"
+#include "lqcd/base/constants.h"
 #include "lqcd/linalg/fermion_field.h"
 #include "lqcd/linalg/fp16.h"
 #include "lqcd/su3/clover_block.h"
@@ -93,6 +94,33 @@ PackedHermitian6<float> load_block(const S* src) noexcept {
   }
   return b;
 }
+
+/// One domain's gauge and clover matrices as float arrays, in the packed
+/// layout: links [local][mu][18], even-site clover blocks
+/// [even local][chi][36], odd-site inverse clover blocks
+/// [odd local - hv][chi][36]. This is what a Schwarz block solve reads;
+/// SchwarzSetup::decode_domain() produces it once per domain visit.
+struct DomainMatrices {
+  const float* links = nullptr;
+  const float* diag_e = nullptr;
+  const float* inv_o = nullptr;
+
+  const float* link(std::int32_t l, int mu) const noexcept {
+    return links + (static_cast<std::size_t>(l) * kNumDims +
+                    static_cast<std::size_t>(mu)) *
+                       kSU3Reals;
+  }
+  const float* diag(std::int32_t le, int chi) const noexcept {
+    return diag_e + (static_cast<std::size_t>(le) * 2 +
+                     static_cast<std::size_t>(chi)) *
+                        kCloverBlockReals;
+  }
+  const float* inv(std::int32_t lo, int chi) const noexcept {
+    return inv_o + (static_cast<std::size_t>(lo) * 2 +
+                    static_cast<std::size_t>(chi)) *
+                       kCloverBlockReals;
+  }
+};
 
 /// The three packed per-domain arrays a Schwarz store protects with
 /// checksums; ABFT detection, repair, and injection address them by

@@ -1,6 +1,7 @@
 #include "lqcd/service/solver_service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 namespace lqcd {
@@ -22,6 +23,18 @@ std::future<SolveResult> SolverService::submit(SolveRequest request) {
                  "submit() needs a geometry and a gauge configuration");
   LQCD_CHECK_MSG(request.source.size() == request.geom->volume(),
                  "source size must match the lattice volume");
+  // A non-finite mass or csw makes a setup key that never equals itself,
+  // which the scheduler cannot batch; refuse it here, with the other
+  // fields no solve can honor.
+  LQCD_CHECK_MSG(std::isfinite(request.mass) && std::isfinite(request.csw),
+                 "mass and csw must be finite (mass "
+                     << request.mass << ", csw " << request.csw << ")");
+  LQCD_CHECK_MSG(request.tolerance > 0.0 && request.tolerance < 1.0,
+                 "tolerance must lie in (0, 1), got " << request.tolerance);
+  LQCD_CHECK_MSG(std::isfinite(request.deadline_seconds) &&
+                     request.deadline_seconds >= 0.0,
+                 "deadline_seconds must be finite and >= 0, got "
+                     << request.deadline_seconds);
   PendingRequest p;
   p.id = next_id_.fetch_add(1);
   // Client-thread content hashing: the cache key, and the reference the

@@ -86,7 +86,10 @@ class SolverService {
   /// keeping the content hashing off the dispatch path. The request's
   /// source is consumed. A submission that races or follows shutdown() is
   /// refused: the returned future carries an lqcd::Error instead of
-  /// blocking forever on a promise no worker will ever fulfill.
+  /// blocking forever on a promise no worker will ever fulfill. Throws
+  /// lqcd::Error, and queues nothing, on a request without geometry or
+  /// gauge field, a source of the wrong size, a non-finite mass or csw, a
+  /// tolerance outside (0, 1), or a negative or non-finite deadline.
   std::future<SolveResult> submit(SolveRequest request);
 
   /// Dispatch queued requests inline on the calling thread until the

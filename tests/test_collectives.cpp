@@ -6,6 +6,7 @@
 // dslash, and the Schwarz packed-matrix ABFT checksums.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <vector>
@@ -83,6 +84,72 @@ TEST(Fletcher32, SplitInvariantAndOddLengths) {
   }
   Fletcher32 empty;
   EXPECT_EQ(empty.value(), 0u);
+}
+
+/// Per-word reference: both sums reduced mod 65535 after every 16-bit
+/// little-endian word, an odd trailing byte zero-padded.
+std::uint32_t fletcher32_reference(const std::vector<unsigned char>& data) {
+  std::uint32_t a = 0, b = 0;
+  for (std::size_t i = 0; i < data.size(); i += 2) {
+    const std::uint32_t lo = data[i];
+    const std::uint32_t hi = i + 1 < data.size() ? data[i + 1] : 0u;
+    a = (a + (lo | (hi << 8))) % 65535u;
+    b = (b + a) % 65535u;
+  }
+  return (b << 16) | a;
+}
+
+/// Fletcher32 fed `data` in pieces cut at the given byte offsets.
+std::uint32_t fletcher32_split(const std::vector<unsigned char>& data,
+                               std::vector<std::size_t> cuts) {
+  std::sort(cuts.begin(), cuts.end());
+  Fletcher32 f;
+  std::size_t at = 0;
+  for (const std::size_t cut : cuts) {
+    f.update(data.data() + at, cut - at);
+    at = cut;
+  }
+  f.update(data.data() + at, data.size() - at);
+  return f.value();
+}
+
+TEST(Fletcher32, MatchesPerWordReferenceOnAnySplit) {
+  Rng rng(4711);
+  auto random_bytes = [&rng](std::size_t n) {
+    std::vector<unsigned char> data(n);
+    for (auto& byte : data)
+      byte = static_cast<unsigned char>(rng.uniform_u64(256));
+    return data;
+  };
+  for (int trial = 0; trial < 60; ++trial) {
+    // Random lengths, odd ones included, and random cuts across update().
+    const auto n = static_cast<std::size_t>(rng.uniform_u64(5001));
+    const std::vector<unsigned char> data = random_bytes(n);
+    std::vector<std::size_t> cuts(
+        static_cast<std::size_t>(rng.uniform_u64(7)));
+    for (auto& cut : cuts)
+      cut = static_cast<std::size_t>(rng.uniform_u64(n + 1));
+    const std::uint32_t ref = fletcher32_reference(data);
+    EXPECT_EQ(fletcher32_bytes(data.data(), n), ref) << "n=" << n;
+    EXPECT_EQ(fletcher32_split(data, cuts), ref) << "n=" << n;
+  }
+  // All-0xFF words (65535 == 0 mod 65535), odd and even lengths.
+  for (const std::size_t n : {1u, 2u, 3u, 4096u, 4097u}) {
+    const std::vector<unsigned char> ones(n, 0xFF);
+    EXPECT_EQ(fletcher32_bytes(ones.data(), n), fletcher32_reference(ones))
+        << "n=" << n;
+  }
+  // Streams longer than the 2^20-word reduction block: all-0xFF (the
+  // largest sums) and random, one-shot and cut at odd offsets.
+  const std::size_t big = (std::size_t{1} << 21) + 2 * 12345 + 1;
+  const std::vector<unsigned char> ones(big, 0xFF);
+  EXPECT_EQ(fletcher32_bytes(ones.data(), big), fletcher32_reference(ones));
+  EXPECT_EQ(fletcher32_split(ones, {(std::size_t{1} << 20) + 1}),
+            fletcher32_reference(ones));
+  const std::vector<unsigned char> noise = random_bytes(big);
+  EXPECT_EQ(fletcher32_bytes(noise.data(), big), fletcher32_reference(noise));
+  EXPECT_EQ(fletcher32_split(noise, {3, big / 2 + 1}),
+            fletcher32_reference(noise));
 }
 
 TEST(Fletcher32, DetectsEverySingleBitFlip) {

@@ -2,6 +2,8 @@
 // additive vs multiplicative, half-precision storage.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "lqcd/schwarz/schwarz.h"
 #include "lqcd/solver/even_odd.h"
 #include "lqcd/solver/fgmres_dr.h"
@@ -201,6 +203,68 @@ TEST(Schwarz, HalfPrecisionStorageCloseToSingle) {
   const double rel = std::sqrt(diff2 / n2);
   EXPECT_LT(rel, 5e-2);
   EXPECT_GT(rel, 1e-7);  // they must not be bit-identical
+}
+
+/// Number of packed elements of every domain whose decoded-view floats
+/// differ in any bit from load_su3 / load_block of the packed storage.
+template <class S>
+std::int64_t decoded_view_mismatches(const SchwarzSetup<S>& setup) {
+  const DomainPartition& part = setup.partition();
+  AlignedVector<float> buf(setup.decode_size());
+  std::int64_t mismatches = 0;
+  auto differ = [](const auto& a, const auto& b) {
+    return std::memcmp(&a, &b, sizeof a) != 0;
+  };
+  for (int d = 0; d < part.num_domains(); ++d) {
+    const DomainMatrices m = setup.decode_domain(d, buf);
+    for (std::int32_t l = 0; l < part.domain_volume(); ++l)
+      for (int mu = 0; mu < kNumDims; ++mu)
+        if (differ(load_su3(m.link(l, mu)),
+                   load_su3(setup.link_ptr(d, l, mu))))
+          ++mismatches;
+    for (std::int32_t i = 0; i < part.domain_half_volume(); ++i)
+      for (int chi = 0; chi < 2; ++chi) {
+        if (differ(load_block(m.diag(i, chi)),
+                   load_block(setup.diag_e_ptr(d, i, chi))))
+          ++mismatches;
+        if (differ(load_block(m.inv(i, chi)),
+                   load_block(setup.inv_o_ptr(d, i, chi))))
+          ++mismatches;
+      }
+    const float* links = setup.decode_links(d, buf);
+    for (std::int32_t l = 0; l < part.domain_volume(); ++l)
+      for (int mu = 0; mu < kNumDims; ++mu)
+        if (differ(load_su3(links + (l * kNumDims + mu) * kSU3Reals),
+                   load_su3(setup.link_ptr(d, l, mu))))
+          ++mismatches;
+  }
+  return mismatches;
+}
+
+/// The per-visit decoded view is bit-equal to the element-wise loads on
+/// every SIMD backend, and it follows a packed-data upset: the next
+/// decode reads the corrupted storage.
+template <class S>
+void expect_decoded_view_matches_packed() {
+  Fixture f({8, 8, 8, 8}, {4, 4, 4, 4}, 0.5, 0.2f, 1.0f, 85);
+  SchwarzSetup<S> setup(f.part, f.op);
+  for (const simd::Backend be : simd::available_backends()) {
+    simd::ScopedBackend scoped(be);
+    EXPECT_EQ(decoded_view_mismatches(setup), 0) << simd::to_string(be);
+  }
+  FaultInjectorConfig fic;
+  fic.fault = FaultClass::kZeroField;
+  FaultInjector inj(fic);
+  ASSERT_TRUE(setup.corrupt_packed(inj, 3, PackedComponent::kCloverInv));
+  AlignedVector<float> buf(setup.decode_size());
+  const DomainMatrices m = setup.decode_domain(3, buf);
+  EXPECT_EQ(m.inv(0, 0)[0], 0.0f);
+  EXPECT_EQ(decoded_view_mismatches(setup), 0);
+}
+
+TEST(Schwarz, DecodedViewEqualsPackedLoadsOnEveryBackend) {
+  expect_decoded_view_matches_packed<float>();
+  expect_decoded_view_matches_packed<Half>();
 }
 
 TEST(Schwarz, HalfStorageHalvesMatrixFootprint) {

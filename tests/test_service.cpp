@@ -5,7 +5,9 @@
 // injection).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
+#include <limits>
 #include <vector>
 
 #include "lqcd/service/request.h"
@@ -362,6 +364,65 @@ TEST(Service, InFlightGaugeMutationRefusedAsStaleSetup) {
   auto fut2 = service.submit(make_request(prob, 921));
   service.drain();
   EXPECT_TRUE(fut2.get().stats.converged);
+}
+
+TEST(Service, NanMassRequestIsRefusedAndWorkerKeepsServing) {
+  // A NaN mass makes a setup key that never equals itself. Accepted, it
+  // made the scheduler hand the worker an empty batch, which the worker
+  // read as "closed": it exited and every later request stayed queued.
+  // submit() must refuse it, and the next valid request must complete.
+  // The wait is bounded so a regression fails instead of hanging.
+  Problem prob({8, 4, 4, 4}, 0.7, 241);
+  SolverServiceConfig scfg;
+  scfg.solver = service_solver_config();
+  scfg.worker_threads = 1;
+  SolverService service(scfg);
+
+  SolveRequest bad = make_request(prob, 940);
+  bad.mass = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(service.submit(std::move(bad)), Error);
+
+  auto fut = service.submit(make_request(prob, 941));
+  ASSERT_EQ(fut.wait_for(std::chrono::seconds(60)), std::future_status::ready);
+  EXPECT_TRUE(fut.get().stats.converged);
+  EXPECT_EQ(service.stats().submitted, 1u);
+}
+
+TEST(Service, SubmitRefusesNonFiniteOrOutOfRangeFields) {
+  Problem prob({8, 4, 4, 4}, 0.7, 251);
+  SolverServiceConfig scfg;
+  scfg.solver = service_solver_config();
+  scfg.worker_threads = 0;
+  SolverService service(scfg);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto refused = [&](auto mutate) {
+    SolveRequest req = make_request(prob, 950);
+    mutate(req);
+    try {
+      service.submit(std::move(req));
+    } catch (const Error&) {
+      return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(refused([&](SolveRequest& r) { r.mass = inf; }));
+  EXPECT_TRUE(refused([&](SolveRequest& r) { r.csw = nan; }));
+  EXPECT_TRUE(refused([&](SolveRequest& r) { r.csw = -inf; }));
+  EXPECT_TRUE(refused([&](SolveRequest& r) { r.tolerance = 0.0; }));
+  EXPECT_TRUE(refused([&](SolveRequest& r) { r.tolerance = 1.0; }));
+  EXPECT_TRUE(refused([&](SolveRequest& r) { r.tolerance = -1e-8; }));
+  EXPECT_TRUE(refused([&](SolveRequest& r) { r.tolerance = nan; }));
+  EXPECT_TRUE(refused([&](SolveRequest& r) { r.deadline_seconds = -1.0; }));
+  EXPECT_TRUE(refused([&](SolveRequest& r) { r.deadline_seconds = inf; }));
+  EXPECT_TRUE(refused([&](SolveRequest& r) { r.deadline_seconds = nan; }));
+  EXPECT_EQ(service.stats().submitted, 0u);
+
+  // The boundary values that stay valid: no deadline, a tight tolerance.
+  auto fut = service.submit(make_request(prob, 951, 1e-9));
+  service.drain();
+  EXPECT_TRUE(fut.get().stats.converged);
 }
 
 // ---------------------------------------------------------------------------

@@ -287,12 +287,14 @@ struct SchwarzRun {
   std::vector<FermionField<float>> u;
 };
 
-/// One full apply_batch under fault injection at `nthreads` OpenMP
-/// threads. The preconditioner is constructed while the thread pool is
-/// still at 1 thread when `construct_serial` is set — exercising the lazy
-/// scratch growth — otherwise after the thread count is raised.
+/// One full apply_batch of `nrhs` sources under fault injection at
+/// `nthreads` OpenMP threads, with matrices stored as S. The
+/// preconditioner is constructed while the thread pool is still at 1
+/// thread when `construct_serial` is set — exercising the lazy scratch
+/// growth — otherwise after the thread count is raised.
+template <class S>
 SchwarzRun run_schwarz(const Fixture& f, int nthreads, bool additive,
-                       bool construct_serial) {
+                       int nrhs, bool construct_serial) {
   set_threads(construct_serial ? 1 : nthreads);
   FaultInjectorConfig fic;
   fic.fault = FaultClass::kSpinorBitFlip;
@@ -306,10 +308,9 @@ SchwarzRun run_schwarz(const Fixture& f, int nthreads, bool additive,
   p.block_mr_iterations = 4;
   p.additive = additive;
   p.domain_fault_injector = &inj;
-  SchwarzPreconditioner<float> m(f.part, f.op, p);
+  SchwarzPreconditioner<S> m(f.part, f.op, p);
   set_threads(nthreads);
 
-  const int nrhs = 2;
   std::vector<FermionField<float>> rhs, u;
   std::vector<const FermionField<float>*> fp;
   std::vector<FermionField<float>*> up;
@@ -327,19 +328,25 @@ SchwarzRun run_schwarz(const Fixture& f, int nthreads, bool additive,
   return SchwarzRun{m.stats(), inj.stats(), std::move(u)};
 }
 
-void schwarz_thread_invariance(bool additive) {
-  const Fixture f;
-  const SchwarzRun serial = run_schwarz(f, 1, additive, false);
-  const SchwarzRun parallel4 = run_schwarz(f, 4, additive, false);
+/// 1 vs 4 threads must give equal stats and bit-equal corrections, for
+/// single and half matrix storage (the per-visit decoded view), nrhs 1
+/// (the scalar block solve) and nrhs 3 (the lane path with a padded lane),
+/// and through the parallel halo update.
+template <class S>
+void schwarz_thread_invariance(const Fixture& f, bool additive, int nrhs) {
+  SCOPED_TRACE(testing::Message() << StorageTraits<S>::name() << " nrhs "
+                                  << nrhs);
+  const SchwarzRun serial = run_schwarz<S>(f, 1, additive, nrhs, false);
+  const SchwarzRun parallel4 = run_schwarz<S>(f, 4, additive, nrhs, false);
   // Construction at 1 thread, apply at 4: the scratch pool must grow
   // lazily instead of indexing out of bounds.
-  const SchwarzRun grown = run_schwarz(f, 4, additive, true);
+  const SchwarzRun grown = run_schwarz<S>(f, 4, additive, nrhs, true);
 
   // The fault hook must actually fire or the contract is untested.
   EXPECT_GT(serial.stats.injected_faults, 0);
   EXPECT_GT(serial.inj_stats.events_at(FaultSite::kDomainSolve), 0);
   // One opportunity per domain visit: iterations x domains (x1 even for
-  // nrhs = 2 — the visit, not the RHS, is the opportunity).
+  // nrhs > 1 — the visit, not the RHS, is the opportunity).
   EXPECT_EQ(serial.inj_stats.opportunities_at(FaultSite::kDomainSolve),
             3 * f.part.num_domains());
 
@@ -348,6 +355,14 @@ void schwarz_thread_invariance(bool additive) {
     expect_injector_stats_equal(serial.inj_stats, other->inj_stats);
     for (std::size_t b = 0; b < serial.u.size(); ++b)
       expect_fields_identical(serial.u[b], other->u[b]);
+  }
+}
+
+void schwarz_thread_invariance(bool additive) {
+  const Fixture f;
+  for (const int nrhs : {1, 3}) {
+    schwarz_thread_invariance<float>(f, additive, nrhs);
+    schwarz_thread_invariance<Half>(f, additive, nrhs);
   }
 }
 
