@@ -14,9 +14,10 @@
 //      lattice: the matrix_block_loads counter proves each sweep loads
 //      every domain's matrices once REGARDLESS of nrhs, while
 //      block_solves scales linearly.
-//   3. Lane-vectorized (SOA-over-RHS) vs per-RHS block-solve throughput
-//      at nrhs in {1, 4, 8, 12}: same matrix loads, but each loaded
-//      element is applied to all RHS lanes with unit-stride SIMD.
+//   3. apply_batch vs one apply() per RHS at nrhs in
+//      {1, 4, 8, 12}: the batch streams each domain's matrices once per
+//      visit and, for nrhs >= 2, applies each loaded element to all RHS
+//      lanes with unit-stride SIMD (nrhs = 1 runs the scalar path).
 //   4. End-to-end DDSolver: solve_batch over the propagator's 12
 //      spin-color sources vs 12 sequential solve() calls (deflation
 //      recycling cuts the total outer iterations; identical tolerance).
@@ -81,8 +82,8 @@ void measured_counters(const std::vector<int>& batch_sizes) {
   sp.schwarz_iterations = 4;
   sp.block_mr_iterations = 5;
   SchwarzPreconditioner<Half> schwarz(part, op, sp);
-  const double matrix_kb =
-      static_cast<double>(schwarz.domain_matrix_bytes()) / 1024.0;
+  const std::int64_t matrix_bytes = schwarz.setup()->domain_matrix_bytes();
+  const double matrix_kb = static_cast<double>(matrix_bytes) / 1024.0;
 
   std::printf("-- Measured: SchwarzPreconditioner<Half>, 8^4 lattice, "
               "4^4 domains (%.0f kB matrices/domain) --\n", matrix_kb);
@@ -110,7 +111,7 @@ void measured_counters(const std::vector<int>& batch_sizes) {
     const double flops_per_matrix_byte =
         static_cast<double>(st.flops) /
         (static_cast<double>(st.matrix_block_loads) *
-         static_cast<double>(schwarz.domain_matrix_bytes()));
+         static_cast<double>(matrix_bytes));
     std::printf("  %5d %14lld %14.0f %12lld %16.1f\n", nrhs,
                 static_cast<long long>(st.matrix_block_loads),
                 loads_per_sweep, static_cast<long long>(st.block_solves),
@@ -134,15 +135,14 @@ void lane_throughput(const std::vector<int>& batch_sizes, int repeats) {
   SchwarzParams sp;
   sp.schwarz_iterations = 4;
   sp.block_mr_iterations = 5;
-  sp.lane_vectorized = true;
-  SchwarzPreconditioner<Half> lanes(part, op, sp);
-  sp.lane_vectorized = false;
+  SchwarzPreconditioner<Half> batched(part, op, sp);
   SchwarzPreconditioner<Half> per_rhs(part, op, sp);
 
-  std::printf("-- Measured: lane-vectorized (SOA-over-RHS) vs per-RHS "
-              "block solves, SchwarzPreconditioner<Half> --\n");
-  std::printf("  %5s %5s %13s %13s %9s %14s\n", "nrhs", "lanes",
-              "per-RHS Gf/s", "lane Gf/s", "speedup", "matrix loads");
+  std::printf("-- Measured: apply_batch vs one apply() per RHS, "
+              "SchwarzPreconditioner<Half> --\n");
+  std::printf("  %5s %5s %13s %13s %9s %14s %14s\n", "nrhs", "lanes",
+              "per-RHS Gf/s", "batch Gf/s", "speedup", "per-RHS loads",
+              "batch loads");
 
   for (const int nrhs : batch_sizes) {
     std::vector<FermionField<float>> f(static_cast<std::size_t>(nrhs)),
@@ -158,28 +158,39 @@ void lane_throughput(const std::vector<int>& batch_sizes, int repeats) {
       up.push_back(&u[static_cast<std::size_t>(b)]);
     }
 
-    const auto time_path = [&](SchwarzPreconditioner<Half>& m) {
-      m.apply_batch(fp, up);  // warm-up (lane scratch allocation, caches)
+    const auto time_path = [&](SchwarzPreconditioner<Half>& m,
+                               const auto& apply_once) {
+      apply_once();  // warm-up (lane scratch allocation, caches)
       m.reset_stats();
       Timer t;
-      for (int rep = 0; rep < repeats; ++rep) m.apply_batch(fp, up);
+      for (int rep = 0; rep < repeats; ++rep) apply_once();
       const double sec = t.seconds();
       return static_cast<double>(m.stats().flops) / sec * 1e-9;
     };
 
-    const double gfs_scalar = time_path(per_rhs);
-    const double gfs_lanes = time_path(lanes);
-    // The load counter is the amortization proof: identical for both
-    // paths and independent of nrhs (one matrix stream per domain visit).
-    const long long loads =
-        static_cast<long long>(lanes.stats().matrix_block_loads) / repeats;
-    std::printf("  %5d %5d %13.2f %13.2f %8.2fx %14lld\n", nrhs,
-                padded_rhs_lanes(nrhs), gfs_scalar, gfs_lanes,
-                gfs_lanes / gfs_scalar, loads);
+    const double gfs_scalar = time_path(per_rhs, [&] {
+      for (int b = 0; b < nrhs; ++b)
+        per_rhs.apply(f[static_cast<std::size_t>(b)],
+                      u[static_cast<std::size_t>(b)]);
+    });
+    const double gfs_batch =
+        time_path(batched, [&] { batched.apply_batch(fp, up); });
+    // The load counter is the amortization proof: the batch streams each
+    // domain's matrices once per visit whatever nrhs is, the per-RHS
+    // applies nrhs times.
+    const long long scalar_loads =
+        static_cast<long long>(per_rhs.stats().matrix_block_loads) / repeats;
+    const long long batch_loads =
+        static_cast<long long>(batched.stats().matrix_block_loads) / repeats;
+    std::printf("  %5d %5d %13.2f %13.2f %8.2fx %14lld %14lld\n", nrhs,
+                nrhs == 1 ? 1 : padded_rhs_lanes(nrhs), gfs_scalar,
+                gfs_batch, gfs_batch / gfs_scalar, scalar_loads,
+                batch_loads);
   }
-  std::printf("  both paths load each domain's packed matrices once per\n"
-              "  visit; the lane path applies each loaded element to all\n"
-              "  RHS lanes with unit-stride SIMD (paper Sec. VI).\n\n");
+  std::printf("  the batch loads each domain's packed matrices once per\n"
+              "  visit; for nrhs >= 2 it applies each loaded element to\n"
+              "  all RHS lanes with unit-stride SIMD (paper Sec. VI). At\n"
+              "  nrhs = 1 both columns run the scalar block solve.\n\n");
 }
 
 void end_to_end(int nrhs, double tolerance, int schwarz_iterations) {

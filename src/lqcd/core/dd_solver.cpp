@@ -178,8 +178,9 @@ DDSolver::DDSolver(std::shared_ptr<DDSolverSetup> setup,
                 : AbftConfig{}.verify_interval;
       }
       abft_guard_ = std::make_unique<AbftGuard>(ac);
-      if (schwarz_half_) abft_guard_->add_store(schwarz_half_.get());
-      if (schwarz_single_) abft_guard_->add_store(schwarz_single_.get());
+      if (schwarz_half_) abft_guard_->add_store(schwarz_half_->setup().get());
+      if (schwarz_single_)
+        abft_guard_->add_store(schwarz_single_->setup().get());
       abft_guard_->set_source_repair(
           [this]() -> bool { return setup_->repair_from_master(); });
       resilient_adapter_->set_abft_guard(abft_guard_.get());

@@ -68,7 +68,6 @@ enum class FaultSite {
   kIterate,            ///< outer-solver iterate (CheckpointMonitor)
   kSchwarzSweep,       ///< Schwarz sweep residual
   kGaugeField,         ///< gauge-link storage
-  kTileDslash,         ///< tile/ SOA dslash output
   kDistributedSolver,  ///< vnode distributed BiCGstab residual
   kCollectiveHop,      ///< one hop of the proxy-tree allreduce
   kHaloExchange,       ///< one halo-exchange message
@@ -77,7 +76,7 @@ enum class FaultSite {
   kPackedData,         ///< in-solve upset of one packed component between sweeps
 };
 
-inline constexpr int kNumFaultSites = 11;
+inline constexpr int kNumFaultSites = 10;
 
 inline const char* to_string(FaultSite s) noexcept {
   switch (s) {
@@ -85,7 +84,6 @@ inline const char* to_string(FaultSite s) noexcept {
     case FaultSite::kIterate: return "iterate";
     case FaultSite::kSchwarzSweep: return "schwarz-sweep";
     case FaultSite::kGaugeField: return "gauge-field";
-    case FaultSite::kTileDslash: return "tile-dslash";
     case FaultSite::kDistributedSolver: return "distributed-solver";
     case FaultSite::kCollectiveHop: return "collective-hop";
     case FaultSite::kHaloExchange: return "halo-exchange";
@@ -238,10 +236,10 @@ class FaultInjector {
     return true;
   }
 
-  /// Injection hook for raw scalar storage (tile/ SOA fields, packed
-  /// half/single-precision matrix blocks): corrupts one element — or the
-  /// whole range for kZeroField — per the configured class. U is float,
-  /// double, or Half (binary16 storage scalar).
+  /// Injection hook for raw scalar storage (packed half/single-precision
+  /// matrix blocks): corrupts one element — or the whole range for
+  /// kZeroField — per the configured class. U is float, double, or Half
+  /// (binary16 storage scalar).
   template <class U>
   bool maybe_corrupt_reals(U* data, std::int64_t count, FaultSite site) {
     if (is_message_fault(config_.fault)) {

@@ -133,7 +133,7 @@ class AbftError : public Error {
 };
 
 /// What the AbftGuard needs from a packed per-domain matrix store (the
-/// Schwarz preconditioners implement this): per-domain corruption
+/// Schwarz setups implement this): per-domain corruption
 /// localization, per-domain re-pack, and verification of the store's own
 /// pack source.
 class PackedDomainStore {

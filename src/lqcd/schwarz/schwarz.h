@@ -80,13 +80,6 @@ struct SchwarzParams {
   /// be a DIFFERENT injector instance from domain_fault_injector (two
   /// live scopes must not share one pre-drawn budget); nullptr = off.
   FaultInjector* packed_fault_injector = nullptr;
-  /// Process batched domain visits with the SOA-over-RHS lane kernels
-  /// (paper Sec. VI): each packed matrix element is loaded once and
-  /// applied to every RHS of the batch from registers, with lane-wise MR
-  /// scalars and lane masking for converged RHS. When false — or for
-  /// nrhs == 1, which must stay bit-identical to apply() — each RHS runs
-  /// the scalar block solve in sequence.
-  bool lane_vectorized = true;
 };
 
 struct SchwarzStats {
@@ -303,7 +296,9 @@ class SchwarzSetup final : public PackedDomainStore {
   }
 
   /// Re-verify every domain's packed gauge/clover bytes against the
-  /// pack-time checksums; returns the number of mismatching domains.
+  /// pack-time checksums (OpenMP-parallel over domains; the per-domain
+  /// verdicts are disjoint writes, so the result is thread-count
+  /// invariant); returns the number of mismatching domains (0 = intact).
   int verify_checksums() const {
     std::vector<int> bad;
     find_corrupt_domains(true, true, bad);
@@ -599,8 +594,7 @@ class SchwarzSetup final : public PackedDomainStore {
 };
 
 template <class S>
-class SchwarzPreconditioner final : public BatchPreconditioner<float>,
-                                    public PackedDomainStore {
+class SchwarzPreconditioner final : public BatchPreconditioner<float> {
  public:
   /// Legacy one-shot form: build (and own) a private SchwarzSetup. `op`
   /// must have prepare_schur() already called; partition and operator
@@ -623,9 +617,11 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
         buffer_stride_(setup_->face_buffer_stride()),
         hops_per_parity_(setup_->hops_per_parity()) {
     LQCD_CHECK(setup_ != nullptr);
-    // Resolve the SIMD dispatch table now: a bad LQCD_SIMD_BACKEND fails
-    // at construction, not mid-solve (and not never, on paths that stay
-    // off the dispatched lane kernels, e.g. single-RHS solve_domain).
+    // Resolve the SIMD dispatch table now, so a bad LQCD_SIMD_BACKEND
+    // fails at construction rather than mid-solve at the first dispatched
+    // call (the fp16 decode that opens every S = Half domain visit, or a
+    // lane kernel) — or never, for S = float at nrhs = 1, which calls no
+    // dispatched kernel.
     simd::kernels();
     buffers_.resize(static_cast<std::size_t>(part_->num_domains()) *
                     static_cast<std::size_t>(buffer_stride_));
@@ -642,64 +638,10 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
   void note_precision_fallback() noexcept { ++stats_.precision_fallbacks; }
   const SchwarzParams& params() const noexcept { return params_; }
   const DomainPartition& partition() const noexcept { return *part_; }
-  /// The shared per-configuration packed state backing this instance.
+  /// The shared per-configuration packed state backing this instance:
+  /// the packed matrices and their ABFT checksum and repair surface.
   const std::shared_ptr<SchwarzSetup<S>>& setup() const noexcept {
     return setup_;
-  }
-
-  // Checksum/ABFT surface: all of it lives on the shared setup; these
-  // forwarders keep the historical one-object API (and the
-  // PackedDomainStore registration path in DDSolver) working unchanged.
-
-  /// Pack-time Fletcher-32 checksum of domain d's packed matrices.
-  std::uint32_t domain_checksum(int d) const noexcept {
-    return setup_->domain_checksum(d);
-  }
-  /// Pack-time checksum of one packed component of domain d.
-  std::uint32_t domain_checksum(int d, PackedComponent c) const noexcept {
-    return setup_->domain_checksum(d, c);
-  }
-
-  /// Re-verify every domain's packed gauge/clover bytes against the
-  /// pack-time checksums (OpenMP-parallel over domains; the per-domain
-  /// verdicts are disjoint writes, so the result is thread-count
-  /// invariant); returns the number of mismatching domains (0 = intact).
-  int verify_checksums() const { return setup_->verify_checksums(); }
-
-  // --- PackedDomainStore (the AbftGuard's view of this object) ---------
-
-  int num_domains() const override { return setup_->num_domains(); }
-  const char* store_name() const override { return setup_->store_name(); }
-  void find_corrupt_domains(bool check_gauge, bool check_clover,
-                            std::vector<int>& bad) const override {
-    setup_->find_corrupt_domains(check_gauge, check_clover, bad);
-  }
-  void repack_domain(int d) override { setup_->repack_domain(d); }
-  bool source_intact() const override { return setup_->source_intact(); }
-
-  /// Rung-2 repair service: after DDSolver rebuilt the source operator
-  /// from the double master, re-pack every domain and restamp the source
-  /// checksums against the repaired field.
-  void repack_all() { setup_->repack_all(); }
-
-  /// Test hook: let `injector` corrupt the packed link storage in place
-  /// (FaultSite::kPackedMatrices) — the persistent-fault class the
-  /// checksums exist to catch. Returns true iff a fault fired.
-  bool corrupt_packed(FaultInjector& injector) {
-    return setup_->corrupt_packed(injector);
-  }
-
-  /// Deterministic test hook: aim `injector` at ONE (domain, component)
-  /// range (FaultSite::kPackedData), so tests can assert exactly which
-  /// domain the sweep localizes and that the repair is bit-exact.
-  bool corrupt_packed(FaultInjector& injector, int d, PackedComponent comp) {
-    return setup_->corrupt_packed(injector, d, comp);
-  }
-
-  /// Per-domain working-set bytes of links + clover (+inverse clover)
-  /// storage — the quantity the paper fits into the 512 kB L2.
-  std::int64_t domain_matrix_bytes() const noexcept {
-    return setup_->domain_matrix_bytes();
   }
 
   /// u = M f: ISchwarz Schwarz sweeps starting from u = 0.
@@ -1185,21 +1127,18 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
   }
 
   /// One domain visit: stream the packed matrices once, apply them to
-  /// every RHS of the batch. Batches of more than one RHS take the
-  /// lane-vectorized SOA-over-RHS path unless params.lane_vectorized is
-  /// off; nrhs == 1 always runs the scalar solve (bit-identical contract
-  /// with apply()).
+  /// every RHS of the batch. nrhs == 1 runs the scalar block solve, which
+  /// measured four to five times faster than a one-lane visit of the lane
+  /// path (DESIGN.md Sec. 8.1); wider batches run the SOA-over-RHS lane
+  /// path.
   void solve_domain_batch(int d, int nrhs, FermionField<float>* const* u,
                           Scratch& sc) {
     const DomainMatrices m = setup_->decode_domain(d, sc.decoded);
     ++sc.stats.matrix_block_loads;
-    if (nrhs == 1 || !params_.lane_vectorized) {
-      for (int b = 0; b < nrhs; ++b)
-        solve_domain(m, d, *u[b], r_batch_[static_cast<std::size_t>(b)],
-                     buffer_slot(b, d), sc);
-      return;
-    }
-    solve_domain_lanes(m, d, nrhs, u, sc);
+    if (nrhs == 1)
+      solve_domain(m, d, *u[0], r_batch_[0], buffer_slot(0, d), sc);
+    else
+      solve_domain_lanes(m, d, nrhs, u, sc);
   }
 
   // -------------------------------------------------------------------------

@@ -248,24 +248,4 @@ inline void pack_rhs_lanes(const FermionField<float>* const* fields,
   }
 }
 
-/// Scatter bridge back to per-RHS fields:
-/// fields[b][site_map ? site_map[i] : i] = in(i, :, b).
-inline void unpack_rhs_lanes(const BlockSpinorLanes& in,
-                             const std::int32_t* site_map,
-                             std::int32_t nsites,
-                             FermionField<float>* const* fields, int nrhs) {
-  LQCD_CHECK(in.sites() >= nsites && in.nrhs() == nrhs);
-  for (std::int32_t i = 0; i < nsites; ++i) {
-    const std::int32_t g = site_map != nullptr ? site_map[i] : i;
-    for (int sp = 0; sp < kNumSpins; ++sp)
-      for (int c = 0; c < kNumColors; ++c) {
-        const int comp = (sp * kNumColors + c) * 2;
-        const float* re = in.lane_vec(i, comp);
-        const float* im = in.lane_vec(i, comp + 1);
-        for (int b = 0; b < nrhs; ++b)
-          (*fields[b])[g].s[sp].c[c] = Complex<float>(re[b], im[b]);
-      }
-  }
-}
-
 }  // namespace lqcd

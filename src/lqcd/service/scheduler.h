@@ -112,22 +112,27 @@ class BatchScheduler {
   }
 
  private:
+  /// The head counts itself without a key comparison, as gather_locked()
+  /// takes it: a key that does not equal itself must not strand the head.
   int count_head_key_locked() const {
     const SetupKey& key = queue_.front().key;
-    int n = 0;
-    for (const auto& p : queue_)
-      if (p.key == key) ++n;
+    int n = 1;
+    for (std::size_t i = 1; i < queue_.size(); ++i)
+      if (queue_[i].key == key) ++n;
     return n;
   }
 
-  /// Extract the head and every queued request sharing its key, FIFO
-  /// order, up to max_lanes. Requires the lock held and a non-empty queue.
+  /// Extract the head unconditionally and every later queued request
+  /// sharing its key, FIFO order, up to max_lanes. Requires the lock held
+  /// and a non-empty queue.
   std::vector<PendingRequest> gather_locked() {
-    std::vector<PendingRequest> batch;
     const SetupKey key = queue_.front().key;
+    std::vector<PendingRequest> batch;
+    batch.push_back(std::move(queue_.front()));
     std::vector<PendingRequest> keep;
     keep.reserve(queue_.size());
-    for (auto& p : queue_) {
+    for (std::size_t i = 1; i < queue_.size(); ++i) {
+      PendingRequest& p = queue_[i];
       if (p.key == key && static_cast<int>(batch.size()) < policy_.max_lanes)
         batch.push_back(std::move(p));
       else

@@ -23,9 +23,9 @@ std::future<SolveResult> SolverService::submit(SolveRequest request) {
                  "submit() needs a geometry and a gauge configuration");
   LQCD_CHECK_MSG(request.source.size() == request.geom->volume(),
                  "source size must match the lattice volume");
-  // A non-finite mass or csw makes a setup key that never equals itself,
-  // which the scheduler cannot batch; refuse it here, with the other
-  // fields no solve can honor.
+  // Refuse at the boundary every field no solve can honor.
+  LQCD_CHECK_MSG(all_finite(request.source),
+                 "source must be finite (it has a NaN or Inf entry)");
   LQCD_CHECK_MSG(std::isfinite(request.mass) && std::isfinite(request.csw),
                  "mass and csw must be finite (mass "
                      << request.mass << ", csw " << request.csw << ")");

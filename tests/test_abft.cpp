@@ -231,7 +231,7 @@ TEST(AbftStats, MergeIsCommutativeAndComplete) {
 }
 
 // ---------------------------------------------------------------------------
-// SchwarzPreconditioner as a PackedDomainStore
+// SchwarzSetup as a PackedDomainStore
 // ---------------------------------------------------------------------------
 
 struct Fixture {
@@ -271,7 +271,8 @@ void expect_float_fields_identical(const FermionField<float>& a,
 
 TEST(SchwarzAbft, TargetedCorruptionLocalizesToTheDomain) {
   Fixture f({8, 8, 8, 8}, {4, 4, 4, 4}, 0.7, 0.2f, 1.0f, 41);
-  SchwarzPreconditioner<float> m(f.part, f.op, SchwarzParams{});
+  SchwarzPreconditioner<float> pre(f.part, f.op, SchwarzParams{});
+  SchwarzSetup<float>& m = *pre.setup();
   ASSERT_EQ(m.verify_checksums(), 0);
 
   FaultInjectorConfig fic;
@@ -300,7 +301,8 @@ TEST(SchwarzAbft, RepackRestoresTheDomainBitIdentically) {
   Fixture f({8, 8, 8, 8}, {4, 4, 4, 4}, 0.7, 0.2f, 1.0f, 43);
   SchwarzParams sp;
   sp.schwarz_iterations = 2;
-  SchwarzPreconditioner<float> m(f.part, f.op, sp);
+  SchwarzPreconditioner<float> pre(f.part, f.op, sp);
+  SchwarzSetup<float>& m = *pre.setup();
 
   const int nd = m.num_domains();
   std::vector<std::uint32_t> before(static_cast<std::size_t>(nd));
@@ -308,7 +310,7 @@ TEST(SchwarzAbft, RepackRestoresTheDomainBitIdentically) {
     before[static_cast<std::size_t>(d)] = m.domain_checksum(d);
   FermionField<float> rhs(f.geom.volume()), u_ref(f.geom.volume());
   gaussian(rhs, 44);
-  m.apply(rhs, u_ref);
+  pre.apply(rhs, u_ref);
 
   FaultInjectorConfig fic;
   fic.fault = FaultClass::kSpinorBitFlip;
@@ -332,13 +334,14 @@ TEST(SchwarzAbft, RepackRestoresTheDomainBitIdentically) {
     EXPECT_EQ(m.domain_checksum(d), before[static_cast<std::size_t>(d)])
         << "domain " << d;
   FermionField<float> u_post(f.geom.volume());
-  m.apply(rhs, u_post);
+  pre.apply(rhs, u_post);
   expect_float_fields_identical(u_ref, u_post);
 }
 
 TEST(SchwarzAbft, CorruptSourceEscalatesThroughTheGuard) {
   Fixture f({8, 8, 8, 8}, {4, 4, 4, 4}, 0.7, 0.2f, 1.0f, 47);
-  SchwarzPreconditioner<float> m(f.part, f.op, SchwarzParams{});
+  SchwarzPreconditioner<float> pre(f.part, f.op, SchwarzParams{});
+  SchwarzSetup<float>& m = *pre.setup();
   const GaugeField<float> pristine = f.gauge;
 
   // Corrupt a packed domain AND its pack source: rung 1 is not safe
@@ -373,7 +376,8 @@ TEST(SchwarzAbft, CorruptSourceEscalatesThroughTheGuard) {
 
 TEST(SchwarzAbft, VerificationIsThreadCountInvariant) {
   Fixture f({8, 8, 8, 8}, {4, 4, 4, 4}, 0.7, 0.2f, 1.0f, 53);
-  SchwarzPreconditioner<float> m(f.part, f.op, SchwarzParams{});
+  SchwarzPreconditioner<float> pre(f.part, f.op, SchwarzParams{});
+  SchwarzSetup<float>& m = *pre.setup();
   FaultInjectorConfig fic;
   fic.fault = FaultClass::kSpinorBitFlip;
   fic.seed = 17;

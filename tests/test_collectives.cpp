@@ -2,8 +2,8 @@
 // bit-identity of the host-proxy tree allreduce, dead-rank rewiring at
 // every tree position, bounded retransmits, structured degradation, the
 // analytic traffic mirror (knc::allreduce_tree_work), and the fault hooks
-// threaded through the halo exchange, the distributed BiCGstab, the tile
-// dslash, and the Schwarz packed-matrix ABFT checksums.
+// threaded through the halo exchange, the distributed BiCGstab and the
+// Schwarz packed-matrix ABFT checksums.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include "lqcd/gauge/gauge_field.h"
 #include "lqcd/knc/work_model.h"
 #include "lqcd/schwarz/schwarz.h"
-#include "lqcd/tile/tiled_dslash.h"
 #include "lqcd/vnode/distributed_solver.h"
 
 namespace lqcd {
@@ -675,42 +674,6 @@ TEST(DistributedCollectives, IterateInjectorHitsDistributedSolverSite) {
 }
 
 // ---------------------------------------------------------------------------
-// Tile dslash hook
-// ---------------------------------------------------------------------------
-
-TEST(FaultHooks, TileDslashInjectionIsCountedPerSite) {
-  const Coord block{8, 4, 2, 2};
-  const std::int64_t vol = 8LL * 4 * 2 * 2;
-  Rng rng(321);
-  std::vector<SU3<float>> links(static_cast<std::size_t>(vol) * kNumDims);
-  for (auto& u : links) u = random_su3<float>(rng, 0.8);
-  auto link_of = [&](std::int32_t lex, int mu) -> const SU3<float>& {
-    return links[static_cast<std::size_t>(lex) * kNumDims +
-                 static_cast<std::size_t>(mu)];
-  };
-  FermionField<float> in(vol), ref(vol), faulty(vol);
-  gaussian(in, 322);
-
-  TiledGauge tg(block);
-  tg.pack(link_of);
-  TiledField tin(block), tout(block);
-  tin.pack(in);
-  tiled_block_dslash(block, tg, tin, tout);
-  tout.unpack(ref);
-
-  FaultInjectorConfig fic;
-  fic.fault = FaultClass::kSpinorBitFlip;
-  fic.bit = 30;  // float exponent bit: unmissable
-  fic.max_events = 1;
-  FaultInjector inj(fic);
-  tiled_block_dslash(block, tg, tin, tout, &inj);
-  tout.unpack(faulty);
-  EXPECT_EQ(inj.stats().events_at(FaultSite::kTileDslash), 1);
-  sub(ref, faulty, faulty);
-  EXPECT_GT(norm(faulty), 0.0);
-}
-
-// ---------------------------------------------------------------------------
 // Schwarz packed-matrix ABFT checksums
 // ---------------------------------------------------------------------------
 
@@ -738,15 +701,16 @@ struct SchwarzFixture {
 template <class S>
 void abft_detects_post_pack_flip(const SchwarzFixture& f) {
   SchwarzPreconditioner<S> m(f.part, f.op, SchwarzParams{});
-  EXPECT_EQ(m.verify_checksums(), 0);  // pristine after packing
+  SchwarzSetup<S>& setup = *m.setup();
+  EXPECT_EQ(setup.verify_checksums(), 0);  // pristine after packing
 
   FaultInjectorConfig fic;
   fic.fault = FaultClass::kGaugeBitFlip;
   fic.max_events = 1;
   FaultInjector inj(fic);
-  EXPECT_TRUE(m.corrupt_packed(inj));
+  EXPECT_TRUE(setup.corrupt_packed(inj));
   EXPECT_EQ(inj.stats().events_at(FaultSite::kPackedMatrices), 1);
-  EXPECT_GT(m.verify_checksums(), 0);  // the flip is detected
+  EXPECT_GT(setup.verify_checksums(), 0);  // the flip is detected
 }
 
 TEST(SchwarzAbft, DetectsGaugeBitFlipAfterPackHalf) {

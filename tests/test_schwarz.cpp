@@ -273,8 +273,8 @@ TEST(Schwarz, HalfStorageHalvesMatrixFootprint) {
   SchwarzPreconditioner<float> m_single(f.part, f.op, p);
   SchwarzPreconditioner<Half> m_half(f.part, f.op, p);
   // Paper: 144 kB + 144 kB single -> 72 kB + 72 kB half per 8x4^3 domain.
-  EXPECT_EQ(m_single.domain_matrix_bytes(), (144 + 144) * 1024);
-  EXPECT_EQ(m_half.domain_matrix_bytes(), (72 + 72) * 1024);
+  EXPECT_EQ(m_single.setup()->domain_matrix_bytes(), (144 + 144) * 1024);
+  EXPECT_EQ(m_half.setup()->domain_matrix_bytes(), (72 + 72) * 1024);
 }
 
 TEST(Schwarz, StatsCountBlockSolvesAndIterations) {

@@ -114,6 +114,25 @@ TEST(BatchScheduler, LaneCapSplitsOversizedRuns) {
   EXPECT_EQ(sched.try_next_batch().size(), 1u);
 }
 
+TEST(BatchScheduler, HeadWhoseKeyIsUnequalToItselfIsStillDispatched) {
+  // A NaN mass makes a key that never equals itself. The head must still
+  // leave the queue: an empty batch for a non-empty queue reads as
+  // "closed" to a worker, which then exits.
+  BatchScheduler sched(BatchPolicy{});
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    PendingRequest p;
+    p.id = i;
+    p.key = SetupKey{1, 1, std::numeric_limits<double>::quiet_NaN(), 1.0};
+    sched.push(std::move(p));
+  }
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    const auto batch = sched.try_next_batch();
+    ASSERT_EQ(batch.size(), 1u);
+    EXPECT_EQ(batch[0].id, i);
+    EXPECT_EQ(sched.depth(), 1u - i);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Service end-to-end (synchronous drain() mode: deterministic)
 // ---------------------------------------------------------------------------
@@ -417,6 +436,15 @@ TEST(Service, SubmitRefusesNonFiniteOrOutOfRangeFields) {
   EXPECT_TRUE(refused([&](SolveRequest& r) { r.deadline_seconds = -1.0; }));
   EXPECT_TRUE(refused([&](SolveRequest& r) { r.deadline_seconds = inf; }));
   EXPECT_TRUE(refused([&](SolveRequest& r) { r.deadline_seconds = nan; }));
+  EXPECT_TRUE(refused([&](SolveRequest& r) {
+    r.source[5].s[2].c[1] = Complex<double>(nan, 0.0);
+  }));
+  EXPECT_TRUE(refused([&](SolveRequest& r) {
+    r.source[0].s[0].c[0] = Complex<double>(0.0, inf);
+  }));
+  EXPECT_TRUE(refused([&](SolveRequest& r) {
+    r.source[r.source.size() - 1].s[3].c[2] = Complex<double>(-inf, 1.0);
+  }));
   EXPECT_EQ(service.stats().submitted, 0u);
 
   // The boundary values that stay valid: no deadline, a tight tolerance.

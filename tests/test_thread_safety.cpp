@@ -1,9 +1,9 @@
 // Deterministic-merge contract of the concurrency-safe instrumentation:
 // ParallelFaultScope (pre-drawn fire decisions + per-thread shards),
 // FaultInjectorStats / CommStats mergeability, and the end-to-end
-// guarantee that SchwarzPreconditioner and tiled_block_dslash produce
-// EXACTLY the same counters and the same bits at OMP_NUM_THREADS = 1
-// and 4 (no tolerance anywhere — EXPECT_EQ only).
+// guarantee that SchwarzPreconditioner produces EXACTLY the same counters
+// and the same bits at OMP_NUM_THREADS = 1 and 4 (no tolerance anywhere —
+// EXPECT_EQ only).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,7 +11,6 @@
 
 #include "lqcd/gauge/gauge_field.h"
 #include "lqcd/schwarz/schwarz.h"
-#include "lqcd/tile/tiled_dslash.h"
 #include "lqcd/vnode/collectives.h"
 
 #if defined(LQCD_HAVE_OPENMP)
@@ -82,7 +81,7 @@ TEST(StatsMerge, FaultInjectorStatsPreservesPerSiteSplit) {
   a.events = 2;
   a.site_opportunities[static_cast<int>(FaultSite::kDomainSolve)] = 5;
   a.site_events[static_cast<int>(FaultSite::kDomainSolve)] = 2;
-  a.site_opportunities[static_cast<int>(FaultSite::kTileDslash)] = 2;
+  a.site_opportunities[static_cast<int>(FaultSite::kHaloExchange)] = 2;
   b.opportunities = 3;
   b.events = 1;
   b.site_opportunities[static_cast<int>(FaultSite::kDomainSolve)] = 3;
@@ -93,8 +92,8 @@ TEST(StatsMerge, FaultInjectorStatsPreservesPerSiteSplit) {
   EXPECT_EQ(sum.events, 3);
   EXPECT_EQ(sum.opportunities_at(FaultSite::kDomainSolve), 8);
   EXPECT_EQ(sum.events_at(FaultSite::kDomainSolve), 3);
-  EXPECT_EQ(sum.opportunities_at(FaultSite::kTileDslash), 2);
-  EXPECT_EQ(sum.events_at(FaultSite::kTileDslash), 0);
+  EXPECT_EQ(sum.opportunities_at(FaultSite::kHaloExchange), 2);
+  EXPECT_EQ(sum.events_at(FaultSite::kHaloExchange), 0);
 
   // Commutativity: shard merge order must not matter.
   expect_injector_stats_equal(a + b, b + a);
@@ -372,49 +371,6 @@ TEST(ThreadSafety, SchwarzMultiplicativeCountersAndBitsAreThreadInvariant) {
 
 TEST(ThreadSafety, SchwarzAdditiveCountersAndBitsAreThreadInvariant) {
   schwarz_thread_invariance(/*additive=*/true);
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end: tiled dslash vs OMP_NUM_THREADS
-// ---------------------------------------------------------------------------
-
-TEST(ThreadSafety, TiledDslashCountersAndBitsAreThreadInvariant) {
-  const Coord block{8, 4, 4, 4};
-  const std::int64_t vol = 8LL * 4 * 4 * 4;
-  Rng rng(611);
-  std::vector<SU3<float>> links(static_cast<std::size_t>(vol) * kNumDims);
-  for (auto& l : links) l = random_su3<float>(rng, 0.8);
-  auto link_of = [&](std::int32_t lex, int mu) -> const SU3<float>& {
-    return links[static_cast<std::size_t>(lex) * kNumDims +
-                 static_cast<std::size_t>(mu)];
-  };
-  FermionField<float> in(vol);
-  gaussian(in, 612);
-  TiledGauge tg(block);
-  tg.pack(link_of);
-  TiledField tin(block);
-  tin.pack(in);
-
-  std::vector<FermionField<float>> outs;
-  std::vector<FaultInjectorStats> stats;
-  for (const int nthreads : {1, 4}) {
-    set_threads(nthreads);
-    FaultInjectorConfig fic;
-    fic.fault = FaultClass::kSpinorBitFlip;
-    fic.seed = 613;
-    fic.max_events = 1;
-    FaultInjector inj(fic);
-    TiledField tout(block);
-    tiled_block_dslash(block, tg, tin, tout, &inj);
-    FermionField<float> out(vol);
-    tout.unpack(out);
-    outs.push_back(std::move(out));
-    stats.push_back(inj.stats());
-  }
-  set_threads(1);
-  EXPECT_EQ(stats[0].events_at(FaultSite::kTileDslash), 1);
-  expect_injector_stats_equal(stats[0], stats[1]);
-  expect_fields_identical(outs[0], outs[1]);
 }
 
 }  // namespace

@@ -2,9 +2,9 @@
 // and the SIMD-efficiency fractions the paper quotes.
 #include <gtest/gtest.h>
 
-#include "lqcd/linalg/blas.h"
-#include "lqcd/tile/tiled_dslash.h"
-#include "lqcd/tile/tiled_field.h"
+#include <array>
+
+#include "lqcd/tile/xy_tile.h"
 
 namespace lqcd {
 namespace {
@@ -76,154 +76,6 @@ TEST(XyTile, ShiftsMapToGeometricNeighbors) {
         }
       }
     }
-}
-
-TEST(TiledField, PackUnpackRoundTrip) {
-  const Coord block{8, 4, 4, 4};
-  TiledField tf(block);
-  const std::int64_t vol = 8LL * 4 * 4 * 4;
-  FermionField<float> src(vol), back(vol);
-  gaussian(src, 5);
-  tf.pack(src);
-  tf.unpack(back);
-  for (std::int64_t i = 0; i < vol; ++i)
-    for (int sp = 0; sp < kNumSpins; ++sp)
-      for (int c = 0; c < kNumColors; ++c)
-        ASSERT_EQ(back[i].s[sp].c[c], src[i].s[sp].c[c]);
-}
-
-TEST(TiledField, ComponentRunsAreCacheLineSized) {
-  // 16 floats = 64 B: one KNC cache line and one vector register (the
-  // paper's 1:1 correspondence), and runs are 64 B aligned.
-  const Coord block{8, 4, 2, 2};
-  TiledField tf(block);
-  EXPECT_EQ(kTileLanes * sizeof(float), 64u);
-  const auto addr = reinterpret_cast<std::uintptr_t>(tf.component(0, 0, 0));
-  EXPECT_EQ(addr % 64, 0u);
-  // Consecutive components are adjacent cache lines.
-  EXPECT_EQ(tf.component(0, 0, 1) - tf.component(0, 0, 0), kTileLanes);
-}
-
-TEST(TiledField, PermutedComponentReproducesXyNeighbors) {
-  // Fill component 0 of every site with its own lexicographic index, then
-  // check the Fig. 2 permute+mask against the geometric neighbors.
-  const Coord block{8, 4, 2, 2};
-  const std::int64_t vol = 8LL * 4 * 2 * 2;
-  FermionField<float> src(vol);
-  for (std::int64_t i = 0; i < vol; ++i)
-    src[i].s[0].c[0] = Complex<float>(static_cast<float>(i + 1), 0);
-  TiledField tf(block);
-  tf.pack(src);
-
-  const XyTileLayout& layout = tf.layout();
-  for (int t = 0; t < 2; ++t)
-    for (int z = 0; z < 2; ++z)
-      for (int y = 0; y < 4; ++y)
-        for (int x = 0; x < 8; ++x) {
-          const std::int64_t slice = tf.slice_index(z, t);
-          const int tile = XyTileLayout::tile_of(x, y);
-          const int lane = layout.lane_of(x, y);
-          for (int mu = 0; mu < 2; ++mu)
-            for (Dir dir : {Dir::kForward, Dir::kBackward}) {
-              float out[kTileLanes];
-              tf.permuted_component(slice, tile, /*comp=*/0, mu, dir, out);
-              const int nx = mu == 0 ? x + static_cast<int>(dir) : x;
-              const int ny = mu == 1 ? y + static_cast<int>(dir) : y;
-              if (nx < 0 || nx >= 8 || ny < 0 || ny >= 4) {
-                EXPECT_EQ(out[lane], 0.0f);  // masked boundary lane
-              } else {
-                const std::int64_t nlex =
-                    nx + 8LL * (ny + 4LL * (z + 2LL * t));
-                EXPECT_EQ(out[lane], static_cast<float>(nlex + 1))
-                    << "x=" << x << " y=" << y << " mu=" << mu;
-              }
-            }
-        }
-}
-
-TEST(TiledDslash, MatchesScalarBlockDslash) {
-  // The full site-fused kernel (permute+mask x/y hops, lane-aligned z/t
-  // hops) must reproduce the scalar Dirichlet-block Wilson dslash.
-  const Coord block{8, 4, 4, 4};
-  const std::int64_t vol = 8LL * 4 * 4 * 4;
-  Rng rng(2024);
-
-  // Random links per (site, mu) and a random input field.
-  std::vector<SU3<float>> links(static_cast<std::size_t>(vol) * kNumDims);
-  for (auto& u : links) u = random_su3<float>(rng, 0.8);
-  FermionField<float> in(vol), ref(vol), out(vol);
-  gaussian(in, 7);
-
-  auto lex_of = [&](int x, int y, int z, int t) {
-    return x + 8 * (y + 4 * (z + 4 * t));
-  };
-  auto link_of = [&](std::int32_t lex, int mu) -> const SU3<float>& {
-    return links[static_cast<std::size_t>(lex) * kNumDims +
-                 static_cast<std::size_t>(mu)];
-  };
-
-  // Scalar reference with Dirichlet boundaries.
-  for (int t = 0; t < 4; ++t)
-    for (int z = 0; z < 4; ++z)
-      for (int y = 0; y < 4; ++y)
-        for (int x = 0; x < 8; ++x) {
-          const std::int32_t l = lex_of(x, y, z, t);
-          Spinor<float> acc;
-          acc.zero();
-          const int dims[4] = {8, 4, 4, 4};
-          int c[4] = {x, y, z, t};
-          for (int mu = 0; mu < kNumDims; ++mu) {
-            if (c[mu] + 1 < dims[mu]) {
-              int n[4] = {x, y, z, t};
-              ++n[mu];
-              const std::int32_t nl = lex_of(n[0], n[1], n[2], n[3]);
-              const HalfSpinor<float> h = project(in[nl], mu, -1);
-              reconstruct_add(acc, mul(link_of(l, mu), h), mu, -1);
-            }
-            if (c[mu] > 0) {
-              int n[4] = {x, y, z, t};
-              --n[mu];
-              const std::int32_t nl = lex_of(n[0], n[1], n[2], n[3]);
-              const HalfSpinor<float> h = project(in[nl], mu, +1);
-              reconstruct_add(acc, mul_adj(link_of(nl, mu), h), mu, +1);
-            }
-          }
-          ref[l] = acc;
-        }
-
-  // Tiled kernel.
-  TiledGauge tg(block);
-  tg.pack(link_of);
-  TiledField tin(block), tout(block);
-  tin.pack(in);
-  tiled_block_dslash(block, tg, tin, tout);
-  tout.unpack(out);
-
-  double diff2 = 0, n2 = 0;
-  for (std::int64_t i = 0; i < vol; ++i) {
-    diff2 += norm2(out[i] - ref[i]);
-    n2 += norm2(ref[i]);
-  }
-  EXPECT_LT(std::sqrt(diff2), 1e-5 * std::sqrt(n2));
-}
-
-TEST(TiledDslash, ZeroInputGivesZeroOutput) {
-  const Coord block{8, 4, 2, 2};
-  TiledGauge tg(block);
-  Rng rng(5);
-  std::vector<SU3<float>> links(static_cast<std::size_t>(8 * 4 * 2 * 2) *
-                                kNumDims);
-  for (auto& u : links) u = random_su3<float>(rng, 0.5);
-  tg.pack([&](std::int32_t lex, int mu) -> const SU3<float>& {
-    return links[static_cast<std::size_t>(lex) * kNumDims +
-                 static_cast<std::size_t>(mu)];
-  });
-  TiledField tin(block), tout(block);
-  FermionField<float> zero_field(8LL * 4 * 2 * 2), out(8LL * 4 * 2 * 2);
-  tin.pack(zero_field);
-  tiled_block_dslash(block, tg, tin, tout);
-  tout.unpack(out);
-  EXPECT_EQ(norm2(out), 0.0);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// parallel-reachability fixture: hazards the lexical tier cannot see —
-// a throw two calls deep, a serial fault hook and a shared-stats
-// mutation one call deep — plus an analyze-safe barrier that must keep
-// the walk out.
+// parallel-reachability fixture: a throw two calls deep, a serial fault
+// hook and a shared-stats mutation one call deep, the same three hazards
+// written directly in a region body, and an analyze-safe barrier that
+// must keep the walk out.
 
 struct Error {};
 
@@ -44,3 +44,35 @@ struct Op {
     for (int i = 0; i < n; ++i) hook_hazard();
   }
 };
+
+// Hazards written directly in the region body, found without a
+// callgraph step.
+struct Counters {
+  long x = 0;
+};
+
+struct Sweeper {
+  FaultInjector* injector_ = nullptr;
+  Counters stats_;
+
+  void inline_hook(int n) {
+#pragma omp parallel for default(none) shared(n)  // EXPECT: parallel-reachability
+    for (int i = 0; i < n; ++i)
+      if (injector_->maybe_fault(i)) continue;
+  }
+
+  void inline_stats(int n) {
+#pragma omp parallel for default(none) shared(n)  // EXPECT: parallel-reachability
+    for (int i = 0; i < n; ++i) stats_.x += i;
+  }
+};
+
+#define LQCD_PRAGMA_SIMD _Pragma("omp simd")
+
+void simd_throw(float* a, int n) {
+  LQCD_PRAGMA_SIMD  // EXPECT: parallel-reachability
+  for (int i = 0; i < n; ++i) {
+    if (a[i] < 0.0f) throw Error{};
+    a[i] = 2.0f * a[i];
+  }
+}

@@ -1,17 +1,17 @@
 """parallel-reachability: interprocedural hazard reachability from
 parallel regions.
 
-The lexical tier (lqcd_lint parallel-fault-hook / simd-opaque-call)
-only sees hazards spelled INSIDE a region's braces. This pass builds
-the project callgraph and walks it: a serial FaultInjector hook, a
-shared-stats mutation, or a `throw` (including LQCD_CHECK*, which
-expands to one) is a finding when it is *reachable* from an
-`omp parallel` region — a helper function called three frames deep
-terminates the program (uncaught exception in a parallel region) or
-races on the stats shards just as surely as inline code. For
-LQCD_PRAGMA_SIMD regions only throw-reachability is checked (the
-vectorizer contract; fault hooks there are already structurally
-impossible).
+This pass checks each region body and walks the project callgraph from
+it: a serial FaultInjector hook, a shared-stats mutation, or a `throw`
+(including LQCD_CHECK*, which expands to one) is a finding when it is
+written in an `omp parallel` region or *reachable* from one — a helper
+function called three frames deep terminates the program (uncaught
+exception in a parallel region) or races on the stats shards just as
+surely as inline code. For LQCD_PRAGMA_SIMD regions only
+throw-reachability is checked (the vectorizer contract; fault hooks
+there are already structurally impossible). It is the only check of
+these hazards: lqcd_lint keeps just the opaque-call half of its
+simd-opaque-call rule.
 
 Escape hatch: a function whose definition carries
     // analyze-safe(parallel-reachability): <justification>

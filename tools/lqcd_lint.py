@@ -11,10 +11,7 @@ Enforces invariants no generic tool knows about (see DESIGN.md
   naked-alloc          no naked new/delete/malloc/free in src/ — buffers
                        go through base/aligned.h or std containers.
   simd-opaque-call     LQCD_PRAGMA_SIMD loop bodies must stay
-                       vectorizable: no opaque function calls, no throw.
-  parallel-fault-hook  no serial FaultInjector hooks or shared stats
-                       mutation inside `omp parallel` regions — only the
-                       blessed ParallelFaultScope / per-thread shard API.
+                       vectorizable: no opaque function calls.
   ci-label-check       every ctest -L label referenced in ci.yml exists
                        in tests/CMakeLists.txt or bench/CMakeLists.txt.
   ci-label-coverage    the reverse: every label registered in tests/ or
@@ -44,6 +41,11 @@ Enforces invariants no generic tool knows about (see DESIGN.md
                        callgraph/lock/FP checks cannot be silently
                        dropped from CI.
 
+Serial fault hooks and shared-stats mutation in `omp parallel` regions,
+and `throw` in LQCD_PRAGMA_SIMD regions, are tools/analyze's
+parallel-reachability pass: it checks the region bodies themselves and
+everything they call.
+
 Suppressions: tools/lint_suppressions.txt, one per line,
     <rule>:<path>[:<line>]  # <justification>
 The justification is mandatory; an unjustified entry is itself an error.
@@ -72,13 +74,6 @@ SIMD_CALL_WHITELIST = {
 
 CTEST_LABEL_RE = re.compile(r"ctest[^\n]*?-L\s+\"?([A-Za-z0-9_|]+)\"?")
 CALL_RE = re.compile(r"\b([A-Za-z_][A-Za-z0-9_]*)\s*\(")
-SERIAL_HOOK_RE = re.compile(
-    r"\b([A-Za-z_][A-Za-z0-9_]*)\s*(?:->|\.)\s*"
-    r"(maybe_fault|maybe_corrupt|maybe_corrupt_reals|should_fire|"
-    r"note_opportunity|record_event)\s*\(")
-SHARED_STATS_RE = re.compile(
-    r"(\+\+\s*stats_\s*\.|stats_\s*\.\s*\w+\s*(\+=|=|\+\+)|"
-    r"\+\+\s*comm_stats_\s*\.|comm_stats_\s*\.\s*\w+\s*(\+=|=|\+\+))")
 
 
 class Finding:
@@ -220,10 +215,6 @@ def check_simd_bodies(findings: list[Finding]) -> None:
                 continue
             for j in body_after(lines, i, max_lines=60):
                 body_line = lines[j]
-                if re.search(r"\bthrow\b", body_line):
-                    findings.append(Finding(
-                        "simd-opaque-call", path, j + 1,
-                        "throw inside an LQCD_PRAGMA_SIMD loop body"))
                 for m in CALL_RE.finditer(body_line):
                     name = m.group(1)
                     if name not in SIMD_CALL_WHITELIST:
@@ -232,32 +223,6 @@ def check_simd_bodies(findings: list[Finding]) -> None:
                             f"opaque call '{name}()' inside an "
                             "LQCD_PRAGMA_SIMD loop body defeats "
                             "vectorization"))
-
-
-def check_parallel_fault_hooks(findings: list[Finding]) -> None:
-    pragma_re = re.compile(r"#\s*pragma\s+omp\s+parallel\b")
-    for path in iter_source(("*.h", "*.cpp")):
-        lines = strip_comments(path.read_text()).splitlines()
-        for i, line in enumerate(lines):
-            if not pragma_re.search(line):
-                continue
-            for j in body_after(lines, i):
-                body_line = lines[j]
-                for m in SERIAL_HOOK_RE.finditer(body_line):
-                    receiver = m.group(1)
-                    if "scope" in receiver.lower():
-                        continue  # blessed ParallelFaultScope receiver
-                    findings.append(Finding(
-                        "parallel-fault-hook", path, j + 1,
-                        f"serial fault hook '{receiver}->{m.group(2)}()' "
-                        "inside an omp parallel region — use "
-                        "ParallelFaultScope (resilience/fault_injector.h)"))
-                if SHARED_STATS_RE.search(body_line):
-                    findings.append(Finding(
-                        "parallel-fault-hook", path, j + 1,
-                        "shared stats member mutated inside an omp "
-                        "parallel region — accumulate into a per-thread "
-                        "shard and merge at region exit"))
 
 
 def check_ci_labels(findings: list[Finding]) -> None:
@@ -492,7 +457,6 @@ def main() -> int:
     check_omp_guard(findings)
     check_naked_alloc(findings)
     check_simd_bodies(findings)
-    check_parallel_fault_hooks(findings)
     check_ci_labels(findings)
     check_service_header_tests(findings)
     check_simd_containment(findings)
