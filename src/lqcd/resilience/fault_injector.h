@@ -332,7 +332,7 @@ class FaultInjector {
 ///
 /// The serial FaultInjector hooks mutate a shared RNG and shared counters
 /// and therefore MUST NOT be called from inside `omp parallel` regions
-/// (tools/lqcd_lint.py enforces this). A ParallelFaultScope is the
+/// (tools/analyze enforces this). A ParallelFaultScope is the
 /// race-free alternative for loops whose trip count is known up front —
 /// e.g. the Schwarz sweep over the domains of one color:
 ///

@@ -8,7 +8,7 @@
 // at runtime by CPUID, overridable with the LQCD_SIMD_BACKEND environment
 // variable ("scalar" | "avx2" | "avx512") or programmatically with
 // force_backend(). Kernel code includes ONLY this header (enforced by
-// tools/lqcd_lint.py): concrete backends live in src/lqcd/simd/*.cpp and
+// tools/analyze): concrete backends live in src/lqcd/simd/*.cpp and
 // are reached through the function-pointer table below.
 //
 // Numerical contract (tested in tests/test_simd.cpp):

@@ -1,26 +1,25 @@
 #!/usr/bin/env python3
-"""Fixture harness for the two-tier static-analysis stack.
+"""Fixture harness for tools/analyze.
 
-Drives tools/analyze (the semantic tier) over the known-bad corpus in
-tests/tools/fixtures/semantic/ and tools/lqcd_lint.py (the lexical
-tier) over tests/tools/fixtures/lint_root/, asserting that every pass
-fires EXACTLY where the fixtures say it must and stays silent
-everywhere else.
+Runs the analyzer over the known-bad corpus in tests/tools/fixtures/ —
+a miniature tree with src/, tests/, bench/ and .github/workflows/ci.yml
+— and asserts that every rule fires EXACTLY where the fixtures say it
+must and stays silent everywhere else.
 
 Expectations live in the fixtures themselves as marker comments, so
-they survive edits that shift line numbers:
+they survive edits that shift line numbers (`#` instead of `//` in
+YAML and CMake files):
 
     // EXPECT: <rule>        a finding of <rule> anchors on this line
-    // EXPECT-TU: <rule>     a TU-level finding of <rule> (line 1)
-    // EXPECT-LINT: <rule>   same, for the lqcd_lint leg
+    // EXPECT-TU: <rule>     a file-level finding of <rule> (line 1)
 
 The synthetic compile_commands.json gives every TU -ffp-contract=off
-EXCEPT fpdet_bad.cpp — the fp-determinism TU-level finding is the
+EXCEPT the two fp-determinism fixtures: the TU-level finding is the
 missing flag itself.
 
-Also exercises the shared justified-suppression registry: a justified
-entry hides its finding (counted as suppressed), an entry without a
-justification is itself an error (exit 2).
+Also exercises the justified-suppression registry (a justified entry
+hides its finding, an unjustified one is exit 2) and the compile-DB
+sanity check (a DB naming no TU under the corpus's src/ is exit 2).
 
 Exit 0 on success, 1 with a diff of missing/unexpected findings on
 failure.
@@ -34,16 +33,25 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[2]
-SEM_ROOT = REPO / "tests" / "tools" / "fixtures" / "semantic"
-SEM_SRC = SEM_ROOT / "src"
-LINT_ROOT = REPO / "tests" / "tools" / "fixtures" / "lint_root"
+CORPUS = REPO / "tests" / "tools" / "fixtures"
 
-_EXPECT_RE = re.compile(r"//\s*EXPECT:\s*([\w-]+)")
+# Every rule tools/analyze implements; each must fire on the corpus.
+ALL_RULES = {
+    "pragma-once", "include-exists", "omp-include-guard", "naked-alloc",
+    "simd-opaque-call", "service-header-test", "simd-containment",
+    "simd-dispatch-include", "ci-label-check", "ci-label-coverage",
+    "simd-ci-leg-check", "analyze-ci-job-check", "omp-audit",
+    "parallel-reachability", "lock-discipline", "fp-determinism",
+    "dispatch-completeness",
+}
+NO_CONTRACT_OFF = {"fpdet_bad.cpp", "fpdet_header.cpp"}
+
+_EXPECT_RE = re.compile(r"(?://|#)\s*EXPECT:\s*([\w-]+)")
 _EXPECT_TU_RE = re.compile(r"EXPECT-TU:\s*([\w-]+)")
-_EXPECT_LINT_RE = re.compile(r"//\s*EXPECT-LINT:\s*([\w-]+)")
 
 failures: list[str] = []
 
@@ -57,10 +65,12 @@ def ok(msg: str) -> None:
     print(f"  ok: {msg}")
 
 
-def expected_semantic() -> set:
+def expected() -> set:
     exp = set()
-    for f in sorted(SEM_SRC.glob("*.cpp")):
-        rel = f"src/{f.name}"
+    for f in sorted(CORPUS.rglob("*")):
+        if not f.is_file():
+            continue
+        rel = f.relative_to(CORPUS).as_posix()
         for ln, line in enumerate(f.read_text().splitlines(), 1):
             m = _EXPECT_RE.search(line)
             if m:
@@ -71,68 +81,49 @@ def expected_semantic() -> set:
     return exp
 
 
-def write_compile_db(tmp: Path) -> Path:
+def write_compile_db(path: Path, tus: list[Path]) -> Path:
     entries = []
-    for f in sorted(SEM_SRC.glob("*.cpp")):
-        cmd = "/usr/bin/c++ -std=c++17 -O2 -fopenmp"
-        if f.name != "fpdet_bad.cpp":
-            cmd += " -ffp-contract=off"
-        cmd += f" -c {f} -o {tmp / (f.stem + '.o')}"
-        entries.append({"directory": str(SEM_ROOT), "command": cmd,
-                        "file": str(f)})
-    db = tmp / "compile_commands.json"
-    db.write_text(json.dumps(entries, indent=2))
-    return db
+    for f in tus:
+        flag = "" if f.name in NO_CONTRACT_OFF else " -ffp-contract=off"
+        entries.append({"directory": str(CORPUS), "file": str(f),
+                        "command": f"c++ -std=c++17 -O2 -fopenmp{flag} "
+                                   f"-c {f}"})
+    path.write_text(json.dumps(entries, indent=2))
+    return path
 
 
 def run_analyzer(db: Path, *extra: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, str(REPO / "tools" / "analyze"),
-         "--root", str(SEM_ROOT), "--compile-db", str(db),
-         "--frontend", "fallback", "--lock-scope", "/src/", *extra],
+         "--root", str(CORPUS), "--compile-db", str(db), *extra],
         capture_output=True, text=True)
 
 
-def check_semantic(db: Path) -> None:
-    print("== semantic fixtures (tools/analyze) ==")
+def check_corpus(db: Path) -> None:
+    print("== fixture corpus ==")
     proc = run_analyzer(db, "--json", "--no-suppressions")
     if proc.returncode != 1:
         fail(f"analyzer exit {proc.returncode}, expected 1 (findings)\n"
              f"stdout: {proc.stdout}\nstderr: {proc.stderr}")
         return
     doc = json.loads(proc.stdout)
-    if doc["frontend"] != "text":
-        fail(f"frontend {doc['frontend']!r}, expected 'text' "
-             "(--frontend fallback)")
     found = {(f["rule"], f["path"], f["line"]) for f in doc["findings"]}
-    exp = expected_semantic()
+    exp = expected()
 
     for miss in sorted(exp - found):
         fail(f"expected finding did not fire: {miss}")
     for extra in sorted(found - exp):
         fail(f"unexpected finding: {extra}")
     if exp == found:
-        per_rule: dict[str, int] = {}
-        for rule, _, _ in sorted(found):
-            per_rule[rule] = per_rule.get(rule, 0) + 1
-        ok(f"{len(found)} expected finding sites, 0 unexpected "
-           f"({', '.join(f'{r}:{n}' for r, n in sorted(per_rule.items()))})")
-    clean_hits = [f for f in doc["findings"]
-                  if f["path"] == "src/clean.cpp"]
-    if clean_hits:
-        fail(f"findings anchored in clean.cpp: {clean_hits}")
-    else:
-        ok("clean.cpp is finding-free")
+        per_rule = sorted(Counter(rule for rule, _, _ in found).items())
+        ok(f"{len(found)} expected finding sites, 0 unexpected, clean "
+           f"files silent ({', '.join(f'{r}:{n}' for r, n in per_rule)})")
 
-    rules_fired = {f["rule"] for f in doc["findings"]}
-    for rule in ("omp-audit", "parallel-reachability", "lock-discipline",
-                 "fp-determinism", "dispatch-completeness"):
-        if rule not in rules_fired:
-            fail(f"pass {rule} produced no finding on its fixture")
-    if rules_fired >= {"omp-audit", "parallel-reachability",
-                       "lock-discipline", "fp-determinism",
-                       "dispatch-completeness"}:
-        ok("all five passes fired")
+    silent = ALL_RULES - {rule for rule, _, _ in found}
+    for rule in sorted(silent):
+        fail(f"rule {rule} produced no finding on the corpus")
+    if not silent:
+        ok(f"all {len(ALL_RULES)} rules fired")
 
 
 def check_suppressions(db: Path, tmp: Path) -> None:
@@ -159,47 +150,28 @@ def check_suppressions(db: Path, tmp: Path) -> None:
         ok("suppression without a justification is exit 2")
 
 
-def check_lint() -> None:
-    print("== lexical fixtures (tools/lqcd_lint.py --root) ==")
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "tools" / "lqcd_lint.py"),
-         "--root", str(LINT_ROOT)],
-        capture_output=True, text=True)
-    if proc.returncode != 1:
-        fail(f"lqcd_lint exit {proc.returncode}, expected 1\n"
-             f"stdout: {proc.stdout}\nstderr: {proc.stderr}")
-        return
-    found = set()
-    line_re = re.compile(r"^(.*?):(\d+): \[([\w-]+)\]")
-    for out_line in proc.stdout.splitlines():
-        m = line_re.match(out_line)
-        if m:
-            found.add((m.group(3), Path(m.group(1)).name, int(m.group(2))))
-    exp = set()
-    for f in sorted((LINT_ROOT / "src").rglob("*")):
-        if not f.is_file():
-            continue
-        for ln, line in enumerate(f.read_text().splitlines(), 1):
-            m = _EXPECT_LINT_RE.search(line)
-            if m:
-                exp.add((m.group(1), f.name, ln))
-    for miss in sorted(exp - found):
-        fail(f"expected lint finding did not fire: {miss}")
-    for extra in sorted(found - exp):
-        fail(f"unexpected lint finding: {extra}")
-    if exp == found:
-        ok(f"{len(found)} expected lint findings, 0 unexpected")
-    if any(name == "good.h" for _, name, _ in found):
-        fail("lint findings anchored in good.h")
+def check_foreign_compile_db(tmp: Path) -> None:
+    print("== compile DB sanity ==")
+    # The repo's own TUs stand in for another checkout's.
+    foreign = sorted((REPO / "src").rglob("*.cpp"))
+    for name, tus in (("foreign", foreign), ("empty", [])):
+        db = write_compile_db(tmp / f"{name}_db.json", tus)
+        proc = run_analyzer(db)
+        if proc.returncode != 2 or str(db) not in proc.stderr:
+            fail(f"{name} compile DB: exit {proc.returncode}, expected 2 "
+                 f"naming the DB\nstderr: {proc.stderr}")
+        else:
+            ok(f"{name} compile DB (no TU under src/) is exit 2")
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="lqcd-analyze-fix") as td:
         tmp = Path(td)
-        db = write_compile_db(tmp)
-        check_semantic(db)
+        db = write_compile_db(tmp / "compile_commands.json",
+                              sorted((CORPUS / "src").rglob("*.cpp")))
+        check_corpus(db)
         check_suppressions(db, tmp)
-    check_lint()
+        check_foreign_compile_db(tmp)
     if failures:
         print(f"\n{len(failures)} fixture assertion(s) failed",
               file=sys.stderr)

@@ -1,10 +1,15 @@
-"""Semantic analyzer suite for the lattice-QCD DD codebase.
+"""Static analyzer for the lattice-QCD DD codebase.
 
-Tier 2 of the repo's static-analysis story (tier 1 is the lexical
-tools/lqcd_lint.py). This package parses every translation unit listed
-in a CMake compile_commands.json and runs AST/callgraph passes that no
-regex can express:
+One tool for every repo-specific static rule. It models every source
+under ROOT/src (plus the TUs and flags of a CMake compile_commands.json)
+with a self-contained text frontend — tokenizer, scope tree and
+callgraph, no compiler needed — and runs seven passes over that model:
 
+  layout                 eight per-file rules: #pragma once, includes,
+                         the <omp.h> guard, raw allocation, SIMD bodies
+                         and containment, service-header tests.
+  ci-wiring              ci.yml against the build: ctest labels, SIMD
+                         backend legs, and the analyze job itself.
   omp-audit              every `#pragma omp parallel` region carries
                          default(none) with explicit sharing lists.
   parallel-reachability  interprocedural callgraph walk proving no
@@ -22,12 +27,6 @@ regex can express:
                          dispatch table is assigned, non-null, in every
                          backend TU.
 
-Two frontends produce the same project model: a libclang one (python
-clang.cindex, used when importable — the CI `analyze` job pins it) and a
-self-contained text frontend (tokenizer + scope tree + callgraph) that
-keeps the passes runnable on machines without libclang.
-
-Run as `python3 -m tools.analyze` or `python3 tools/analyze`.
+Each pass's docstring defines its rules. Run as `python3 -m tools.analyze`
+or `python3 tools/analyze`.
 """
-
-__version__ = "1.0"

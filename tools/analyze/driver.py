@@ -3,9 +3,8 @@
 Exit codes:
   0  clean (or every finding suppressed with a justification)
   1  findings
-  2  usage / corrupt suppression entry (a suppression without a
-     justification is itself an error)
-  3  --frontend cindex requested but libclang is unavailable
+  2  usage error: no ROOT/src, an unreadable compile DB or one with no
+     TU under ROOT/src, or a suppression without a justification
 """
 
 from __future__ import annotations
@@ -16,94 +15,54 @@ import sys
 from pathlib import Path
 
 from tools.analyze import findings as F
-from tools.analyze import clangfrontend, textmodel
+from tools.analyze import textmodel
 from tools.analyze.passes import PASSES
 
 
-def make_parser() -> argparse.ArgumentParser:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="tools/analyze",
-        description="Semantic analyzer: AST/callgraph checks over "
-                    "compile_commands.json (concurrency, FP-determinism, "
-                    "dispatch contracts).")
+        description="Static analyzer: layout, CI-wiring, concurrency, "
+                    "FP-determinism and dispatch-contract rules over "
+                    "ROOT/src and compile_commands.json.")
     ap.add_argument("--root", type=Path, default=Path.cwd(),
-                    help="project root (default: cwd); analysis scope is "
-                         "ROOT/src when it exists, else ROOT")
+                    help="project root (default: cwd); the analysis "
+                         "scope is ROOT/src")
     ap.add_argument("--compile-db", type=Path, default=None,
                     help="compile_commands.json "
                          "(default: ROOT/build/compile_commands.json)")
     ap.add_argument("--suppressions", type=Path, default=None,
                     help="justified-suppression registry (default: "
-                         "ROOT/tools/lint_suppressions.txt, shared with "
-                         "lqcd_lint)")
+                         "ROOT/tools/lint_suppressions.txt)")
     ap.add_argument("--no-suppressions", action="store_true",
                     help="report findings even when suppressed")
-    ap.add_argument("--frontend", choices=("auto", "cindex", "fallback"),
-                    default="auto",
-                    help="auto: use clang.cindex when importable, else the "
-                         "built-in text frontend with a notice; cindex: "
-                         "require libclang (exit 3 if absent); fallback: "
-                         "text frontend only")
-    ap.add_argument("--passes", default=None,
-                    help="comma-separated subset of: " +
-                         ", ".join(sorted(PASSES)))
-    ap.add_argument("--lock-scope", default=None,
-                    help="comma-separated path substrings for the "
-                         "lock-discipline pass "
-                         "(default: /service/,/resilience/)")
     ap.add_argument("--json", action="store_true",
                     help="machine-readable findings on stdout")
-    ap.add_argument("--list-passes", action="store_true",
-                    help="print pass names and exit")
-    return ap
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
-    if args.list_passes:
-        for name, mod in sorted(PASSES.items()):
-            doc = (mod.__doc__ or "").strip().splitlines()[0]
-            print(f"{name}: {doc}")
-        return 0
-
+    args = ap.parse_args(argv)
     root = args.root.resolve()
+    if not (root / "src").is_dir():
+        print(f"error: {root / 'src'} is not a directory", file=sys.stderr)
+        return 2
     compile_db_path = args.compile_db or root / "build" / \
         "compile_commands.json"
-    if not compile_db_path.exists():
-        print(f"error: compile DB not found: {compile_db_path} "
-              "(configure with -DCMAKE_EXPORT_COMPILE_COMMANDS=ON)",
-              file=sys.stderr)
-        return 2
     try:
         compile_db = textmodel.load_compile_db(compile_db_path)
-    except (ValueError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-
-    pass_names = sorted(PASSES) if args.passes is None else [
-        p.strip() for p in args.passes.split(",") if p.strip()]
-    unknown = [p for p in pass_names if p not in PASSES]
-    if unknown:
-        print(f"error: unknown pass(es): {', '.join(unknown)} "
-              f"(known: {', '.join(sorted(PASSES))})", file=sys.stderr)
+    except (OSError, ValueError) as e:  # JSONDecodeError is a ValueError
+        print(f"error: compile DB {compile_db_path}: {e} (configure with "
+              "-DCMAKE_EXPORT_COMPILE_COMMANDS=ON)", file=sys.stderr)
         return 2
 
     model = textmodel.build_model(root, compile_db)
-    if args.frontend == "cindex":
-        if not clangfrontend.enrich(model, compile_db):
-            print("error: --frontend cindex requested but libclang / "
-                  "python3-clang is unavailable", file=sys.stderr)
-            return 3
-    elif args.frontend == "auto":
-        if not clangfrontend.enrich(model, compile_db):
-            print("notice: clang.cindex unavailable — using the built-in "
-                  "text frontend (install python3-clang-14 + libclang-14 "
-                  "for AST-resolved callgraphs)", file=sys.stderr)
+    if not any(textmodel.tu_path(e) in model.files for e in compile_db):
+        print(f"error: no entry of {compile_db_path} names an existing "
+              f"file under {model.src} — a compile DB from another "
+              "checkout would leave every TU's flags unchecked",
+              file=sys.stderr)
+        return 2
 
-    options = {"lock_scope": args.lock_scope}
     all_findings: list[F.Finding] = []
-    for name in pass_names:
-        all_findings.extend(PASSES[name].run(model, options))
+    for p in PASSES.values():
+        all_findings.extend(p.run(model))
 
     F.relativize(all_findings, root)
     all_findings.sort(key=lambda f: (str(f.path), f.line, f.rule, f.msg))
@@ -119,22 +78,20 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.json:
         print(json.dumps({
-            "frontend": model.frontend,
-            "passes": pass_names,
+            "passes": list(PASSES),
             "findings": [f.to_json() for f in active],
             "suppressed": n_suppressed,
         }, indent=2))
     else:
         for f in active:
             print(f)
-        tag = f" [{model.frontend} frontend]"
         if active:
-            print(f"\n{len(active)} finding(s) "
-                  f"({n_suppressed} suppressed){tag}", file=sys.stderr)
+            print(f"\n{len(active)} finding(s) ({n_suppressed} suppressed)",
+                  file=sys.stderr)
         else:
             print(f"analyze: clean ({len(model.files)} files, "
-                  f"{len(pass_names)} passes, {n_suppressed} suppressed)"
-                  f"{tag}", file=sys.stderr)
+                  f"{len(PASSES)} passes, {n_suppressed} suppressed)",
+                  file=sys.stderr)
 
     if sup_errors:
         return 2

@@ -1,8 +1,7 @@
-"""Findings and the shared justified-suppression mechanism.
+"""Findings and the justified-suppression mechanism.
 
-Suppression file format is identical to tools/lqcd_lint.py (and the
-default file IS tools/lint_suppressions.txt, so both analysis tiers
-share one registry):
+The registry (default tools/lint_suppressions.txt) holds one entry per
+line, with the path relative to the analyzed root:
 
     <rule>:<path>[:<line>]  # <justification — mandatory>
 

@@ -28,7 +28,7 @@ from tools.analyze.textmodel import tu_path
 _STRUCT_NAME = "Kernels"
 _FP_FIELD_RE = re.compile(r"\(\s*\*\s*(\w+)\s*\)\s*\(")
 _PLAIN_FIELD_RE = re.compile(r"\b(\w+)\s*(?:=[^=].*)?;\s*$")
-_NULLISH = {"nullptr", "NULL", "0", "{}", "{ }"}
+_NULLISH = {"nullptr", "NULL", "0", "{}"}
 
 
 def _struct_fields(cls) -> list[tuple[str, bool]]:
@@ -91,8 +91,7 @@ def _aggregates(lines: list[str]) -> list[tuple[int, list[str]]]:
     return out
 
 
-def run(model, options) -> list[Finding]:
-    del options
+def run(model) -> list[Finding]:
     findings: list[Finding] = []
     tables = [c for c in model.classes if c.name == _STRUCT_NAME]
     if not tables:
@@ -125,8 +124,7 @@ def run(model, options) -> list[Finding]:
                     "kernel slots (silent segfault on first dispatch)"))
             for i, init in enumerate(inits[:len(fields)]):
                 name, is_fp = fields[i]
-                if is_fp and init.replace(" ", "") in \
-                        {n.replace(" ", "") for n in _NULLISH}:
+                if is_fp and init.replace(" ", "") in _NULLISH:
                     findings.append(Finding(
                         "dispatch-completeness", path, line,
                         f"{_STRUCT_NAME} field '{name}' is explicitly "

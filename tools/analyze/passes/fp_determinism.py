@@ -48,24 +48,21 @@ _CONTRACTIBLE_RE = re.compile(
 def _include_closure(model, tu: Path) -> set[Path]:
     """Project files reachable from `tu` through quoted includes."""
     closure: set[Path] = set()
-    src_root = model.root / "src" if (model.root / "src").is_dir() \
-        else model.root
     queue = [tu]
     while queue:
         p = queue.pop()
         if p in closure or p not in model.files:
             continue
         closure.add(p)
-        for inc in model.files[p].includes:
-            for cand in (src_root / inc, p.parent / inc):
+        for _, inc in model.files[p].includes:
+            for cand in (model.src / inc, p.parent / inc):
                 cand = cand.resolve()
                 if cand in model.files and cand not in closure:
                     queue.append(cand)
     return closure
 
 
-def run(model, options) -> list[Finding]:
-    del options
+def run(model) -> list[Finding]:
     findings: list[Finding] = []
     by_name = model.by_name()
 

@@ -1,6 +1,5 @@
 """lock-discipline: lock-order extraction and guarded-member inference
-for the concurrent layers (src/lqcd/service/, src/lqcd/resilience/ by
-default).
+for the concurrent layers (src/lqcd/service/, src/lqcd/resilience/).
 
 Two checks, both running on a per-function lock simulation that tracks
 std::lock_guard / std::unique_lock / std::scoped_lock lifetimes through
@@ -42,7 +41,6 @@ _WRITE_FMT = (r"(?:\+\+|--)\s*{m}\b|\b{m}\s*(?:\.\s*\w+\s*)?"
 @dataclass
 class _Acq:
     mutex: str       # class-qualified, e.g. "SetupCache::mu_"
-    line: int
     depth: int       # brace depth at acquisition (for scope release)
     var: str         # guard variable name ("" for direct .lock())
     held: bool = True
@@ -77,10 +75,8 @@ def _simulate(fn, cls, lines: list[str]) -> _FnLocks:
             events.append((m.start(), "acquire", (m.group(1), m.group(2))))
         for m in _TOGGLE_RE.finditer(text):
             events.append((m.start(), m.group(2), m.group(1)))
-        for m in re.finditer(r"\bwait\w*\s*\(\s*(\w+)", text):
-            # cv.wait(lk): released inside, re-held on return — treat as
-            # continuously held for ordering purposes.
-            del m
+        # cv.wait(lk) releases inside and re-holds on return: treated as
+        # continuously held for ordering purposes.
         for col, ch in enumerate(text):
             if ch == "{":
                 events.append((col, "open", None))
@@ -110,8 +106,8 @@ def _simulate(fn, cls, lines: list[str]) -> _FnLocks:
                 for a in active:
                     if a.held and a.mutex != mutex:
                         out.edges.append((a.mutex, mutex, ln))
-                active.append(_Acq(mutex=mutex, line=ln, depth=depth,
-                                   var=var, held=held))
+                active.append(_Acq(mutex=mutex, depth=depth, var=var,
+                                   held=held))
             elif kind == "lock":
                 var = payload
                 hit = False
@@ -128,8 +124,7 @@ def _simulate(fn, cls, lines: list[str]) -> _FnLocks:
                     for a in active:
                         if a.held and a.mutex != mutex:
                             out.edges.append((a.mutex, mutex, ln))
-                    active.append(_Acq(mutex=mutex, line=ln, depth=depth,
-                                       var=""))
+                    active.append(_Acq(mutex=mutex, depth=depth, var=""))
             elif kind == "unlock":
                 var = payload
                 for a in active:
@@ -143,14 +138,13 @@ def _simulate(fn, cls, lines: list[str]) -> _FnLocks:
     return out
 
 
-def run(model, options) -> list[Finding]:
-    scopes = [s for s in
-              (options.get("lock_scope") or "/service/,/resilience/").split(
-                  ",") if s]
+def run(model) -> list[Finding]:
     findings: list[Finding] = []
 
+    scopes = (model.src / "lqcd" / "service",
+              model.src / "lqcd" / "resilience")
     in_scope_files = [p for p in model.files
-                      if any(s in str(p) for s in scopes)]
+                      if any(s in p.parents for s in scopes)]
 
     # Class lookup by (path, name); member functions grouped per class.
     classes = {(c.path, c.name): c for c in model.classes}
@@ -177,8 +171,7 @@ def run(model, options) -> list[Finding]:
 
 def _check_lock_order(sims, findings) -> None:
     edges: dict[tuple, tuple] = {}  # (a, b) -> (path, line, fnqual)
-    for fn, cls, locks in sims:
-        del cls
+    for fn, _, locks in sims:
         for a, b, ln in locks.edges:
             edges.setdefault((a, b), (fn.path, ln, fn.qual))
     graph: dict[str, set] = {}
@@ -272,6 +265,4 @@ def _check_guarded_members(model, sims, findings) -> None:
 
 
 def _is_ctor_dtor(fn) -> bool:
-    return fn.cls is not None and (fn.name == fn.cls or
-                                   fn.name == f"~{fn.cls}" or
-                                   (fn.line > 0 and fn.name == fn.cls))
+    return fn.cls is not None and fn.name in (fn.cls, f"~{fn.cls}")

@@ -25,8 +25,7 @@ _OWNS_DATA_ENV = re.compile(r"#\s*pragma\s+omp\s.*\b(parallel|task|teams)\b")
 _DEFAULT_RE = re.compile(r"\bdefault\s*\(\s*(\w+)\s*\)")
 
 
-def run(model, options) -> list[Finding]:
-    del options
+def run(model) -> list[Finding]:
     findings: list[Finding] = []
     for sf in model.files.values():
         for d in sf.directives:

@@ -10,8 +10,8 @@ exception in a parallel region) or races on the stats shards just as
 surely as inline code. For LQCD_PRAGMA_SIMD regions only
 throw-reachability is checked (the vectorizer contract; fault hooks
 there are already structurally impossible). It is the only check of
-these hazards: lqcd_lint keeps just the opaque-call half of its
-simd-opaque-call rule.
+these hazards; the layout pass's simd-opaque-call rule checks SIMD
+bodies for opaque calls, not for what they reach.
 
 Escape hatch: a function whose definition carries
     // analyze-safe(parallel-reachability): <justification>
@@ -137,8 +137,7 @@ def _enclosing_cls(model, path, line) -> str | None:
     return best.cls if best else None
 
 
-def run(model, options) -> list[Finding]:
-    del options
+def run(model) -> list[Finding]:
     findings: list[Finding] = []
     by_name = model.by_name()
 
@@ -159,7 +158,7 @@ def run(model, options) -> list[Finding]:
                                                        "throw")))
         return [h for h in fn_hazards[key] if h.kind in kinds]
 
-    def walk(root_desc, root_path, root_line, span, kinds, region_kind):
+    def walk(root_path, root_line, span, kinds, region_kind):
         """BFS from a region body through the callgraph; report the
         shortest path to each distinct hazard site."""
         lines = model.files[root_path].lines
@@ -187,8 +186,7 @@ def run(model, options) -> list[Finding]:
         region_cls = _enclosing_cls(model, root_path, root_line)
         seen: set[int] = set()
         queue: list[tuple] = []
-        for name, ln, recv in _span_calls(lines, span):
-            del ln
+        for name, _, recv in _span_calls(lines, span):
             queue.append((name, recv, region_cls, []))
         while queue:
             name, recv, caller_cls, via = queue.pop(0)
@@ -205,19 +203,17 @@ def run(model, options) -> list[Finding]:
                 for h in hazards_of(fn, kinds):
                     report(h, path_desc, fn.path)
                 if len(path_desc) < 12:
-                    for cname, cln, crecv in fn.calls:
-                        del cln
+                    for cname, _, crecv in fn.calls:
                         queue.append((cname, crecv, fn.cls, path_desc))
-        del root_desc
 
     for sf in model.files.values():
         for d in sf.directives:
             if not re.search(r"#\s*pragma\s+omp\s.*\bparallel\b", d.text):
                 continue
-            walk(d.text, d.path, d.line, d.body,
+            walk(d.path, d.line, d.body,
                  frozenset(("fault-hook", "stats-mutation", "throw")),
                  "omp parallel")
         for r in sf.simd_regions:
-            walk(r.text, r.path, r.line, r.body, frozenset(("throw",)),
+            walk(r.path, r.line, r.body, frozenset(("throw",)),
                  "LQCD_PRAGMA_SIMD")
     return findings

@@ -1,12 +1,10 @@
 """Self-contained C++ micro-frontend.
 
 Builds the ProjectModel the passes consume — source files with
-comment/string-stripped text, class spans with member inventories,
-function definitions with body spans and call lists, OpenMP directives
-with their region spans — using a tokenizer and a brace-scope tree, no
-compiler needed. The clang.cindex frontend (clangfrontend.py), when
-available, REPLACES the function/call/directive layer with AST-derived
-data; the class/member/lock layer is always produced here.
+comment/string-stripped text, quoted includes, class spans with member
+inventories, function definitions with body spans and call lists,
+OpenMP directives with their region spans — using a tokenizer and a
+brace-scope tree, no compiler needed.
 
 This is deliberately an over-approximating parser: template bodies,
 both branches of preprocessor conditionals, and lambda bodies are all
@@ -88,7 +86,8 @@ class SourceFile:
     lines: list[str]               # comment/string-stripped, same count
     directives: list[Directive] = field(default_factory=list)
     simd_regions: list[Directive] = field(default_factory=list)
-    includes: list[str] = field(default_factory=list)
+    # (1-based line, path) of every `#include "path"` outside comments
+    includes: list[tuple[int, str]] = field(default_factory=list)
 
 
 @dataclass
@@ -98,7 +97,11 @@ class ProjectModel:
     functions: list[FunctionInfo] = field(default_factory=list)
     classes: list[ClassInfo] = field(default_factory=list)
     compile_db: list[dict] = field(default_factory=list)
-    frontend: str = "text"
+
+    @property
+    def src(self) -> Path:
+        """The analysis scope: every source under ROOT/src."""
+        return self.root / "src"
 
     def by_name(self) -> dict[str, list[FunctionInfo]]:
         out: dict[str, list[FunctionInfo]] = {}
@@ -108,9 +111,6 @@ class ProjectModel:
 
     def functions_in(self, path: Path) -> list[FunctionInfo]:
         return [f for f in self.functions if f.path == path]
-
-    def classes_in(self, path: Path) -> list[ClassInfo]:
-        return [c for c in self.classes if c.path == path]
 
 
 def strip_comments(text: str) -> str:
@@ -217,28 +217,39 @@ _ATOMIC_DECL_RE = re.compile(
 _MEMBER_NAME_RE = re.compile(r"\b([A-Za-z]\w*_)\s*(?:;|=[^=]|\{|\[)")
 
 
-def _parse_file(path: Path, text: str) -> tuple[SourceFile,
-                                                list[FunctionInfo],
-                                                list[ClassInfo]]:
+_INCLUDE_RE = re.compile(r'\s*#\s*include\s*"([^"]*)"')
+
+
+def read_source(path: Path) -> SourceFile:
+    """One file's per-line layer: stripped lines, quoted includes and
+    directives, without the function/class parse."""
+    text = path.read_text()
     raw_lines = text.splitlines()
-    cleaned = strip_comments(text)
-    lines = cleaned.splitlines()
+    lines = strip_comments(text).splitlines()
     while len(lines) < len(raw_lines):
         lines.append("")
     sf = SourceFile(path=path, raw_lines=raw_lines, lines=lines)
 
+    # Stripping blanks the quoted path, so find the directive in the
+    # stripped line (not commented out) and read the path from the raw one.
     for ln, line in enumerate(lines, 1):
-        m = re.match(r'\s*#\s*include\s+"([^"]+)"', line)
-        if m:
-            sf.includes.append(m.group(1))
+        if _INCLUDE_RE.match(line):
+            m = _INCLUDE_RE.match(raw_lines[ln - 1])
+            if m:
+                sf.includes.append((ln, m.group(1)))
 
     _collect_directives(sf)
+    return sf
 
-    toks = _tokenize(cleaned)
+
+def _parse_file(path: Path) -> tuple[SourceFile, list[FunctionInfo],
+                                     list[ClassInfo]]:
+    sf = read_source(path)
+    toks = _tokenize("\n".join(sf.lines))
     braces = _match_braces(toks)
-    classes = _collect_classes(path, toks, braces, lines)
-    functions = _collect_functions(path, toks, braces, classes, lines,
-                                   raw_lines)
+    classes = _collect_classes(path, toks, braces, sf.lines)
+    functions = _collect_functions(path, toks, braces, classes, sf.lines,
+                                   sf.raw_lines)
     return sf, functions, classes
 
 
@@ -325,8 +336,7 @@ def _collect_class_statements(cls: ClassInfo, toks: list[_Tok],
         stmt.append(t.s)
         i += 1
 
-    for line, text in cls.statements:
-        del line
+    for _, text in cls.statements:
         # Brace initializers are flushed out of the statement text, so
         # re-terminate before matching declaration patterns.
         text = text if text.rstrip().endswith(";") else text + " ;"
@@ -532,28 +542,18 @@ def tu_path(entry: dict) -> Path:
 
 
 def build_model(root: Path, compile_db: list[dict]) -> ProjectModel:
-    """Project files = every TU under `root` from the compile DB, plus
-    every header under root/src (or under root when there is no src/ —
-    the fixture-corpus shape)."""
+    """Project files = every header and .cpp under root/src plus any
+    other TU the compile DB lists there. Tests and benches stay out of
+    the model: they deliberately poke serial APIs."""
     model = ProjectModel(root=root.resolve(), compile_db=compile_db)
-    # Product scope: src/ when the root has one (the repo shape; tests
-    # and benches deliberately poke serial APIs), the whole root
-    # otherwise (the fixture-corpus shape).
-    scope = model.root / "src" if (model.root / "src").is_dir() \
-        else model.root
-    paths: list[Path] = []
-    for entry in compile_db:
-        p = tu_path(entry)
-        if scope in p.parents:
-            paths.append(p)
-    paths.extend(sorted(scope.rglob("*.h")))
-    seen: set[Path] = set()
+    paths = [p for p in map(tu_path, compile_db) if model.src in p.parents]
+    paths.extend(sorted(model.src.rglob("*.h")))
+    paths.extend(sorted(model.src.rglob("*.cpp")))
     for p in paths:
         p = p.resolve()
-        if p in seen or not p.exists():
+        if p in model.files or not p.exists():
             continue
-        seen.add(p)
-        sf, fns, classes = _parse_file(p, p.read_text())
+        sf, fns, classes = _parse_file(p)
         model.files[p] = sf
         model.functions.extend(fns)
         model.classes.extend(classes)
