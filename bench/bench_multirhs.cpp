@@ -31,6 +31,7 @@
 #include "lqcd/base/timer.h"
 #include "lqcd/core/dd_solver.h"
 #include "lqcd/knc/work_model.h"
+#include "lqcd/simd/dispatch.h"
 
 using namespace lqcd;
 
@@ -182,10 +183,11 @@ void lane_throughput(const std::vector<int>& batch_sizes, int repeats) {
         static_cast<long long>(per_rhs.stats().matrix_block_loads) / repeats;
     const long long batch_loads =
         static_cast<long long>(batched.stats().matrix_block_loads) / repeats;
+    const int lanes =
+        nrhs == 1 ? 1 : padded_rhs_lanes(nrhs, simd::kernels().lane_width);
     std::printf("  %5d %5d %13.2f %13.2f %8.2fx %14lld %14lld\n", nrhs,
-                nrhs == 1 ? 1 : padded_rhs_lanes(nrhs), gfs_scalar,
-                gfs_batch, gfs_batch / gfs_scalar, scalar_loads,
-                batch_loads);
+                lanes, gfs_scalar, gfs_batch, gfs_batch / gfs_scalar,
+                scalar_loads, batch_loads);
   }
   std::printf("  the batch loads each domain's packed matrices once per\n"
               "  visit; for nrhs >= 2 it applies each loaded element to\n"

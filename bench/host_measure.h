@@ -13,6 +13,10 @@
 #include "lqcd/knc/machine.h"
 #include "lqcd/simd/dispatch.h"
 
+#if defined(LQCD_HAVE_OPENMP)
+#include <omp.h>
+#endif
+
 namespace lqcd::bench {
 
 // Per-site / per-call flop counts, from the repo's instrumented counter
@@ -233,19 +237,47 @@ inline KernelMeasurement measure_block_solve(int nrhs, double min_seconds) {
   return m;
 }
 
-/// Measure this host with the CURRENTLY ACTIVE dispatch backend. `smoke`
-/// shrinks problem sizes and timing windows to CI scale.
+/// Caps OpenMP at one thread while alive and restores the previous
+/// limit: the rates measured here are per core, and the block solve
+/// would otherwise run on every thread.
+class OneThread {
+ public:
+  OneThread() {
+#if defined(LQCD_HAVE_OPENMP)
+    saved_ = omp_get_max_threads();
+    omp_set_num_threads(1);
+#endif
+  }
+  ~OneThread() {
+#if defined(LQCD_HAVE_OPENMP)
+    omp_set_num_threads(saved_);
+#endif
+  }
+  OneThread(const OneThread&) = delete;
+  OneThread& operator=(const OneThread&) = delete;
+
+ private:
+  [[maybe_unused]] int saved_ = 1;
+};
+
+/// Measure one core of this host with the CURRENTLY ACTIVE dispatch
+/// backend. `smoke` shrinks problem sizes and timing windows to CI scale.
+/// The lane kernels and the block solve run at simd::kCommonLaneWidth
+/// lanes, a multiple of every backend's lane width, so no backend runs a
+/// tail.
 inline knc::HostCalibration measure_host(bool smoke) {
+  const OneThread one_thread;
   const double w = smoke ? 0.02 : 0.25;
   const std::int64_t nmat = smoke ? 2048 : 16384;
   const std::int32_t nsites = smoke ? 256 : 1024;
-  const int lanes = 8;  // typical padded RHS lane count
+  const int lanes = simd::kCommonLaneWidth;
 
   knc::HostCalibration cal;
   cal.backend = simd::to_string(simd::active_backend());
   cal.su3_nn_gflops = measure_su3_mul_nn(nmat, w).gflops();
   cal.dslash_gflops = measure_dslash_lanes(nsites, lanes, w).gflops();
-  cal.block_solve_gflops = measure_block_solve(4, smoke ? 0.05 : 0.5).gflops();
+  cal.block_solve_gflops =
+      measure_block_solve(lanes, smoke ? 0.05 : 0.5).gflops();
   cal.fp16_gbs = measure_fp16_roundtrip(smoke ? 1 << 15 : 1 << 20, w).gbs();
   return cal;
 }

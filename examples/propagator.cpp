@@ -6,11 +6,12 @@
 // propagator-farm layer): the 12 spin-color sources are submitted as
 // independent SolveRequests, and because they share one gauge
 // configuration, mass, and csw, the lane-packing scheduler gathers them
-// into kRhsSimdWidth-aligned batches behind one cached DDSolverSetup.
-// Each batch streams the packed Schwarz matrices once per sweep for all
-// its lanes (paper Sec. VI), and the harvested deflation subspace is
-// recycled across batches by the per-context RecycleCache — exactly what
-// a physics campaign's analysis farm does, minus MPI.
+// into lane batches (here 8 + 4) behind one cached DDSolverSetup. Each
+// batch streams the packed Schwarz matrices once per sweep for all its
+// lanes (paper Sec. VI), and the deflation subspace the first batch
+// harvests is recycled by the second through the per-context
+// RecycleCache — exactly what a physics campaign's analysis farm does,
+// minus MPI.
 //
 // The pion two-point function is
 //   C(t) = sum_x sum_{s,c,s',c'} |S(x,t; 0)_{s c, s' c'}|^2,
@@ -49,7 +50,10 @@ int main() {
 
   SolverServiceConfig scfg;
   scfg.solver = cfg;
-  scfg.batch.max_lanes = 2 * kRhsSimdWidth;  // 8 lanes: 12 solves -> 8+4
+  // 12 solves -> 8 + 4, so the second batch shows cross-batch recycling.
+  // The 8 is not a SIMD property: the default cap (16) would put all 12
+  // sources into one batch.
+  scfg.batch.max_lanes = 8;
   scfg.batch.window_seconds = 0.05;
   scfg.worker_threads = 1;
   SolverService service(scfg);

@@ -60,9 +60,10 @@ inline double block_schur_flops(const Coord& block) noexcept {
   return 168.0 * 2.0 * hops + vd * 504.0 / 2.0 * 2.0 + (vd / 2.0) * 24.0;
 }
 
-/// SIMD width (in RHS lanes) of the lane-vectorized block solve — mirrors
-/// kRhsSimdWidth of schwarz/storage.h.
-inline constexpr int kRhsLaneWidth = 4;
+/// RHS lanes per vector on the KNC: its 512-bit SIMD holds 16
+/// single-precision lanes (paper Sec. II-A), so the modelled lane batch
+/// pads to a multiple of 16.
+inline constexpr int kRhsLaneWidth = 16;
 
 /// Fraction of RHS-lane vector slots doing useful work when nrhs
 /// right-hand sides are padded up to a multiple of `width` lanes:

@@ -680,7 +680,9 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
     AlignedVector<float> decoded;
 
     // Lane-vectorized (SOA-over-RHS) working set, allocated lazily on the
-    // first batched domain visit and reused until the batch width changes.
+    // first batched domain visit and reused until the padded lane count
+    // changes: a lockstep batch that shrinks as its lanes converge keeps
+    // one allocation while its padded count stays the same.
     BlockSpinorLanes r_lanes, z_lanes;  // full-volume (vd sites)
     BlockSpinorLanes rhs_e_lanes, mr_r_lanes, mr_ar_lanes, t1_lanes,
         t2_lanes;                    // half-volume (hv sites)
@@ -688,23 +690,23 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
     AlignedVector<float> s24;        // per-site full-spinor lane temp
     LaneMRState mr_state;
     std::vector<std::int32_t> site_map;  // local -> global site of domain
-    int lanes_nrhs = 0;
+    int lane_count = 0;  // padded lane count the buffers are sized for
 
-    void ensure_lanes(std::int32_t vd, std::int32_t hv, int nrhs) {
-      if (lanes_nrhs == nrhs) return;
-      r_lanes = BlockSpinorLanes(vd, nrhs);
-      z_lanes = BlockSpinorLanes(vd, nrhs);
-      rhs_e_lanes = BlockSpinorLanes(hv, nrhs);
-      mr_r_lanes = BlockSpinorLanes(hv, nrhs);
-      mr_ar_lanes = BlockSpinorLanes(hv, nrhs);
-      t1_lanes = BlockSpinorLanes(hv, nrhs);
-      t2_lanes = BlockSpinorLanes(hv, nrhs);
-      const auto L = static_cast<std::size_t>(padded_rhs_lanes(nrhs));
+    void ensure_lanes(std::int32_t vd, std::int32_t hv, int lanes) {
+      if (lane_count == lanes) return;
+      r_lanes = BlockSpinorLanes(vd, lanes);
+      z_lanes = BlockSpinorLanes(vd, lanes);
+      rhs_e_lanes = BlockSpinorLanes(hv, lanes);
+      mr_r_lanes = BlockSpinorLanes(hv, lanes);
+      mr_ar_lanes = BlockSpinorLanes(hv, lanes);
+      t1_lanes = BlockSpinorLanes(hv, lanes);
+      t2_lanes = BlockSpinorLanes(hv, lanes);
+      const auto L = static_cast<std::size_t>(lanes);
       h1.resize(12 * L);
       h2.resize(12 * L);
       s24.resize(static_cast<std::size_t>(kSpinorReals) * L);
       site_map.resize(static_cast<std::size_t>(vd));
-      lanes_nrhs = nrhs;
+      lane_count = lanes;
     }
   };
 
@@ -772,6 +774,8 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
     for (int b = 0; b < nrhs; ++b)
       r_ptrs_[static_cast<std::size_t>(b)] =
           &r_batch_[static_cast<std::size_t>(b)];
+    // Read once per apply, so a backend switch between applies re-pads.
+    lanes_ = padded_rhs_lanes(nrhs, simd::kernels().lane_width);
 
     // Deterministic parallel fault hook: pre-draw one fire decision per
     // domain VISIT (schwarz_iterations x num_domains keys, serial, from the
@@ -1254,8 +1258,8 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
                           FermionField<float>* const* u, Scratch& sc) {
     const std::int32_t vd = part_->domain_volume();
     const std::int32_t hv = part_->domain_half_volume();
-    sc.ensure_lanes(vd, hv, nrhs);
-    const int L = sc.r_lanes.lanes();
+    sc.ensure_lanes(vd, hv, lanes_);
+    const int L = lanes_;
     const auto nb = static_cast<std::int64_t>(nrhs);
 
     for (std::int32_t l = 0; l < vd; ++l)
@@ -1482,6 +1486,9 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
   /// Live only while apply_impl()'s sweep loop runs; points at the
   /// stack-local ParallelFaultScope of the current application.
   ParallelFaultScope* domain_scope_ = nullptr;
+  /// Padded lane count of the current application's batch: nrhs rounded
+  /// up to the active backend's lane width. Set by apply_impl().
+  int lanes_ = 0;
 };
 
 }  // namespace lqcd

@@ -159,41 +159,36 @@ std::uint32_t packed_checksum(const S* data, std::size_t count) noexcept {
 // solve applied to ALL right-hand sides while a matrix element sits in
 // registers. The layout that makes that a unit-stride SIMD loop is
 // "structure of arrays over the RHS index": [site][real component][lane],
-// with the lane (= RHS) index innermost and padded to a SIMD-friendly
-// width. Padding lanes hold zeros, which every kernel of the block solve
-// maps to zeros, so they are arithmetically inert.
+// with the lane (= RHS) index innermost and padded to the dispatched
+// backend's lane width. Padding lanes hold zeros, which every kernel of
+// the block solve maps to zeros, so they are arithmetically inert.
 // ---------------------------------------------------------------------------
 
-/// Unit-stride SIMD quantum of the RHS lane dimension. 4 floats (128 bit)
-/// keeps padding waste at <= 3 lanes for any nrhs; lane loops run over the
-/// full padded count, so compilers are free to fuse consecutive groups
-/// into wider (AVX2/AVX-512) vectors when available.
-inline constexpr int kRhsSimdWidth = 4;
-
-constexpr int padded_rhs_lanes(int nrhs) noexcept {
-  return (nrhs + kRhsSimdWidth - 1) / kRhsSimdWidth * kRhsSimdWidth;
+/// Lane count of a batch of nrhs right-hand sides: nrhs padded up to a
+/// multiple of `width`, the active backend's simd::Kernels::lane_width
+/// (the count its lane kernels run with no masked or scalar tail).
+constexpr int padded_rhs_lanes(int nrhs, int width) noexcept {
+  return (nrhs + width - 1) / width * width;
 }
 
 /// Multi-RHS block-spinor container for the lane-vectorized Schwarz block
 /// solve: `sites x kSpinorReals` lane vectors, each a contiguous run of
-/// `lanes()` floats (lanes() = nrhs padded up to kRhsSimdWidth).
+/// `lanes()` floats (a padded_rhs_lanes() count).
 class BlockSpinorLanes {
  public:
   BlockSpinorLanes() = default;
   // analyze-safe(parallel-reachability): the argument check guards values
-  // fixed by the domain partition at setup; per-thread scratch construction
-  // inside a sweep re-validates the same setup-time constants.
-  BlockSpinorLanes(std::int32_t sites, int nrhs)
+  // fixed by the domain partition and the apply's padded lane count;
+  // per-thread scratch construction inside a sweep re-validates them.
+  BlockSpinorLanes(std::int32_t sites, int lanes)
       : sites_(sites),
-        nrhs_(nrhs),
-        lanes_(padded_rhs_lanes(nrhs)),
+        lanes_(lanes),
         data_(static_cast<std::size_t>(sites) * kSpinorReals *
-              static_cast<std::size_t>(padded_rhs_lanes(nrhs))) {
-    LQCD_CHECK(sites >= 0 && nrhs >= 1);
+              static_cast<std::size_t>(lanes)) {
+    LQCD_CHECK(sites >= 0 && lanes >= 1);
   }
 
   std::int32_t sites() const noexcept { return sites_; }
-  int nrhs() const noexcept { return nrhs_; }
   int lanes() const noexcept { return lanes_; }
 
   /// Pointer to the lane vector of (site, real component); components
@@ -215,7 +210,6 @@ class BlockSpinorLanes {
 
  private:
   std::int32_t sites_ = 0;
-  int nrhs_ = 0;
   int lanes_ = 0;
   AlignedVector<float> data_;
 };
@@ -229,7 +223,7 @@ class BlockSpinorLanes {
 inline void pack_rhs_lanes(const FermionField<float>* const* fields,
                            int nrhs, const std::int32_t* site_map,
                            std::int32_t nsites, BlockSpinorLanes& out) {
-  LQCD_CHECK(out.sites() >= nsites && out.nrhs() == nrhs);
+  LQCD_CHECK(out.sites() >= nsites && nrhs >= 1 && nrhs <= out.lanes());
   const int lanes = out.lanes();
   for (std::int32_t i = 0; i < nsites; ++i) {
     const std::int32_t g = site_map != nullptr ? site_map[i] : i;

@@ -21,17 +21,18 @@
 #include <vector>
 
 #include "lqcd/base/timer.h"
-#include "lqcd/schwarz/storage.h"
 #include "lqcd/service/request.h"
 #include "lqcd/service/setup_cache.h"
+#include "lqcd/simd/dispatch.h"
 
 namespace lqcd {
 
 struct BatchPolicy {
-  /// Lane cap per dispatch. Multiples of kRhsSimdWidth waste no padding
-  /// lanes in the batched Schwarz sweep; the default (2 SIMD groups)
-  /// balances streaming amortization against batching delay.
-  int max_lanes = 2 * kRhsSimdWidth;
+  /// Lane cap per dispatch. The default is a multiple of every SIMD
+  /// backend's lane width, so a full default batch runs the batched
+  /// Schwarz sweep with no padding lanes on any host, and how requests
+  /// are batched does not depend on the host's backend.
+  int max_lanes = simd::kCommonLaneWidth;
   /// Maximum time a queue head may wait for lane-mates before a partial
   /// batch is flushed.
   double window_seconds = 0.05;

@@ -23,6 +23,7 @@ constexpr Kernels kAvx2Kernels = {
     &a2::mr_axpy_lanes,
     &a2::float_to_half_n,
     &a2::half_to_float_n,
+    4,  // lane_width: the 8- and 4-wide paths leave no scalar tail
 };
 }  // namespace
 

@@ -264,6 +264,7 @@ constexpr Kernels kAvx512Kernels = {
     &a2::mr_axpy_lanes,
     &a5::float_to_half_n,
     &a5::half_to_float_n,
+    16,  // lane_width: one unmasked __m512 per lane vector
 };
 }  // namespace
 

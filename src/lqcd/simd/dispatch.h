@@ -39,6 +39,11 @@ namespace lqcd::simd {
 enum class Backend : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 inline constexpr int kNumBackends = 3;
 
+/// A lane count every backend runs without a tail: each backend's
+/// Kernels::lane_width divides it (tested). Batch caps and the kernel
+/// benches use it so that they do not depend on the host's backend.
+inline constexpr int kCommonLaneWidth = 16;
+
 /// The dispatched kernel table. All lane kernels take the SOA-over-RHS
 /// layout of schwarz/storage.h: a "lane vector" is `lanes` contiguous
 /// floats, components are [re lane vector][im lane vector] pairs.
@@ -94,6 +99,11 @@ struct Kernels {
   /// converter of linalg/fp16.cpp otherwise). Bit-identical everywhere.
   void (*float_to_half_n)(const float* src, Half* dst, std::int64_t n);
   void (*half_to_float_n)(const Half* src, float* dst, std::int64_t n);
+
+  /// Lane count at which this backend's lane kernels run with no masked
+  /// or scalar tail. SchwarzPreconditioner pads every lane batch to a
+  /// multiple of it.
+  int lane_width;
 };
 
 /// Canonical lower-case backend name ("scalar" | "avx2" | "avx512").

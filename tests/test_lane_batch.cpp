@@ -51,14 +51,20 @@ double rel_field_diff(const FermionField<float>& a,
 // ---------------------------------------------------------------------------
 
 TEST(BlockSpinorLanes, PaddingAndLayout) {
-  EXPECT_EQ(padded_rhs_lanes(1), kRhsSimdWidth);
-  EXPECT_EQ(padded_rhs_lanes(4), 4);
-  EXPECT_EQ(padded_rhs_lanes(5), 8);
-  EXPECT_EQ(padded_rhs_lanes(12), 12);
+  // A batch pads up to a multiple of the backend's lane width: 4 on the
+  // scalar and AVX2 backends, 16 on AVX-512.
+  EXPECT_EQ(padded_rhs_lanes(1, 4), 4);
+  EXPECT_EQ(padded_rhs_lanes(4, 4), 4);
+  EXPECT_EQ(padded_rhs_lanes(5, 4), 8);
+  EXPECT_EQ(padded_rhs_lanes(11, 4), 12);
+  EXPECT_EQ(padded_rhs_lanes(12, 4), 12);
+  EXPECT_EQ(padded_rhs_lanes(1, 16), 16);
+  EXPECT_EQ(padded_rhs_lanes(11, 16), 16);
+  EXPECT_EQ(padded_rhs_lanes(16, 16), 16);
+  EXPECT_EQ(padded_rhs_lanes(17, 16), 32);
 
-  BlockSpinorLanes s(3, 5);
+  BlockSpinorLanes s(3, padded_rhs_lanes(5, 4));
   EXPECT_EQ(s.sites(), 3);
-  EXPECT_EQ(s.nrhs(), 5);
   EXPECT_EQ(s.lanes(), 8);
   // The lane index is innermost and unit-stride; components of a site are
   // contiguous lane vectors.
@@ -78,7 +84,7 @@ TEST(BlockSpinorLanes, PackUnpackRoundTripWithOddNrhs) {
     ip.push_back(&in[bb]);
   }
 
-  BlockSpinorLanes lanes(nsites, nrhs);
+  BlockSpinorLanes lanes(nsites, padded_rhs_lanes(nrhs, 4));
   pack_rhs_lanes(ip.data(), nrhs, nullptr, nsites, lanes);
 
   // Padding lanes must be zero-filled (arithmetically inert).
@@ -388,33 +394,36 @@ TEST(EvenOddBatch, MatchesPerRhsEvenOddSolve) {
 // ---------------------------------------------------------------------------
 
 TEST(WorkModelLanes, RhsLaneEfficiency) {
+  // The KNC's 512-bit SIMD holds 16 single-precision lanes (Sec. II-A).
+  EXPECT_EQ(knc::kRhsLaneWidth, 16);
   EXPECT_EQ(knc::rhs_lane_efficiency(1), 1.0);
-  EXPECT_EQ(knc::rhs_lane_efficiency(4), 1.0);
-  EXPECT_EQ(knc::rhs_lane_efficiency(8), 1.0);
-  EXPECT_EQ(knc::rhs_lane_efficiency(12), 1.0);
-  EXPECT_DOUBLE_EQ(knc::rhs_lane_efficiency(3), 0.75);
-  EXPECT_DOUBLE_EQ(knc::rhs_lane_efficiency(5), 5.0 / 8.0);
-  EXPECT_DOUBLE_EQ(knc::rhs_lane_efficiency(6), 0.75);
-  // Wider hardware lanes pad more.
-  EXPECT_DOUBLE_EQ(knc::rhs_lane_efficiency(12, 16), 0.75);
+  EXPECT_EQ(knc::rhs_lane_efficiency(16), 1.0);
+  EXPECT_EQ(knc::rhs_lane_efficiency(32), 1.0);
+  EXPECT_DOUBLE_EQ(knc::rhs_lane_efficiency(4), 0.25);
+  EXPECT_DOUBLE_EQ(knc::rhs_lane_efficiency(12), 0.75);
+  EXPECT_DOUBLE_EQ(knc::rhs_lane_efficiency(17), 17.0 / 32.0);
+  // Narrower hardware lanes pad less.
+  EXPECT_DOUBLE_EQ(knc::rhs_lane_efficiency(3, 4), 0.75);
+  EXPECT_DOUBLE_EQ(knc::rhs_lane_efficiency(5, 4), 5.0 / 8.0);
+  EXPECT_EQ(knc::rhs_lane_efficiency(12, 4), 1.0);
 }
 
 TEST(WorkModelLanes, PaddingScalesExecutedFlopsOnly) {
   const Coord block = {8, 4, 4, 4};
   const auto w5 = knc::block_solve_work(block, 5, true, 5);
-  EXPECT_DOUBLE_EQ(w5.rhs_lane_efficiency, 5.0 / 8.0);
+  EXPECT_DOUBLE_EQ(w5.rhs_lane_efficiency, 5.0 / 16.0);
 
   const auto executed =
       knc::apply_rhs_lane_padding(w5.kernel, w5.rhs_lane_efficiency);
-  EXPECT_DOUBLE_EQ(executed.flops, w5.kernel.flops * 8.0 / 5.0);
+  EXPECT_DOUBLE_EQ(executed.flops, w5.kernel.flops * 16.0 / 5.0);
   EXPECT_EQ(executed.l2_bytes, w5.kernel.l2_bytes);
   EXPECT_EQ(executed.mem_bytes, w5.kernel.mem_bytes);
 
   // Full lanes execute exactly the useful flops.
-  const auto w8 = knc::block_solve_work(block, 5, true, 8);
-  EXPECT_EQ(w8.rhs_lane_efficiency, 1.0);
-  EXPECT_EQ(knc::apply_rhs_lane_padding(w8.kernel, 1.0).flops,
-            w8.kernel.flops);
+  const auto w16 = knc::block_solve_work(block, 5, true, 16);
+  EXPECT_EQ(w16.rhs_lane_efficiency, 1.0);
+  EXPECT_EQ(knc::apply_rhs_lane_padding(w16.kernel, 1.0).flops,
+            w16.kernel.flops);
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
 // Runtime SIMD dispatch (simd/dispatch.h): CPUID/env backend selection,
 // the cross-backend numerical contract — bit-identical SU(3) multiply,
 // spin projection, xpay and binary16 conversion; <= 1e-6 for the
-// FMA-carrying clover and MR kernels — and backend-invariance of the
-// Schwarz instrumented counters.
+// FMA-carrying clover and MR kernels — backend-invariance of the
+// Schwarz instrumented counters, and the lane-width contract: every
+// backend's width divides kCommonLaneWidth, and a batch's output does not
+// depend on the width it is padded to or on the batch size.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "lqcd/base/error.h"
@@ -123,6 +126,18 @@ TEST(SimdDispatch, ForceBackendSwitchesAndScopedBackendRestores) {
     if (!simd::backend_supported(b)) {
       EXPECT_THROW(simd::force_backend(b), Error);
     }
+  }
+}
+
+TEST(SimdDispatch, EveryLaneWidthDividesTheCommonLaneWidth) {
+  for (const Backend b : simd::available_backends()) {
+    ScopedBackend scope(b);
+    const int w = simd::kernels().lane_width;
+    ASSERT_GE(w, 1) << simd::to_string(b);
+    EXPECT_EQ(simd::kCommonLaneWidth % w, 0) << simd::to_string(b);
+    // avx512 runs one unmasked 16-float vector per lane vector; avx2 and
+    // scalar keep the 4-lane padding they measured fastest at.
+    EXPECT_EQ(w, b == Backend::kAvx512 ? 16 : 4) << simd::to_string(b);
   }
 }
 
@@ -431,6 +446,114 @@ TEST(SimdSchwarz, BatchSolveAgreesAcrossBackendsWithIdenticalCounters) {
         << simd::to_string(w);
     EXPECT_EQ(stats.boundary_bytes, ref_stats.boundary_bytes);
     EXPECT_EQ(stats.flops, ref_stats.flops) << simd::to_string(w);
+  }
+}
+
+// The padded lane width is a pure speed choice. Padding lanes are inert
+// and lanes are independent, so each RHS's apply_batch output does not
+// depend on the batch it rides in or on the width the batch is padded
+// to: avx2 pads to multiples of 4, avx512 to multiples of 16 (nrhs = 17
+// runs two 16-lane vectors). Both backends evaluate the lane kernels
+// bit-identically, so the rows below are bitwise, counters EXPECT_EQ.
+TEST(SimdSchwarz, BatchOutputIsIndependentOfLaneWidthAndBatchSize) {
+  Geometry geom({8, 8, 8, 8});
+  Checkerboard cb(geom);
+  auto gauge = [&] {
+    auto gd = random_gauge_field<double>(geom, 0.5, 83);
+    gd.make_time_antiperiodic();
+    return convert<float>(gd);
+  }();
+  WilsonCloverOperator<float> op(geom, cb, gauge, 0.1f, 1.0f);
+  op.prepare_schur();
+  DomainPartition part(geom, {4, 4, 4, 4});
+  auto setup = std::make_shared<SchwarzSetup<Half>>(part, op);
+  SchwarzParams p;
+  p.schwarz_iterations = 2;
+  p.block_mr_iterations = 3;
+
+  const std::vector<int> batch_sizes = {2, 3, 5, 11, 16, 17};
+  const int max_rhs = 17;
+  std::vector<FermionField<float>> ff(max_rhs);
+  std::vector<const FermionField<float>*> fp;
+  for (int i = 0; i < max_rhs; ++i) {
+    const auto ii = static_cast<std::size_t>(i);
+    ff[ii] = FermionField<float>(geom.volume());
+    gaussian(ff[ii], static_cast<std::uint64_t>(300 + i));
+    fp.push_back(&ff[ii]);
+  }
+
+  struct Run {
+    std::vector<FermionField<float>> u;
+    SchwarzStats stats;
+  };
+  // One apply of RHS 0 .. nrhs-1 on the given preconditioner under
+  // backend b; stats are that apply's alone.
+  auto apply = [&](SchwarzPreconditioner<Half>& m, Backend b, int nrhs) {
+    ScopedBackend scope(b);
+    Run r;
+    r.u.resize(static_cast<std::size_t>(nrhs));
+    std::vector<FermionField<float>*> up;
+    for (auto& u : r.u) {
+      u = FermionField<float>(geom.volume());
+      up.push_back(&u);
+    }
+    const std::vector<const FermionField<float>*> f(fp.begin(),
+                                                    fp.begin() + nrhs);
+    m.reset_stats();
+    m.apply_batch(f, up);
+    r.stats = m.stats();
+    return r;
+  };
+  auto same_bits = [](const FermionField<float>& a,
+                      const FermionField<float>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.size()) *
+                           sizeof(Spinor<float>)) == 0;
+  };
+
+  // Batch-size rows, on every backend this machine runs: one instance
+  // applies every batch size in turn (the lane scratch re-keys as the
+  // padded count grows and shrinks), and RHS i of each batch carries the
+  // same bits as RHS i of the widest batch. In particular RHS 0-2 of a
+  // 3-batch equal RHS 0-2 of an 11-batch.
+  for (const Backend b : simd::available_backends()) {
+    SchwarzPreconditioner<Half> m(setup, p);
+    const Run widest = apply(m, b, max_rhs);
+    for (const int nrhs : batch_sizes) {
+      const Run r = apply(m, b, nrhs);
+      for (int i = 0; i < nrhs; ++i)
+        EXPECT_TRUE(same_bits(r.u[static_cast<std::size_t>(i)],
+                              widest.u[static_cast<std::size_t>(i)]))
+            << simd::to_string(b) << " nrhs " << nrhs << " RHS " << i;
+    }
+  }
+
+  // Cross-backend rows: avx2 (4-lane padding) against avx512 (16-lane
+  // padding) on the same instance, so every row also switches the
+  // backend between two applies. Skipped without AVX-512.
+  if (!simd::backend_supported(Backend::kAvx2) ||
+      !simd::backend_supported(Backend::kAvx512))
+    GTEST_SKIP() << "cross-backend rows need avx2 and avx512";
+  SchwarzPreconditioner<Half> m(setup, p);
+  for (const int nrhs : batch_sizes) {
+    const Run a2 = apply(m, Backend::kAvx2, nrhs);
+    const Run a5 = apply(m, Backend::kAvx512, nrhs);
+    for (int i = 0; i < nrhs; ++i)
+      EXPECT_TRUE(same_bits(a2.u[static_cast<std::size_t>(i)],
+                            a5.u[static_cast<std::size_t>(i)]))
+          << "nrhs " << nrhs << " RHS " << i;
+    EXPECT_EQ(a5.stats.applications, a2.stats.applications) << nrhs;
+    EXPECT_EQ(a5.stats.block_solves, a2.stats.block_solves) << nrhs;
+    EXPECT_EQ(a5.stats.mr_iterations, a2.stats.mr_iterations) << nrhs;
+    EXPECT_EQ(a5.stats.flops, a2.stats.flops) << nrhs;
+    EXPECT_EQ(a5.stats.boundary_bytes, a2.stats.boundary_bytes) << nrhs;
+    EXPECT_EQ(a5.stats.injected_faults, a2.stats.injected_faults) << nrhs;
+    EXPECT_EQ(a5.stats.precision_fallbacks, a2.stats.precision_fallbacks)
+        << nrhs;
+    EXPECT_EQ(a5.stats.matrix_block_loads, a2.stats.matrix_block_loads)
+        << nrhs;
+    EXPECT_EQ(a5.stats.sweeps, a2.stats.sweeps) << nrhs;
   }
 }
 

@@ -17,6 +17,15 @@ are simply skipped on a runner whose CPUID (or LQCD_SIMD_BACKEND) never
 produced an avx2 section. The scalar backend is mandatory — it exists on
 every machine, and its absence means the bench itself is broken.
 
+A second, relative check needs no baseline: when the measured file holds
+both avx512 and avx2, avx512 must reach at least (1 - tolerance) x the
+avx2 rate on the kernels listed in RELATIVE. bench_kernels runs the lane
+kernels at 16 lanes, a multiple of both backends' lane widths, so the
+wider backend losing there means its lane path runs masked or falls
+back. block_solve is not listed: it failed the check in 2 of 5 --smoke
+runs on a shared host, and its avx512/avx2 ratio (0.94-1.51 over ten
+runs) leaves little margin.
+
 Exit status: 0 all kernels within tolerance, 1 regression or malformed
 input, 2 bad invocation.
 """
@@ -28,6 +37,9 @@ import json
 import sys
 
 SCHEMA = "lqcd-bench-kernels-v1"
+
+# (wide backend, narrow backend, kernels the wide one must keep up on).
+RELATIVE = (("avx512", "avx2", ("dslash_lanes",)),)
 
 
 def load(path: str) -> dict:
@@ -139,6 +151,24 @@ def main() -> int:
     for backend in skipped_backends:
         print(f"{backend:8s} (not available on this machine — "
               f"{len(baseline[backend])} baseline kernel(s) skipped)")
+
+    for wide, narrow, names in RELATIVE:
+        if wide not in measured or narrow not in measured:
+            continue
+        for name in names:
+            w = measured[wide].get(name)
+            n = measured[narrow].get(name)
+            if w is None or n is None:
+                print(f"{wide:8s} {name:16s} relative to {narrow}: MISSING")
+                failures += 1
+                continue
+            floor = n["value"] * (1.0 - args.tolerance)
+            ok = w["value"] >= floor
+            compared += 1
+            failures += 0 if ok else 1
+            print(f"{wide:8s} {name:16s} {w['metric']:7s} "
+                  f"{w['value']:9.2f} {floor:9.2f} {n['value']:9.2f}  "
+                  f"{'ok' if ok else 'SLOWER'} (relative to {narrow})")
 
     if compared == 0:
         print("bench_compare: nothing compared — baseline and measured "
