@@ -100,40 +100,33 @@ inline KernelMeasurement measure_su3_mul_lanes(std::int32_t nsites, int lanes,
   return m;
 }
 
-/// The dslash hop arithmetic through the dispatch table: spin-project,
-/// SU(3)-multiply, reconstruct-accumulate, 8 hops per site on a ring
-/// neighborhood. Same inner kernels (and flop accounting: 168 per hop) as
-/// the lane dslash inside the Schwarz block solve, without its gather
-/// and boundary machinery.
+/// The lane dslash through the dispatch table: one whole-domain
+/// dslash_lanes call over `nsites` sites, 8 hops per site on a ring
+/// neighborhood. Same kernel (and flop accounting: 168 per hop) as the
+/// lane dslash inside the Schwarz block solve, without its gather and
+/// boundary machinery.
 inline KernelMeasurement measure_dslash_lanes(std::int32_t nsites, int lanes,
                                               double min_seconds) {
   const auto in = detail::random_floats(
       static_cast<std::int64_t>(nsites) * 24 * lanes, 121);
   const auto u = detail::random_floats(
-      static_cast<std::int64_t>(nsites) * 8 * 18, 122);
-  std::vector<float> out(in.size(), 0.0f);
-  std::vector<float> h(static_cast<std::size_t>(12) * lanes);
-  std::vector<float> uh(static_cast<std::size_t>(12) * lanes);
+      static_cast<std::int64_t>(nsites) * kNumDims * 18, 122);
+  // [site][mu][dir] ring table, forward hop first; no hop leaves the ring.
+  std::vector<std::int32_t> nbr(static_cast<std::size_t>(nsites) * 2 *
+                                kNumDims);
+  for (std::int32_t s = 0; s < nsites; ++s)
+    for (int mu = 0; mu < kNumDims; ++mu) {
+      const std::size_t base = (std::size_t(s) * kNumDims + mu) * 2;
+      nbr[base] = (s + 1 + mu) % nsites;
+      nbr[base + 1] = ((s - 1 - mu) % nsites + nsites) % nsites;
+    }
+  std::vector<float> out(in.size());
   KernelMeasurement m;
   const auto& k = simd::kernels();
   m.seconds = time_kernel(
       [&] {
-        for (std::int32_t s = 0; s < nsites; ++s) {
-          for (int mu = 0; mu < 4; ++mu)
-            for (const int sign : {+1, -1}) {
-              const std::int32_t nb =
-                  (s + 1 + mu) < nsites ? s + 1 + mu : 0;
-              const int hop = 2 * mu + (sign > 0 ? 0 : 1);
-              k.project_lanes(in.data() + std::size_t(s) * 24 * lanes, mu,
-                              sign, h.data(), lanes);
-              k.su3_mul_lanes(
-                  u.data() + (std::size_t(s) * 8 + std::size_t(hop)) * 18,
-                  h.data(), uh.data(), lanes, sign < 0);
-              k.reconstruct_add_lanes(
-                  out.data() + std::size_t(nb) * 24 * lanes, uh.data(), mu,
-                  sign, lanes);
-            }
-        }
+        k.dslash_lanes(u.data(), nbr.data(), 0, 0, nsites, in.data(),
+                       out.data(), lanes);
         checksum_accumulate(m.checksum, out.data(),
                             static_cast<std::int64_t>(out.size()), 83);
       },

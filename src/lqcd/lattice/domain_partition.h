@@ -53,12 +53,26 @@ class DomainPartition {
                   static_cast<std::size_t>(l)];
   }
 
+  /// The domain's global sites in local order: global_site(domain, l) ==
+  /// domain_sites(domain)[l].
+  const std::int32_t* domain_sites(int domain) const noexcept {
+    return sites_.data() + static_cast<std::size_t>(domain) *
+                               static_cast<std::size_t>(block_volume_);
+  }
+
   /// Local neighbor of local site l in direction (mu, dir), or -1 when the
   /// hop crosses the domain boundary. Shared by all domains.
   std::int32_t local_neighbor(std::int32_t l, int mu, Dir dir) const noexcept {
     const std::size_t base = static_cast<std::size_t>(l) * 2 * kNumDims +
                              static_cast<std::size_t>(mu) * 2;
     return local_nbr_[base + (dir == Dir::kForward ? 0 : 1)];
+  }
+
+  /// The whole neighbor table, [local][mu][dir] with the forward hop
+  /// first: local_neighbor(l, mu, dir) ==
+  /// local_neighbors()[(l * kNumDims + mu) * 2 + (dir == kForward ? 0 : 1)].
+  const std::int32_t* local_neighbors() const noexcept {
+    return local_nbr_.data();
   }
 
   /// Domain that owns a full-lattice site, and its local index there.

@@ -689,7 +689,6 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
     AlignedVector<float> h1, h2;     // per-site half-spinor lane temps
     AlignedVector<float> s24;        // per-site full-spinor lane temp
     LaneMRState mr_state;
-    std::vector<std::int32_t> site_map;  // local -> global site of domain
     int lane_count = 0;  // padded lane count the buffers are sized for
 
     void ensure_lanes(std::int32_t vd, std::int32_t hv, int lanes) {
@@ -705,7 +704,6 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
       h1.resize(12 * L);
       h2.resize(12 * L);
       s24.resize(static_cast<std::size_t>(kSpinorReals) * L);
-      site_map.resize(static_cast<std::size_t>(vd));
       lane_count = lanes;
     }
   };
@@ -1150,8 +1148,11 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
   //
   // Every kernel below walks the domain site by site, loads each packed
   // matrix element (link or clover block) ONCE, and applies it to all RHS
-  // lanes with unit-stride inner loops over the lane index. The lane
-  // arithmetic itself lives behind the runtime SIMD dispatch
+  // lanes with unit-stride inner loops over the lane index. The dslash is
+  // one dispatched call per parity application that walks the whole
+  // domain itself; clover and xpay are dispatched per site, boundary
+  // packing per face site. The lane arithmetic lives behind the runtime
+  // SIMD dispatch
   // (simd/dispatch.h): scalar, AVX2 or AVX-512 at the backend's choosing,
   // with the dispatch contract guaranteeing the instrumented counters
   // charge exactly nrhs times the scalar work in every backend (MR
@@ -1164,13 +1165,6 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
   static void lane_project(const float* in_site, int mu, int sign, float* h,
                            int lanes) {
     simd::kernels().project_lanes(in_site, mu, sign, h, lanes);
-  }
-
-  /// acc_site += full spinor reconstructed from the half-spinor lane
-  /// vectors `h` for projector (1 + sign*gamma_mu).
-  static void lane_reconstruct_add(float* acc_site, const float* h, int mu,
-                                   int sign, int lanes) {
-    simd::kernels().reconstruct_add_lanes(acc_site, h, mu, sign, lanes);
   }
 
   /// y = U x (or U^dagger x) on half-spinor lane vectors: the link (18
@@ -1190,39 +1184,17 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
   }
 
   /// Lane version of local_dslash_impl: out = D_{out_parity,1-out_parity}
-  /// applied to all lanes, each link loaded once per hop. `in` is indexed
-  /// by the parity-local convention of the scalar path (even fields by
-  /// local site < hv, odd fields by l - hv).
+  /// applied to all lanes in one dispatched whole-domain call, each link
+  /// loaded once per hop. `in` is indexed by the parity-local convention
+  /// of the scalar path (even fields by local site < hv, odd fields by
+  /// l - hv).
   void lane_dslash(const DomainMatrices& m, int out_parity,
-                   const BlockSpinorLanes& in, BlockSpinorLanes& out,
-                   Scratch& sc) {
+                   const BlockSpinorLanes& in, BlockSpinorLanes& out) const {
     const std::int32_t hv = part_->domain_half_volume();
-    const std::int32_t l0 = out_parity == 0 ? 0 : hv;
-    const std::int32_t in_off = out_parity == 0 ? hv : 0;
-    const int L = out.lanes();
-    float* h1 = sc.h1.data();
-    float* h2 = sc.h2.data();
-    for (std::int32_t i = 0; i < hv; ++i) {
-      const std::int32_t l = l0 + i;
-      float* acc = out.lane_vec(i, 0);
-      std::memset(acc, 0,
-                  sizeof(float) * static_cast<std::size_t>(kSpinorReals) *
-                      static_cast<std::size_t>(L));
-      for (int mu = 0; mu < kNumDims; ++mu) {
-        const std::int32_t lf = part_->local_neighbor(l, mu, Dir::kForward);
-        if (lf >= 0) {
-          lane_project(in.lane_vec(lf - in_off, 0), mu, -1, h1, L);
-          lane_su3_mul(m.link(l, mu), h1, h2, L, false);
-          lane_reconstruct_add(acc, h2, mu, -1, L);
-        }
-        const std::int32_t lb = part_->local_neighbor(l, mu, Dir::kBackward);
-        if (lb >= 0) {
-          lane_project(in.lane_vec(lb - in_off, 0), mu, +1, h1, L);
-          lane_su3_mul(m.link(lb, mu), h1, h2, L, true);
-          lane_reconstruct_add(acc, h2, mu, +1, L);
-        }
-      }
-    }
+    simd::kernels().dslash_lanes(m.links, part_->local_neighbors(),
+                                 out_parity == 0 ? 0 : hv,
+                                 out_parity == 0 ? hv : 0, hv, in.data(),
+                                 out.data(), out.lanes());
   }
 
   /// Lane version of local_schur: out_e = Dtilde_ee in_e for all lanes.
@@ -1230,12 +1202,12 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
                   BlockSpinorLanes& out_e, Scratch& sc) {
     const std::int32_t hv = part_->domain_half_volume();
     const int L = in_e.lanes();
-    lane_dslash(m, 1, in_e, sc.t1_lanes, sc);
+    lane_dslash(m, 1, in_e, sc.t1_lanes);
     for (std::int32_t lo = 0; lo < hv; ++lo)
       lane_apply_block_pair(load_block(m.inv(lo, 0)), load_block(m.inv(lo, 1)),
                             sc.t1_lanes.lane_vec(lo, 0),
                             sc.t2_lanes.lane_vec(lo, 0), L);
-    lane_dslash(m, 0, sc.t2_lanes, out_e, sc);
+    lane_dslash(m, 0, sc.t2_lanes, out_e);
     for (std::int32_t le = 0; le < hv; ++le) {
       lane_apply_block_pair(load_block(m.diag(le, 0)),
                             load_block(m.diag(le, 1)), in_e.lane_vec(le, 0),
@@ -1262,9 +1234,8 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
     const int L = lanes_;
     const auto nb = static_cast<std::int64_t>(nrhs);
 
-    for (std::int32_t l = 0; l < vd; ++l)
-      sc.site_map[static_cast<std::size_t>(l)] = part_->global_site(d, l);
-    pack_rhs_lanes(r_ptrs_.data(), nrhs, sc.site_map.data(), vd, sc.r_lanes);
+    const std::int32_t* sites = part_->domain_sites(d);
+    pack_rhs_lanes(r_ptrs_.data(), nrhs, sites, vd, sc.r_lanes);
     if (params_.half_precision_spinors)
       round_lanes_fp16(sc.r_lanes.data(),
                        static_cast<std::int64_t>(vd) * kSpinorReals * L);
@@ -1274,7 +1245,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
       lane_apply_block_pair(load_block(m.inv(lo, 0)), load_block(m.inv(lo, 1)),
                             sc.r_lanes.lane_vec(hv + lo, 0),
                             sc.t1_lanes.lane_vec(lo, 0), L);
-    lane_dslash(m, 0, sc.t1_lanes, sc.rhs_e_lanes, sc);
+    lane_dslash(m, 0, sc.t1_lanes, sc.rhs_e_lanes);
     for (std::int32_t le = 0; le < hv; ++le) {
       const float* rv = sc.r_lanes.lane_vec(le, 0);
       float* ev = sc.rhs_e_lanes.lane_vec(le, 0);
@@ -1310,7 +1281,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
     }
 
     // Odd reconstruction: z_o = A_oo^-1 (r_o + 1/2 D_oe z_e).
-    lane_dslash(m, 1, sc.z_lanes, sc.t1_lanes, sc);
+    lane_dslash(m, 1, sc.z_lanes, sc.t1_lanes);
     for (std::int32_t lo = 0; lo < hv; ++lo) {
       const float* rv = sc.r_lanes.lane_vec(hv + lo, 0);
       const float* tv = sc.t1_lanes.lane_vec(lo, 0);
@@ -1327,7 +1298,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
 
     // Scatter: u += z; residual even <- MR residual, odd <- 0.
     for (std::int32_t l = 0; l < vd; ++l) {
-      const std::int32_t g = sc.site_map[static_cast<std::size_t>(l)];
+      const std::int32_t g = sites[l];
       for (int sp = 0; sp < kNumSpins; ++sp)
         for (int c = 0; c < kNumColors; ++c) {
           const int comp = (sp * kNumColors + c) * 2;

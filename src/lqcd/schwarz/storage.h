@@ -55,8 +55,11 @@ void store_su3(const SU3<float>& u, S* dst) noexcept {
     }
 }
 
+/// Always inlined: left to GCC 12's unit-wide inline budget, the two
+/// load_su3 calls of the scalar dslash go in or out of line with the size
+/// of unrelated code in the including translation unit.
 template <class S>
-SU3<float> load_su3(const S* src) noexcept {
+[[gnu::always_inline]] inline SU3<float> load_su3(const S* src) noexcept {
   SU3<float> u;
   int k = 0;
   for (int i = 0; i < kNumColors; ++i)

@@ -11,8 +11,9 @@
 // are bit-identical to the scalar backend. clover_pair_lanes and the MR
 // kernels use FMA: per-term rounding differs from scalar at the last bit
 // (<= 1e-6 relative after accumulation), which the dispatch contract
-// allows. All loop tails fall back to the ref:: scalar kernels, which this
-// TU compiles with -ffp-contract=off like every other backend.
+// allows. Loop tails run scalar code, which this TU compiles with
+// -ffp-contract=off like every other backend; the dslash's tail is a
+// masked 4-lane chunk instead (see dslash_lanes.h).
 #pragma once
 
 #include "lqcd/simd/scalar_kernels.h"
@@ -214,29 +215,61 @@ inline void project_lanes(const float* in_site, int mu, int sign, float* h,
   }
 }
 
-inline void reconstruct_add_lanes(float* acc_site, const float* h, int mu,
-                                  int sign, int lanes) noexcept {
-  const PermPhaseMatrix& g = kGamma[static_cast<std::size_t>(mu)];
-  const float s = sign > 0 ? 1.0f : -1.0f;
-  for (int r = 0; r < 2; ++r)
-    for (int c = 0; c < kNumColors; ++c) {
-      float* a_re = acc_site + (r * kNumColors + c) * 2 * lanes;
-      const float* h_re = h + (r * kNumColors + c) * 2 * lanes;
-      int l = 0;
-      for (; l + 8 <= 2 * lanes; l += 8)
-        _mm256_storeu_ps(a_re + l, _mm256_add_ps(_mm256_loadu_ps(a_re + l),
-                                                 _mm256_loadu_ps(h_re + l)));
-      for (; l < 2 * lanes; ++l) a_re[l] += h_re[l];
-    }
-  for (int r = 2; r < kNumSpins; ++r) {
-    const int col = g.col[static_cast<std::size_t>(r)];
-    for (int c = 0; c < kNumColors; ++c) {
-      float* a_re = acc_site + (r * kNumColors + c) * 2 * lanes;
-      const float* b_re = h + (col * kNumColors + c) * 2 * lanes;
-      phase_madd(a_re, a_re + lanes, b_re, b_re + lanes,
-                 g.phase[static_cast<std::size_t>(r)], s, a_re, a_re + lanes,
-                 lanes);
-    }
+/// Vector traits of simd/dslash_lanes.h: 8 lanes per __m256, 4 per
+/// __m128.
+struct Ymm {
+  using reg = __m256;
+  static constexpr int width = 8;
+  reg load(const float* p) const noexcept { return _mm256_loadu_ps(p); }
+  void store(float* p, reg x) const noexcept { _mm256_storeu_ps(p, x); }
+  static reg zero() noexcept { return _mm256_setzero_ps(); }
+  static reg set1(float x) noexcept { return _mm256_set1_ps(x); }
+  static reg add(reg a, reg b) noexcept { return _mm256_add_ps(a, b); }
+  static reg sub(reg a, reg b) noexcept { return _mm256_sub_ps(a, b); }
+  static reg mul(reg a, reg b) noexcept { return _mm256_mul_ps(a, b); }
+};
+
+struct Xmm {
+  using reg = __m128;
+  static constexpr int width = 4;
+  reg load(const float* p) const noexcept { return _mm_loadu_ps(p); }
+  void store(float* p, reg x) const noexcept { _mm_storeu_ps(p, x); }
+  static reg zero() noexcept { return _mm_setzero_ps(); }
+  static reg set1(float x) noexcept { return _mm_set1_ps(x); }
+  static reg add(reg a, reg b) noexcept { return _mm_add_ps(a, b); }
+  static reg sub(reg a, reg b) noexcept { return _mm_sub_ps(a, b); }
+  static reg mul(reg a, reg b) noexcept { return _mm_mul_ps(a, b); }
+};
+
+/// A masked Xmm for the last lanes % 4: lane l is live iff l < rem.
+struct XmmTail : Xmm {
+  __m128i m;
+  reg load(const float* p) const noexcept { return _mm_maskload_ps(p, m); }
+  void store(float* p, reg x) const noexcept { _mm_maskstore_ps(p, m, x); }
+};
+
+inline __m128i tail_mask4(int rem) noexcept {
+  return _mm_cmpgt_epi32(_mm_set1_epi32(rem), _mm_setr_epi32(0, 1, 2, 3));
+}
+
+/// The whole-domain lane dslash: 8-lane chunks, then 4, then a masked 4.
+inline void dslash_lanes(const float* links, const std::int32_t* nbr,
+                         std::int32_t l0, std::int32_t in_off,
+                         std::int32_t nsites, const float* in, float* out,
+                         int lanes) noexcept {
+  for (std::int32_t i = 0; i < nsites; ++i) {
+    float* o = out + static_cast<std::size_t>(i) * kSpinorReals *
+                         static_cast<std::size_t>(lanes);
+    int c = 0;
+    for (; c + Ymm::width <= lanes; c += Ymm::width)
+      detail::dslash_site(Ymm{}, links, nbr, l0 + i, in_off, in + c, o + c,
+                          lanes);
+    for (; c + Xmm::width <= lanes; c += Xmm::width)
+      detail::dslash_site(Xmm{}, links, nbr, l0 + i, in_off, in + c, o + c,
+                          lanes);
+    if (c < lanes)
+      detail::dslash_site(XmmTail{{}, tail_mask4(lanes - c)}, links, nbr,
+                          l0 + i, in_off, in + c, o + c, lanes);
   }
 }
 

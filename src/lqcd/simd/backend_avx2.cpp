@@ -16,7 +16,7 @@ constexpr Kernels kAvx2Kernels = {
     &a2::su3_mul_nn,
     &a2::su3_mul_lanes,
     &a2::project_lanes,
-    &a2::reconstruct_add_lanes,
+    &a2::dslash_lanes,
     &a2::clover_pair_lanes,
     &a2::xpay_lanes,
     &a2::mr_dots_lanes,

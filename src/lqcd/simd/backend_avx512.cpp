@@ -6,7 +6,7 @@
 // -ffp-contract=off.
 //
 // Numerics match the AVX2 backend kernel-for-kernel: the bit-identical
-// kernels (su3 multiply, project/reconstruct, xpay) use separate mul+add
+// kernels (su3 multiply, projection, dslash, xpay) use separate mul+add
 // in scalar accumulation order; clover uses per-lane FMA, which is
 // width-independent, so avx512 == avx2 bitwise there as well.
 #include "lqcd/simd/avx2_kernels.h"
@@ -94,35 +94,43 @@ inline void project_lanes(const float* in_site, int mu, int sign, float* h,
   }
 }
 
-inline void reconstruct_add_lanes(float* acc_site, const float* h, int mu,
-                                  int sign, int lanes) noexcept {
-  const PermPhaseMatrix& g = kGamma[static_cast<std::size_t>(mu)];
-  const float s = sign > 0 ? 1.0f : -1.0f;
-  for (int r = 0; r < 2; ++r)
-    for (int c = 0; c < kNumColors; ++c) {
-      float* a_re = acc_site + (r * kNumColors + c) * 2 * lanes;
-      const float* h_re = h + (r * kNumColors + c) * 2 * lanes;
-      int l = 0;
-      for (; l + 16 <= 2 * lanes; l += 16)
-        _mm512_storeu_ps(a_re + l, _mm512_add_ps(_mm512_loadu_ps(a_re + l),
-                                                 _mm512_loadu_ps(h_re + l)));
-      if (l < 2 * lanes) {
-        const __mmask16 m = tail_mask(2 * lanes - l);
-        _mm512_mask_storeu_ps(
-            a_re + l, m,
-            _mm512_add_ps(_mm512_maskz_loadu_ps(m, a_re + l),
-                          _mm512_maskz_loadu_ps(m, h_re + l)));
-      }
-    }
-  for (int r = 2; r < kNumSpins; ++r) {
-    const int col = g.col[static_cast<std::size_t>(r)];
-    for (int c = 0; c < kNumColors; ++c) {
-      float* a_re = acc_site + (r * kNumColors + c) * 2 * lanes;
-      const float* b_re = h + (col * kNumColors + c) * 2 * lanes;
-      phase_madd(a_re, a_re + lanes, b_re, b_re + lanes,
-                 g.phase[static_cast<std::size_t>(r)], s, a_re, a_re + lanes,
-                 lanes);
-    }
+/// Vector traits of simd/dslash_lanes.h: 16 lanes per __m512, and a
+/// masked variant for the last lanes % 16.
+struct Zmm {
+  using reg = __m512;
+  static constexpr int width = 16;
+  reg load(const float* p) const noexcept { return _mm512_loadu_ps(p); }
+  void store(float* p, reg x) const noexcept { _mm512_storeu_ps(p, x); }
+  static reg zero() noexcept { return _mm512_setzero_ps(); }
+  static reg set1(float x) noexcept { return _mm512_set1_ps(x); }
+  static reg add(reg a, reg b) noexcept { return _mm512_add_ps(a, b); }
+  static reg sub(reg a, reg b) noexcept { return _mm512_sub_ps(a, b); }
+  static reg mul(reg a, reg b) noexcept { return _mm512_mul_ps(a, b); }
+};
+
+struct ZmmTail : Zmm {
+  __mmask16 m;
+  reg load(const float* p) const noexcept {
+    return _mm512_maskz_loadu_ps(m, p);
+  }
+  void store(float* p, reg x) const noexcept { _mm512_mask_storeu_ps(p, m, x); }
+};
+
+/// The whole-domain lane dslash: 16-lane chunks and a masked tail.
+inline void dslash_lanes(const float* links, const std::int32_t* nbr,
+                         std::int32_t l0, std::int32_t in_off,
+                         std::int32_t nsites, const float* in, float* out,
+                         int lanes) noexcept {
+  for (std::int32_t i = 0; i < nsites; ++i) {
+    float* o = out + static_cast<std::size_t>(i) * kSpinorReals *
+                         static_cast<std::size_t>(lanes);
+    int c = 0;
+    for (; c + Zmm::width <= lanes; c += Zmm::width)
+      detail::dslash_site(Zmm{}, links, nbr, l0 + i, in_off, in + c, o + c,
+                          lanes);
+    if (c < lanes)
+      detail::dslash_site(ZmmTail{{}, tail_mask(lanes - c)}, links, nbr,
+                          l0 + i, in_off, in + c, o + c, lanes);
   }
 }
 
@@ -257,7 +265,7 @@ constexpr Kernels kAvx512Kernels = {
     &a2::su3_mul_nn,
     &a5::su3_mul_lanes,
     &a5::project_lanes,
-    &a5::reconstruct_add_lanes,
+    &a5::dslash_lanes,
     &a5::clover_pair_lanes,
     &a5::xpay_lanes,
     &a2::mr_dots_lanes,

@@ -13,7 +13,7 @@ constexpr Kernels kScalarKernels = {
     &ref::su3_mul_nn,
     &ref::su3_mul_lanes,
     &ref::project_lanes,
-    &ref::reconstruct_add_lanes,
+    &ref::dslash_lanes,
     &ref::clover_pair_lanes,
     &ref::xpay_lanes,
     &ref::mr_dots_lanes,

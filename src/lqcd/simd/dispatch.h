@@ -12,8 +12,8 @@
 // are reached through the function-pointer table below.
 //
 // Numerical contract (tested in tests/test_simd.cpp):
-//   - su3_mul_nn, su3_mul_lanes, project/reconstruct and xpay are
-//     BIT-IDENTICAL across backends: every backend evaluates the same
+//   - su3_mul_nn, su3_mul_lanes, project_lanes, dslash_lanes and xpay
+//     are BIT-IDENTICAL across backends: every backend evaluates the same
 //     expressions in the same order, FMA contraction is disabled on all
 //     backend translation units (-ffp-contract=off) and the intrinsic
 //     paths use separate mul/add.
@@ -66,10 +66,20 @@ struct Kernels {
   void (*project_lanes)(const float* in_site, int mu, int sign, float* h,
                         int lanes);
 
-  /// acc_site += full spinor reconstructed from the half-spinor lane
-  /// vectors `h` for projector (1 + sign*gamma_mu).
-  void (*reconstruct_add_lanes)(float* acc_site, const float* h, int mu,
-                                int sign, int lanes);
+  /// The Dirichlet parity dslash of one domain on all lanes in one call.
+  /// Output site i (< nsites) is local site l = l0 + i and receives the
+  /// sum over l's in-domain hops of (1 - gamma_mu) U_mu(l) psi(l + mu)
+  /// and (1 + gamma_mu) U_mu(l - mu)^dagger psi(l - mu), added in the
+  /// order mu = 0..3, forward before backward. `nbr` is the shared
+  /// [local][mu][dir] table of DomainPartition::local_neighbors() (-1:
+  /// outside the domain, hop skipped); psi at local site n is read from
+  /// `in` at site n - in_off. `links` holds kNumDims SU(3) matrices (18
+  /// floats each) per local site. Any lanes >= 1; in and out must not
+  /// alias.
+  void (*dslash_lanes)(const float* links, const std::int32_t* nbr,
+                       std::int32_t l0, std::int32_t in_off,
+                       std::int32_t nsites, const float* in, float* out,
+                       int lanes);
 
   /// out_site = blockpair(in_site): the two chirality clover blocks
   /// applied to 24-component spinor lane vectors. Must not alias.

@@ -1,0 +1,257 @@
+// The whole-domain lane dslash behind Kernels::dslash_lanes, written once
+// over a backend's vector type.
+//
+// INTERNAL to src/lqcd/simd/: every backend TU runs dslash_site() over
+// the output sites and over chunks of lanes, with its own vector traits
+// (the portable ones are below; avx2_kernels.h and backend_avx512.cpp add
+// theirs). Each hop projects, multiplies by the link and reconstructs one
+// chunk of lanes in registers, with no half-spinor scratch in memory; a
+// site's 24 accumulators are stored once, after its eight hops. mu and
+// the hop direction are template parameters, so every kGamma permutation
+// and phase is a compile-time constant. The per-hop helpers are always
+// inlined: keeping the accumulators in registers is the point, and left
+// to its size heuristics GCC outlines the SU(3) rows of the portable
+// backend's chunk, which then run from memory at a third of the speed.
+//
+// Numerics, per lane, are those of the per-hop project / SU(3) multiply /
+// reconstruct-accumulate kernels this replaces, so every backend is
+// bit-identical to the scalar one:
+//   - projection and reconstruction compute a + s*phase*b with s = +-1,
+//     as a + b' or a - b' (b' = b_re or b_im by the phase). Multiplying
+//     by +-1 is exact and IEEE 754 defines a - b as a + (-b), so this is
+//     the same value as the separate multiply;
+//   - each SU(3) row is ((p0 + p1) + p2), every complex product p by
+//     separate multiplies and one subtract or add;
+//   - the accumulator starts at +0 and adds the hops in the order
+//     mu = 0..3, forward before backward.
+// No FMA anywhere: every including TU compiles with -ffp-contract=off.
+// Lane tails are masked vector chunks, never one lane in a plain float:
+// on a single lane the real and imaginary halves of each complex product
+// are the only independent statements, and GCC 12's SLP vectorizer pairs
+// them into vfmaddsub even under -ffp-contract=off, which moves the last
+// bit.
+//
+// A vector-traits type V provides
+//   using reg = ...;                 one chunk of V::width lanes
+//   reg load(const float*) const;    void store(float*, reg) const;
+//   static reg zero(), set1(float), add(reg, reg), sub(reg, reg),
+//              mul(reg, reg);
+// load and store are members so that a masked tail can carry its mask.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+
+#include "lqcd/base/aligned.h"
+#include "lqcd/su3/gamma.h"
+
+namespace lqcd::simd::detail {
+
+/// K lanes as a float array with element-wise loops for the compiler to
+/// vectorize: the portable backend's chunk.
+template <int K>
+struct LaneArray {
+  struct reg {
+    float v[K];
+  };
+  static constexpr int width = K;
+  reg load(const float* p) const noexcept {
+    reg o;
+    LQCD_PRAGMA_SIMD
+    for (int l = 0; l < K; ++l) o.v[l] = p[l];
+    return o;
+  }
+  void store(float* p, const reg& x) const noexcept {
+    LQCD_PRAGMA_SIMD
+    for (int l = 0; l < K; ++l) p[l] = x.v[l];
+  }
+  static reg zero() noexcept { return set1(0.0f); }
+  static reg set1(float x) noexcept {
+    reg o;
+    LQCD_PRAGMA_SIMD
+    for (int l = 0; l < K; ++l) o.v[l] = x;
+    return o;
+  }
+  static reg add(const reg& a, const reg& b) noexcept {
+    reg o;
+    LQCD_PRAGMA_SIMD
+    for (int l = 0; l < K; ++l) o.v[l] = a.v[l] + b.v[l];
+    return o;
+  }
+  static reg sub(const reg& a, const reg& b) noexcept {
+    reg o;
+    LQCD_PRAGMA_SIMD
+    for (int l = 0; l < K; ++l) o.v[l] = a.v[l] - b.v[l];
+    return o;
+  }
+  static reg mul(const reg& a, const reg& b) noexcept {
+    reg o;
+    LQCD_PRAGMA_SIMD
+    for (int l = 0; l < K; ++l) o.v[l] = a.v[l] * b.v[l];
+    return o;
+  }
+};
+
+/// The last lanes % K lanes of a batch in a LaneArray<K>: lanes from `n`
+/// on compute on zeros and are never stored.
+template <int K>
+struct LaneArrayTail : LaneArray<K> {
+  using reg = typename LaneArray<K>::reg;
+  int n;
+  reg load(const float* p) const noexcept {
+    reg o;
+    for (int l = 0; l < K; ++l) o.v[l] = l < n ? p[l] : 0.0f;
+    return o;
+  }
+  void store(float* p, const reg& x) const noexcept {
+    for (int l = 0; l < n; ++l) p[l] = x.v[l];
+  }
+};
+
+/// How o = a + s*phase*b reads b for s = +-1: o_re = a_re -+ (swap ?
+/// b_im : b_re), o_im = a_im -+ (swap ? b_re : b_im), subtracting where
+/// neg_re / neg_im is set.
+struct PhaseAdd {
+  bool swap, neg_re, neg_im;
+};
+
+constexpr PhaseAdd phase_add(Phase p, bool plus) noexcept {
+  switch (p) {
+    case Phase::kPlusOne:
+      return {false, !plus, !plus};
+    case Phase::kMinusOne:
+      return {false, plus, plus};
+    case Phase::kPlusI:
+      return {true, plus, !plus};
+    case Phase::kMinusI:
+    default:
+      return {true, !plus, plus};
+  }
+}
+
+/// o = a + s*phase*b for one complex component, s = +1 iff Plus.
+/// In-place use (o == a) is fine.
+template <Phase Ph, bool Plus, class V>
+[[gnu::always_inline]] inline void add_phased(
+    const typename V::reg& a_re, const typename V::reg& a_im,
+    const typename V::reg& b_re, const typename V::reg& b_im,
+    typename V::reg& o_re, typename V::reg& o_im) noexcept {
+  constexpr PhaseAdd P = phase_add(Ph, Plus);
+  const typename V::reg& x_re = P.swap ? b_im : b_re;
+  const typename V::reg& x_im = P.swap ? b_re : b_im;
+  if constexpr (P.neg_re)
+    o_re = V::sub(a_re, x_re);
+  else
+    o_re = V::add(a_re, x_re);
+  if constexpr (P.neg_im)
+    o_im = V::sub(a_im, x_im);
+  else
+    o_im = V::add(a_im, x_im);
+}
+
+/// h[R] = row R of (1 +- gamma_Mu) psi for one chunk; `site` points at
+/// the chunk's first lane of psi's 24 lane vectors.
+template <int Mu, bool Plus, int R, class V>
+[[gnu::always_inline]] inline void project_row(
+    const V& v, const float* site, int lanes,
+    typename V::reg (&h)[12]) noexcept {
+  constexpr int col = kGamma[Mu].col[R];
+  for (int c = 0; c < kNumColors; ++c) {
+    const float* a = site + (R * kNumColors + c) * 2 * lanes;
+    const float* b = site + (col * kNumColors + c) * 2 * lanes;
+    add_phased<kGamma[Mu].phase[R], Plus, V>(
+        v.load(a), v.load(a + lanes), v.load(b), v.load(b + lanes),
+        h[(R * kNumColors + c) * 2], h[(R * kNumColors + c) * 2 + 1]);
+  }
+}
+
+/// y = (U h)[Sp] (or (U^dagger h)[Sp]), then acc += its reconstruction:
+/// spin row Sp directly and the lower row whose permutation column is Sp
+/// through its phase.
+template <int Mu, bool Plus, int Sp, class V>
+[[gnu::always_inline]] inline void mul_reconstruct_row(
+    const float* u, const typename V::reg (&h)[12],
+    typename V::reg (&acc)[kSpinorReals]) noexcept {
+  using Reg = typename V::reg;
+  constexpr int lower = kGamma[Mu].col[2] == Sp ? 2 : 3;
+  for (int i = 0; i < kNumColors; ++i) {
+    Reg y_re{}, y_im{};
+    for (int j = 0; j < kNumColors; ++j) {
+      // A forward hop (Plus == false) multiplies by U, a backward hop by
+      // U^dagger: read U_{j,i} and conjugate.
+      const float ur = Plus ? u[(j * 3 + i) * 2] : u[(i * 3 + j) * 2];
+      const float ui =
+          Plus ? -u[(j * 3 + i) * 2 + 1] : u[(i * 3 + j) * 2 + 1];
+      const Reg vur = V::set1(ur);
+      const Reg vui = V::set1(ui);
+      const Reg& xr = h[(Sp * kNumColors + j) * 2];
+      const Reg& xi = h[(Sp * kNumColors + j) * 2 + 1];
+      const Reg re = V::sub(V::mul(vur, xr), V::mul(vui, xi));
+      const Reg im = V::add(V::mul(vur, xi), V::mul(vui, xr));
+      y_re = j == 0 ? re : V::add(y_re, re);
+      y_im = j == 0 ? im : V::add(y_im, im);
+    }
+    Reg& up_re = acc[(Sp * kNumColors + i) * 2];
+    Reg& up_im = acc[(Sp * kNumColors + i) * 2 + 1];
+    up_re = V::add(up_re, y_re);
+    up_im = V::add(up_im, y_im);
+    Reg& lo_re = acc[(lower * kNumColors + i) * 2];
+    Reg& lo_im = acc[(lower * kNumColors + i) * 2 + 1];
+    add_phased<kGamma[Mu].phase[lower], Plus, V>(lo_re, lo_im, y_re, y_im,
+                                                 lo_re, lo_im);
+  }
+}
+
+/// acc += (1 -+ gamma_Mu) U psi for one hop: forward (Plus == false) with
+/// U = U_Mu(x), backward (Plus == true) with U = U_Mu(x - Mu)^dagger.
+template <int Mu, bool Plus, class V>
+[[gnu::always_inline]] inline void dslash_hop(
+    const V& v, const float* site, const float* u, int lanes,
+    typename V::reg (&acc)[kSpinorReals]) noexcept {
+  typename V::reg h[12];
+  project_row<Mu, Plus, 0>(v, site, lanes, h);
+  project_row<Mu, Plus, 1>(v, site, lanes, h);
+  mul_reconstruct_row<Mu, Plus, 0, V>(u, h, acc);
+  mul_reconstruct_row<Mu, Plus, 1, V>(u, h, acc);
+}
+
+/// Both hops of direction Mu into local site l; a neighbor index < 0 is
+/// outside the domain and its hop is skipped.
+template <int Mu, class V>
+[[gnu::always_inline]] inline void dslash_dim(
+    const V& v, const float* links, const std::int32_t* nbr, std::int32_t l,
+    std::int32_t in_off, const float* in, int lanes,
+    typename V::reg (&acc)[kSpinorReals]) noexcept {
+  const std::ptrdiff_t site_stride =
+      static_cast<std::ptrdiff_t>(kSpinorReals) * lanes;
+  const std::int32_t* nb =
+      nbr + static_cast<std::size_t>(l) * 2 * kNumDims + 2 * Mu;
+  if (nb[0] >= 0)
+    dslash_hop<Mu, false>(
+        v, in + (nb[0] - in_off) * site_stride,
+        links + (static_cast<std::size_t>(l) * kNumDims + Mu) * 18, lanes,
+        acc);
+  if (nb[1] >= 0)
+    dslash_hop<Mu, true>(
+        v, in + (nb[1] - in_off) * site_stride,
+        links + (static_cast<std::size_t>(nb[1]) * kNumDims + Mu) * 18,
+        lanes, acc);
+}
+
+/// One output site (local site l), one chunk of V::width lanes: `in` and
+/// `out_site` point at the chunk's first lane.
+template <class V>
+inline void dslash_site(const V& v, const float* links,
+                        const std::int32_t* nbr, std::int32_t l,
+                        std::int32_t in_off, const float* in, float* out_site,
+                        int lanes) noexcept {
+  typename V::reg acc[kSpinorReals];
+  for (auto& a : acc) a = V::zero();
+  dslash_dim<0>(v, links, nbr, l, in_off, in, lanes, acc);
+  dslash_dim<1>(v, links, nbr, l, in_off, in, lanes, acc);
+  dslash_dim<2>(v, links, nbr, l, in_off, in, lanes, acc);
+  dslash_dim<3>(v, links, nbr, l, in_off, in, lanes, acc);
+  for (int k = 0; k < kSpinorReals; ++k) v.store(out_site + k * lanes, acc[k]);
+}
+
+}  // namespace lqcd::simd::detail

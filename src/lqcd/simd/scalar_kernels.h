@@ -18,6 +18,7 @@
 
 #include "lqcd/base/aligned.h"
 #include "lqcd/linalg/fp16.h"
+#include "lqcd/simd/dslash_lanes.h"
 #include "lqcd/su3/clover_block.h"
 #include "lqcd/su3/gamma.h"
 
@@ -113,34 +114,6 @@ inline void project_lanes(const float* in_site, int mu, int sign, float* h,
   }
 }
 
-inline void reconstruct_add_lanes(float* acc_site, const float* h, int mu,
-                                  int sign, int lanes) noexcept {
-  const PermPhaseMatrix& g = kGamma[static_cast<std::size_t>(mu)];
-  const float s = sign > 0 ? 1.0f : -1.0f;
-  for (int r = 0; r < 2; ++r)
-    for (int c = 0; c < kNumColors; ++c) {
-      float* a_re = acc_site + (r * kNumColors + c) * 2 * lanes;
-      float* a_im = a_re + lanes;
-      const float* h_re = h + (r * kNumColors + c) * 2 * lanes;
-      const float* h_im = h_re + lanes;
-      LQCD_PRAGMA_SIMD
-      for (int l = 0; l < lanes; ++l) {
-        a_re[l] += h_re[l];
-        a_im[l] += h_im[l];
-      }
-    }
-  for (int r = 2; r < kNumSpins; ++r) {
-    const int col = g.col[static_cast<std::size_t>(r)];
-    for (int c = 0; c < kNumColors; ++c) {
-      float* a_re = acc_site + (r * kNumColors + c) * 2 * lanes;
-      const float* b_re = h + (col * kNumColors + c) * 2 * lanes;
-      phase_madd(a_re, a_re + lanes, b_re, b_re + lanes,
-                 g.phase[static_cast<std::size_t>(r)], s, a_re, a_re + lanes,
-                 lanes);
-    }
-  }
-}
-
 inline void su3_mul_lanes(const float* u, const float* x, float* y, int lanes,
                           int adjoint) noexcept {
   for (int sp = 0; sp < 2; ++sp)
@@ -170,6 +143,30 @@ inline void su3_mul_lanes(const float* u, const float* x, float* y, int lanes,
         }
       }
     }
+}
+
+/// The whole-domain lane dslash (simd/dslash_lanes.h): 8-lane chunks,
+/// then 4, then a zero-filled 4-lane tail.
+inline void dslash_lanes(const float* links, const std::int32_t* nbr,
+                         std::int32_t l0, std::int32_t in_off,
+                         std::int32_t nsites, const float* in, float* out,
+                         int lanes) noexcept {
+  using Wide = detail::LaneArray<8>;
+  using Narrow = detail::LaneArray<4>;
+  for (std::int32_t i = 0; i < nsites; ++i) {
+    float* o = out + static_cast<std::size_t>(i) * kSpinorReals *
+                         static_cast<std::size_t>(lanes);
+    int c = 0;
+    for (; c + Wide::width <= lanes; c += Wide::width)
+      detail::dslash_site(Wide{}, links, nbr, l0 + i, in_off, in + c, o + c,
+                          lanes);
+    for (; c + Narrow::width <= lanes; c += Narrow::width)
+      detail::dslash_site(Narrow{}, links, nbr, l0 + i, in_off, in + c, o + c,
+                          lanes);
+    if (c < lanes)
+      detail::dslash_site(detail::LaneArrayTail<Narrow::width>{{}, lanes - c},
+                          links, nbr, l0 + i, in_off, in + c, o + c, lanes);
+  }
 }
 
 inline void clover_pair_lanes(const PackedHermitian6<float>* b0,

@@ -1,8 +1,8 @@
 // Runtime SIMD dispatch (simd/dispatch.h): CPUID/env backend selection,
 // the cross-backend numerical contract — bit-identical SU(3) multiply,
-// spin projection, xpay and binary16 conversion; <= 1e-6 for the
-// FMA-carrying clover and MR kernels — backend-invariance of the
-// Schwarz instrumented counters, and the lane-width contract: every
+// spin projection, whole-domain dslash, xpay and binary16 conversion;
+// <= 1e-6 for the FMA-carrying clover and MR kernels — backend-invariance
+// of the Schwarz instrumented counters, and the lane-width contract: every
 // backend's width divides kCommonLaneWidth, and a batch's output does not
 // depend on the width it is padded to or on the batch size.
 #include <gtest/gtest.h>
@@ -142,7 +142,7 @@ TEST(SimdDispatch, EveryLaneWidthDividesTheCommonLaneWidth) {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-identical kernels: SU(3) multiply, projection, xpay, fp16.
+// Bit-identical kernels: SU(3) multiply, projection, dslash, xpay, fp16.
 // ---------------------------------------------------------------------------
 
 TEST(SimdParity, Su3MulNnIsBitIdenticalAcrossBackends) {
@@ -188,37 +188,174 @@ TEST(SimdParity, Su3MulLanesIsBitIdenticalAcrossBackends) {
     }
 }
 
-TEST(SimdParity, ProjectAndReconstructAreBitIdenticalAcrossBackends) {
+TEST(SimdParity, ProjectIsBitIdenticalAcrossBackends) {
   for (const int lanes : {1, 4, 8, 19})
     for (int mu = 0; mu < kNumDims; ++mu)
       for (const int sign : {+1, -1}) {
         const auto in = random_floats(24 * lanes, 31);
-        const auto acc0 = random_floats(24 * lanes, 32);
-
         std::vector<float> h_ref(static_cast<std::size_t>(12 * lanes));
-        std::vector<float> acc_ref = acc0;
         {
           ScopedBackend scope(Backend::kScalar);
           simd::kernels().project_lanes(in.data(), mu, sign, h_ref.data(),
                                         lanes);
-          simd::kernels().reconstruct_add_lanes(acc_ref.data(), h_ref.data(),
-                                                mu, sign, lanes);
         }
         for (const Backend w : wide_backends()) {
           ScopedBackend scope(w);
           std::vector<float> h(h_ref.size(), -1.0f);
-          std::vector<float> acc = acc0;
           simd::kernels().project_lanes(in.data(), mu, sign, h.data(), lanes);
-          simd::kernels().reconstruct_add_lanes(acc.data(), h.data(), mu,
-                                                sign, lanes);
           EXPECT_TRUE(bitwise_equal(h_ref, h))
               << "project " << simd::to_string(w) << " mu " << mu << " sign "
               << sign << " lanes " << lanes;
-          EXPECT_TRUE(bitwise_equal(acc_ref, acc))
-              << "reconstruct " << simd::to_string(w) << " mu " << mu
-              << " sign " << sign << " lanes " << lanes;
         }
       }
+}
+
+// The whole-domain lane dslash on a real 4^4 domain, both parities (so
+// both index offsets and every Dirichlet-cut hop pattern): every backend
+// is bitwise equal to scalar and to the per-hop project_lanes /
+// su3_mul_lanes / reconstruct-accumulate composition it fuses, lane b of
+// an L-lane call is bitwise equal to a one-lane call on lane b's input,
+// and the result matches a double-precision Spinor reference built from
+// project / mul / mul_adj / reconstruct_add.
+TEST(SimdParity, DslashLanesIsBitIdenticalAcrossBackends) {
+  Geometry geom({8, 8, 8, 8});
+  DomainPartition part(geom, {4, 4, 4, 4});
+  const std::int32_t hv = part.domain_half_volume();
+  const auto links = random_floats(
+      static_cast<std::int64_t>(part.domain_volume()) * kNumDims * 18, 51);
+  auto dslash = [&](Backend b, int parity, const std::vector<float>& in,
+                    int lanes) {
+    ScopedBackend scope(b);
+    std::vector<float> out(in.size(), -1.0f);
+    simd::kernels().dslash_lanes(links.data(), part.local_neighbors(),
+                                 parity == 0 ? 0 : hv, parity == 0 ? hv : 0,
+                                 hv, in.data(), out.data(), lanes);
+    return out;
+  };
+  // acc += the reconstruction of half-spinor y, hop by hop, mu 0..3,
+  // forward before backward; only exact sign flips and swaps and one add
+  // per component, so nothing here can be contracted into an FMA.
+  auto per_hop = [&](int parity, const std::vector<float>& in, int lanes) {
+    const std::int32_t l0 = parity == 0 ? 0 : hv;
+    const std::int32_t in_off = parity == 0 ? hv : 0;
+    const auto L = static_cast<std::size_t>(lanes);
+    std::vector<float> out(in.size(), 0.0f), h(12 * L), y(12 * L);
+    for (std::int32_t i = 0; i < hv; ++i)
+      for (int mu = 0; mu < kNumDims; ++mu)
+        for (const Dir dir : {Dir::kForward, Dir::kBackward}) {
+          const std::int32_t l = l0 + i;
+          const std::int32_t n = part.local_neighbor(l, mu, dir);
+          if (n < 0) continue;
+          const bool fwd = dir == Dir::kForward;
+          const int sign = fwd ? -1 : +1;
+          simd::kernels().project_lanes(
+              &in[std::size_t(n - in_off) * kSpinorReals * L], mu, sign,
+              h.data(), lanes);
+          simd::kernels().su3_mul_lanes(
+              &links[(std::size_t(fwd ? l : n) * kNumDims + mu) * 18],
+              h.data(), y.data(), lanes, fwd ? 0 : 1);
+          const PermPhaseMatrix& g = kGamma[static_cast<std::size_t>(mu)];
+          float* acc = &out[std::size_t(i) * kSpinorReals * L];
+          for (int r = 0; r < kNumSpins; ++r)
+            for (int c = 0; c < kNumColors; ++c)
+              for (std::size_t b = 0; b < L; ++b) {
+                const int src = r < 2 ? r : g.col[std::size_t(r)];
+                const float* y_re = &y[std::size_t(src * 3 + c) * 2 * L + b];
+                const Complex<float> yv(y_re[0], y_re[L]);
+                const Complex<float> part_v =
+                    r < 2 ? yv : mul_phase(g.phase[std::size_t(r)], yv);
+                float& a_re = acc[std::size_t(r * 3 + c) * 2 * L + b];
+                float& a_im = (&a_re)[L];
+                if (r < 2 || sign > 0) {
+                  a_re = a_re + part_v.real();
+                  a_im = a_im + part_v.imag();
+                } else {
+                  a_re = a_re - part_v.real();
+                  a_im = a_im - part_v.imag();
+                }
+              }
+        }
+    return out;
+  };
+  auto lane_of = [&](const std::vector<float>& v, int lanes, int b) {
+    std::vector<float> o(static_cast<std::size_t>(hv) * kSpinorReals);
+    for (std::size_t k = 0; k < o.size(); ++k)
+      o[k] = v[k * static_cast<std::size_t>(lanes) +
+               static_cast<std::size_t>(b)];
+    return o;
+  };
+  auto link = [&](std::int32_t l, int mu) {
+    const float* p =
+        links.data() + (static_cast<std::size_t>(l) * kNumDims +
+                        static_cast<std::size_t>(mu)) * 18;
+    SU3<double> u;
+    for (int i = 0; i < kNumColors; ++i)
+      for (int j = 0; j < kNumColors; ++j)
+        u.m[i][j] = Complex<double>(p[(i * 3 + j) * 2], p[(i * 3 + j) * 2 + 1]);
+    return u;
+  };
+  auto spinor = [](const float* p) {
+    Spinor<double> s;
+    for (int sp = 0; sp < kNumSpins; ++sp)
+      for (int c = 0; c < kNumColors; ++c)
+        s.s[sp].c[c] = Complex<double>(p[(sp * kNumColors + c) * 2],
+                                       p[(sp * kNumColors + c) * 2 + 1]);
+    return s;
+  };
+
+  for (const int lanes : {1, 3, 4, 8, 12, 16, 17, 32})
+    for (const int parity : {0, 1}) {
+      const std::int32_t l0 = parity == 0 ? 0 : hv;
+      const std::int32_t in_off = parity == 0 ? hv : 0;
+      const auto in = random_floats(
+          static_cast<std::int64_t>(hv) * kSpinorReals * lanes, 52 + lanes);
+      const auto ref = dslash(Backend::kScalar, parity, in, lanes);
+      EXPECT_TRUE(bitwise_equal(ref, per_hop(parity, in, lanes)))
+          << "per-hop parity " << parity << " lanes " << lanes;
+      for (const Backend w : wide_backends())
+        EXPECT_TRUE(bitwise_equal(ref, dslash(w, parity, in, lanes)))
+            << simd::to_string(w) << " parity " << parity << " lanes "
+            << lanes;
+
+      for (int b = 0; b < lanes; ++b) {
+        const auto in_b = lane_of(in, lanes, b);
+        const auto got = lane_of(ref, lanes, b);
+        for (const Backend w : simd::available_backends())
+          EXPECT_TRUE(bitwise_equal(got, dslash(w, parity, in_b, 1)))
+              << simd::to_string(w) << " parity " << parity << " lanes "
+              << lanes << " lane " << b;
+
+        double diff2 = 0, ref2 = 0;
+        for (std::int32_t i = 0; i < hv; ++i) {
+          const std::int32_t l = l0 + i;
+          Spinor<double> acc;
+          acc.zero();
+          for (int mu = 0; mu < kNumDims; ++mu) {
+            const std::int32_t lf = part.local_neighbor(l, mu, Dir::kForward);
+            if (lf >= 0) {
+              const auto h = project(
+                  spinor(&in_b[std::size_t(lf - in_off) * kSpinorReals]), mu,
+                  -1);
+              reconstruct_add(acc, mul(link(l, mu), h), mu, -1);
+            }
+            const std::int32_t lb =
+                part.local_neighbor(l, mu, Dir::kBackward);
+            if (lb >= 0) {
+              const auto h = project(
+                  spinor(&in_b[std::size_t(lb - in_off) * kSpinorReals]), mu,
+                  +1);
+              reconstruct_add(acc, mul_adj(link(lb, mu), h), mu, +1);
+            }
+          }
+          const Spinor<double> d =
+              acc - spinor(&got[std::size_t(i) * kSpinorReals]);
+          diff2 += norm2(d);
+          ref2 += norm2(acc);
+        }
+        EXPECT_LE(std::sqrt(diff2 / ref2), 1e-6)
+            << "parity " << parity << " lanes " << lanes << " lane " << b;
+      }
+    }
 }
 
 TEST(SimdParity, XpayIsBitIdenticalAndSupportsInPlace) {

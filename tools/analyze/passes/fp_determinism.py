@@ -2,7 +2,7 @@
 build-flag AND expression level.
 
 The cross-backend contract (simd/dispatch.h) says the lane kernels —
-su3_mul_nn, su3_mul_lanes, project/reconstruct, xpay, the fp16
+su3_mul_nn, su3_mul_lanes, project, the dslash, xpay, the fp16
 converters — are BIT-IDENTICAL across scalar/avx2/avx512, which only
 holds if (a) every TU that compiles them does so with -ffp-contract=off
 and no fast-math family flag, and (b) no kernel on the bit-exact list
@@ -29,7 +29,7 @@ from tools.analyze.findings import Finding
 from tools.analyze.textmodel import tu_command, tu_path
 
 BIT_EXACT = {
-    "su3_mul_nn", "su3_mul_lanes", "project_lanes", "reconstruct_add_lanes",
+    "su3_mul_nn", "su3_mul_lanes", "project_lanes", "dslash_lanes",
     "xpay_lanes", "float_to_half_n", "half_to_float_n",
 }
 FMA_ALLOWED = {"clover_pair_lanes", "mr_dots_lanes", "mr_axpy_lanes"}
