@@ -6,7 +6,9 @@
 // interleaved rounds. The lane kernels run at simd::kCommonLaneWidth lanes
 // and block_solve at that many right-hand sides: a multiple of every
 // backend's lane width, so each backend runs without a tail and the
-// backends can be compared. `--json` additionally emits
+// backends can be compared. block_solve_rhs1 is the block solve of a
+// single right-hand side, which runs the one-lane kernels (vectorized
+// within the site). `--json` additionally emits
 // BENCH_kernels.json with a stable schema for the CI regression gate
 // (tools/bench_compare.py); `--smoke` shrinks sizes to CI scale.
 #include <cstdio>
@@ -60,6 +62,8 @@ BackendResults run_backend(simd::Backend b, bool smoke) {
   add("clover_lanes", "gflops", m, m.gflops());
   m = bench::measure_block_solve(lanes, smoke ? 0.05 : 0.5);
   add("block_solve", "gflops", m, m.gflops());
+  m = bench::measure_block_solve(1, smoke ? 0.05 : 0.5);
+  add("block_solve_rhs1", "gflops", m, m.gflops());
   m = bench::measure_fp16_roundtrip(smoke ? 1 << 15 : 1 << 20, w);
   add("fp16_roundtrip", "gbs", m, m.gbs());
   return out;
@@ -157,8 +161,10 @@ int main(int argc, char** argv) {
     }
 
   Table t({"kernel", "metric", "scalar", "avx2", "avx512"});
-  const char* names[] = {"su3_mul_nn",   "su3_mul_lanes", "dslash_lanes",
-                         "clover_lanes", "block_solve",   "fp16_roundtrip"};
+  const char* names[] = {"su3_mul_nn",       "su3_mul_lanes",
+                         "dslash_lanes",     "clover_lanes",
+                         "block_solve",      "block_solve_rhs1",
+                         "fp16_roundtrip"};
   for (const char* name : names) {
     const char* metric = std::strcmp(name, "fp16_roundtrip") == 0
                              ? "GB/s"

@@ -17,7 +17,8 @@
 //   3. apply_batch vs one apply() per RHS at nrhs in
 //      {1, 4, 8, 12}: the batch streams each domain's matrices once per
 //      visit and, for nrhs >= 2, applies each loaded element to all RHS
-//      lanes with unit-stride SIMD (nrhs = 1 runs the scalar path).
+//      lanes with unit-stride SIMD (nrhs = 1 runs at one lane,
+//      vectorized within the site).
 //   4. End-to-end DDSolver: solve_batch over the propagator's 12
 //      spin-color sources vs 12 sequential solve() calls (deflation
 //      recycling cuts the total outer iterations; identical tolerance).
@@ -183,8 +184,7 @@ void lane_throughput(const std::vector<int>& batch_sizes, int repeats) {
         static_cast<long long>(per_rhs.stats().matrix_block_loads) / repeats;
     const long long batch_loads =
         static_cast<long long>(batched.stats().matrix_block_loads) / repeats;
-    const int lanes =
-        nrhs == 1 ? 1 : padded_rhs_lanes(nrhs, simd::kernels().lane_width);
+    const int lanes = batch_lanes(nrhs, simd::kernels().lane_width);
     std::printf("  %5d %5d %13.2f %13.2f %8.2fx %14lld %14lld\n", nrhs,
                 lanes, gfs_scalar, gfs_batch, gfs_batch / gfs_scalar,
                 scalar_loads, batch_loads);
@@ -192,7 +192,7 @@ void lane_throughput(const std::vector<int>& batch_sizes, int repeats) {
   std::printf("  the batch loads each domain's packed matrices once per\n"
               "  visit; for nrhs >= 2 it applies each loaded element to\n"
               "  all RHS lanes with unit-stride SIMD (paper Sec. VI). At\n"
-              "  nrhs = 1 both columns run the scalar block solve.\n\n");
+              "  nrhs = 1 both columns run the one-lane block solve.\n\n");
 }
 
 void end_to_end(int nrhs, double tolerance, int schwarz_iterations) {

@@ -135,17 +135,17 @@ inline KernelMeasurement measure_dslash_lanes(std::int32_t nsites, int lanes,
   return m;
 }
 
-/// Clover block-pair application on lane vectors.
+/// Clover block-pair application on lane vectors: one whole-domain
+/// clover_lanes call over `nsites` sites.
 inline KernelMeasurement measure_clover_lanes(std::int32_t nsites, int lanes,
                                               double min_seconds) {
   Rng rng(131);
-  std::vector<PackedHermitian6<float>> blocks(std::size_t(nsites) * 2);
-  for (auto& blk : blocks) {
-    for (auto& d : blk.diag) d = static_cast<float>(1 + 0.1 * rng.gaussian());
-    for (auto& o : blk.offd)
-      o = Complex<float>(static_cast<float>(0.1 * rng.gaussian()),
-                         static_cast<float>(0.1 * rng.gaussian()));
-  }
+  // Two packed blocks per site: 6 diagonal reals, 15 complex off-diagonals.
+  std::vector<float> blocks(std::size_t(nsites) * 2 * kCloverBlockReals);
+  for (std::size_t b = 0; b < blocks.size(); b += kCloverBlockReals)
+    for (int k = 0; k < kCloverBlockReals; ++k)
+      blocks[b + std::size_t(k)] = static_cast<float>(
+          (k < kCloverBlockDim ? 1 : 0) + 0.1 * rng.gaussian());
   const auto in = detail::random_floats(
       static_cast<std::int64_t>(nsites) * 24 * lanes, 132);
   std::vector<float> out(in.size());
@@ -153,12 +153,7 @@ inline KernelMeasurement measure_clover_lanes(std::int32_t nsites, int lanes,
   const auto& k = simd::kernels();
   m.seconds = time_kernel(
       [&] {
-        for (std::int32_t s = 0; s < nsites; ++s)
-          k.clover_pair_lanes(&blocks[std::size_t(s) * 2],
-                              &blocks[std::size_t(s) * 2 + 1],
-                              in.data() + std::size_t(s) * 24 * lanes,
-                              out.data() + std::size_t(s) * 24 * lanes,
-                              lanes);
+        k.clover_lanes(blocks.data(), nsites, in.data(), out.data(), lanes);
         checksum_accumulate(m.checksum, out.data(),
                             static_cast<std::int64_t>(out.size()), 79);
       },
@@ -186,9 +181,10 @@ inline KernelMeasurement measure_fp16_roundtrip(std::int64_t n,
   return m;
 }
 
-/// The full lane-vectorized Schwarz block solve (gathers, halos, MR) on a
-/// small fixture; flops come from the instrumented SchwarzStats counters,
-/// which are backend-invariant by the dispatch contract.
+/// The full Schwarz block solve (gathers, halos, MR) on a small fixture at
+/// `nrhs` right-hand sides (one: the one-lane kernels; more: padded to the
+/// backend's lane width); flops come from the instrumented SchwarzStats
+/// counters, which are backend-invariant by the dispatch contract.
 inline KernelMeasurement measure_block_solve(int nrhs, double min_seconds) {
   Geometry geom({8, 8, 8, 8});
   Checkerboard cb(geom);

@@ -67,7 +67,7 @@ inline constexpr int kRhsLaneWidth = 16;
 
 /// Fraction of RHS-lane vector slots doing useful work when nrhs
 /// right-hand sides are padded up to a multiple of `width` lanes:
-/// nrhs / padded(nrhs). nrhs <= 1 is the scalar path (no padding, 1.0).
+/// nrhs / padded(nrhs). nrhs <= 1 runs unpadded (1.0).
 inline double rhs_lane_efficiency(int nrhs,
                                   int width = kRhsLaneWidth) noexcept {
   if (nrhs <= 1) return 1.0;

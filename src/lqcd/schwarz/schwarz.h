@@ -176,6 +176,16 @@ class SchwarzSetup final : public PackedDomainStore {
       }
     buffer_stride_ = off;
 
+    // The face sites in the same order, back to back: face-buffer entry p
+    // (12 floats at offset 12 p) packs local site face_sites_[p].
+    for (int mu = 0; mu < kNumDims; ++mu) {
+      face_size_[static_cast<std::size_t>(mu)] = part.face_size(mu);
+      for (const Dir dir : {Dir::kForward, Dir::kBackward}) {
+        const auto& f = part.face_sites(mu, dir);
+        face_sites_.insert(face_sites_.end(), f.begin(), f.end());
+      }
+    }
+
     // Partner map: producer face site -> consumer-local site index.
     for (int mu = 0; mu < kNumDims; ++mu) {
       const auto mu_s = static_cast<std::size_t>(mu);
@@ -428,6 +438,13 @@ class SchwarzSetup final : public PackedDomainStore {
     return partner_bwd_[static_cast<std::size_t>(mu)];
   }
   std::int64_t hops_per_parity() const noexcept { return hops_per_parity_; }
+  /// Local site of every face-buffer entry, in buffer order (the
+  /// face_sites argument of simd::Kernels::pack_faces_lanes).
+  const std::int32_t* packed_face_sites() const noexcept {
+    return face_sites_.data();
+  }
+  /// Sites per face, by mu (the face_size argument of pack_faces_lanes).
+  const std::int32_t* face_sizes() const noexcept { return face_size_.data(); }
 
   /// One face buffer a destination domain's halo update consumes: the
   /// (mu, dir) face that domain `producer` packed toward it.
@@ -587,6 +604,8 @@ class SchwarzSetup final : public PackedDomainStore {
 
   std::int64_t buffer_stride_ = 0;
   std::int64_t face_offset_[2 * kNumDims] = {};
+  std::vector<std::int32_t> face_sites_;
+  std::array<std::int32_t, kNumDims> face_size_{};
   std::vector<std::int32_t> partner_fwd_[kNumDims];
   std::vector<std::int32_t> partner_bwd_[kNumDims];
   std::vector<std::array<HaloSource, 2 * kNumDims>> halo_sources_;
@@ -619,9 +638,8 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
     LQCD_CHECK(setup_ != nullptr);
     // Resolve the SIMD dispatch table now, so a bad LQCD_SIMD_BACKEND
     // fails at construction rather than mid-solve at the first dispatched
-    // call (the fp16 decode that opens every S = Half domain visit, or a
-    // lane kernel) — or never, for S = float at nrhs = 1, which calls no
-    // dispatched kernel.
+    // call (the fp16 decode that opens every S = Half domain visit, or the
+    // first block-solve kernel).
     simd::kernels();
     buffers_.resize(static_cast<std::size_t>(part_->num_domains()) *
                     static_cast<std::size_t>(buffer_stride_));
@@ -655,8 +673,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
   /// The sweep loop runs domains on the OUTSIDE and RHS on the INSIDE, so
   /// each domain's packed gauge+clover matrices are streamed once per
   /// sweep regardless of nrhs — matrix_block_loads counts exactly that.
-  /// With nrhs = 1 this executes the identical operation sequence as
-  /// apply() (bit-identical results).
+  /// apply() is apply_batch() of one RHS: there is one block-solve path.
   void apply_batch(const std::vector<const FermionField<float>*>& f,
                    const std::vector<FermionField<float>*>& u) override {
     LQCD_CHECK_MSG(!f.empty() && f.size() == u.size(),
@@ -673,23 +690,20 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
 
  private:
   struct Scratch {
-    FermionField<float> r_loc, z, rhs_e, mr_r, mr_ar, t1_o, t2_o;
     SchwarzStats stats;  // merged into stats_ at the end of apply()
     /// Float copy of the visited domain's matrices (S = Half only; see
     /// SchwarzSetup::decode_domain).
     AlignedVector<float> decoded;
 
-    // Lane-vectorized (SOA-over-RHS) working set, allocated lazily on the
-    // first batched domain visit and reused until the padded lane count
-    // changes: a lockstep batch that shrinks as its lanes converge keeps
-    // one allocation while its padded count stays the same.
+    // SOA-over-RHS working set, allocated lazily on the first domain visit
+    // and reused until the lane count changes: a lockstep batch that
+    // shrinks as its lanes converge keeps one allocation while its padded
+    // count stays the same.
     BlockSpinorLanes r_lanes, z_lanes;  // full-volume (vd sites)
     BlockSpinorLanes rhs_e_lanes, mr_r_lanes, mr_ar_lanes, t1_lanes,
-        t2_lanes;                    // half-volume (hv sites)
-    AlignedVector<float> h1, h2;     // per-site half-spinor lane temps
-    AlignedVector<float> s24;        // per-site full-spinor lane temp
+        t2_lanes;  // half-volume (hv sites)
     LaneMRState mr_state;
-    int lane_count = 0;  // padded lane count the buffers are sized for
+    int lane_count = 0;  // lane count the buffers are sized for
 
     void ensure_lanes(std::int32_t vd, std::int32_t hv, int lanes) {
       if (lane_count == lanes) return;
@@ -700,10 +714,6 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
       mr_ar_lanes = BlockSpinorLanes(hv, lanes);
       t1_lanes = BlockSpinorLanes(hv, lanes);
       t2_lanes = BlockSpinorLanes(hv, lanes);
-      const auto L = static_cast<std::size_t>(lanes);
-      h1.resize(12 * L);
-      h2.resize(12 * L);
-      s24.resize(static_cast<std::size_t>(kSpinorReals) * L);
       lane_count = lanes;
     }
   };
@@ -720,21 +730,10 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
     nthreads = omp_get_max_threads();
 #endif
     if (static_cast<int>(scratch_.size()) >= nthreads) return;
-    const std::int32_t vd = part_->domain_volume();
-    const std::int32_t hv = part_->domain_half_volume();
     const std::size_t old_size = scratch_.size();
     scratch_.resize(static_cast<std::size_t>(nthreads));
-    for (std::size_t t = old_size; t < scratch_.size(); ++t) {
-      auto& sc = scratch_[t];
-      sc.r_loc = FermionField<float>(vd);
-      sc.z = FermionField<float>(vd);
-      sc.rhs_e = FermionField<float>(hv);
-      sc.mr_r = FermionField<float>(hv);
-      sc.mr_ar = FermionField<float>(hv);
-      sc.t1_o = FermionField<float>(hv);
-      sc.t2_o = FermionField<float>(hv);
-      sc.decoded.resize(setup_->decode_size());
-    }
+    for (std::size_t t = old_size; t < scratch_.size(); ++t)
+      scratch_[t].decoded.resize(setup_->decode_size());
   }
 
   void apply_impl(int nrhs, const FermionField<float>* const* f,
@@ -773,7 +772,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
       r_ptrs_[static_cast<std::size_t>(b)] =
           &r_batch_[static_cast<std::size_t>(b)];
     // Read once per apply, so a backend switch between applies re-pads.
-    lanes_ = padded_rhs_lanes(nrhs, simd::kernels().lane_width);
+    lanes_ = batch_lanes(nrhs, simd::kernels().lane_width);
 
     // Deterministic parallel fault hook: pre-draw one fire decision per
     // domain VISIT (schwarz_iterations x num_domains keys, serial, from the
@@ -858,227 +857,11 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
            static_cast<std::size_t>(setup_->face_offset(mu, dir));
   }
 
-  /// Apply the two chirality blocks at (d, site) to a spinor.
-  static void apply_block_pair(const PackedHermitian6<float>& b0,
-                               const PackedHermitian6<float>& b1,
-                               const Spinor<float>& in,
-                               Spinor<float>& out) noexcept {
-    Complex<float> xv[kCloverBlockDim], yv[kCloverBlockDim];
-    const PackedHermitian6<float>* blocks[2] = {&b0, &b1};
-    for (int chi = 0; chi < 2; ++chi) {
-      for (int sl = 0; sl < 2; ++sl)
-        for (int c = 0; c < kNumColors; ++c)
-          xv[sl * kNumColors + c] = in.s[2 * chi + sl].c[c];
-      blocks[chi]->apply(xv, yv);
-      for (int sl = 0; sl < 2; ++sl)
-        for (int c = 0; c < kNumColors; ++c)
-          out.s[2 * chi + sl].c[c] = yv[sl * kNumColors + c];
-    }
-  }
-
-  /// Half dslash restricted to the domain (Dirichlet: out-of-domain hops
-  /// dropped): out = D_{out_parity, 1-out_parity} in. Both fields are
-  /// half-volume, indexed by the parity-local index (even local l for
-  /// parity 0, l - hv for parity 1).
-  void local_dslash_impl(const DomainMatrices& m, int out_parity,
-                         const FermionField<float>& in,
-                         FermionField<float>& out) const {
-    const std::int32_t hv = part_->domain_half_volume();
-    const std::int32_t l0 = out_parity == 0 ? 0 : hv;
-    const std::int32_t in_off = out_parity == 0 ? hv : 0;
-    for (std::int32_t i = 0; i < hv; ++i) {
-      const std::int32_t l = l0 + i;
-      Spinor<float> acc;
-      acc.zero();
-      for (int mu = 0; mu < kNumDims; ++mu) {
-        const std::int32_t lf = part_->local_neighbor(l, mu, Dir::kForward);
-        if (lf >= 0) {
-          const HalfSpinor<float> h = project(in[lf - in_off], mu, -1);
-          reconstruct_add(acc, mul(load_su3(m.link(l, mu)), h), mu, -1);
-        }
-        const std::int32_t lb = part_->local_neighbor(l, mu, Dir::kBackward);
-        if (lb >= 0) {
-          const HalfSpinor<float> h = project(in[lb - in_off], mu, +1);
-          reconstruct_add(acc, mul_adj(load_su3(m.link(lb, mu)), h), mu, +1);
-        }
-      }
-      out[i] = acc;
-    }
-  }
-
-  /// out_e = Dtilde_ee in_e within the domain (Dirichlet boundaries).
-  void local_schur(const DomainMatrices& m, const FermionField<float>& in_e,
-                   FermionField<float>& out_e, Scratch& sc) const {
-    const std::int32_t hv = part_->domain_half_volume();
-    local_dslash_impl(m, 1, in_e, sc.t1_o);  // D_oe in_e
-    for (std::int32_t lo = 0; lo < hv; ++lo)
-      apply_block_pair(load_block(m.inv(lo, 0)), load_block(m.inv(lo, 1)),
-                       sc.t1_o[lo], sc.t2_o[lo]);
-    local_dslash_impl(m, 0, sc.t2_o, out_e);  // D_eo A_oo^-1 D_oe in_e
-    for (std::int32_t le = 0; le < hv; ++le) {
-      Spinor<float> diag;
-      apply_block_pair(load_block(m.diag(le, 0)), load_block(m.diag(le, 1)),
-                       in_e[le], diag);
-      for (int sp = 0; sp < kNumSpins; ++sp)
-        for (int c = 0; c < kNumColors; ++c)
-          out_e[le].s[sp].c[c] =
-              diag.s[sp].c[c] - 0.25f * out_e[le].s[sp].c[c];
-    }
-  }
-
   std::int64_t schur_flops() const noexcept {
     // Two half-dslashes + two block-diagonal applications + the combine.
     return 168 * 2 * hops_per_parity_ +
            static_cast<std::int64_t>(part_->domain_volume()) * 504 / 2 * 2 +
            static_cast<std::int64_t>(part_->domain_half_volume()) * 24;
-  }
-
-  static void round_spinor_fp16(Spinor<float>& s) noexcept {
-    for (int sp = 0; sp < kNumSpins; ++sp)
-      for (int c = 0; c < kNumColors; ++c)
-        s.s[sp].c[c] = Complex<float>(half_round_trip(s.s[sp].c[c].real()),
-                                      half_round_trip(s.s[sp].c[c].imag()));
-  }
-
-  /// Solve one domain from the current residual of one RHS, update u and
-  /// r, pack the boundary buffers of the correction into `slot`. Writes
-  /// stats into sc.stats (so concurrent domain solves never share a
-  /// counter).
-  void solve_domain(const DomainMatrices& m, int d, FermionField<float>& u,
-                    FermionField<float>& r, std::int64_t slot, Scratch& sc) {
-    const std::int32_t vd = part_->domain_volume();
-    const std::int32_t hv = part_->domain_half_volume();
-
-    // Gather the residual (optionally through fp16 spinor storage).
-    for (std::int32_t l = 0; l < vd; ++l) {
-      sc.r_loc[l] = r[part_->global_site(d, l)];
-      if (params_.half_precision_spinors) round_spinor_fp16(sc.r_loc[l]);
-    }
-
-    // Schur RHS: rhs_e = r_e + 1/2 D_eo A_oo^-1 r_o.
-    for (std::int32_t lo = 0; lo < hv; ++lo)
-      apply_block_pair(load_block(m.inv(lo, 0)), load_block(m.inv(lo, 1)),
-                       sc.r_loc[hv + lo], sc.t1_o[lo]);
-    local_dslash_impl(m, 0, sc.t1_o, sc.rhs_e);
-    for (std::int32_t le = 0; le < hv; ++le)
-      for (int sp = 0; sp < kNumSpins; ++sp)
-        for (int c = 0; c < kNumColors; ++c)
-          sc.rhs_e[le].s[sp].c[c] =
-              sc.r_loc[le].s[sp].c[c] + 0.5f * sc.rhs_e[le].s[sp].c[c];
-    sc.stats.flops += 168 * hops_per_parity_ + hv * (504 + 24);
-
-    // Block MR on Dtilde_ee with fixed iteration count, z_e starts at 0.
-    FermionField<float>& z = sc.z;
-    for (std::int32_t le = 0; le < hv; ++le) z[le].zero();
-    copy_range(sc.rhs_e, sc.mr_r, hv);
-    for (int it = 0; it < params_.block_mr_iterations; ++it) {
-      local_schur(m, sc.mr_r, sc.mr_ar, sc);
-      double arr_re = 0, arr_im = 0, arar = 0;
-      for (std::int32_t le = 0; le < hv; ++le)
-        for (int sp = 0; sp < kNumSpins; ++sp)
-          for (int c = 0; c < kNumColors; ++c) {
-            const auto& a = sc.mr_ar[le].s[sp].c[c];
-            const auto& rr = sc.mr_r[le].s[sp].c[c];
-            arr_re += static_cast<double>(a.real()) * rr.real() +
-                      static_cast<double>(a.imag()) * rr.imag();
-            arr_im += static_cast<double>(a.real()) * rr.imag() -
-                      static_cast<double>(a.imag()) * rr.real();
-            arar += static_cast<double>(a.real()) * a.real() +
-                    static_cast<double>(a.imag()) * a.imag();
-          }
-      ++sc.stats.mr_iterations;
-      sc.stats.flops += schur_flops() + hv * 24 * 3;  // schur + dots
-      if (arar == 0.0) break;
-      const Complex<float> alpha(static_cast<float>(arr_re / arar),
-                                 static_cast<float>(arr_im / arar));
-      for (std::int32_t le = 0; le < hv; ++le)
-        for (int sp = 0; sp < kNumSpins; ++sp)
-          for (int c = 0; c < kNumColors; ++c) {
-            z[le].s[sp].c[c] += alpha * sc.mr_r[le].s[sp].c[c];
-            sc.mr_r[le].s[sp].c[c] -= alpha * sc.mr_ar[le].s[sp].c[c];
-          }
-      sc.stats.flops += hv * 24 * 4;  // two axpys
-    }
-
-    // Odd reconstruction: z_o = A_oo^-1 (r_o + 1/2 D_oe z_e).
-    local_dslash_impl(m, 1, z /* even half */, sc.t1_o);
-    for (std::int32_t lo = 0; lo < hv; ++lo) {
-      Spinor<float> rhs_o;
-      for (int sp = 0; sp < kNumSpins; ++sp)
-        for (int c = 0; c < kNumColors; ++c)
-          rhs_o.s[sp].c[c] = sc.r_loc[hv + lo].s[sp].c[c] +
-                             0.5f * sc.t1_o[lo].s[sp].c[c];
-      apply_block_pair(load_block(m.inv(lo, 0)), load_block(m.inv(lo, 1)),
-                       rhs_o, z[hv + lo]);
-    }
-    sc.stats.flops += 168 * hops_per_parity_ + hv * (504 + 24);
-
-    if (params_.half_precision_spinors)
-      for (std::int32_t l = 0; l < vd; ++l) round_spinor_fp16(z[l]);
-
-    // Update u and the residual on this domain: even <- MR residual,
-    // odd <- 0 (exact by the Schur reconstruction).
-    for (std::int32_t l = 0; l < vd; ++l) {
-      const std::int32_t g = part_->global_site(d, l);
-      u[g] = u[g] + z[l];
-      if (l < hv) {
-        r[g] = sc.mr_r[l];
-      } else {
-        r[g].zero();
-      }
-    }
-
-    pack_boundaries(m, slot, z, sc.stats);
-    ++sc.stats.block_solves;
-  }
-
-  static void copy_range(const FermionField<float>& src,
-                         FermionField<float>& dst, std::int32_t n) {
-    for (std::int32_t i = 0; i < n; ++i) dst[i] = src[i];
-  }
-
-  /// Pack the correction's projected half-spinors into the AOS face
-  /// buffers (paper Fig. 3). Forward faces are link-multiplied by the
-  /// producer (it owns U_mu(x)); backward faces are packed raw and
-  /// link-multiplied by the consumer.
-  void pack_boundaries(const DomainMatrices& m, std::int64_t slot,
-                       const FermionField<float>& z, SchwarzStats& stats) {
-    for (int mu = 0; mu < kNumDims; ++mu) {
-      {
-        const auto& face = part_->face_sites(mu, Dir::kForward);
-        float* buf = buffer_ptr(slot, mu, Dir::kForward);
-        for (std::size_t i = 0; i < face.size(); ++i) {
-          const std::int32_t l = face[i];
-          const HalfSpinor<float> h =
-              mul_adj(load_su3(m.link(l, mu)), project(z[l], mu, +1));
-          write_halfspinor(h, buf + i * 12);
-        }
-        stats.boundary_bytes +=
-            static_cast<std::int64_t>(face.size()) * 12 * 4;
-        stats.flops += static_cast<std::int64_t>(face.size()) * (12 + 132);
-      }
-      {
-        const auto& face = part_->face_sites(mu, Dir::kBackward);
-        float* buf = buffer_ptr(slot, mu, Dir::kBackward);
-        for (std::size_t i = 0; i < face.size(); ++i) {
-          const std::int32_t l = face[i];
-          write_halfspinor(project(z[l], mu, -1), buf + i * 12);
-        }
-        stats.boundary_bytes +=
-            static_cast<std::int64_t>(face.size()) * 12 * 4;
-        stats.flops += static_cast<std::int64_t>(face.size()) * 12;
-      }
-    }
-  }
-
-  static void write_halfspinor(const HalfSpinor<float>& h,
-                               float* dst) noexcept {
-    int k = 0;
-    for (int sp = 0; sp < 2; ++sp)
-      for (int c = 0; c < kNumColors; ++c) {
-        dst[k++] = h.s[sp].c[c].real();
-        dst[k++] = h.s[sp].c[c].imag();
-      }
   }
 
   static HalfSpinor<float> read_halfspinor(const float* src) noexcept {
@@ -1128,66 +911,34 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
                    (fwd ? 24 + 24 : 132 + 24 + 24);
   }
 
-  /// One domain visit: stream the packed matrices once, apply them to
-  /// every RHS of the batch. nrhs == 1 runs the scalar block solve, which
-  /// measured four to five times faster than a one-lane visit of the lane
-  /// path (DESIGN.md Sec. 8.1); wider batches run the SOA-over-RHS lane
-  /// path.
+  // -------------------------------------------------------------------------
+  // The block solve (SOA-over-RHS, paper Sec. VI).
+  //
+  // A domain visit streams the domain's packed matrices once and applies
+  // them to every RHS lane. Each operator step is one dispatched call that
+  // walks the whole domain (simd/dispatch.h): the parity dslash, the
+  // clover blocks, the xpay combines, the MR dots and updates, and the
+  // boundary pack. The arithmetic is compiled only in the backend
+  // translation units, at -ffp-contract=off. A batch of one runs at one
+  // lane, vectorized within the site; wider batches pad to the backend's
+  // lane width. The counters charge exactly nrhs times the one-RHS work in
+  // every backend: MR iterations and axpy flops are charged per still-
+  // active lane, and lane masking branches only on exact zeros, which all
+  // backends preserve.
+  // -------------------------------------------------------------------------
+
+  /// One domain visit: decode the matrices, then the block solve of every
+  /// lane of the batch.
   void solve_domain_batch(int d, int nrhs, FermionField<float>* const* u,
                           Scratch& sc) {
     const DomainMatrices m = setup_->decode_domain(d, sc.decoded);
     ++sc.stats.matrix_block_loads;
-    if (nrhs == 1)
-      solve_domain(m, d, *u[0], r_batch_[0], buffer_slot(0, d), sc);
-    else
-      solve_domain_lanes(m, d, nrhs, u, sc);
+    solve_domain_lanes(m, d, nrhs, u, sc);
   }
 
-  // -------------------------------------------------------------------------
-  // Lane-vectorized block solve (SOA-over-RHS, paper Sec. VI).
-  //
-  // Every kernel below walks the domain site by site, loads each packed
-  // matrix element (link or clover block) ONCE, and applies it to all RHS
-  // lanes with unit-stride inner loops over the lane index. The dslash is
-  // one dispatched call per parity application that walks the whole
-  // domain itself; clover and xpay are dispatched per site, boundary
-  // packing per face site. The lane arithmetic lives behind the runtime
-  // SIMD dispatch
-  // (simd/dispatch.h): scalar, AVX2 or AVX-512 at the backend's choosing,
-  // with the dispatch contract guaranteeing the instrumented counters
-  // charge exactly nrhs times the scalar work in every backend (MR
-  // iterations and axpy flops are charged per still-active lane, and lane
-  // masking branches only on exact zeros, which all backends preserve).
-  // -------------------------------------------------------------------------
-
-  /// h = upper two rows of (1 + sign*gamma_mu) applied to the spinor lane
-  /// vectors at `in_site` (24 components x lanes -> 12 components x lanes).
-  static void lane_project(const float* in_site, int mu, int sign, float* h,
-                           int lanes) {
-    simd::kernels().project_lanes(in_site, mu, sign, h, lanes);
-  }
-
-  /// y = U x (or U^dagger x) on half-spinor lane vectors: the link (18
-  /// floats of the decoded view) is loaded once and applied to every lane.
-  static void lane_su3_mul(const float* u, const float* x, float* y,
-                           int lanes, bool adjoint) {
-    simd::kernels().su3_mul_lanes(u, x, y, lanes, adjoint ? 1 : 0);
-  }
-
-  /// Apply the two chirality clover blocks at a site to the spinor lane
-  /// vectors: out_site = blockpair(in_site). Must not alias.
-  static void lane_apply_block_pair(const PackedHermitian6<float>& b0,
-                                    const PackedHermitian6<float>& b1,
-                                    const float* in_site, float* out_site,
-                                    int lanes) {
-    simd::kernels().clover_pair_lanes(&b0, &b1, in_site, out_site, lanes);
-  }
-
-  /// Lane version of local_dslash_impl: out = D_{out_parity,1-out_parity}
-  /// applied to all lanes in one dispatched whole-domain call, each link
-  /// loaded once per hop. `in` is indexed by the parity-local convention
-  /// of the scalar path (even fields by local site < hv, odd fields by
-  /// l - hv).
+  /// out = D_{out_parity, 1-out_parity} in on all lanes, one dispatched
+  /// whole-domain call. Even fields are indexed by local site < hv, odd
+  /// fields by l - hv.
   void lane_dslash(const DomainMatrices& m, int out_parity,
                    const BlockSpinorLanes& in, BlockSpinorLanes& out) const {
     const std::int32_t hv = part_->domain_half_volume();
@@ -1197,35 +948,30 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
                                  out.data(), out.lanes());
   }
 
-  /// Lane version of local_schur: out_e = Dtilde_ee in_e for all lanes.
+  /// out_e = Dtilde_ee in_e = A_ee in_e - 1/4 D_eo A_oo^-1 D_oe in_e within
+  /// the domain (Dirichlet boundaries), all lanes.
   void lane_schur(const DomainMatrices& m, const BlockSpinorLanes& in_e,
                   BlockSpinorLanes& out_e, Scratch& sc) {
+    const simd::Kernels& k = simd::kernels();
     const std::int32_t hv = part_->domain_half_volume();
     const int L = in_e.lanes();
     lane_dslash(m, 1, in_e, sc.t1_lanes);
-    for (std::int32_t lo = 0; lo < hv; ++lo)
-      lane_apply_block_pair(load_block(m.inv(lo, 0)), load_block(m.inv(lo, 1)),
-                            sc.t1_lanes.lane_vec(lo, 0),
-                            sc.t2_lanes.lane_vec(lo, 0), L);
+    k.clover_lanes(m.inv_o, hv, sc.t1_lanes.data(), sc.t2_lanes.data(), L);
     lane_dslash(m, 0, sc.t2_lanes, out_e);
-    for (std::int32_t le = 0; le < hv; ++le) {
-      lane_apply_block_pair(load_block(m.diag(le, 0)),
-                            load_block(m.diag(le, 1)), in_e.lane_vec(le, 0),
-                            sc.s24.data(), L);
-      float* o = out_e.lane_vec(le, 0);
-      const float* diag = sc.s24.data();
-      simd::kernels().xpay_lanes(diag, -0.25f, o, o, kSpinorReals * L);
-    }
+    k.clover_lanes(m.diag_e, hv, in_e.data(), sc.t1_lanes.data(), L);
+    k.xpay_lanes(sc.t1_lanes.data(), -0.25f, out_e.data(), out_e.data(),
+                 static_cast<std::int64_t>(hv) * kSpinorReals * L);
   }
 
   static void round_lanes_fp16(float* p, std::int64_t n) noexcept {
     for (std::int64_t k = 0; k < n; ++k) p[k] = half_round_trip(p[k]);
   }
 
-  /// Lane-vectorized domain visit: gather all RHS residuals into the
-  /// SOA-over-RHS containers, run ONE even-odd MR block solve across all
-  /// lanes (per-lane alpha, lane masking for converged/zero RHS), scatter
-  /// the corrections back, and pack each RHS's boundary buffers.
+  /// One domain's block solve: gather every RHS residual into the
+  /// SOA-over-RHS containers (optionally through fp16 spinor storage),
+  /// run ONE even-odd MR block solve across all lanes (per-lane alpha,
+  /// lane masking for converged or zero RHS), scatter the corrections
+  /// back and pack each RHS's boundary buffers.
   void solve_domain_lanes(const DomainMatrices& m, int d, int nrhs,
                           FermionField<float>* const* u, Scratch& sc) {
     const std::int32_t vd = part_->domain_volume();
@@ -1233,35 +979,32 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
     sc.ensure_lanes(vd, hv, lanes_);
     const int L = lanes_;
     const auto nb = static_cast<std::int64_t>(nrhs);
+    const simd::Kernels& k = simd::kernels();
 
     const std::int32_t* sites = part_->domain_sites(d);
     pack_rhs_lanes(r_ptrs_.data(), nrhs, sites, vd, sc.r_lanes);
     if (params_.half_precision_spinors)
       round_lanes_fp16(sc.r_lanes.data(),
                        static_cast<std::int64_t>(vd) * kSpinorReals * L);
+    const std::size_t half_floats = static_cast<std::size_t>(hv) *
+                                    static_cast<std::size_t>(kSpinorReals) *
+                                    static_cast<std::size_t>(L);
+    const float* r_odd = sc.r_lanes.data() + half_floats;
 
-    // Schur RHS: rhs_e = r_e + 1/2 D_eo A_oo^-1 r_o, all lanes at once.
-    for (std::int32_t lo = 0; lo < hv; ++lo)
-      lane_apply_block_pair(load_block(m.inv(lo, 0)), load_block(m.inv(lo, 1)),
-                            sc.r_lanes.lane_vec(hv + lo, 0),
-                            sc.t1_lanes.lane_vec(lo, 0), L);
+    // Schur RHS: rhs_e = r_e + 1/2 D_eo A_oo^-1 r_o.
+    k.clover_lanes(m.inv_o, hv, r_odd, sc.t1_lanes.data(), L);
     lane_dslash(m, 0, sc.t1_lanes, sc.rhs_e_lanes);
-    for (std::int32_t le = 0; le < hv; ++le) {
-      const float* rv = sc.r_lanes.lane_vec(le, 0);
-      float* ev = sc.rhs_e_lanes.lane_vec(le, 0);
-      simd::kernels().xpay_lanes(rv, 0.5f, ev, ev, kSpinorReals * L);
-    }
+    k.xpay_lanes(sc.r_lanes.data(), 0.5f, sc.rhs_e_lanes.data(),
+                 sc.rhs_e_lanes.data(), static_cast<std::int64_t>(half_floats));
     sc.stats.flops += nb * (168 * hops_per_parity_ + hv * (504 + 24));
 
-    // Block MR on Dtilde_ee, every lane in one pass. Counter contract:
-    // a lane is charged an MR iteration (and schur+dot flops) for every
-    // iteration it ENTERS, and axpy flops only when its arar != 0 —
-    // matching the scalar path's `if (arar == 0.0) break` exactly.
+    // Block MR on Dtilde_ee with a fixed iteration count, z_e from 0, every
+    // lane in one pass. Counter contract: a lane is charged an MR
+    // iteration (and schur+dot flops) for every iteration it ENTERS, and
+    // axpy flops only when its arar != 0.
     sc.z_lanes.zero();
     std::memcpy(sc.mr_r_lanes.data(), sc.rhs_e_lanes.data(),
-                sizeof(float) * static_cast<std::size_t>(hv) *
-                    static_cast<std::size_t>(kSpinorReals) *
-                    static_cast<std::size_t>(L));
+                sizeof(float) * half_floats);
     sc.mr_state.reset(L, nrhs);
     const std::int64_t ncplx =
         static_cast<std::int64_t>(hv) * (kSpinorReals / 2);
@@ -1282,21 +1025,18 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
 
     // Odd reconstruction: z_o = A_oo^-1 (r_o + 1/2 D_oe z_e).
     lane_dslash(m, 1, sc.z_lanes, sc.t1_lanes);
-    for (std::int32_t lo = 0; lo < hv; ++lo) {
-      const float* rv = sc.r_lanes.lane_vec(hv + lo, 0);
-      const float* tv = sc.t1_lanes.lane_vec(lo, 0);
-      float* rhs_o = sc.s24.data();
-      simd::kernels().xpay_lanes(rv, 0.5f, tv, rhs_o, kSpinorReals * L);
-      lane_apply_block_pair(load_block(m.inv(lo, 0)), load_block(m.inv(lo, 1)),
-                            rhs_o, sc.z_lanes.lane_vec(hv + lo, 0), L);
-    }
+    k.xpay_lanes(r_odd, 0.5f, sc.t1_lanes.data(), sc.t1_lanes.data(),
+                 static_cast<std::int64_t>(half_floats));
+    k.clover_lanes(m.inv_o, hv, sc.t1_lanes.data(),
+                   sc.z_lanes.data() + half_floats, L);
     sc.stats.flops += nb * (168 * hops_per_parity_ + hv * (504 + 24));
 
     if (params_.half_precision_spinors)
       round_lanes_fp16(sc.z_lanes.data(),
                        static_cast<std::int64_t>(vd) * kSpinorReals * L);
 
-    // Scatter: u += z; residual even <- MR residual, odd <- 0.
+    // Scatter: u += z; residual even <- MR residual, odd <- 0 (exact by
+    // the Schur reconstruction).
     for (std::int32_t l = 0; l < vd; ++l) {
       const std::int32_t g = sites[l];
       for (int sp = 0; sp < kNumSpins; ++sp)
@@ -1323,53 +1063,20 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
       }
     }
 
-    pack_boundaries_lanes(m, d, nrhs, sc);
+    // Boundary pack into the per-(RHS, domain) AOS face buffers (paper
+    // Fig. 3): forward faces are link-multiplied by the producer (it owns
+    // U_mu(x)); backward faces are packed raw and link-multiplied by the
+    // consumer.
+    k.pack_faces_lanes(m.links, setup_->packed_face_sites(),
+                       setup_->face_sizes(), sc.z_lanes.data(), L, nrhs,
+                       buffer_ptr(buffer_slot(0, d), 0, Dir::kForward),
+                       static_cast<std::int64_t>(part_->num_domains()) *
+                           buffer_stride_);
+    std::int64_t face_sites = 0;
+    for (int mu = 0; mu < kNumDims; ++mu) face_sites += part_->face_size(mu);
+    sc.stats.boundary_bytes += nb * 2 * face_sites * 12 * 4;
+    sc.stats.flops += nb * face_sites * ((12 + 132) + 12);
     sc.stats.block_solves += nrhs;
-  }
-
-  /// Lane version of pack_boundaries: each face site's link is loaded
-  /// once, projected/multiplied across all lanes, then fanned out to the
-  /// per-(RHS, domain) AOS buffers the halo exchange consumes unchanged.
-  void pack_boundaries_lanes(const DomainMatrices& m, int d, int nrhs,
-                             Scratch& sc) {
-    const int L = sc.z_lanes.lanes();
-    const auto nb = static_cast<std::int64_t>(nrhs);
-    float* h1 = sc.h1.data();
-    float* h2 = sc.h2.data();
-    for (int mu = 0; mu < kNumDims; ++mu) {
-      {
-        const auto& face = part_->face_sites(mu, Dir::kForward);
-        for (std::size_t i = 0; i < face.size(); ++i) {
-          const std::int32_t l = face[i];
-          lane_project(sc.z_lanes.lane_vec(l, 0), mu, +1, h1, L);
-          lane_su3_mul(m.link(l, mu), h1, h2, L, true);
-          for (int b = 0; b < nrhs; ++b) {
-            float* buf =
-                buffer_ptr(buffer_slot(b, d), mu, Dir::kForward) + i * 12;
-            for (int k = 0; k < 12; ++k) buf[k] = h2[k * L + b];
-          }
-        }
-        sc.stats.boundary_bytes +=
-            nb * static_cast<std::int64_t>(face.size()) * 12 * 4;
-        sc.stats.flops +=
-            nb * static_cast<std::int64_t>(face.size()) * (12 + 132);
-      }
-      {
-        const auto& face = part_->face_sites(mu, Dir::kBackward);
-        for (std::size_t i = 0; i < face.size(); ++i) {
-          const std::int32_t l = face[i];
-          lane_project(sc.z_lanes.lane_vec(l, 0), mu, -1, h1, L);
-          for (int b = 0; b < nrhs; ++b) {
-            float* buf =
-                buffer_ptr(buffer_slot(b, d), mu, Dir::kBackward) + i * 12;
-            for (int k = 0; k < 12; ++k) buf[k] = h1[k * L + b];
-          }
-        }
-        sc.stats.boundary_bytes +=
-            nb * static_cast<std::int64_t>(face.size()) * 12 * 4;
-        sc.stats.flops += nb * static_cast<std::int64_t>(face.size()) * 12;
-      }
-    }
   }
 
   /// Visit one domain on the calling thread: block solve, then the (inert
@@ -1457,8 +1164,8 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
   /// Live only while apply_impl()'s sweep loop runs; points at the
   /// stack-local ParallelFaultScope of the current application.
   ParallelFaultScope* domain_scope_ = nullptr;
-  /// Padded lane count of the current application's batch: nrhs rounded
-  /// up to the active backend's lane width. Set by apply_impl().
+  /// Lane count of the current application's batch (batch_lanes() at
+  /// the active backend's lane width). Set by apply_impl().
   int lanes_ = 0;
 };
 

@@ -55,9 +55,10 @@ void store_su3(const SU3<float>& u, S* dst) noexcept {
     }
 }
 
-/// Always inlined: left to GCC 12's unit-wide inline budget, the two
-/// load_su3 calls of the scalar dslash go in or out of line with the size
-/// of unrelated code in the including translation unit.
+/// Always inlined: left to GCC 12's unit-wide inline budget, a load_su3
+/// call in header-compiled code (the halo update's backward-face multiply)
+/// goes in or out of line with the size of unrelated code in the
+/// including translation unit.
 template <class S>
 [[gnu::always_inline]] inline SU3<float> load_su3(const S* src) noexcept {
   SU3<float> u;
@@ -167,11 +168,19 @@ std::uint32_t packed_checksum(const S* data, std::size_t count) noexcept {
 // the block solve maps to zeros, so they are arithmetically inert.
 // ---------------------------------------------------------------------------
 
-/// Lane count of a batch of nrhs right-hand sides: nrhs padded up to a
-/// multiple of `width`, the active backend's simd::Kernels::lane_width
-/// (the count its lane kernels run with no masked or scalar tail).
+/// nrhs padded up to a multiple of `width`, the active backend's
+/// simd::Kernels::lane_width (the count its lane kernels run with no
+/// masked or scalar tail).
 constexpr int padded_rhs_lanes(int nrhs, int width) noexcept {
   return (nrhs + width - 1) / width * width;
+}
+
+/// Lane count of a batch of nrhs right-hand sides: padded_rhs_lanes()
+/// for two or more. A batch of one runs at one lane, where the kernels
+/// vectorize within the site; padding it would multiply its work by the
+/// lane width.
+constexpr int batch_lanes(int nrhs, int width) noexcept {
+  return nrhs > 1 ? padded_rhs_lanes(nrhs, width) : nrhs;
 }
 
 /// Multi-RHS block-spinor container for the lane-vectorized Schwarz block

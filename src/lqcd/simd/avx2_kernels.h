@@ -6,15 +6,26 @@
 // otherwise the backend reports "not compiled" and dispatch never lands
 // here.
 //
-// Numerics: su3_mul_nn / su3_mul_lanes / phase_madd / xpay use separate
-// mul+add in exactly the scalar accumulation order (j = 0, 1, 2), so they
-// are bit-identical to the scalar backend. clover_pair_lanes and the MR
-// kernels use FMA: per-term rounding differs from scalar at the last bit
-// (<= 1e-6 relative after accumulation), which the dispatch contract
-// allows. Loop tails run scalar code, which this TU compiles with
-// -ffp-contract=off like every other backend; the dslash's tail is a
-// masked 4-lane chunk instead (see dslash_lanes.h).
+// Numerics: su3_mul_nn / su3_mul_lanes / phase_madd / xpay and the
+// dslash and face pack use separate mul+add in exactly the scalar
+// accumulation order (j = 0, 1, 2), so they are bit-identical to the
+// scalar backend. clover_lanes and the MR kernels use FMA: per-term
+// rounding differs from scalar at the last bit (<= 1e-6 relative after
+// accumulation), which the dispatch contract allows. Every lane of them,
+// vector chunk or tail, runs the same FMA sequence, so a lane's result
+// does not depend on its position in the batch and the AVX-512 backend
+// (same sequence) agrees bitwise. Tails are masked 4-lane chunks or
+// explicit std::fma chains, never plain scalar code; this TU compiles
+// with -ffp-contract=off like every other backend.
+//
+// One lane (a batch of one) runs kernels vectorized within the site: a
+// spinor's spin pair (r0, r1) at one color is one __m128 [r0 re, r0 im,
+// r1 re, r1 im], so projection, SU(3) multiply and reconstruction work on
+// three such registers per half spinor with the per-lane operation
+// sequence of the lane kernels.
 #pragma once
+
+#include <cmath>
 
 #include "lqcd/simd/scalar_kernels.h"
 
@@ -215,8 +226,10 @@ inline void project_lanes(const float* in_site, int mu, int sign, float* h,
   }
 }
 
-/// Vector traits of simd/dslash_lanes.h: 8 lanes per __m256, 4 per
-/// __m128.
+/// Vector traits of simd/dslash_lanes.h and clover_site(): 8 lanes per
+/// __m256, 4 per __m128, and a masked __m128 for the last lanes % 4.
+/// fmadd(a, b, c) = a * b + c and fnmadd(a, b, c) = c - a * b, each
+/// rounded once.
 struct Ymm {
   using reg = __m256;
   static constexpr int width = 8;
@@ -227,6 +240,12 @@ struct Ymm {
   static reg add(reg a, reg b) noexcept { return _mm256_add_ps(a, b); }
   static reg sub(reg a, reg b) noexcept { return _mm256_sub_ps(a, b); }
   static reg mul(reg a, reg b) noexcept { return _mm256_mul_ps(a, b); }
+  static reg fmadd(reg a, reg b, reg c) noexcept {
+    return _mm256_fmadd_ps(a, b, c);
+  }
+  static reg fnmadd(reg a, reg b, reg c) noexcept {
+    return _mm256_fnmadd_ps(a, b, c);
+  }
 };
 
 struct Xmm {
@@ -239,6 +258,12 @@ struct Xmm {
   static reg add(reg a, reg b) noexcept { return _mm_add_ps(a, b); }
   static reg sub(reg a, reg b) noexcept { return _mm_sub_ps(a, b); }
   static reg mul(reg a, reg b) noexcept { return _mm_mul_ps(a, b); }
+  static reg fmadd(reg a, reg b, reg c) noexcept {
+    return _mm_fmadd_ps(a, b, c);
+  }
+  static reg fnmadd(reg a, reg b, reg c) noexcept {
+    return _mm_fnmadd_ps(a, b, c);
+  }
 };
 
 /// A masked Xmm for the last lanes % 4: lane l is live iff l < rem.
@@ -252,11 +277,240 @@ inline __m128i tail_mask4(int rem) noexcept {
   return _mm_cmpgt_epi32(_mm_set1_epi32(rem), _mm_setr_epi32(0, 1, 2, 3));
 }
 
-/// The whole-domain lane dslash: 8-lane chunks, then 4, then a masked 4.
+/// One site's clover block pair (Kernels::clover_lanes) on one chunk of
+/// lanes; `x` and `y` point at the chunk's first lane. Row i of each
+/// chirality block starts at diag_i * x_i and adds the off-diagonal terms
+/// j = 0..5 (j != i) in order, two FMAs per component each.
+template <class V>
+[[gnu::always_inline]] inline void clover_site(const V& v, const float* blk,
+                                               const float* x, float* y,
+                                               int lanes) noexcept {
+  using Reg = typename V::reg;
+  for (int chi = 0; chi < 2; ++chi) {
+    const float* b = blk + chi * detail::kCloverBlockFloats;
+    const float* x0 = x + chi * 2 * kCloverBlockDim * lanes;
+    float* y0 = y + chi * 2 * kCloverBlockDim * lanes;
+    for (int i = 0; i < kCloverBlockDim; ++i) {
+      const Reg di = V::set1(b[i]);
+      Reg acc_re = V::mul(di, v.load(x0 + 2 * i * lanes));
+      Reg acc_im = V::mul(di, v.load(x0 + (2 * i + 1) * lanes));
+      for (int j = 0; j < kCloverBlockDim; ++j) {
+        if (j == i) continue;
+        // j > i uses conj(offd[j][i]): same real part, negated imag.
+        const int k = j < i ? packed_index(i, j) : packed_index(j, i);
+        const float oi = b[kCloverBlockDim + 2 * k + 1];
+        const Reg pr = V::set1(b[kCloverBlockDim + 2 * k]);
+        const Reg pi = V::set1(j < i ? oi : -oi);
+        const Reg xr = v.load(x0 + 2 * j * lanes);
+        const Reg xi = v.load(x0 + (2 * j + 1) * lanes);
+        acc_re = V::fmadd(pr, xr, acc_re);
+        acc_re = V::fnmadd(pi, xi, acc_re);
+        acc_im = V::fmadd(pr, xi, acc_im);
+        acc_im = V::fmadd(pi, xr, acc_im);
+      }
+      v.store(y0 + 2 * i * lanes, acc_re);
+      v.store(y0 + (2 * i + 1) * lanes, acc_im);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One lane, vectorized within the site: spin pairs in __m128 registers.
+// ---------------------------------------------------------------------------
+namespace one {
+
+constexpr int perm_imm(int e0, int e1, int e2, int e3) noexcept {
+  return e0 | e1 << 2 | e2 << 4 | e3 << 6;
+}
+
+/// Sign-bit mask negating the components of [re0, im0, re1, im1] where
+/// the flag is set.
+inline __m128 sign_mask(bool n0, bool n1, bool n2, bool n3) noexcept {
+  constexpr int kSign = static_cast<int>(0x80000000u);
+  return _mm_castsi128_ps(_mm_setr_epi32(n0 ? kSign : 0, n1 ? kSign : 0,
+                                         n2 ? kSign : 0, n3 ? kSign : 0));
+}
+
+/// [a[0], a[1], b[0], b[1]].
+inline __m128 load2(const float* a, const float* b) noexcept {
+  const __m128 lo =
+      _mm_castsi128_ps(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(a)));
+  return _mm_loadh_pi(lo, reinterpret_cast<const __m64*>(b));
+}
+
+/// [s[r0][c], s[r1][c]] of a one-lane spinor or half spinor.
+inline __m128 load_pair(const float* s, int r0, int r1, int c) noexcept {
+  return load2(s + (r0 * kNumColors + c) * 2, s + (r1 * kNumColors + c) * 2);
+}
+
+inline void store_pair(float* s, int r0, int r1, int c, __m128 v) noexcept {
+  _mm_storel_pi(reinterpret_cast<__m64*>(s + (r0 * kNumColors + c) * 2), v);
+  _mm_storeh_pi(reinterpret_cast<__m64*>(s + (r1 * kNumColors + c) * 2), v);
+}
+
+/// Color c of the upper two rows of (1 +- gamma_Mu) psi (+ iff Plus).
+template <int Mu, bool Plus>
+[[gnu::always_inline]] inline __m128 project(const float* psi,
+                                             int c) noexcept {
+  constexpr detail::PhaseAdd P0 = detail::phase_add(kGamma[Mu].phase[0], Plus);
+  constexpr detail::PhaseAdd P1 = detail::phase_add(kGamma[Mu].phase[1], Plus);
+  constexpr int imm = perm_imm(P0.swap ? 1 : 0, P0.swap ? 0 : 1,
+                               P1.swap ? 3 : 2, P1.swap ? 2 : 3);
+  const __m128 b = _mm_permute_ps(
+      load_pair(psi, kGamma[Mu].col[0], kGamma[Mu].col[1], c), imm);
+  return _mm_add_ps(
+      load_pair(psi, 0, 1, c),
+      _mm_xor_ps(b, sign_mask(P0.neg_re, P0.neg_im, P1.neg_re, P1.neg_im)));
+}
+
+/// y[i] = color i of U h, or of U^dagger h with Plus.
+template <bool Plus>
+[[gnu::always_inline]] inline void su3_mul(const float* u,
+                                           const __m128 (&h)[3],
+                                           __m128 (&y)[3]) noexcept {
+  __m128 hs[3];
+  for (int j = 0; j < kNumColors; ++j) {
+    hs[j] = _mm_permute_ps(h[j], perm_imm(1, 0, 3, 2));
+    // U^dagger's imaginary parts are -Im U_{j,i}: (-a) b == a (-b).
+    if constexpr (Plus)
+      hs[j] = _mm_xor_ps(hs[j], sign_mask(true, true, true, true));
+  }
+  for (int i = 0; i < kNumColors; ++i)
+    for (int j = 0; j < kNumColors; ++j) {
+      const float* uij = Plus ? u + (j * 3 + i) * 2 : u + (i * 3 + j) * 2;
+      // addsub: re = ur hr - ui hi, im = ur hi + ui hr.
+      const __m128 p =
+          _mm_addsub_ps(_mm_mul_ps(_mm_broadcast_ss(uij), h[j]),
+                        _mm_mul_ps(_mm_broadcast_ss(uij + 1), hs[j]));
+      y[i] = j == 0 ? p : _mm_add_ps(y[i], p);
+    }
+}
+
+/// One hop into the accumulators: up = rows 0 and 1, dn = rows 2 and 3,
+/// both by color.
+template <int Mu, bool Plus>
+[[gnu::always_inline]] inline void hop(const float* psi, const float* u,
+                                       __m128 (&up)[3],
+                                       __m128 (&dn)[3]) noexcept {
+  constexpr detail::PhaseAdd P2 = detail::phase_add(kGamma[Mu].phase[2], Plus);
+  constexpr detail::PhaseAdd P3 = detail::phase_add(kGamma[Mu].phase[3], Plus);
+  constexpr int s2 = kGamma[Mu].col[2];
+  constexpr int s3 = kGamma[Mu].col[3];
+  constexpr int imm =
+      perm_imm(2 * s2 + (P2.swap ? 1 : 0), 2 * s2 + (P2.swap ? 0 : 1),
+               2 * s3 + (P3.swap ? 1 : 0), 2 * s3 + (P3.swap ? 0 : 1));
+  __m128 h[3], y[3];
+  for (int c = 0; c < kNumColors; ++c) h[c] = project<Mu, Plus>(psi, c);
+  su3_mul<Plus>(u, h, y);
+  const __m128 sg = sign_mask(P2.neg_re, P2.neg_im, P3.neg_re, P3.neg_im);
+  for (int c = 0; c < kNumColors; ++c) {
+    up[c] = _mm_add_ps(up[c], y[c]);
+    dn[c] = _mm_add_ps(dn[c], _mm_xor_ps(_mm_permute_ps(y[c], imm), sg));
+  }
+}
+
+template <int Mu>
+[[gnu::always_inline]] inline void dim(const float* links,
+                                       const std::int32_t* nbr,
+                                       std::int32_t l, std::int32_t in_off,
+                                       const float* in, __m128 (&up)[3],
+                                       __m128 (&dn)[3]) noexcept {
+  const std::int32_t* nb =
+      nbr + static_cast<std::size_t>(l) * 2 * kNumDims + 2 * Mu;
+  if (nb[0] >= 0)
+    hop<Mu, false>(in + static_cast<std::ptrdiff_t>(nb[0] - in_off) *
+                            kSpinorReals,
+                   links + (static_cast<std::size_t>(l) * kNumDims + Mu) * 18,
+                   up, dn);
+  if (nb[1] >= 0)
+    hop<Mu, true>(
+        in + static_cast<std::ptrdiff_t>(nb[1] - in_off) * kSpinorReals,
+        links + (static_cast<std::size_t>(nb[1]) * kNumDims + Mu) * 18, up,
+        dn);
+}
+
+inline void dslash(const float* links, const std::int32_t* nbr,
+                   std::int32_t l0, std::int32_t in_off, std::int32_t nsites,
+                   const float* in, float* out) noexcept {
+  for (std::int32_t i = 0; i < nsites; ++i) {
+    __m128 up[3], dn[3];
+    for (int c = 0; c < kNumColors; ++c) up[c] = dn[c] = _mm_setzero_ps();
+    dim<0>(links, nbr, l0 + i, in_off, in, up, dn);
+    dim<1>(links, nbr, l0 + i, in_off, in, up, dn);
+    dim<2>(links, nbr, l0 + i, in_off, in, up, dn);
+    dim<3>(links, nbr, l0 + i, in_off, in, up, dn);
+    float* o = out + static_cast<std::size_t>(i) * kSpinorReals;
+    for (int c = 0; c < kNumColors; ++c) {
+      store_pair(o, 0, 1, c, up[c]);
+      store_pair(o, 2, 3, c, dn[c]);
+    }
+  }
+}
+
+/// One site's clover block pair: row i of chirality 0 and of chirality 1
+/// side by side in acc[i]. The columns j run outermost, so the six rows'
+/// FMA chains interleave, and each row adds its terms in clover_site()'s
+/// order with its FMA sequence (c - a b is computed as c + (-a) b).
+inline void clover_pair(const float* b0, const float* x, float* y) noexcept {
+  const float* b1 = b0 + detail::kCloverBlockFloats;
+  const float* x1 = x + 2 * kCloverBlockDim;
+  __m128 acc[kCloverBlockDim];
+  for (int i = 0; i < kCloverBlockDim; ++i) {
+    // [d0, d0, d1, d1] times row i of both chiralities.
+    const __m128 d = _mm_shuffle_ps(_mm_broadcast_ss(b0 + i),
+                                    _mm_broadcast_ss(b1 + i), 0);
+    acc[i] = _mm_mul_ps(d, load2(x + 2 * i, x1 + 2 * i));
+  }
+  for (int j = 0; j < kCloverBlockDim; ++j) {
+    const __m128 xj = load2(x + 2 * j, x1 + 2 * j);
+    const __m128 xs = _mm_permute_ps(xj, perm_imm(1, 0, 3, 2));
+    for (int i = 0; i < kCloverBlockDim; ++i) {
+      if (i == j) continue;
+      const int k = kCloverBlockDim +
+                    2 * (j < i ? packed_index(i, j) : packed_index(j, i));
+      const __m128 o = load2(b0 + k, b1 + k);  // [re0, im0, re1, im1]
+      // Cross-term coefficient: -pi on the real slots, pi on the
+      // imaginary ones, pi = Im M[i][j] (j < i) or -Im M[j][i] (j > i).
+      const __m128 pi = _mm_xor_ps(_mm_movehdup_ps(o),
+                                   j < i ? sign_mask(true, false, true, false)
+                                         : sign_mask(false, true, false, true));
+      acc[i] = _mm_fmadd_ps(_mm_moveldup_ps(o), xj, acc[i]);
+      acc[i] = _mm_fmadd_ps(pi, xs, acc[i]);
+    }
+  }
+  for (int i = 0; i < kCloverBlockDim; ++i) {
+    _mm_storel_pi(reinterpret_cast<__m64*>(y + 2 * i), acc[i]);
+    _mm_storeh_pi(reinterpret_cast<__m64*>(y + 2 * kCloverBlockDim + 2 * i),
+                  acc[i]);
+  }
+}
+
+template <int Mu, bool Forward>
+[[gnu::always_inline]] inline void pack_site(const float* u, const float* z,
+                                             float* o) noexcept {
+  __m128 h[3];
+  for (int c = 0; c < kNumColors; ++c) h[c] = project<Mu, Forward>(z, c);
+  if constexpr (Forward) {
+    __m128 y[3];
+    su3_mul<true>(u, h, y);
+    for (int c = 0; c < kNumColors; ++c) store_pair(o, 0, 1, c, y[c]);
+  } else {
+    for (int c = 0; c < kNumColors; ++c) store_pair(o, 0, 1, c, h[c]);
+  }
+}
+
+}  // namespace one
+
+/// The whole-domain lane dslash: one lane within the site, otherwise
+/// 8-lane chunks, then 4, then a masked 4.
 inline void dslash_lanes(const float* links, const std::int32_t* nbr,
                          std::int32_t l0, std::int32_t in_off,
                          std::int32_t nsites, const float* in, float* out,
                          int lanes) noexcept {
+  if (lanes == 1) {
+    one::dslash(links, nbr, l0, in_off, nsites, in, out);
+    return;
+  }
   for (std::int32_t i = 0; i < nsites; ++i) {
     float* o = out + static_cast<std::size_t>(i) * kSpinorReals *
                          static_cast<std::size_t>(lanes);
@@ -273,96 +527,58 @@ inline void dslash_lanes(const float* links, const std::int32_t* nbr,
   }
 }
 
-inline void clover_pair_lanes(const PackedHermitian6<float>* b0,
-                              const PackedHermitian6<float>* b1,
-                              const float* in_site, float* out_site,
-                              int lanes) noexcept {
-  const PackedHermitian6<float>* blocks[2] = {b0, b1};
-  for (int chi = 0; chi < 2; ++chi) {
-    const auto& blk = *blocks[chi];
-    const float* x0 = in_site + chi * 2 * kCloverBlockDim * lanes;
-    float* y0 = out_site + chi * 2 * kCloverBlockDim * lanes;
-    int l = 0;
-    for (; l + 8 <= lanes; l += 8) {
-      for (int i = 0; i < kCloverBlockDim; ++i) {
-        const __m256 di = _mm256_set1_ps(blk.diag[i]);
-        __m256 acc_re = _mm256_mul_ps(di, _mm256_loadu_ps(x0 + 2 * i * lanes + l));
-        __m256 acc_im =
-            _mm256_mul_ps(di, _mm256_loadu_ps(x0 + (2 * i + 1) * lanes + l));
-        for (int j = 0; j < kCloverBlockDim; ++j) {
-          if (j == i) continue;
-          const Complex<float> o = j < i ? blk.offd[packed_index(i, j)]
-                                         : blk.offd[packed_index(j, i)];
-          const __m256 pr = _mm256_set1_ps(o.real());
-          // j > i uses conj(offd[j][i]): same real part, negated imag.
-          const __m256 pi = _mm256_set1_ps(j < i ? o.imag() : -o.imag());
-          const __m256 xr = _mm256_loadu_ps(x0 + 2 * j * lanes + l);
-          const __m256 xi = _mm256_loadu_ps(x0 + (2 * j + 1) * lanes + l);
-          acc_re = _mm256_fmadd_ps(pr, xr, acc_re);
-          acc_re = _mm256_fnmadd_ps(pi, xi, acc_re);
-          acc_im = _mm256_fmadd_ps(pr, xi, acc_im);
-          acc_im = _mm256_fmadd_ps(pi, xr, acc_im);
-        }
-        _mm256_storeu_ps(y0 + 2 * i * lanes + l, acc_re);
-        _mm256_storeu_ps(y0 + (2 * i + 1) * lanes + l, acc_im);
-      }
-    }
-    for (; l + 4 <= lanes; l += 4) {
-      for (int i = 0; i < kCloverBlockDim; ++i) {
-        const __m128 di = _mm_set1_ps(blk.diag[i]);
-        __m128 acc_re = _mm_mul_ps(di, _mm_loadu_ps(x0 + 2 * i * lanes + l));
-        __m128 acc_im =
-            _mm_mul_ps(di, _mm_loadu_ps(x0 + (2 * i + 1) * lanes + l));
-        for (int j = 0; j < kCloverBlockDim; ++j) {
-          if (j == i) continue;
-          const Complex<float> o = j < i ? blk.offd[packed_index(i, j)]
-                                         : blk.offd[packed_index(j, i)];
-          const __m128 pr = _mm_set1_ps(o.real());
-          const __m128 pi = _mm_set1_ps(j < i ? o.imag() : -o.imag());
-          const __m128 xr = _mm_loadu_ps(x0 + 2 * j * lanes + l);
-          const __m128 xi = _mm_loadu_ps(x0 + (2 * j + 1) * lanes + l);
-          acc_re = _mm_fmadd_ps(pr, xr, acc_re);
-          acc_re = _mm_fnmadd_ps(pi, xi, acc_re);
-          acc_im = _mm_fmadd_ps(pr, xi, acc_im);
-          acc_im = _mm_fmadd_ps(pi, xr, acc_im);
-        }
-        _mm_storeu_ps(y0 + 2 * i * lanes + l, acc_re);
-        _mm_storeu_ps(y0 + (2 * i + 1) * lanes + l, acc_im);
-      }
-    }
-    if (l < lanes) {
-      // Lane tail: scalar reference on the remaining sub-range. The
-      // ref kernel indexes components by `lanes`, so hand it shifted
-      // bases and the remaining width.
-      const int rem = lanes - l;
-      for (int i = 0; i < kCloverBlockDim; ++i) {
-        float* o_re = y0 + 2 * i * lanes + l;
-        float* o_im = o_re + lanes;
-        const float di = blk.diag[i];
-        const float* x_re = x0 + 2 * i * lanes + l;
-        const float* x_im = x_re + lanes;
-        for (int t = 0; t < rem; ++t) {
-          o_re[t] = di * x_re[t];
-          o_im[t] = di * x_im[t];
-        }
-        for (int j = 0; j < kCloverBlockDim; ++j) {
-          if (j == i) continue;
-          const Complex<float> o = j < i ? blk.offd[packed_index(i, j)]
-                                         : blk.offd[packed_index(j, i)];
-          const float pr = o.real();
-          const float pi = j < i ? o.imag() : -o.imag();
-          const float* xjr = x0 + 2 * j * lanes + l;
-          const float* xji = xjr + lanes;
-          for (int t = 0; t < rem; ++t) {
-            o_re[t] += pr * xjr[t] - pi * xji[t];
-            o_im[t] += pr * xji[t] + pi * xjr[t];
-          }
-        }
-      }
-    }
+inline void pack_faces_lanes(const float* links,
+                             const std::int32_t* face_sites,
+                             const std::int32_t* face_size, const float* z,
+                             int lanes, int nrhs, float* out,
+                             std::int64_t rhs_stride) noexcept {
+  if (lanes == 1) {
+    detail::for_each_face_site(
+        links, face_sites, face_size, z, 1, out,
+        []<int Mu, bool Forward>(const float* u, const float* zs, float* o) {
+          one::pack_site<Mu, Forward>(u, zs, o);
+        });
+    return;
   }
+  detail::for_each_face_site(
+      links, face_sites, face_size, z, lanes, out,
+      [&]<int Mu, bool Forward>(const float* u, const float* zs, float* o) {
+        int c = 0;
+        for (; c + Ymm::width <= lanes && c < nrhs; c += Ymm::width)
+          detail::pack_chunk<Mu, Forward>(Ymm{}, u, zs, lanes, c, nrhs, o,
+                                          rhs_stride);
+        for (; c + Xmm::width <= lanes && c < nrhs; c += Xmm::width)
+          detail::pack_chunk<Mu, Forward>(Xmm{}, u, zs, lanes, c, nrhs, o,
+                                          rhs_stride);
+        if (c < lanes && c < nrhs)
+          detail::pack_chunk<Mu, Forward>(XmmTail{{}, tail_mask4(lanes - c)},
+                                          u, zs, lanes, c, nrhs, o,
+                                          rhs_stride);
+      });
 }
 
+inline void clover_lanes(const float* blocks, std::int32_t nsites,
+                         const float* in, float* out, int lanes) noexcept {
+  const std::size_t stride =
+      static_cast<std::size_t>(kSpinorReals) * static_cast<std::size_t>(lanes);
+  for (std::int32_t s = 0; s < nsites; ++s) {
+    const float* b =
+        blocks + static_cast<std::size_t>(s) * 2 * detail::kCloverBlockFloats;
+    const float* x = in + static_cast<std::size_t>(s) * stride;
+    float* y = out + static_cast<std::size_t>(s) * stride;
+    if (lanes == 1) {
+      one::clover_pair(b, x, y);
+      continue;
+    }
+    int c = 0;
+    for (; c + Ymm::width <= lanes; c += Ymm::width)
+      clover_site(Ymm{}, b, x + c, y + c, lanes);
+    for (; c + Xmm::width <= lanes; c += Xmm::width)
+      clover_site(Xmm{}, b, x + c, y + c, lanes);
+    if (c < lanes)
+      clover_site(XmmTail{{}, tail_mask4(lanes - c)}, b, x + c, y + c, lanes);
+  }
+}
 inline void xpay_lanes(const float* x, float s, const float* y, float* out,
                        std::int64_t n) noexcept {
   const __m256 vs = _mm256_set1_ps(s);
@@ -374,10 +590,35 @@ inline void xpay_lanes(const float* x, float s, const float* y, float* out,
   for (; k < n; ++k) out[k] = x[k] + s * y[k];
 }
 
-inline void mr_dots_lanes(const float* r, const float* ar,
-                          std::int64_t ncomplex, int lanes, double* arr_re,
-                          double* arr_im, double* arar) noexcept {
-  int lc = 0;
+/// The MR inner products of lane l exactly as a vector chunk computes
+/// them: two FMAs per component and accumulator, in component order.
+inline void mr_dots_lane(const float* r, const float* ar,
+                         std::int64_t ncomplex, int lanes, int l,
+                         double* arr_re, double* arr_im,
+                         double* arar) noexcept {
+  double srr = arr_re[l], sri = arr_im[l], saa = arar[l];
+  for (std::int64_t k = 0; k < ncomplex; ++k) {
+    const double rr = r[2 * k * lanes + l];
+    const double ri = r[(2 * k + 1) * lanes + l];
+    const double ad = ar[2 * k * lanes + l];
+    const double ai = ar[(2 * k + 1) * lanes + l];
+    srr = std::fma(ad, rr, srr);
+    srr = std::fma(ai, ri, srr);
+    sri = std::fma(ad, ri, sri);
+    sri = std::fma(-ai, rr, sri);
+    saa = std::fma(ad, ad, saa);
+    saa = std::fma(ai, ai, saa);
+  }
+  arr_re[l] = srr;
+  arr_im[l] = sri;
+  arar[l] = saa;
+}
+
+/// mr_dots_lanes on lanes [lc, lanes): 4-lane chunks, then single lanes.
+inline void mr_dots_range(const float* r, const float* ar,
+                          std::int64_t ncomplex, int lanes, int lc,
+                          double* arr_re, double* arr_im,
+                          double* arar) noexcept {
   for (; lc + 4 <= lanes; lc += 4) {
     __m256d vrr = _mm256_loadu_pd(arr_re + lc);
     __m256d vri = _mm256_loadu_pd(arr_im + lc);
@@ -400,28 +641,70 @@ inline void mr_dots_lanes(const float* r, const float* ar,
     _mm256_storeu_pd(arr_im + lc, vri);
     _mm256_storeu_pd(arar + lc, vaa);
   }
-  for (; lc < lanes; ++lc) {
-    double srr = arr_re[lc], sri = arr_im[lc], saa = arar[lc];
-    for (std::int64_t k = 0; k < ncomplex; ++k) {
-      const double rr = r[2 * k * lanes + lc];
-      const double ri = r[(2 * k + 1) * lanes + lc];
-      const double ad = ar[2 * k * lanes + lc];
-      const double ai = ar[(2 * k + 1) * lanes + lc];
-      srr += ad * rr + ai * ri;
-      sri += ad * ri - ai * rr;
-      saa += ad * ad + ai * ai;
-    }
-    arr_re[lc] = srr;
-    arr_im[lc] = sri;
-    arar[lc] = saa;
+  for (; lc < lanes; ++lc)
+    mr_dots_lane(r, ar, ncomplex, lanes, lc, arr_re, arr_im, arar);
+}
+
+inline void mr_dots_lanes(const float* r, const float* ar,
+                          std::int64_t ncomplex, int lanes, double* arr_re,
+                          double* arr_im, double* arar) noexcept {
+  mr_dots_range(r, ar, ncomplex, lanes, 0, arr_re, arr_im, arar);
+}
+
+/// The MR update of lane l exactly as a vector chunk computes it.
+inline void mr_axpy_lane(float* z, float* r, const float* ar,
+                         std::int64_t ncomplex, int lanes, int l, float alr,
+                         float ali) noexcept {
+  for (std::int64_t k = 0; k < ncomplex; ++k) {
+    float* zre = z + 2 * k * lanes + l;
+    float* zim = zre + lanes;
+    float* rre = r + 2 * k * lanes + l;
+    float* rim = rre + lanes;
+    const float are = ar[2 * k * lanes + l];
+    const float aim = ar[(2 * k + 1) * lanes + l];
+    const float rr = *rre, ri = *rim;
+    *zre = std::fma(-ali, ri, std::fma(alr, rr, *zre));
+    *zim = std::fma(ali, rr, std::fma(alr, ri, *zim));
+    *rre = std::fma(ali, aim, std::fma(-alr, are, rr));
+    *rim = std::fma(-ali, are, std::fma(-alr, aim, ri));
   }
 }
 
-inline void mr_axpy_lanes(float* z, float* r, const float* ar,
-                          std::int64_t ncomplex, int lanes,
+/// One lane, within the site: at one lane a component's real and
+/// imaginary parts are adjacent, so each __m256 holds four complex
+/// numbers and a pair swap lines up the cross terms. Same FMA sequence
+/// per component as mr_axpy_lane.
+inline void mr_axpy_one(float* z, float* r, const float* ar,
+                        std::int64_t ncomplex, float alr,
+                        float ali) noexcept {
+  const __m256 valr = _mm256_set1_ps(alr);
+  // z_re -= ali r_im, z_im += ali r_re; r_re += ali Ar_im, r_im -= ali Ar_re.
+  const __m256 z_ali = _mm256_setr_ps(-ali, ali, -ali, ali, -ali, ali, -ali,
+                                      ali);
+  const __m256 r_ali = _mm256_setr_ps(ali, -ali, ali, -ali, ali, -ali, ali,
+                                      -ali);
+  std::int64_t k = 0;
+  for (; k + 4 <= ncomplex; k += 4) {
+    const __m256 vr = _mm256_loadu_ps(r + 2 * k);
+    const __m256 va = _mm256_loadu_ps(ar + 2 * k);
+    __m256 vz = _mm256_fmadd_ps(valr, vr, _mm256_loadu_ps(z + 2 * k));
+    vz = _mm256_fmadd_ps(z_ali, swap_pairs(vr), vz);
+    _mm256_storeu_ps(z + 2 * k, vz);
+    __m256 nr = _mm256_fnmadd_ps(valr, va, vr);
+    nr = _mm256_fmadd_ps(r_ali, swap_pairs(va), nr);
+    _mm256_storeu_ps(r + 2 * k, nr);
+  }
+  if (k < ncomplex)
+    mr_axpy_lane(z + 2 * k, r + 2 * k, ar + 2 * k, ncomplex - k, 1, 0, alr,
+                 ali);
+}
+
+/// mr_axpy_lanes on lanes [lc, lanes): 8-lane chunks, 4-lane chunks, then
+/// single lanes.
+inline void mr_axpy_range(float* z, float* r, const float* ar,
+                          std::int64_t ncomplex, int lanes, int lc,
                           const float* alpha_re,
                           const float* alpha_im) noexcept {
-  int lc = 0;
   for (; lc + 8 <= lanes; lc += 8) {
     const __m256 alr = _mm256_loadu_ps(alpha_re + lc);
     const __m256 ali = _mm256_loadu_ps(alpha_im + lc);
@@ -476,21 +759,18 @@ inline void mr_axpy_lanes(float* z, float* r, const float* ar,
       _mm_storeu_ps(rre + lanes, nri);
     }
   }
-  for (; lc < lanes; ++lc) {
-    const float alr = alpha_re[lc], ali = alpha_im[lc];
-    for (std::int64_t k = 0; k < ncomplex; ++k) {
-      float* zre = z + 2 * k * lanes + lc;
-      float* zim = z + (2 * k + 1) * lanes + lc;
-      float* rre = r + 2 * k * lanes + lc;
-      float* rim = r + (2 * k + 1) * lanes + lc;
-      const float are = ar[2 * k * lanes + lc];
-      const float aim = ar[(2 * k + 1) * lanes + lc];
-      *zre += alr * *rre - ali * *rim;
-      *zim += alr * *rim + ali * *rre;
-      *rre -= alr * are - ali * aim;
-      *rim -= alr * aim + ali * are;
-    }
-  }
+  for (; lc < lanes; ++lc)
+    mr_axpy_lane(z, r, ar, ncomplex, lanes, lc, alpha_re[lc], alpha_im[lc]);
+}
+
+inline void mr_axpy_lanes(float* z, float* r, const float* ar,
+                          std::int64_t ncomplex, int lanes,
+                          const float* alpha_re,
+                          const float* alpha_im) noexcept {
+  if (lanes == 1)
+    mr_axpy_one(z, r, ar, ncomplex, alpha_re[0], alpha_im[0]);
+  else
+    mr_axpy_range(z, r, ar, ncomplex, lanes, 0, alpha_re, alpha_im);
 }
 
 inline void float_to_half_n(const float* src, Half* dst,

@@ -17,8 +17,9 @@ constexpr Kernels kAvx2Kernels = {
     &a2::su3_mul_lanes,
     &a2::project_lanes,
     &a2::dslash_lanes,
-    &a2::clover_pair_lanes,
+    &a2::clover_lanes,
     &a2::xpay_lanes,
+    &a2::pack_faces_lanes,
     &a2::mr_dots_lanes,
     &a2::mr_axpy_lanes,
     &a2::float_to_half_n,

@@ -1,14 +1,21 @@
 // AVX-512 backend: 16-lane masked versions of the hot lane kernels (the
 // mask makes the lane tail free — no scalar remainder), reusing the AVX2
-// implementations for su3_mul_nn and the MR reductions where 512-bit
-// vectors buy nothing over the small lane counts. Compiled with
-// -mavx512f -mavx512vl -mavx512bw -mavx512dq plus the AVX2 set and
-// -ffp-contract=off.
+// implementations for su3_mul_nn and for the MR kernels' lanes beyond the
+// last full 16. Compiled with -mavx512f -mavx512vl -mavx512bw -mavx512dq
+// plus the AVX2 set and -ffp-contract=off.
 //
 // Numerics match the AVX2 backend kernel-for-kernel: the bit-identical
-// kernels (su3 multiply, projection, dslash, xpay) use separate mul+add
-// in scalar accumulation order; clover uses per-lane FMA, which is
-// width-independent, so avx512 == avx2 bitwise there as well.
+// kernels (su3 multiply, projection, dslash, face pack, xpay) use separate
+// mul+add in scalar accumulation order; clover and MR use the per-lane FMA
+// sequence of the AVX2 kernels, which is width-independent, so avx512 ==
+// avx2 bitwise there as well.
+//
+// One lane (a batch of one) runs within the site: a half spinor's 12
+// floats (two spin rows x three colors x (re, im)) fill positions 0..11 of
+// one __m512, and the projection, each SU(3) column and the clover's
+// off-diagonal columns are two-source permutes of the loaded site, link or
+// block followed by the lane kernels' per-lane arithmetic. Positions
+// 12..15 are zero or ignored and never stored.
 #include "lqcd/simd/avx2_kernels.h"
 #include "lqcd/simd/backends.h"
 
@@ -18,7 +25,9 @@
 
 #include <immintrin.h>
 
+#include <array>
 #include <cstdint>
+#include <limits>
 
 namespace lqcd::simd::a5 {
 
@@ -94,8 +103,8 @@ inline void project_lanes(const float* in_site, int mu, int sign, float* h,
   }
 }
 
-/// Vector traits of simd/dslash_lanes.h: 16 lanes per __m512, and a
-/// masked variant for the last lanes % 16.
+/// Vector traits of simd/dslash_lanes.h and a2::clover_site(): 16 lanes
+/// per __m512, and a masked variant for the last lanes % 16.
 struct Zmm {
   using reg = __m512;
   static constexpr int width = 16;
@@ -106,6 +115,12 @@ struct Zmm {
   static reg add(reg a, reg b) noexcept { return _mm512_add_ps(a, b); }
   static reg sub(reg a, reg b) noexcept { return _mm512_sub_ps(a, b); }
   static reg mul(reg a, reg b) noexcept { return _mm512_mul_ps(a, b); }
+  static reg fmadd(reg a, reg b, reg c) noexcept {
+    return _mm512_fmadd_ps(a, b, c);
+  }
+  static reg fnmadd(reg a, reg b, reg c) noexcept {
+    return _mm512_fnmadd_ps(a, b, c);
+  }
 };
 
 struct ZmmTail : Zmm {
@@ -116,11 +131,250 @@ struct ZmmTail : Zmm {
   void store(float* p, reg x) const noexcept { _mm512_mask_storeu_ps(p, m, x); }
 };
 
-/// The whole-domain lane dslash: 16-lane chunks and a masked tail.
+// ---------------------------------------------------------------------------
+// One lane, vectorized within the site. The permute indices and sign masks
+// are compile-time tables; a sign flip is an xor of the sign bit, and
+// a + (-b) is a - b exactly, so each component sees the lane kernels'
+// operations.
+// ---------------------------------------------------------------------------
+namespace one {
+
+/// The 12 live positions of a half spinor (or clover chirality block).
+constexpr __mmask16 kHalf = 0x0FFF;
+constexpr std::int32_t kSignBit = std::numeric_limits<std::int32_t>::min();
+
+struct alignas(64) Idx {
+  std::int32_t v[16];
+};
+
+inline __m512i ld(const Idx& i) noexcept { return _mm512_load_si512(i.v); }
+
+inline __m512 flip(__m512 x, const Idx& sign) noexcept {
+  return _mm512_xor_ps(x, _mm512_castsi512_ps(ld(sign)));
+}
+
+/// Position of (spin row s, color c, re/im ri) in a half spinor.
+constexpr int pos(int s, int c, int ri) noexcept { return (s * 3 + c) * 2 + ri; }
+
+/// Per (mu, sign) hop: the projection reads lower row col[r] of psi from
+/// the register loaded at psi + 8; the reconstruction builds lower rows 2
+/// and 3 from rows col[2] and col[3] of the multiplied half spinor.
+struct HopTables {
+  Idx proj, proj_sign, rec, rec_sign;
+};
+
+constexpr HopTables hop_tables(int mu, bool plus) noexcept {
+  HopTables t{};
+  const PermPhaseMatrix& g = kGamma[static_cast<std::size_t>(mu)];
+  for (int r = 0; r < 2; ++r)
+    for (int c = 0; c < kNumColors; ++c)
+      for (int ri = 0; ri < 2; ++ri) {
+        const int q = pos(r, c, ri);
+        const auto ru = static_cast<std::size_t>(r);
+        const detail::PhaseAdd P = detail::phase_add(g.phase[ru], plus);
+        t.proj.v[q] = pos(g.col[ru], c, P.swap ? 1 - ri : ri) - 8;
+        t.proj_sign.v[q] = (ri == 0 ? P.neg_re : P.neg_im) ? kSignBit : 0;
+        const detail::PhaseAdd Q = detail::phase_add(g.phase[ru + 2], plus);
+        t.rec.v[q] = pos(g.col[ru + 2], c, Q.swap ? 1 - ri : ri);
+        t.rec_sign.v[q] = (ri == 0 ? Q.neg_re : Q.neg_im) ? kSignBit : 0;
+      }
+  return t;
+}
+
+constexpr std::array<HopTables, 2 * kNumDims> kHop = {
+    hop_tables(0, false), hop_tables(0, true), hop_tables(1, false),
+    hop_tables(1, true),  hop_tables(2, false), hop_tables(2, true),
+    hop_tables(3, false), hop_tables(3, true)};
+
+/// SU(3) column j: h's color j broadcast over colors (hj) and with re/im
+/// swapped (hs); the link's U_{i,j} (adj 0) or U_{j,i} (adj 1) real and
+/// imaginary parts per output color, as indices into the registers loaded
+/// at u and u + 2; the sign of the cross term: U h subtracts it from the
+/// real part, U^dagger h (Im U^dagger_{i,j} = -Im U_{j,i}) from the
+/// imaginary part.
+struct MulTables {
+  Idx hj[3], hs[3], ure[2][3], uim[2][3], sign[2];
+};
+
+constexpr int link_index(int f) noexcept { return f < 16 ? f : f + 14; }
+
+constexpr MulTables mul_tables() noexcept {
+  MulTables t{};
+  for (int s = 0; s < 2; ++s)
+    for (int i = 0; i < kNumColors; ++i)
+      for (int ri = 0; ri < 2; ++ri) {
+        const int q = pos(s, i, ri);
+        for (int j = 0; j < kNumColors; ++j) {
+          t.hj[j].v[q] = pos(s, j, ri);
+          t.hs[j].v[q] = pos(s, j, 1 - ri);
+          for (int adj = 0; adj < 2; ++adj) {
+            const int f = adj != 0 ? (j * 3 + i) * 2 : (i * 3 + j) * 2;
+            t.ure[adj][j].v[q] = link_index(f);
+            t.uim[adj][j].v[q] = link_index(f + 1);
+          }
+        }
+        t.sign[0].v[q] = ri == 0 ? kSignBit : 0;
+        t.sign[1].v[q] = ri == 1 ? kSignBit : 0;
+      }
+  return t;
+}
+
+constexpr MulTables kMul = mul_tables();
+
+/// Clover column j of a chirality block: the diagonal per row, the
+/// off-diagonal M[i][j] real and imaginary parts per row i as indices into
+/// the registers loaded at blk + 4 and blk + 20, the signs that make the
+/// second FMA of each component one FMA with a signed coefficient, and x_j
+/// broadcast over rows (xb) and with re/im swapped (xs).
+struct CloverTables {
+  Idx diag, pr[kCloverBlockDim], pi[kCloverBlockDim],
+      pi_sign[kCloverBlockDim], xb[kCloverBlockDim], xs[kCloverBlockDim];
+};
+
+constexpr CloverTables clover_tables() noexcept {
+  CloverTables t{};
+  for (int i = 0; i < kCloverBlockDim; ++i)
+    for (int ri = 0; ri < 2; ++ri) {
+      const int q = 2 * i + ri;
+      t.diag.v[q] = i;
+      for (int j = 0; j < kCloverBlockDim; ++j) {
+        t.xb[j].v[q] = 2 * j + ri;
+        t.xs[j].v[q] = 2 * j + 1 - ri;
+        if (j == i) continue;
+        const int k = j < i ? packed_index(i, j) : packed_index(j, i);
+        t.pr[j].v[q] = kCloverBlockDim + 2 * k - 4;
+        t.pi[j].v[q] = kCloverBlockDim + 2 * k + 1 - 4;
+        // re: acc - pi x_im, im: acc + pi x_re, with pi = Im M[i][j]
+        // (j < i) or -Im M[j][i] (j > i).
+        t.pi_sign[j].v[q] = (ri == 0 ? j < i : j > i) ? kSignBit : 0;
+      }
+    }
+  return t;
+}
+
+constexpr CloverTables kClover = clover_tables();
+
+/// Color-major upper two rows of (1 +- gamma_Mu) psi (+ iff Plus).
+template <int Mu, bool Plus>
+[[gnu::always_inline]] inline __m512 project(const float* psi) noexcept {
+  const HopTables& t = kHop[Mu * 2 + (Plus ? 1 : 0)];
+  const __m512 b =
+      _mm512_maskz_permutexvar_ps(kHalf, ld(t.proj), _mm512_loadu_ps(psi + 8));
+  return _mm512_add_ps(_mm512_loadu_ps(psi), flip(b, t.proj_sign));
+}
+
+/// U h, or U^dagger h with Plus: three columns, summed ((p0 + p1) + p2).
+template <bool Plus>
+[[gnu::always_inline]] inline __m512 su3_mul(const float* u,
+                                             __m512 h) noexcept {
+  constexpr int adj = Plus ? 1 : 0;
+  const __m512 u0 = _mm512_loadu_ps(u);
+  const __m512 u1 = _mm512_loadu_ps(u + 2);
+  __m512 y = _mm512_setzero_ps();
+  for (int j = 0; j < kNumColors; ++j) {
+    const __m512 ur =
+        _mm512_maskz_permutex2var_ps(kHalf, u0, ld(kMul.ure[adj][j]), u1);
+    const __m512 ui =
+        _mm512_maskz_permutex2var_ps(kHalf, u0, ld(kMul.uim[adj][j]), u1);
+    const __m512 hj = _mm512_maskz_permutexvar_ps(kHalf, ld(kMul.hj[j]), h);
+    const __m512 hs = _mm512_maskz_permutexvar_ps(kHalf, ld(kMul.hs[j]), h);
+    const __m512 p = _mm512_add_ps(_mm512_mul_ps(ur, hj),
+                                   flip(_mm512_mul_ps(ui, hs), kMul.sign[adj]));
+    y = j == 0 ? p : _mm512_add_ps(y, p);
+  }
+  return y;
+}
+
+/// One hop into the accumulators: up = rows 0 and 1, dn = rows 2 and 3.
+template <int Mu, bool Plus>
+[[gnu::always_inline]] inline void hop(const float* psi, const float* u,
+                                       __m512& up, __m512& dn) noexcept {
+  const HopTables& t = kHop[Mu * 2 + (Plus ? 1 : 0)];
+  const __m512 y = su3_mul<Plus>(u, project<Mu, Plus>(psi));
+  up = _mm512_add_ps(up, y);
+  dn = _mm512_add_ps(
+      dn, flip(_mm512_maskz_permutexvar_ps(kHalf, ld(t.rec), y), t.rec_sign));
+}
+
+template <int Mu>
+[[gnu::always_inline]] inline void dim(const float* links,
+                                       const std::int32_t* nbr,
+                                       std::int32_t l, std::int32_t in_off,
+                                       const float* in, __m512& up,
+                                       __m512& dn) noexcept {
+  const std::int32_t* nb =
+      nbr + static_cast<std::size_t>(l) * 2 * kNumDims + 2 * Mu;
+  if (nb[0] >= 0)
+    hop<Mu, false>(in + static_cast<std::ptrdiff_t>(nb[0] - in_off) *
+                            kSpinorReals,
+                   links + (static_cast<std::size_t>(l) * kNumDims + Mu) * 18,
+                   up, dn);
+  if (nb[1] >= 0)
+    hop<Mu, true>(
+        in + static_cast<std::ptrdiff_t>(nb[1] - in_off) * kSpinorReals,
+        links + (static_cast<std::size_t>(nb[1]) * kNumDims + Mu) * 18, up,
+        dn);
+}
+
+inline void dslash(const float* links, const std::int32_t* nbr,
+                   std::int32_t l0, std::int32_t in_off, std::int32_t nsites,
+                   const float* in, float* out) noexcept {
+  for (std::int32_t i = 0; i < nsites; ++i) {
+    __m512 up = _mm512_setzero_ps();
+    __m512 dn = _mm512_setzero_ps();
+    dim<0>(links, nbr, l0 + i, in_off, in, up, dn);
+    dim<1>(links, nbr, l0 + i, in_off, in, up, dn);
+    dim<2>(links, nbr, l0 + i, in_off, in, up, dn);
+    dim<3>(links, nbr, l0 + i, in_off, in, up, dn);
+    float* o = out + static_cast<std::size_t>(i) * kSpinorReals;
+    _mm512_mask_storeu_ps(o, kHalf, up);
+    _mm512_mask_storeu_ps(o + 12, kHalf, dn);
+  }
+}
+
+template <int Mu, bool Forward>
+[[gnu::always_inline]] inline void pack_site(const float* u, const float* z,
+                                             float* o) noexcept {
+  __m512 h = project<Mu, Forward>(z);
+  if constexpr (Forward) h = su3_mul<true>(u, h);
+  _mm512_mask_storeu_ps(o, kHalf, h);
+}
+
+/// One chirality block on one lane: the diagonal product, then column
+/// j = 0..5 added to every row but row j (masked FMAs), so each row sees
+/// its off-diagonal terms in a2::clover_site's order.
+inline void clover_block(const float* b, const float* x, float* y) noexcept {
+  const __m512 xv = _mm512_maskz_loadu_ps(kHalf, x);
+  __m512 acc = _mm512_mul_ps(
+      _mm512_maskz_permutexvar_ps(kHalf, ld(kClover.diag), _mm512_loadu_ps(b)),
+      xv);
+  const __m512 o0 = _mm512_loadu_ps(b + 4);
+  const __m512 o1 = _mm512_loadu_ps(b + 20);
+  for (int j = 0; j < kCloverBlockDim; ++j) {
+    const auto m = static_cast<__mmask16>(kHalf & ~(3u << (2 * j)));
+    const __m512 pr = _mm512_permutex2var_ps(o0, ld(kClover.pr[j]), o1);
+    const __m512 pi = flip(_mm512_permutex2var_ps(o0, ld(kClover.pi[j]), o1),
+                           kClover.pi_sign[j]);
+    acc = _mm512_mask3_fmadd_ps(
+        pr, _mm512_maskz_permutexvar_ps(kHalf, ld(kClover.xb[j]), xv), acc, m);
+    acc = _mm512_mask3_fmadd_ps(
+        pi, _mm512_maskz_permutexvar_ps(kHalf, ld(kClover.xs[j]), xv), acc, m);
+  }
+  _mm512_mask_storeu_ps(y, kHalf, acc);
+}
+
+}  // namespace one
+
+/// The whole-domain lane dslash: one lane within the site, otherwise
+/// 16-lane chunks and a masked tail.
 inline void dslash_lanes(const float* links, const std::int32_t* nbr,
                          std::int32_t l0, std::int32_t in_off,
                          std::int32_t nsites, const float* in, float* out,
                          int lanes) noexcept {
+  if (lanes == 1) {
+    one::dslash(links, nbr, l0, in_off, nsites, in, out);
+    return;
+  }
   for (std::int32_t i = 0; i < nsites; ++i) {
     float* o = out + static_cast<std::size_t>(i) * kSpinorReals *
                          static_cast<std::size_t>(lanes);
@@ -131,6 +385,56 @@ inline void dslash_lanes(const float* links, const std::int32_t* nbr,
     if (c < lanes)
       detail::dslash_site(ZmmTail{{}, tail_mask(lanes - c)}, links, nbr,
                           l0 + i, in_off, in + c, o + c, lanes);
+  }
+}
+
+inline void pack_faces_lanes(const float* links,
+                             const std::int32_t* face_sites,
+                             const std::int32_t* face_size, const float* z,
+                             int lanes, int nrhs, float* out,
+                             std::int64_t rhs_stride) noexcept {
+  if (lanes == 1) {
+    detail::for_each_face_site(
+        links, face_sites, face_size, z, 1, out,
+        []<int Mu, bool Forward>(const float* u, const float* zs, float* o) {
+          one::pack_site<Mu, Forward>(u, zs, o);
+        });
+    return;
+  }
+  detail::for_each_face_site(
+      links, face_sites, face_size, z, lanes, out,
+      [&]<int Mu, bool Forward>(const float* u, const float* zs, float* o) {
+        int c = 0;
+        for (; c + Zmm::width <= lanes && c < nrhs; c += Zmm::width)
+          detail::pack_chunk<Mu, Forward>(Zmm{}, u, zs, lanes, c, nrhs, o,
+                                          rhs_stride);
+        if (c < lanes && c < nrhs)
+          detail::pack_chunk<Mu, Forward>(ZmmTail{{}, tail_mask(lanes - c)},
+                                          u, zs, lanes, c, nrhs, o,
+                                          rhs_stride);
+      });
+}
+
+inline void clover_lanes(const float* blocks, std::int32_t nsites,
+                         const float* in, float* out, int lanes) noexcept {
+  const std::size_t stride =
+      static_cast<std::size_t>(kSpinorReals) * static_cast<std::size_t>(lanes);
+  for (std::int32_t s = 0; s < nsites; ++s) {
+    const float* b =
+        blocks + static_cast<std::size_t>(s) * 2 * detail::kCloverBlockFloats;
+    const float* x = in + static_cast<std::size_t>(s) * stride;
+    float* y = out + static_cast<std::size_t>(s) * stride;
+    if (lanes == 1) {
+      one::clover_block(b, x, y);
+      one::clover_block(b + detail::kCloverBlockFloats, x + 12, y + 12);
+      continue;
+    }
+    int c = 0;
+    for (; c + Zmm::width <= lanes; c += Zmm::width)
+      a2::clover_site(Zmm{}, b, x + c, y + c, lanes);
+    if (c < lanes)
+      a2::clover_site(ZmmTail{{}, tail_mask(lanes - c)}, b, x + c, y + c,
+                      lanes);
   }
 }
 
@@ -171,45 +475,6 @@ inline void su3_mul_lanes(const float* u, const float* x, float* y, int lanes,
     }
 }
 
-inline void clover_pair_lanes(const PackedHermitian6<float>* b0,
-                              const PackedHermitian6<float>* b1,
-                              const float* in_site, float* out_site,
-                              int lanes) noexcept {
-  const PackedHermitian6<float>* blocks[2] = {b0, b1};
-  for (int chi = 0; chi < 2; ++chi) {
-    const auto& blk = *blocks[chi];
-    const float* x0 = in_site + chi * 2 * kCloverBlockDim * lanes;
-    float* y0 = out_site + chi * 2 * kCloverBlockDim * lanes;
-    for (int l = 0; l < lanes; l += 16) {
-      const __mmask16 m = lanes - l >= 16 ? static_cast<__mmask16>(0xFFFF)
-                                          : tail_mask(lanes - l);
-      for (int i = 0; i < kCloverBlockDim; ++i) {
-        const __m512 di = _mm512_set1_ps(blk.diag[i]);
-        __m512 acc_re =
-            _mm512_mul_ps(di, _mm512_maskz_loadu_ps(m, x0 + 2 * i * lanes + l));
-        __m512 acc_im = _mm512_mul_ps(
-            di, _mm512_maskz_loadu_ps(m, x0 + (2 * i + 1) * lanes + l));
-        for (int j = 0; j < kCloverBlockDim; ++j) {
-          if (j == i) continue;
-          const Complex<float> o = j < i ? blk.offd[packed_index(i, j)]
-                                         : blk.offd[packed_index(j, i)];
-          const __m512 pr = _mm512_set1_ps(o.real());
-          const __m512 pi = _mm512_set1_ps(j < i ? o.imag() : -o.imag());
-          const __m512 xr = _mm512_maskz_loadu_ps(m, x0 + 2 * j * lanes + l);
-          const __m512 xi =
-              _mm512_maskz_loadu_ps(m, x0 + (2 * j + 1) * lanes + l);
-          acc_re = _mm512_fmadd_ps(pr, xr, acc_re);
-          acc_re = _mm512_fnmadd_ps(pi, xi, acc_re);
-          acc_im = _mm512_fmadd_ps(pr, xi, acc_im);
-          acc_im = _mm512_fmadd_ps(pi, xr, acc_im);
-        }
-        _mm512_mask_storeu_ps(y0 + 2 * i * lanes + l, m, acc_re);
-        _mm512_mask_storeu_ps(y0 + (2 * i + 1) * lanes + l, m, acc_im);
-      }
-    }
-  }
-}
-
 inline void xpay_lanes(const float* x, float s, const float* y, float* out,
                        std::int64_t n) noexcept {
   const __m512 vs = _mm512_set1_ps(s);
@@ -225,6 +490,102 @@ inline void xpay_lanes(const float* x, float s, const float* y, float* out,
         _mm512_add_ps(_mm512_maskz_loadu_ps(m, x + k),
                       _mm512_mul_ps(vs, _mm512_maskz_loadu_ps(m, y + k))));
   }
+}
+
+/// Eight floats widened to double. (The zero-masked form: GCC 12 warns
+/// about the unmasked one's undefined pass-through operand.)
+inline __m512d widen(const float* p) noexcept {
+  return _mm512_maskz_cvtps_pd(0xFF, _mm256_loadu_ps(p));
+}
+
+/// One step of the MR inner products on 8 lanes (as a2::mr_dots_range).
+inline void mr_dots_step(__m512d ad, __m512d ai, __m512d rr, __m512d ri,
+                         __m512d& vrr, __m512d& vri, __m512d& vaa) noexcept {
+  vrr = _mm512_fmadd_pd(ad, rr, vrr);
+  vrr = _mm512_fmadd_pd(ai, ri, vrr);
+  vri = _mm512_fmadd_pd(ad, ri, vri);
+  vri = _mm512_fnmadd_pd(ai, rr, vri);
+  vaa = _mm512_fmadd_pd(ad, ad, vaa);
+  vaa = _mm512_fmadd_pd(ai, ai, vaa);
+}
+
+/// The MR inner products: one pass per 16 lanes (two __m512d of each
+/// accumulator), the rest through the AVX2 kernel's 4-lane and one-lane
+/// paths. Same per-lane FMA sequence everywhere.
+inline void mr_dots_lanes(const float* r, const float* ar,
+                          std::int64_t ncomplex, int lanes, double* arr_re,
+                          double* arr_im, double* arar) noexcept {
+  int lc = 0;
+  for (; lc + 16 <= lanes; lc += 16) {
+    __m512d rr0 = _mm512_loadu_pd(arr_re + lc);
+    __m512d rr1 = _mm512_loadu_pd(arr_re + lc + 8);
+    __m512d ri0 = _mm512_loadu_pd(arr_im + lc);
+    __m512d ri1 = _mm512_loadu_pd(arr_im + lc + 8);
+    __m512d aa0 = _mm512_loadu_pd(arar + lc);
+    __m512d aa1 = _mm512_loadu_pd(arar + lc + 8);
+    for (std::int64_t k = 0; k < ncomplex; ++k) {
+      const float* br = r + 2 * k * lanes + lc;
+      const float* ba = ar + 2 * k * lanes + lc;
+      for (int h = 0; h < 2; ++h) {
+        const __m512d rr = widen(br + 8 * h);
+        const __m512d ri = widen(br + lanes + 8 * h);
+        const __m512d ad = widen(ba + 8 * h);
+        const __m512d ai = widen(ba + lanes + 8 * h);
+        if (h == 0)
+          mr_dots_step(ad, ai, rr, ri, rr0, ri0, aa0);
+        else
+          mr_dots_step(ad, ai, rr, ri, rr1, ri1, aa1);
+      }
+    }
+    _mm512_storeu_pd(arr_re + lc, rr0);
+    _mm512_storeu_pd(arr_re + lc + 8, rr1);
+    _mm512_storeu_pd(arr_im + lc, ri0);
+    _mm512_storeu_pd(arr_im + lc + 8, ri1);
+    _mm512_storeu_pd(arar + lc, aa0);
+    _mm512_storeu_pd(arar + lc + 8, aa1);
+  }
+  a2::mr_dots_range(r, ar, ncomplex, lanes, lc, arr_re, arr_im, arar);
+}
+
+/// The MR update: one pass per 16 lanes, the rest (and one lane, within
+/// the site) through the AVX2 kernel. Same per-lane FMA sequence.
+inline void mr_axpy_lanes(float* z, float* r, const float* ar,
+                          std::int64_t ncomplex, int lanes,
+                          const float* alpha_re,
+                          const float* alpha_im) noexcept {
+  if (lanes == 1) {
+    a2::mr_axpy_one(z, r, ar, ncomplex, alpha_re[0], alpha_im[0]);
+    return;
+  }
+  int lc = 0;
+  for (; lc + 16 <= lanes; lc += 16) {
+    const __m512 alr = _mm512_loadu_ps(alpha_re + lc);
+    const __m512 ali = _mm512_loadu_ps(alpha_im + lc);
+    for (std::int64_t k = 0; k < ncomplex; ++k) {
+      float* zre = z + 2 * k * lanes + lc;
+      float* rre = r + 2 * k * lanes + lc;
+      const float* are = ar + 2 * k * lanes + lc;
+      const __m512 vrr = _mm512_loadu_ps(rre);
+      const __m512 vri = _mm512_loadu_ps(rre + lanes);
+      const __m512 var = _mm512_loadu_ps(are);
+      const __m512 vai = _mm512_loadu_ps(are + lanes);
+      __m512 vzr = _mm512_loadu_ps(zre);
+      __m512 vzi = _mm512_loadu_ps(zre + lanes);
+      vzr = _mm512_fmadd_ps(alr, vrr, vzr);
+      vzr = _mm512_fnmadd_ps(ali, vri, vzr);
+      vzi = _mm512_fmadd_ps(alr, vri, vzi);
+      vzi = _mm512_fmadd_ps(ali, vrr, vzi);
+      _mm512_storeu_ps(zre, vzr);
+      _mm512_storeu_ps(zre + lanes, vzi);
+      __m512 nrr = _mm512_fnmadd_ps(alr, var, vrr);
+      nrr = _mm512_fmadd_ps(ali, vai, nrr);
+      __m512 nri = _mm512_fnmadd_ps(alr, vai, vri);
+      nri = _mm512_fnmadd_ps(ali, var, nri);
+      _mm512_storeu_ps(rre, nrr);
+      _mm512_storeu_ps(rre + lanes, nri);
+    }
+  }
+  a2::mr_axpy_range(z, r, ar, ncomplex, lanes, lc, alpha_re, alpha_im);
 }
 
 inline void float_to_half_n(const float* src, Half* dst,
@@ -266,10 +627,11 @@ constexpr Kernels kAvx512Kernels = {
     &a5::su3_mul_lanes,
     &a5::project_lanes,
     &a5::dslash_lanes,
-    &a5::clover_pair_lanes,
+    &a5::clover_lanes,
     &a5::xpay_lanes,
-    &a2::mr_dots_lanes,
-    &a2::mr_axpy_lanes,
+    &a5::pack_faces_lanes,
+    &a5::mr_dots_lanes,
+    &a5::mr_axpy_lanes,
     &a5::float_to_half_n,
     &a5::half_to_float_n,
     16,  // lane_width: one unmasked __m512 per lane vector

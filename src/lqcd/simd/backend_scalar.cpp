@@ -14,8 +14,9 @@ constexpr Kernels kScalarKernels = {
     &ref::su3_mul_lanes,
     &ref::project_lanes,
     &ref::dslash_lanes,
-    &ref::clover_pair_lanes,
+    &ref::clover_lanes,
     &ref::xpay_lanes,
+    &ref::pack_faces_lanes,
     &ref::mr_dots_lanes,
     &ref::mr_axpy_lanes,
     &ref::float_to_half_n,

@@ -12,13 +12,18 @@
 // are reached through the function-pointer table below.
 //
 // Numerical contract (tested in tests/test_simd.cpp):
-//   - su3_mul_nn, su3_mul_lanes, project_lanes, dslash_lanes and xpay
-//     are BIT-IDENTICAL across backends: every backend evaluates the same
-//     expressions in the same order, FMA contraction is disabled on all
-//     backend translation units (-ffp-contract=off) and the intrinsic
-//     paths use separate mul/add.
-//   - clover_pair_lanes and the MR reductions MAY use FMA in the wide
-//     backends; they agree with scalar to <= 1e-6 relative.
+//   - su3_mul_nn, su3_mul_lanes, project_lanes, dslash_lanes,
+//     pack_faces_lanes and xpay are BIT-IDENTICAL across backends: every
+//     backend evaluates the same expressions in the same order, FMA
+//     contraction is disabled on all backend translation units
+//     (-ffp-contract=off) and the intrinsic paths use separate mul/add.
+//   - clover_lanes and the MR kernels MAY use FMA in the wide backends;
+//     they agree with scalar to <= 1e-6 relative, and avx2 and avx512
+//     evaluate the same per-lane FMA sequence, so those two agree bitwise.
+//   - Lanes are independent at every lane count: lane b of an L-lane call
+//     is bitwise equal to a one-lane call on lane b's data. At one lane
+//     the wide backends vectorize within the site instead of across lanes,
+//     with the same per-lane operation sequence.
 //   - float_to_half_n / half_to_float_n are bit-identical everywhere
 //     (F16C round-to-nearest-even matches the software converter exactly,
 //     including saturate-to-inf overflow and NaN quieting).
@@ -81,16 +86,34 @@ struct Kernels {
                        std::int32_t nsites, const float* in, float* out,
                        int lanes);
 
-  /// out_site = blockpair(in_site): the two chirality clover blocks
-  /// applied to 24-component spinor lane vectors. Must not alias.
-  void (*clover_pair_lanes)(const PackedHermitian6<float>* b0,
-                            const PackedHermitian6<float>* b1,
-                            const float* in_site, float* out_site, int lanes);
+  /// The two chirality clover blocks of each of `nsites` sites applied to
+  /// its 24-component spinor lane vectors: out(i) = blockpair_i in(i),
+  /// in and out site-major. Site i's blocks are the 72 floats at
+  /// blocks + 72 i, chirality 0 first, each in the packed layout of
+  /// schwarz/storage.h store_block: six diagonal reals, then the 15 lower
+  /// off-diagonal entries M[i][j] (i > j, packed_index order) as (re, im).
+  /// Must not alias.
+  void (*clover_lanes)(const float* blocks, std::int32_t nsites,
+                       const float* in, float* out, int lanes);
 
   /// out[k] = x[k] + s * y[k] over n floats (the fused Schur/RHS combine
   /// loops). In-place use (out == x or out == y) is fine.
   void (*xpay_lanes)(const float* x, float s, const float* y, float* out,
                      std::int64_t n);
+
+  /// One domain's boundary pack: the correction `z` (spinor lane vectors
+  /// by local site) projected onto its faces, in face-buffer order: mu =
+  /// 0..3, each the forward face (x_mu = block_mu - 1) then the backward
+  /// face (x_mu = 0), face_size[mu] sites each, their local sites listed
+  /// back to back in `face_sites`. Face site p at local site l writes,
+  /// for every lane b < nrhs, the upper two spin rows of U_mu(l)^dagger
+  /// (1 + gamma_mu) z(l) on a forward face and of (1 - gamma_mu) z(l) on
+  /// a backward face: 12 floats ([spin][color][re, im]) at
+  /// out + b * rhs_stride + 12 p. `links` as in dslash_lanes.
+  void (*pack_faces_lanes)(const float* links, const std::int32_t* face_sites,
+                           const std::int32_t* face_size, const float* z,
+                           int lanes, int nrhs, float* out,
+                           std::int64_t rhs_stride);
 
   /// Per-lane MR inner products, accumulated in double: arr = <Ar, r>,
   /// arar = <Ar, Ar>. Caller zeroes the accumulators. Layout as in
@@ -111,8 +134,9 @@ struct Kernels {
   void (*half_to_float_n)(const Half* src, float* dst, std::int64_t n);
 
   /// Lane count at which this backend's lane kernels run with no masked
-  /// or scalar tail. SchwarzPreconditioner pads every lane batch to a
-  /// multiple of it.
+  /// or scalar tail. SchwarzPreconditioner pads every lane batch of two
+  /// or more right-hand sides to a multiple of it; a batch of one runs at
+  /// one lane.
   int lane_width;
 };
 

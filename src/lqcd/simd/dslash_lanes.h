@@ -13,6 +13,9 @@
 // to its size heuristics GCC outlines the SU(3) rows of the portable
 // backend's chunk, which then run from memory at a third of the speed.
 //
+// The boundary pack behind Kernels::pack_faces_lanes reuses the same
+// projection and SU(3) rows (pack_chunk()).
+//
 // Numerics, per lane, are those of the per-hop project / SU(3) multiply /
 // reconstruct-accumulate kernels this replaces, so every backend is
 // bit-identical to the scalar one:
@@ -48,7 +51,9 @@
 namespace lqcd::simd::detail {
 
 /// K lanes as a float array with element-wise loops for the compiler to
-/// vectorize: the portable backend's chunk.
+/// vectorize: the portable backend's chunk. (Temporaries are
+/// value-initialized: at K = 1 GCC 12 otherwise warns that they may be
+/// used uninitialized.)
 template <int K>
 struct LaneArray {
   struct reg {
@@ -56,7 +61,7 @@ struct LaneArray {
   };
   static constexpr int width = K;
   reg load(const float* p) const noexcept {
-    reg o;
+    reg o{};
     LQCD_PRAGMA_SIMD
     for (int l = 0; l < K; ++l) o.v[l] = p[l];
     return o;
@@ -67,25 +72,25 @@ struct LaneArray {
   }
   static reg zero() noexcept { return set1(0.0f); }
   static reg set1(float x) noexcept {
-    reg o;
+    reg o{};
     LQCD_PRAGMA_SIMD
     for (int l = 0; l < K; ++l) o.v[l] = x;
     return o;
   }
   static reg add(const reg& a, const reg& b) noexcept {
-    reg o;
+    reg o{};
     LQCD_PRAGMA_SIMD
     for (int l = 0; l < K; ++l) o.v[l] = a.v[l] + b.v[l];
     return o;
   }
   static reg sub(const reg& a, const reg& b) noexcept {
-    reg o;
+    reg o{};
     LQCD_PRAGMA_SIMD
     for (int l = 0; l < K; ++l) o.v[l] = a.v[l] - b.v[l];
     return o;
   }
   static reg mul(const reg& a, const reg& b) noexcept {
-    reg o;
+    reg o{};
     LQCD_PRAGMA_SIMD
     for (int l = 0; l < K; ++l) o.v[l] = a.v[l] * b.v[l];
     return o;
@@ -99,7 +104,7 @@ struct LaneArrayTail : LaneArray<K> {
   using reg = typename LaneArray<K>::reg;
   int n;
   reg load(const float* p) const noexcept {
-    reg o;
+    reg o{};
     for (int l = 0; l < K; ++l) o.v[l] = l < n ? p[l] : 0.0f;
     return o;
   }
@@ -165,9 +170,32 @@ template <int Mu, bool Plus, int R, class V>
   }
 }
 
+/// Color i of (U h)[Sp] (or (U^dagger h)[Sp]): each complex product by
+/// separate multiplies and one subtract or add, summed ((p0 + p1) + p2).
+template <bool Plus, int Sp, class V>
+[[gnu::always_inline]] inline void su3_mul_color(
+    const float* u, const typename V::reg (&h)[12], int i,
+    typename V::reg& y_re, typename V::reg& y_im) noexcept {
+  using Reg = typename V::reg;
+  for (int j = 0; j < kNumColors; ++j) {
+    // Plus multiplies by U^dagger: read U_{j,i} and conjugate.
+    const float ur = Plus ? u[(j * 3 + i) * 2] : u[(i * 3 + j) * 2];
+    const float ui = Plus ? -u[(j * 3 + i) * 2 + 1] : u[(i * 3 + j) * 2 + 1];
+    const Reg vur = V::set1(ur);
+    const Reg vui = V::set1(ui);
+    const Reg& xr = h[(Sp * kNumColors + j) * 2];
+    const Reg& xi = h[(Sp * kNumColors + j) * 2 + 1];
+    const Reg re = V::sub(V::mul(vur, xr), V::mul(vui, xi));
+    const Reg im = V::add(V::mul(vur, xi), V::mul(vui, xr));
+    y_re = j == 0 ? re : V::add(y_re, re);
+    y_im = j == 0 ? im : V::add(y_im, im);
+  }
+}
+
 /// y = (U h)[Sp] (or (U^dagger h)[Sp]), then acc += its reconstruction:
 /// spin row Sp directly and the lower row whose permutation column is Sp
-/// through its phase.
+/// through its phase. A forward hop (Plus == false) multiplies by U, a
+/// backward hop by U^dagger.
 template <int Mu, bool Plus, int Sp, class V>
 [[gnu::always_inline]] inline void mul_reconstruct_row(
     const float* u, const typename V::reg (&h)[12],
@@ -176,21 +204,7 @@ template <int Mu, bool Plus, int Sp, class V>
   constexpr int lower = kGamma[Mu].col[2] == Sp ? 2 : 3;
   for (int i = 0; i < kNumColors; ++i) {
     Reg y_re{}, y_im{};
-    for (int j = 0; j < kNumColors; ++j) {
-      // A forward hop (Plus == false) multiplies by U, a backward hop by
-      // U^dagger: read U_{j,i} and conjugate.
-      const float ur = Plus ? u[(j * 3 + i) * 2] : u[(i * 3 + j) * 2];
-      const float ui =
-          Plus ? -u[(j * 3 + i) * 2 + 1] : u[(i * 3 + j) * 2 + 1];
-      const Reg vur = V::set1(ur);
-      const Reg vui = V::set1(ui);
-      const Reg& xr = h[(Sp * kNumColors + j) * 2];
-      const Reg& xi = h[(Sp * kNumColors + j) * 2 + 1];
-      const Reg re = V::sub(V::mul(vur, xr), V::mul(vui, xi));
-      const Reg im = V::add(V::mul(vur, xi), V::mul(vui, xr));
-      y_re = j == 0 ? re : V::add(y_re, re);
-      y_im = j == 0 ? im : V::add(y_im, im);
-    }
+    su3_mul_color<Plus, Sp, V>(u, h, i, y_re, y_im);
     Reg& up_re = acc[(Sp * kNumColors + i) * 2];
     Reg& up_im = acc[(Sp * kNumColors + i) * 2 + 1];
     up_re = V::add(up_re, y_re);
@@ -252,6 +266,69 @@ inline void dslash_site(const V& v, const float* links,
   dslash_dim<2>(v, links, nbr, l, in_off, in, lanes, acc);
   dslash_dim<3>(v, links, nbr, l, in_off, in, lanes, acc);
   for (int k = 0; k < kSpinorReals; ++k) v.store(out_site + k * lanes, acc[k]);
+}
+
+/// Calls `site.template operator()<Mu, Forward>(u, z_site, out)` for every
+/// face site of Kernels::pack_faces_lanes, in face-buffer order: `u` is
+/// U_Mu at the site, `z_site` the site's first lane of z and `out` the
+/// site's 12 floats in the buffer of lane 0.
+template <class SiteFn>
+inline void for_each_face_site(const float* links,
+                               const std::int32_t* face_sites,
+                               const std::int32_t* face_size, const float* z,
+                               int lanes, float* out, SiteFn&& site) noexcept {
+  const std::size_t site_stride =
+      static_cast<std::size_t>(kSpinorReals) * static_cast<std::size_t>(lanes);
+  std::size_t p = 0;
+  const auto face = [&]<int Mu, bool Forward>() {
+    for (std::int32_t i = 0; i < face_size[Mu]; ++i, ++p) {
+      const auto l = static_cast<std::size_t>(face_sites[p]);
+      site.template operator()<Mu, Forward>(
+          links + (l * kNumDims + Mu) * 18, z + l * site_stride, out + 12 * p);
+    }
+  };
+  face.template operator()<0, true>();
+  face.template operator()<0, false>();
+  face.template operator()<1, true>();
+  face.template operator()<1, false>();
+  face.template operator()<2, true>();
+  face.template operator()<2, false>();
+  face.template operator()<3, true>();
+  face.template operator()<3, false>();
+}
+
+/// One face site, one chunk of V::width lanes from lane c: the upper two
+/// rows of (1 + gamma_Mu) z times U^dagger (Forward) or of (1 - gamma_Mu)
+/// z, kept in registers, then written to the buffer of every lane
+/// b < nrhs of the chunk at out + b * rhs_stride.
+template <int Mu, bool Forward, class V>
+[[gnu::always_inline]] inline void pack_chunk(
+    const V& v, const float* u, const float* z_site, int lanes, int c,
+    int nrhs, float* out, std::int64_t rhs_stride) noexcept {
+  using Reg = typename V::reg;
+  Reg h[12];
+  project_row<Mu, Forward, 0>(v, z_site + c, lanes, h);
+  project_row<Mu, Forward, 1>(v, z_site + c, lanes, h);
+  float t[12][V::width];
+  if constexpr (Forward) {
+    for (int sp = 0; sp < 2; ++sp)
+      for (int i = 0; i < kNumColors; ++i) {
+        Reg y_re{}, y_im{};
+        if (sp == 0)
+          su3_mul_color<true, 0, V>(u, h, i, y_re, y_im);
+        else
+          su3_mul_color<true, 1, V>(u, h, i, y_re, y_im);
+        v.store(t[(sp * kNumColors + i) * 2], y_re);
+        v.store(t[(sp * kNumColors + i) * 2 + 1], y_im);
+      }
+  } else {
+    for (int k = 0; k < 12; ++k) v.store(t[k], h[k]);
+  }
+  const int n = nrhs - c < V::width ? nrhs - c : V::width;
+  for (int b = 0; b < n; ++b) {
+    float* o = out + static_cast<std::int64_t>(c + b) * rhs_stride;
+    for (int k = 0; k < 12; ++k) o[k] = t[k][b];
+  }
 }
 
 }  // namespace lqcd::simd::detail

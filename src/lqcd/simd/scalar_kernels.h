@@ -22,6 +22,14 @@
 #include "lqcd/su3/clover_block.h"
 #include "lqcd/su3/gamma.h"
 
+namespace lqcd::simd::detail {
+
+/// Floats of one packed clover block: six diagonal reals, then the 15
+/// lower off-diagonal entries as (re, im) (schwarz/storage.h store_block).
+inline constexpr int kCloverBlockFloats = kCloverBlockDim + 2 * kCloverOffDiag;
+
+}  // namespace lqcd::simd::detail
+
 namespace lqcd::simd::ref {
 
 /// One 3x3 complex matrix product, row-major (re,im) interleaved. The
@@ -145,17 +153,23 @@ inline void su3_mul_lanes(const float* u, const float* x, float* y, int lanes,
     }
 }
 
-/// The whole-domain lane dslash (simd/dslash_lanes.h): 8-lane chunks,
-/// then 4, then a zero-filled 4-lane tail.
+/// The whole-domain lane dslash (simd/dslash_lanes.h): one lane as a
+/// plain float, otherwise 8-lane chunks, then 4, then a zero-filled 4-lane
+/// tail.
 inline void dslash_lanes(const float* links, const std::int32_t* nbr,
                          std::int32_t l0, std::int32_t in_off,
                          std::int32_t nsites, const float* in, float* out,
                          int lanes) noexcept {
+  using One = detail::LaneArray<1>;
   using Wide = detail::LaneArray<8>;
   using Narrow = detail::LaneArray<4>;
   for (std::int32_t i = 0; i < nsites; ++i) {
     float* o = out + static_cast<std::size_t>(i) * kSpinorReals *
                          static_cast<std::size_t>(lanes);
+    if (lanes == 1) {
+      detail::dslash_site(One{}, links, nbr, l0 + i, in_off, in, o, 1);
+      continue;
+    }
     int c = 0;
     for (; c + Wide::width <= lanes; c += Wide::width)
       detail::dslash_site(Wide{}, links, nbr, l0 + i, in_off, in + c, o + c,
@@ -169,20 +183,51 @@ inline void dslash_lanes(const float* links, const std::int32_t* nbr,
   }
 }
 
-inline void clover_pair_lanes(const PackedHermitian6<float>* b0,
-                              const PackedHermitian6<float>* b1,
-                              const float* in_site, float* out_site,
-                              int lanes) noexcept {
-  const PackedHermitian6<float>* blocks[2] = {b0, b1};
+/// The whole-domain boundary pack, chunked like dslash_lanes.
+inline void pack_faces_lanes(const float* links,
+                             const std::int32_t* face_sites,
+                             const std::int32_t* face_size, const float* z,
+                             int lanes, int nrhs, float* out,
+                             std::int64_t rhs_stride) noexcept {
+  using One = detail::LaneArray<1>;
+  using Wide = detail::LaneArray<8>;
+  using Narrow = detail::LaneArray<4>;
+  detail::for_each_face_site(
+      links, face_sites, face_size, z, lanes, out,
+      [&]<int Mu, bool Forward>(const float* u, const float* zs, float* o) {
+        if (lanes == 1) {
+          detail::pack_chunk<Mu, Forward>(One{}, u, zs, 1, 0, 1, o,
+                                          rhs_stride);
+          return;
+        }
+        int c = 0;
+        for (; c + Wide::width <= lanes && c < nrhs; c += Wide::width)
+          detail::pack_chunk<Mu, Forward>(Wide{}, u, zs, lanes, c, nrhs, o,
+                                          rhs_stride);
+        for (; c + Narrow::width <= lanes && c < nrhs; c += Narrow::width)
+          detail::pack_chunk<Mu, Forward>(Narrow{}, u, zs, lanes, c, nrhs, o,
+                                          rhs_stride);
+        if (c < lanes && c < nrhs)
+          detail::pack_chunk<Mu, Forward>(
+              detail::LaneArrayTail<Narrow::width>{{}, lanes - c}, u, zs,
+              lanes, c, nrhs, o, rhs_stride);
+      });
+}
+
+/// One site's clover block pair on all lanes, as PackedHermitian6::apply
+/// orders it: row i starts at diag_i x_i, then adds offd[i][j] x_j for
+/// j < i and x_j conj(offd[j][i]) for j > i.
+inline void clover_site(const float* blk, const float* in_site,
+                        float* out_site, int lanes) noexcept {
   for (int chi = 0; chi < 2; ++chi) {
-    const auto& blk = *blocks[chi];
+    const float* b = blk + chi * detail::kCloverBlockFloats;
     const float* x0 = in_site + chi * 2 * kCloverBlockDim * lanes;
     float* y0 = out_site + chi * 2 * kCloverBlockDim * lanes;
     for (int i = 0; i < kCloverBlockDim; ++i) {
       float* o_re = y0 + 2 * i * lanes;
       float* o_im = o_re + lanes;
       {
-        const float di = blk.diag[i];
+        const float di = b[i];
         const float* x_re = x0 + 2 * i * lanes;
         const float* x_im = x_re + lanes;
         LQCD_PRAGMA_SIMD
@@ -192,8 +237,8 @@ inline void clover_pair_lanes(const PackedHermitian6<float>* b0,
         }
       }
       for (int j = 0; j < i; ++j) {
-        const Complex<float> o = blk.offd[packed_index(i, j)];
-        const float pr = o.real(), pi = o.imag();
+        const float* o = b + kCloverBlockDim + 2 * packed_index(i, j);
+        const float pr = o[0], pi = o[1];
         const float* x_re = x0 + 2 * j * lanes;
         const float* x_im = x_re + lanes;
         LQCD_PRAGMA_SIMD
@@ -203,9 +248,8 @@ inline void clover_pair_lanes(const PackedHermitian6<float>* b0,
         }
       }
       for (int j = i + 1; j < kCloverBlockDim; ++j) {
-        // acc += x[j] * conj(offd[j][i]), as in PackedHermitian6::apply.
-        const Complex<float> o = blk.offd[packed_index(j, i)];
-        const float pr = o.real(), pi = o.imag();
+        const float* o = b + kCloverBlockDim + 2 * packed_index(j, i);
+        const float pr = o[0], pi = o[1];
         const float* x_re = x0 + 2 * j * lanes;
         const float* x_im = x_re + lanes;
         LQCD_PRAGMA_SIMD
@@ -218,6 +262,55 @@ inline void clover_pair_lanes(const PackedHermitian6<float>* b0,
   }
 }
 
+/// clover_site() on one lane with the columns j outermost: each row still
+/// adds its terms in the order j = 0..5, and the twelve rows' chains of
+/// adds interleave instead of running one after another.
+inline void clover_site_one(const float* blk, const float* x,
+                            float* y) noexcept {
+  for (int chi = 0; chi < 2; ++chi) {
+    const float* b = blk + chi * detail::kCloverBlockFloats;
+    const float* x0 = x + chi * 2 * kCloverBlockDim;
+    float acc[2 * kCloverBlockDim];
+    for (int i = 0; i < kCloverBlockDim; ++i) {
+      acc[2 * i] = b[i] * x0[2 * i];
+      acc[2 * i + 1] = b[i] * x0[2 * i + 1];
+    }
+    for (int j = 0; j < kCloverBlockDim; ++j) {
+      const float xr = x0[2 * j], xi = x0[2 * j + 1];
+      for (int i = 0; i < kCloverBlockDim; ++i) {
+        if (i == j) continue;
+        const float* o =
+            b + kCloverBlockDim +
+            2 * (j < i ? packed_index(i, j) : packed_index(j, i));
+        const float pr = o[0], pi = o[1];
+        if (j < i) {
+          acc[2 * i] += pr * xr - pi * xi;
+          acc[2 * i + 1] += pr * xi + pi * xr;
+        } else {
+          acc[2 * i] += xr * pr + xi * pi;
+          acc[2 * i + 1] += xi * pr - xr * pi;
+        }
+      }
+    }
+    for (int k = 0; k < 2 * kCloverBlockDim; ++k)
+      y[chi * 2 * kCloverBlockDim + k] = acc[k];
+  }
+}
+
+inline void clover_lanes(const float* blocks, std::int32_t nsites,
+                         const float* in, float* out, int lanes) noexcept {
+  const std::size_t stride =
+      static_cast<std::size_t>(kSpinorReals) * static_cast<std::size_t>(lanes);
+  for (std::int32_t s = 0; s < nsites; ++s) {
+    const float* b =
+        blocks + static_cast<std::size_t>(s) * 2 * detail::kCloverBlockFloats;
+    if (lanes == 1)
+      clover_site_one(b, in + s * stride, out + s * stride);
+    else
+      clover_site(b, in + s * stride, out + s * stride, lanes);
+  }
+}
+
 inline void xpay_lanes(const float* x, float s, const float* y, float* out,
                        std::int64_t n) noexcept {
   LQCD_PRAGMA_SIMD
@@ -227,6 +320,20 @@ inline void xpay_lanes(const float* x, float s, const float* y, float* out,
 inline void mr_dots_lanes(const float* r, const float* ar,
                           std::int64_t ncomplex, int lanes, double* arr_re,
                           double* arr_im, double* arar) noexcept {
+  if (lanes == 1) {  // the same sums with the accumulators in registers
+    double srr = *arr_re, sri = *arr_im, saa = *arar;
+    for (std::int64_t k = 0; k < ncomplex; ++k) {
+      const double ar_ = ar[2 * k], ai_ = ar[2 * k + 1];
+      const double rr_ = r[2 * k], ri_ = r[2 * k + 1];
+      srr += ar_ * rr_ + ai_ * ri_;
+      sri += ar_ * ri_ - ai_ * rr_;
+      saa += ar_ * ar_ + ai_ * ai_;
+    }
+    *arr_re = srr;
+    *arr_im = sri;
+    *arar = saa;
+    return;
+  }
   for (std::int64_t k = 0; k < ncomplex; ++k) {
     const float* rre = r + 2 * k * lanes;
     const float* rim = rre + lanes;
@@ -247,6 +354,23 @@ inline void mr_axpy_lanes(float* z, float* r, const float* ar,
                           std::int64_t ncomplex, int lanes,
                           const float* alpha_re,
                           const float* alpha_im) noexcept {
+  if (lanes == 1) {
+    // The same update with alpha in registers, one component per loop: at
+    // one lane a real part and its imaginary part are adjacent, and GCC
+    // 12's SLP vectorizer fuses such a statement pair into vfmaddsub even
+    // under -ffp-contract=off.
+    const float alr = *alpha_re, ali = *alpha_im;
+    const std::int64_t n = 2 * ncomplex;
+    for (std::int64_t k = 0; k < n; k += 2)
+      z[k] += alr * r[k] - ali * r[k + 1];
+    for (std::int64_t k = 0; k < n; k += 2)
+      z[k + 1] += alr * r[k + 1] + ali * r[k];
+    for (std::int64_t k = 0; k < n; k += 2)
+      r[k] -= alr * ar[k] - ali * ar[k + 1];
+    for (std::int64_t k = 0; k < n; k += 2)
+      r[k + 1] -= alr * ar[k + 1] + ali * ar[k];
+    return;
+  }
   for (std::int64_t k = 0; k < ncomplex; ++k) {
     float* zre = z + 2 * k * lanes;
     float* zim = zre + lanes;

@@ -101,13 +101,13 @@ SolverStats mr_solve(const LinearOperator<T>& op, const FermionField<T>& b,
 // ---------------------------------------------------------------------------
 // Lane-wise MR scalars for multi-RHS block solves (SOA-over-RHS).
 //
-// The lane-vectorized Schwarz block solve stores a batch of right-hand
-// sides with the RHS index innermost ([site][component][lane], see
-// schwarz/storage.h) and runs the MR recurrence on all lanes in one pass.
-// Each lane carries its OWN alpha = <Ar, r> / <Ar, Ar> — accumulated in
-// double exactly like the scalar path — and a lane whose <Ar, Ar> hits
-// exact zero is masked out (alpha forced to 0, freezing its z and r):
-// the lane analogue of the scalar path's `if (arar == 0.0) break`.
+// The Schwarz block solve stores a batch of right-hand sides with the RHS
+// index innermost ([site][component][lane], see schwarz/storage.h) and
+// runs the MR recurrence on all lanes in one pass. Each lane carries its
+// OWN alpha = <Ar, r> / <Ar, Ar> — accumulated in double — and a lane
+// whose <Ar, Ar> hits exact zero is masked out (alpha forced to 0,
+// freezing its z and r): the lane form of mr_solve's `if (arar == 0.0)
+// break`.
 //
 // The helpers below are layout-light on purpose: they take raw float
 // pointers in the [complex component][lane] order plus the lane count, so
@@ -148,7 +148,7 @@ struct LaneMRState {
 /// arr = <Ar, r>, arar = <Ar, Ar>. `r` and `ar` hold `ncomplex` complex
 /// lane vectors — component 2k is the real part, 2k+1 the imaginary
 /// part, each a contiguous run of `lanes` floats. Products are widened
-/// to double exactly as in the scalar block solve.
+/// to double.
 inline void lane_mr_dots(const float* r, const float* ar,
                          std::int64_t ncomplex, int lanes, LaneMRState& st) {
   std::fill(st.arr_re.begin(), st.arr_re.end(), 0.0);

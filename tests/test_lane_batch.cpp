@@ -1,11 +1,13 @@
 // Lane-vectorized (SOA-over-RHS) Schwarz block solves: the BlockSpinorLanes
 // container and its gather bridge, the lane-wise MR scalars with
-// convergence masking, the tolerance contract of the lane path against
-// per-RHS apply() calls, the apply_batch geometry guard, the batched
-// even-odd driver, and the work model's RHS-lane efficiency term.
+// convergence masking, the bit-identity of a batch against per-RHS
+// apply() calls (a batch of one runs at one lane, wider batches pad), the
+// apply_batch geometry guard, the batched even-odd driver, and the work
+// model's RHS-lane efficiency term.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "lqcd/core/dd_solver.h"
 #include "lqcd/knc/work_model.h"
@@ -62,6 +64,12 @@ TEST(BlockSpinorLanes, PaddingAndLayout) {
   EXPECT_EQ(padded_rhs_lanes(11, 16), 16);
   EXPECT_EQ(padded_rhs_lanes(16, 16), 16);
   EXPECT_EQ(padded_rhs_lanes(17, 16), 32);
+
+  // A batch of one runs unpadded, at one lane.
+  EXPECT_EQ(batch_lanes(1, 4), 1);
+  EXPECT_EQ(batch_lanes(1, 16), 1);
+  EXPECT_EQ(batch_lanes(2, 16), 16);
+  EXPECT_EQ(batch_lanes(5, 4), 8);
 
   BlockSpinorLanes s(3, padded_rhs_lanes(5, 4));
   EXPECT_EQ(s.sites(), 3);
@@ -170,13 +178,19 @@ TEST(LaneMR, MasksZeroLaneAndFreezesItsVectors) {
 // Tentpole: lane-vectorized batched apply vs per-RHS apply() calls.
 // ---------------------------------------------------------------------------
 
-/// The lane path reorders no arithmetic; the only divergence from the
-/// scalar path is compiler-level FMA contraction / vectorization of the
-/// unit-stride lane loops, so the match is tight (DESIGN.md Sec. 8).
+/// Tolerance of the lane path against per-RHS applies where a test does
+/// not assert bit-identity.
 constexpr double kLaneTolerance = 1e-5;
 
+bool same_bits(const FermionField<float>& a, const FermionField<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.size()) *
+                         sizeof(Spinor<float>)) == 0;
+}
+
 /// Run each RHS through its own apply() on `ref` (fresh stats): the
-/// scalar block solve that RHS gets alone. ref.stats() ends as the sum
+/// one-lane block solve that RHS gets alone. ref.stats() ends as the sum
 /// over the per-RHS applies; the return value is the stats of one.
 SchwarzStats apply_each(SchwarzPreconditioner<float>& ref,
                         const std::vector<FermionField<float>>& f,
@@ -215,11 +229,20 @@ TEST(LaneBatch, MatchesScalarPathWithinToleranceAndCounterExactly) {
     lane.apply_batch(fp, lp);
     const SchwarzStats one = apply_each(scalar, ff, u_scalar);
 
-    for (int i = 0; i < nrhs; ++i)
+    // Lanes are independent at every lane count, so each RHS of the
+    // padded batch carries exactly the bits of its one-lane apply().
+    for (int i = 0; i < nrhs; ++i) {
       EXPECT_LT(rel_field_diff(u_scalar[static_cast<std::size_t>(i)],
                                u_lane[static_cast<std::size_t>(i)]),
                 kLaneTolerance)
           << "nrhs " << nrhs << " RHS " << i;
+      EXPECT_TRUE(same_bits(u_scalar[static_cast<std::size_t>(i)],
+                            u_lane[static_cast<std::size_t>(i)]))
+          << "nrhs " << nrhs << " RHS " << i;
+    }
+    // So does the maintained residual (the last apply() left RHS nrhs-1's).
+    EXPECT_TRUE(same_bits(lane.residual(nrhs - 1), scalar.residual(0)))
+        << "nrhs " << nrhs;
 
     // The instrumented counters are a hard contract, not a tolerance:
     // the per-RHS work is the sum over the per-RHS applies, while the
@@ -238,9 +261,9 @@ TEST(LaneBatch, MatchesScalarPathWithinToleranceAndCounterExactly) {
   }
 }
 
-TEST(LaneBatch, BatchOfOneRoutesThroughScalarPathBitIdentically) {
-  // apply_batch of one RHS runs the scalar block solve and must stay
-  // bit-identical to apply() (the dispatch contract).
+TEST(LaneBatch, ApplyIsABatchOfOneBitIdentically) {
+  // apply() is apply_batch() of one RHS: one block-solve path, at one
+  // lane, so the two are bit-identical by construction.
   SchwarzFixture f;
   SchwarzParams p;
   p.schwarz_iterations = 2;
@@ -255,7 +278,7 @@ TEST(LaneBatch, BatchOfOneRoutesThroughScalarPathBitIdentically) {
   std::vector<const FermionField<float>*> fv{fp[0]};
   std::vector<FermionField<float>*> uv{&u2};
   m.apply_batch(fv, uv);
-  EXPECT_EQ(rel_field_diff(u1, u2), 0.0);
+  EXPECT_TRUE(same_bits(u1, u2));
 }
 
 TEST(LaneBatch, ConvergedLaneIsMaskedWithScalarCounterParity) {

@@ -1,10 +1,12 @@
 // Runtime SIMD dispatch (simd/dispatch.h): CPUID/env backend selection,
 // the cross-backend numerical contract — bit-identical SU(3) multiply,
-// spin projection, whole-domain dslash, xpay and binary16 conversion;
-// <= 1e-6 for the FMA-carrying clover and MR kernels — backend-invariance
-// of the Schwarz instrumented counters, and the lane-width contract: every
+// spin projection, whole-domain dslash and face pack, xpay and binary16
+// conversion; <= 1e-6 for the FMA-carrying clover and MR kernels, which
+// avx2 and avx512 evaluate bitwise alike — lane independence at every lane
+// count (lane b of a call equals a one-lane call), backend-invariance of
+// the Schwarz instrumented counters, and the lane-width contract: every
 // backend's width divides kCommonLaneWidth, and a batch's output does not
-// depend on the width it is padded to or on the batch size.
+// depend on the width it is padded to or on the batch size, one included.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -432,32 +434,192 @@ TEST(SimdParity, HalfConversionIsBitIdenticalIncludingEdgeCases) {
 // FMA-carrying kernels: clover and the MR recurrence (<= 1e-6 vs scalar).
 // ---------------------------------------------------------------------------
 
+/// `nsites` sites' clover block pairs in the packed float layout of
+/// clover_lanes: diagonals near 1, off-diagonals ~0.1.
+std::vector<float> random_clover_blocks(std::int32_t nsites,
+                                        std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> blocks(static_cast<std::size_t>(nsites) * 2 *
+                            kCloverBlockReals);
+  for (std::size_t b = 0; b < blocks.size(); b += kCloverBlockReals)
+    for (int k = 0; k < kCloverBlockReals; ++k)
+      blocks[b + static_cast<std::size_t>(k)] = static_cast<float>(
+          (k < kCloverBlockDim ? 1 : 0) + 0.1 * rng.gaussian());
+  return blocks;
+}
+
+/// Lane b of a site-major lane field with `reals` floats per site.
+std::vector<float> lane_of(const std::vector<float>& v, int reals, int lanes,
+                           int b) {
+  const std::size_t sites =
+      v.size() / (static_cast<std::size_t>(reals) * lanes);
+  std::vector<float> o(sites * static_cast<std::size_t>(reals));
+  for (std::size_t k = 0; k < o.size(); ++k)
+    o[k] = v[k * static_cast<std::size_t>(lanes) +
+             static_cast<std::size_t>(b)];
+  return o;
+}
+
 TEST(SimdParity, CloverPairMatchesScalarToFmaTolerance) {
-  Rng rng(61);
-  PackedHermitian6<float> b0, b1;
-  for (PackedHermitian6<float>* blk : {&b0, &b1}) {
-    for (auto& d : blk->diag) d = static_cast<float>(1 + 0.1 * rng.gaussian());
-    for (auto& o : blk->offd)
-      o = Complex<float>(static_cast<float>(0.1 * rng.gaussian()),
-                         static_cast<float>(0.1 * rng.gaussian()));
-  }
+  // One site through the whole-domain kernel, checked against the
+  // PackedHermitian6::apply definition in double.
+  const auto blocks = random_clover_blocks(1, 61);
   for (const int lanes : {1, 4, 8, 19}) {
     const auto in = random_floats(24 * lanes, 62);
     std::vector<float> ref(static_cast<std::size_t>(24 * lanes));
     {
       ScopedBackend scope(Backend::kScalar);
-      simd::kernels().clover_pair_lanes(&b0, &b1, in.data(), ref.data(),
-                                        lanes);
+      simd::kernels().clover_lanes(blocks.data(), 1, in.data(), ref.data(),
+                                   lanes);
+    }
+    for (int chi = 0; chi < 2; ++chi) {
+      PackedHermitian6<double> blk;
+      const float* bf = blocks.data() + chi * kCloverBlockReals;
+      for (int i = 0; i < kCloverBlockDim; ++i) blk.diag[i] = bf[i];
+      for (int k = 0; k < kCloverOffDiag; ++k)
+        blk.offd[k] = Complex<double>(bf[kCloverBlockDim + 2 * k],
+                                      bf[kCloverBlockDim + 2 * k + 1]);
+      for (int b = 0; b < lanes; ++b) {
+        Complex<double> x[kCloverBlockDim], y[kCloverBlockDim];
+        for (int i = 0; i < kCloverBlockDim; ++i)
+          x[i] = Complex<double>(
+              in[std::size_t((chi * 12 + 2 * i) * lanes + b)],
+              in[std::size_t((chi * 12 + 2 * i + 1) * lanes + b)]);
+        blk.apply(x, y);
+        for (int i = 0; i < kCloverBlockDim; ++i) {
+          EXPECT_NEAR(ref[std::size_t((chi * 12 + 2 * i) * lanes + b)],
+                      y[i].real(), 1e-5)
+              << "lanes " << lanes;
+          EXPECT_NEAR(ref[std::size_t((chi * 12 + 2 * i + 1) * lanes + b)],
+                      y[i].imag(), 1e-5)
+              << "lanes " << lanes;
+        }
+      }
     }
     for (const Backend w : wide_backends()) {
       ScopedBackend scope(w);
       std::vector<float> got(ref.size(), -1.0f);
-      simd::kernels().clover_pair_lanes(&b0, &b1, in.data(), got.data(),
-                                        lanes);
+      simd::kernels().clover_lanes(blocks.data(), 1, in.data(), got.data(),
+                                   lanes);
       EXPECT_LT(max_rel_diff(ref, got), 1e-6)
           << simd::to_string(w) << " lanes " << lanes;
     }
   }
+}
+
+// The lane-count rows of the whole-domain block-solve kernels: at every
+// lane count, one included, lane b of a call equals a one-lane call on
+// lane b's data in every backend; avx2 equals avx512 bitwise (the same
+// per-lane FMA sequence, vectorized differently); scalar agrees to the
+// FMA tolerance.
+constexpr int kLaneRows[] = {1, 3, 4, 8, 16, 17};
+
+TEST(SimdParity, CloverLanesIsLaneIndependentAndWideBackendsAgreeBitwise) {
+  const std::int32_t nsites = 5;
+  const auto blocks = random_clover_blocks(nsites, 63);
+  auto clover = [&](Backend b, const std::vector<float>& in, int lanes) {
+    ScopedBackend scope(b);
+    std::vector<float> out(in.size(), -1.0f);
+    simd::kernels().clover_lanes(blocks.data(), nsites, in.data(), out.data(),
+                                 lanes);
+    return out;
+  };
+  for (const int lanes : kLaneRows) {
+    const auto in = random_floats(
+        static_cast<std::int64_t>(nsites) * kSpinorReals * lanes, 64 + lanes);
+    const auto ref = clover(Backend::kScalar, in, lanes);
+    std::vector<std::vector<float>> wide;
+    for (const Backend w : wide_backends()) {
+      wide.push_back(clover(w, in, lanes));
+      EXPECT_LT(max_rel_diff(ref, wide.back()), 1e-6)
+          << simd::to_string(w) << " lanes " << lanes;
+    }
+    if (wide.size() == 2) {
+      EXPECT_TRUE(bitwise_equal(wide[0], wide[1])) << "lanes " << lanes;
+    }
+    for (const Backend w : simd::available_backends()) {
+      const auto all = clover(w, in, lanes);
+      for (int b = 0; b < lanes; ++b)
+        EXPECT_TRUE(bitwise_equal(
+            lane_of(all, kSpinorReals, lanes, b),
+            clover(w, lane_of(in, kSpinorReals, lanes, b), 1)))
+            << simd::to_string(w) << " lanes " << lanes << " lane " << b;
+    }
+  }
+}
+
+// The whole-domain boundary pack on a real 4^4 domain: every backend is
+// bitwise equal to scalar and to the per-face-site project_lanes /
+// su3_mul_lanes composition it fuses, at every lane count, and lane b is
+// bitwise equal to a one-lane call. Lanes >= nrhs are padding: their
+// buffers are never written.
+TEST(SimdParity, PackFacesLanesIsBitIdenticalAcrossBackends) {
+  Geometry geom({8, 8, 8, 8});
+  DomainPartition part(geom, {4, 4, 4, 4});
+  const std::int32_t vd = part.domain_volume();
+  const auto links = random_floats(
+      static_cast<std::int64_t>(vd) * kNumDims * 18, 55);
+  std::vector<std::int32_t> face_sites, face_size;
+  for (int mu = 0; mu < kNumDims; ++mu) {
+    face_size.push_back(part.face_size(mu));
+    for (const Dir dir : {Dir::kForward, Dir::kBackward}) {
+      const auto& f = part.face_sites(mu, dir);
+      face_sites.insert(face_sites.end(), f.begin(), f.end());
+    }
+  }
+  const auto nface = static_cast<std::int64_t>(face_sites.size());
+  const std::int64_t stride = 12 * nface + 7;  // per-lane buffer stride
+  auto pack = [&](Backend b, const std::vector<float>& z, int lanes,
+                  int nrhs) {
+    ScopedBackend scope(b);
+    std::vector<float> out(static_cast<std::size_t>(stride * lanes), -1.0f);
+    simd::kernels().pack_faces_lanes(links.data(), face_sites.data(),
+                                     face_size.data(), z.data(), lanes, nrhs,
+                                     out.data(), stride);
+    return out;
+  };
+  auto composed = [&](const std::vector<float>& z, int lanes, int nrhs) {
+    const auto L = static_cast<std::size_t>(lanes);
+    std::vector<float> out(static_cast<std::size_t>(stride * lanes), -1.0f);
+    std::vector<float> h(12 * L), y(12 * L);
+    std::int64_t p = 0;
+    for (int mu = 0; mu < kNumDims; ++mu)
+      for (const bool fwd : {true, false})
+        for (std::int32_t i = 0; i < face_size[std::size_t(mu)]; ++i, ++p) {
+          const std::int32_t l = face_sites[std::size_t(p)];
+          simd::kernels().project_lanes(&z[std::size_t(l) * kSpinorReals * L],
+                                        mu, fwd ? +1 : -1, h.data(), lanes);
+          if (fwd)
+            simd::kernels().su3_mul_lanes(
+                &links[(std::size_t(l) * kNumDims + std::size_t(mu)) * 18],
+                h.data(), y.data(), lanes, 1);
+          const std::vector<float>& src = fwd ? y : h;
+          for (int b = 0; b < nrhs; ++b)
+            for (int k = 0; k < 12; ++k)
+              out[std::size_t(b * stride + 12 * p + k)] =
+                  src[std::size_t(k) * L + std::size_t(b)];
+        }
+    return out;
+  };
+  for (const int lanes : kLaneRows)
+    for (const int nrhs : {lanes, lanes > 1 ? lanes - 1 : 1}) {
+      const auto z = random_floats(
+          static_cast<std::int64_t>(vd) * kSpinorReals * lanes, 56 + lanes);
+      const auto ref = pack(Backend::kScalar, z, lanes, nrhs);
+      EXPECT_TRUE(bitwise_equal(ref, composed(z, lanes, nrhs)))
+          << "composed lanes " << lanes << " nrhs " << nrhs;
+      for (const Backend w : wide_backends())
+        EXPECT_TRUE(bitwise_equal(ref, pack(w, z, lanes, nrhs)))
+            << simd::to_string(w) << " lanes " << lanes << " nrhs " << nrhs;
+      for (const Backend w : simd::available_backends())
+        for (int b = 0; b < nrhs; ++b) {
+          const auto one = pack(w, lane_of(z, kSpinorReals, lanes, b), 1, 1);
+          EXPECT_EQ(std::memcmp(one.data(), &ref[std::size_t(b * stride)],
+                                sizeof(float) * std::size_t(12 * nface)),
+                    0)
+              << simd::to_string(w) << " lanes " << lanes << " lane " << b;
+        }
+    }
 }
 
 TEST(SimdParity, MrKernelsMatchScalarAndPreserveExactZeroLanes) {
@@ -507,6 +669,62 @@ TEST(SimdParity, MrKernelsMatchScalarAndPreserveExactZeroLanes) {
       const auto i = static_cast<std::size_t>(k * lanes + 5);
       EXPECT_EQ(z[i], 0.0f) << simd::to_string(w);
       EXPECT_EQ(rr[i], r[i]) << simd::to_string(w);
+    }
+  }
+}
+
+TEST(SimdParity, MrKernelsAreLaneIndependentAndWideBackendsAgreeBitwise) {
+  const std::int64_t ncplx = 97;
+  struct Out {
+    LaneMRState st;
+    std::vector<float> z, r;
+  };
+  // Dots, alphas and the update on `lanes` lanes under backend b.
+  auto run = [&](Backend b, const std::vector<float>& r0,
+                 const std::vector<float>& ar, int lanes) {
+    ScopedBackend scope(b);
+    Out o{LaneMRState(lanes, lanes), std::vector<float>(r0.size(), 0.5f), r0};
+    lane_mr_dots(o.r.data(), ar.data(), ncplx, lanes, o.st);
+    lane_mr_alphas(o.st);
+    lane_mr_axpy(o.z.data(), o.r.data(), ar.data(), ncplx, lanes, o.st);
+    return o;
+  };
+  for (const int lanes : kLaneRows) {
+    const auto r0 = random_floats(2 * ncplx * lanes, 73 + lanes);
+    const auto ar = random_floats(2 * ncplx * lanes, 74 + lanes);
+    const Out ref = run(Backend::kScalar, r0, ar, lanes);
+    std::vector<Out> wide;
+    for (const Backend w : wide_backends()) {
+      wide.push_back(run(w, r0, ar, lanes));
+      EXPECT_LT(max_rel_diff(ref.z, wide.back().z), 1e-6)
+          << simd::to_string(w) << " lanes " << lanes;
+      EXPECT_LT(max_rel_diff(ref.r, wide.back().r), 1e-6)
+          << simd::to_string(w) << " lanes " << lanes;
+    }
+    if (wide.size() == 2) {
+      EXPECT_EQ(wide[0].st.arr_re, wide[1].st.arr_re) << "lanes " << lanes;
+      EXPECT_EQ(wide[0].st.arr_im, wide[1].st.arr_im) << "lanes " << lanes;
+      EXPECT_EQ(wide[0].st.arar, wide[1].st.arar) << "lanes " << lanes;
+      EXPECT_TRUE(bitwise_equal(wide[0].z, wide[1].z)) << "lanes " << lanes;
+      EXPECT_TRUE(bitwise_equal(wide[0].r, wide[1].r)) << "lanes " << lanes;
+    }
+    for (const Backend w : simd::available_backends()) {
+      const Out all = run(w, r0, ar, lanes);
+      for (int b = 0; b < lanes; ++b) {
+        const auto bs = static_cast<std::size_t>(b);
+        const Out one = run(w, lane_of(r0, 2, lanes, b),
+                            lane_of(ar, 2, lanes, b), 1);
+        EXPECT_EQ(one.st.arr_re[0], all.st.arr_re[bs])
+            << simd::to_string(w) << " lanes " << lanes << " lane " << b;
+        EXPECT_EQ(one.st.arr_im[0], all.st.arr_im[bs])
+            << simd::to_string(w) << " lanes " << lanes << " lane " << b;
+        EXPECT_EQ(one.st.arar[0], all.st.arar[bs])
+            << simd::to_string(w) << " lanes " << lanes << " lane " << b;
+        EXPECT_TRUE(bitwise_equal(one.z, lane_of(all.z, 2, lanes, b)))
+            << simd::to_string(w) << " lanes " << lanes << " lane " << b;
+        EXPECT_TRUE(bitwise_equal(one.r, lane_of(all.r, 2, lanes, b)))
+            << simd::to_string(w) << " lanes " << lanes << " lane " << b;
+      }
     }
   }
 }
@@ -608,7 +826,7 @@ TEST(SimdSchwarz, BatchOutputIsIndependentOfLaneWidthAndBatchSize) {
   p.schwarz_iterations = 2;
   p.block_mr_iterations = 3;
 
-  const std::vector<int> batch_sizes = {2, 3, 5, 11, 16, 17};
+  const std::vector<int> batch_sizes = {1, 2, 3, 5, 11, 16, 17};
   const int max_rhs = 17;
   std::vector<FermionField<float>> ff(max_rhs);
   std::vector<const FermionField<float>*> fp;

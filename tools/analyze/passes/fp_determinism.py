@@ -2,13 +2,13 @@
 build-flag AND expression level.
 
 The cross-backend contract (simd/dispatch.h) says the lane kernels —
-su3_mul_nn, su3_mul_lanes, project, the dslash, xpay, the fp16
-converters — are BIT-IDENTICAL across scalar/avx2/avx512, which only
+su3_mul_nn, su3_mul_lanes, project, the dslash, the face pack, xpay,
+the fp16 converters — are BIT-IDENTICAL across scalar/avx2/avx512, which only
 holds if (a) every TU that compiles them does so with -ffp-contract=off
 and no fast-math family flag, and (b) no kernel on the bit-exact list
 uses an explicit FMA (std::fma / _mm*_fmadd_*), since separate
-mul/add is what the scalar reference computes. clover_pair_lanes and
-the MR reductions are the FMA-allowed set (<= 1e-6 contract).
+mul/add is what the scalar reference computes. clover_lanes and the MR
+kernels are the FMA-allowed set (<= 1e-6 contract).
 
 The pass discovers bit-exact TUs semantically: a TU whose include
 closure defines a function on the bit-exact list is a bit-exact TU.
@@ -30,9 +30,9 @@ from tools.analyze.textmodel import tu_command, tu_path
 
 BIT_EXACT = {
     "su3_mul_nn", "su3_mul_lanes", "project_lanes", "dslash_lanes",
-    "xpay_lanes", "float_to_half_n", "half_to_float_n",
+    "pack_faces_lanes", "xpay_lanes", "float_to_half_n", "half_to_float_n",
 }
-FMA_ALLOWED = {"clover_pair_lanes", "mr_dots_lanes", "mr_axpy_lanes"}
+FMA_ALLOWED = {"clover_lanes", "mr_dots_lanes", "mr_axpy_lanes"}
 
 _FAST_MATH_FLAGS = ("-ffast-math", "-funsafe-math-optimizations", "-Ofast",
                     "-fassociative-math", "-freciprocal-math",
