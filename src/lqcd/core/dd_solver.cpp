@@ -120,7 +120,7 @@ DDSolver::DDSolver(std::shared_ptr<DDSolverSetup> setup,
     sp.fault_injector = rc.schwarz_injector;
     sp.packed_fault_injector = rc.packed_injector;
   }
-  Preconditioner<float>* inner = nullptr;
+  BatchPreconditioner<float>* inner = nullptr;
   if (config.half_precision_matrices) {
     LQCD_CHECK_MSG(setup_->schwarz_half() != nullptr,
                    "setup was built without half-precision matrices");
@@ -145,17 +145,15 @@ DDSolver::DDSolver(std::shared_ptr<DDSolverSetup> setup,
         setup_->schwarz_single(), sp);
     inner = schwarz_single_.get();
   }
-  const Geometry& geom = setup_->geometry();
+  // With half-precision primary matrices, schwarz_single_ exists only as
+  // the armed precision fallback.
+  bridge_ = std::make_unique<PrecisionBridge>(
+      *inner, setup_->geometry().volume(), rc.enabled,
+      schwarz_half_ ? schwarz_single_.get() : nullptr,
+      [this] {
+        if (schwarz_half_) schwarz_half_->note_precision_fallback();
+      });
   if (rc.enabled) {
-    Preconditioner<float>* fallback =
-        (config.half_precision_matrices && rc.precision_fallback)
-            ? schwarz_single_.get()
-            : nullptr;
-    auto on_fallback = [this] {
-      if (schwarz_half_) schwarz_half_->note_precision_fallback();
-    };
-    resilient_adapter_ = std::make_unique<ResilientSchwarzAdapter>(
-        *inner, fallback, on_fallback, geom.volume());
     if (rc.checkpoint_rollback) {
       CheckpointMonitorConfig mc;
       mc.detect_ratio = rc.rollback_detect_ratio;
@@ -183,11 +181,9 @@ DDSolver::DDSolver(std::shared_ptr<DDSolverSetup> setup,
         abft_guard_->add_store(schwarz_single_->setup().get());
       abft_guard_->set_source_repair(
           [this]() -> bool { return setup_->repair_from_master(); });
-      resilient_adapter_->set_abft_guard(abft_guard_.get());
+      bridge_->set_abft_guard(abft_guard_.get());
       if (monitor_) monitor_->set_abft_guard(abft_guard_.get());
     }
-  } else {
-    adapter_ = std::make_unique<SchwarzPrecondAdapter>(*inner, geom.volume());
   }
   linop_ = std::make_unique<WilsonCloverLinOp<double>>(setup_->op_d());
 }
@@ -213,12 +209,8 @@ SolverStats DDSolver::solve(const FermionField<double>& b,
   if (setup_is_stale()) return stale_setup_stats();
   if (monitor_) monitor_->drop_checkpoint();
   if (abft_guard_) abft_guard_->begin_solve();
-  Preconditioner<double>* pre = resilient_adapter_
-                                    ? static_cast<Preconditioner<double>*>(
-                                          resilient_adapter_.get())
-                                    : adapter_.get();
   try {
-    SolverStats st = fgmres_dr_solve<double>(*linop_, pre, b, x,
+    SolverStats st = fgmres_dr_solve<double>(*linop_, bridge_.get(), b, x,
                                              outer_params(), monitor_.get());
     // Closing sweep: corruption after the last periodic sweep must not
     // survive into the next solve (or go unreported) — every upset is
@@ -259,11 +251,6 @@ std::vector<SolverStats> DDSolver::solve_batch(
                                           outer_params());
   for (std::size_t i = 0; i < options.tolerances.size(); ++i)
     lane_params[i].tolerance = options.tolerances[i];
-
-  BatchPreconditioner<double>* pre =
-      resilient_adapter_
-          ? static_cast<BatchPreconditioner<double>*>(resilient_adapter_.get())
-          : adapter_.get();
 
   // Resolve the deflation-recycle space. A caller-provided persistent
   // cache is keyed by the configuration checksum: presenting a subspace
@@ -308,12 +295,12 @@ std::vector<SolverStats> DDSolver::solve_batch(
       // RHS 0 runs alone: its solve seeds the recycled deflation subspace
       // the rest of the batch projects against. (With nrhs == 1 this path
       // is the whole call and executes exactly what solve() executes.)
-      out[0] = fgmres_dr_solve<double>(*linop_, pre, b[0], x[0],
+      out[0] = fgmres_dr_solve<double>(*linop_, bridge_.get(), b[0], x[0],
                                        lane_params[0], monitor_.get(), rec);
       first_lane = 1;
       if (nrhs == 1) {
-        if (cache != nullptr && rec->valid() && abft_guard_ &&
-            abft_guard_->config().check_deflation) {
+        if (cache != nullptr && rec != nullptr && rec->valid() &&
+            abft_guard_ && abft_guard_->config().check_deflation) {
           cache->abft_sum = deflation_checksum(*rec);
           cache->abft_stamped = true;
         }
@@ -379,7 +366,7 @@ std::vector<SolverStats> DDSolver::solve_batch(
         pout.push_back(&e.precond_output());
       }
       if (active.empty()) break;
-      pre->apply_batch(pin, pout);
+      bridge_->apply_batch(pin, pout);
       for (const int i : active) {
         auto& e = *lanes[static_cast<std::size_t>(i)];
         e.note_precond_application();

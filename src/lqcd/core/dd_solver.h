@@ -205,83 +205,39 @@ struct BatchSolveOptions {
   RecycleCache* recycle = nullptr;
 };
 
-/// Bridges the double-precision outer solver to the float preconditioner:
-/// converts in, applies M, converts out (the paper's Sec. III precision
-/// split).
-class SchwarzPrecondAdapter final : public BatchPreconditioner<double> {
+/// The precision bridge between the double-precision outer solver and the
+/// float Schwarz preconditioner (the paper's Sec. III precision split): it
+/// converts a batch to float, hands it to the preconditioner's
+/// apply_batch — so one Schwarz sweep streams each domain's matrices once
+/// for all RHS — and converts the outputs back. apply() is a batch of one.
+///
+/// A resilient bridge (ResilienceConfig::enabled) also scans every output
+/// for NaN/Inf (fp16 overflow saturates to inf and propagates). A poisoned
+/// RHS is retried alone on the single-precision `fallback`; without a
+/// fallback, or if its output is poisoned too, the correction is zeroed —
+/// the flexible outer solver then discards the degenerate direction and
+/// restarts (Lüscher's observation that the Schwarz preconditioner
+/// tolerates inexact block solves is what makes both degradation paths
+/// safe). A plain bridge does not scan: a non-finite output reaches the
+/// outer solver, which ends the solve with Breakdown::kNanDetected.
+class PrecisionBridge final : public BatchPreconditioner<double> {
  public:
-  SchwarzPrecondAdapter(Preconditioner<float>& inner, std::int64_t n)
-      : inner_(&inner),
-        batch_inner_(dynamic_cast<BatchPreconditioner<float>*>(&inner)),
-        n_(n),
-        in_f_(n),
-        out_f_(n) {}
-
-  void apply(const FermionField<double>& in,
-             FermionField<double>& out) override {
-    convert(in, in_f_);
-    inner_->apply(in_f_, out_f_);
-    convert(out_f_, out);
-  }
-
-  /// Batched precision bridge: converts the whole batch to float and
-  /// hands it to the inner preconditioner's apply_batch, so one Schwarz
-  /// sweep streams each domain's matrices once for all RHS.
-  void apply_batch(const std::vector<const FermionField<double>*>& in,
-                   const std::vector<FermionField<double>*>& out) override {
-    const std::size_t nrhs = in.size();
-    grow_batch(nrhs);
-    std::vector<const FermionField<float>*> fin(nrhs);
-    std::vector<FermionField<float>*> fout(nrhs);
-    for (std::size_t b = 0; b < nrhs; ++b) {
-      convert(*in[b], in_b_[b]);
-      fin[b] = &in_b_[b];
-      fout[b] = &out_b_[b];
-    }
-    if (batch_inner_ != nullptr) {
-      batch_inner_->apply_batch(fin, fout);
-    } else {
-      for (std::size_t b = 0; b < nrhs; ++b)
-        inner_->apply(in_b_[b], out_b_[b]);
-    }
-    for (std::size_t b = 0; b < nrhs; ++b) convert(out_b_[b], *out[b]);
-  }
-
- private:
-  void grow_batch(std::size_t nrhs) {
-    while (in_b_.size() < nrhs) {
-      in_b_.emplace_back(n_);
-      out_b_.emplace_back(n_);
-    }
-  }
-
-  Preconditioner<float>* inner_;
-  BatchPreconditioner<float>* batch_inner_;
-  std::int64_t n_;
-  FermionField<float> in_f_, out_f_;
-  std::vector<FermionField<float>> in_b_, out_b_;
-};
-
-/// Hardened precision bridge: like SchwarzPrecondAdapter, but it scans
-/// the preconditioner output for NaN/Inf (fp16 overflow saturates to inf
-/// and propagates) and, on detection, retries the apply on the
-/// single-precision fallback preconditioner. If even the fallback output
-/// is poisoned the correction is zeroed — the flexible outer solver then
-/// discards the degenerate direction and restarts (Lüscher's observation
-/// that the Schwarz preconditioner tolerates inexact block solves is what
-/// makes both degradation paths safe).
-class ResilientSchwarzAdapter final : public BatchPreconditioner<double> {
- public:
-  ResilientSchwarzAdapter(Preconditioner<float>& primary,
-                          Preconditioner<float>* fallback,
-                          std::function<void()> on_fallback, std::int64_t n)
+  /// `on_fallback` is told of every poisoned output of a resilient bridge.
+  PrecisionBridge(BatchPreconditioner<float>& primary, std::int64_t n,
+                  bool resilient, Preconditioner<float>* fallback = nullptr,
+                  std::function<void()> on_fallback = {})
       : primary_(&primary),
-        batch_primary_(dynamic_cast<BatchPreconditioner<float>*>(&primary)),
         fallback_(fallback),
         on_fallback_(std::move(on_fallback)),
         n_(n),
-        in_f_(n),
-        out_f_(n) {}
+        resilient_(resilient) {
+    // One RHS's staging is allocated with the rest of the solver state.
+    // Allocated at the first apply instead, between FGMRES-DR's per-solve
+    // buffers, it fragmented the heap: +6 MB peak RSS on perfbench
+    // single_rhs.
+    in_f_.emplace_back(n);
+    out_f_.emplace_back(n);
+  }
 
   /// Attach the ABFT guard, notified once per completed application (per
   /// RHS for batches) — the clock that drives the periodic checksum
@@ -291,67 +247,44 @@ class ResilientSchwarzAdapter final : public BatchPreconditioner<double> {
 
   void apply(const FermionField<double>& in,
              FermionField<double>& out) override {
-    convert(in, in_f_);
-    primary_->apply(in_f_, out_f_);
-    if (!all_finite(out_f_)) {
-      if (on_fallback_) on_fallback_();
-      if (fallback_ != nullptr) fallback_->apply(in_f_, out_f_);
-      if (fallback_ == nullptr || !all_finite(out_f_)) out_f_.zero();
-    }
-    convert(out_f_, out);
-    if (abft_ != nullptr) abft_->note_application();
+    apply_batch({&in}, {&out});
   }
 
-  /// Batched apply with per-RHS recovery: the whole batch runs on the
-  /// half-precision matrices; only the RHS whose outputs came back
-  /// non-finite are retried individually on the single-precision
-  /// fallback (an fp16 overflow poisons one lane, not the batch).
   void apply_batch(const std::vector<const FermionField<double>*>& in,
                    const std::vector<FermionField<double>*>& out) override {
     const std::size_t nrhs = in.size();
-    grow_batch(nrhs);
+    while (in_f_.size() < nrhs) {
+      in_f_.emplace_back(n_);
+      out_f_.emplace_back(n_);
+    }
     std::vector<const FermionField<float>*> fin(nrhs);
     std::vector<FermionField<float>*> fout(nrhs);
     for (std::size_t b = 0; b < nrhs; ++b) {
-      convert(*in[b], in_b_[b]);
-      fin[b] = &in_b_[b];
-      fout[b] = &out_b_[b];
+      convert(*in[b], in_f_[b]);
+      fin[b] = &in_f_[b];
+      fout[b] = &out_f_[b];
     }
-    if (batch_primary_ != nullptr) {
-      batch_primary_->apply_batch(fin, fout);
-    } else {
-      for (std::size_t b = 0; b < nrhs; ++b)
-        primary_->apply(in_b_[b], out_b_[b]);
-    }
+    primary_->apply_batch(fin, fout);
     for (std::size_t b = 0; b < nrhs; ++b) {
-      if (!all_finite(out_b_[b])) {
+      if (resilient_ && !all_finite(out_f_[b])) {
         if (on_fallback_) on_fallback_();
-        if (fallback_ != nullptr) fallback_->apply(in_b_[b], out_b_[b]);
-        if (fallback_ == nullptr || !all_finite(out_b_[b]))
-          out_b_[b].zero();
+        if (fallback_ != nullptr) fallback_->apply(in_f_[b], out_f_[b]);
+        if (fallback_ == nullptr || !all_finite(out_f_[b])) out_f_[b].zero();
       }
-      convert(out_b_[b], *out[b]);
+      convert(out_f_[b], *out[b]);
     }
     if (abft_ != nullptr)
       for (std::size_t b = 0; b < nrhs; ++b) abft_->note_application();
   }
 
  private:
-  void grow_batch(std::size_t nrhs) {
-    while (in_b_.size() < nrhs) {
-      in_b_.emplace_back(n_);
-      out_b_.emplace_back(n_);
-    }
-  }
-
-  Preconditioner<float>* primary_;
-  BatchPreconditioner<float>* batch_primary_;
+  BatchPreconditioner<float>* primary_;
   Preconditioner<float>* fallback_;
-  AbftGuard* abft_ = nullptr;
   std::function<void()> on_fallback_;
+  AbftGuard* abft_ = nullptr;
   std::int64_t n_;
-  FermionField<float> in_f_, out_f_;
-  std::vector<FermionField<float>> in_b_, out_b_;
+  bool resilient_;
+  std::vector<FermionField<float>> in_f_, out_f_;
 };
 
 class DDSolver {
@@ -436,8 +369,7 @@ class DDSolver {
   std::shared_ptr<DDSolverSetup> setup_;
   std::unique_ptr<SchwarzPreconditioner<float>> schwarz_single_;
   std::unique_ptr<SchwarzPreconditioner<Half>> schwarz_half_;
-  std::unique_ptr<SchwarzPrecondAdapter> adapter_;
-  std::unique_ptr<ResilientSchwarzAdapter> resilient_adapter_;
+  std::unique_ptr<PrecisionBridge> bridge_;
   std::unique_ptr<CheckpointMonitor<double>> monitor_;
   std::unique_ptr<AbftGuard> abft_guard_;
   std::unique_ptr<WilsonCloverLinOp<double>> linop_;

@@ -41,11 +41,6 @@ struct KncSpec {
     return 2.0 * simd_sp * compute_efficiency();
   }
 
-  /// Same bound in double precision (8-wide SIMD).
-  double effective_dp_flops_per_cycle() const noexcept {
-    return 2.0 * simd_dp * compute_efficiency();
-  }
-
   /// Instruction-bound single-core rate: ~20 Gflop/s (paper Sec. IV-B1).
   double sp_gflops_bound_per_core() const noexcept {
     return effective_sp_flops_per_cycle() * freq_ghz;

@@ -215,15 +215,6 @@ inline CollectiveWork allreduce_tree_work(int ranks, double entry_bytes,
   return w;
 }
 
-/// Fold collective traffic into a kernel descriptor: the communicating
-/// core streams the payloads through memory, so the bytes land in
-/// mem_bytes and the collective cost shows up in arithmetic_intensity.
-inline KernelWork add_collective_traffic(KernelWork w,
-                                         const CollectiveWork& c) noexcept {
-  w.mem_bytes += c.bytes;
-  return w;
-}
-
 // ---------------------------------------------------------------------------
 // Core-count scaling (paper Eqs. 6 and 7).
 // ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ inline double daly_checkpoint_interval(double cost, double mtbf) noexcept {
 
 /// Drives periodic checksum sweeps over registered PackedDomainStores and
 /// executes the repair ladder. Owned by DDSolver; note_application() is
-/// called from the resilient adapter after every preconditioner
+/// called from the precision bridge after every preconditioner
 /// application (outside any parallel region).
 class AbftGuard {
  public:

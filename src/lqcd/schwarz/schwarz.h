@@ -89,7 +89,7 @@ struct SchwarzStats {
   std::int64_t flops = 0;          ///< floating-point ops executed
   std::int64_t boundary_bytes = 0; ///< bytes written to face buffers
   std::int64_t injected_faults = 0;     ///< faults the hook fired in sweeps
-  std::int64_t precision_fallbacks = 0; ///< half->single retries (adapter)
+  std::int64_t precision_fallbacks = 0; ///< half->single retries (bridge)
   /// Times a domain's packed gauge+clover block was streamed from its
   /// backing storage. Charged once per domain VISIT — a batched sweep
   /// loads the matrices once and applies them to every RHS — so
@@ -651,7 +651,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
 
   const SchwarzStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_.reset(); }
-  /// Recorded by the resilient adapter when a non-finite sweep output
+  /// Recorded by DDSolver's precision bridge when a non-finite output
   /// forced a retry on the single-precision fallback matrices.
   void note_precision_fallback() noexcept { ++stats_.precision_fallbacks; }
   const SchwarzParams& params() const noexcept { return params_; }

@@ -69,7 +69,7 @@ struct SetupCacheStats {
 
 /// One cached configuration: the shared immutable setup plus a pool of
 /// per-solve contexts. A context bundles the mutable half of a solver
-/// (Schwarz scratch, adapters, monitors) with the configuration's
+/// (Schwarz scratch, precision bridge, monitors) with the configuration's
 /// persistent deflation subspace.
 ///
 /// An entry is inserted into the cache in the UNBUILT state; the first

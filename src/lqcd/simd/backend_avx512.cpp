@@ -592,9 +592,9 @@ inline void float_to_half_n(const float* src, Half* dst,
                             std::int64_t n) noexcept {
   std::int64_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    const __m256i h = _mm512_cvtps_ph(_mm512_loadu_ps(src + i),
-                                      _MM_FROUND_TO_NEAREST_INT |
-                                          _MM_FROUND_NO_EXC);
+    const __m256i h = _mm512_maskz_cvtps_ph(0xFFFF, _mm512_loadu_ps(src + i),
+                                            _MM_FROUND_TO_NEAREST_INT |
+                                                _MM_FROUND_NO_EXC);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), h);
   }
   for (; i < n; ++i) dst[i] = float_to_half(src[i]);
@@ -606,7 +606,7 @@ inline void half_to_float_n(const Half* src, float* dst,
   for (; i + 16 <= n; i += 16) {
     const __m256i h =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm512_storeu_ps(dst + i, _mm512_cvtph_ps(h));
+    _mm512_storeu_ps(dst + i, _mm512_maskz_cvtph_ps(0xFFFF, h));
   }
   for (; i < n; ++i) dst[i] = half_to_float(src[i]);
 }

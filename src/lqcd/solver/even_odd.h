@@ -1,13 +1,11 @@
-// Even-odd (Schur complement) solve driver.
-//
-// Reduces A u = f on the full lattice to the half-lattice system
-// Dtilde_ee u_e = f_e - A_eo A_oo^{-1} f_o (paper Eq. 5), delegates the
-// even solve to any solver, and reconstructs the odd half. Typically
-// halves the iteration count (paper cites ~2x, Ref. [14]).
+// LinearOperator adapters for the Wilson-Clover operator: the full
+// operator A, and the even-even Schur complement
+// Dtilde_ee = A_ee - A_eo A_oo^{-1} A_oe (paper Eq. 5) that even-odd
+// preconditioning solves on the half lattice. Solving the Schur system
+// typically halves the iteration count (paper cites ~2x, Ref. [14]);
+// WilsonCloverOperator::schur_rhs and reconstruct_odd map a full-lattice
+// right-hand side onto it and the even solution back.
 #pragma once
-
-#include <functional>
-#include <vector>
 
 #include "lqcd/dirac/wilson_clover.h"
 #include "lqcd/solver/linear_operator.h"
@@ -48,70 +46,5 @@ class SchurLinOp final : public LinearOperator<T> {
  private:
   const WilsonCloverOperator<T>* op_;
 };
-
-/// Even-system solver contract: solve Dtilde_ee u_e = rhs_e.
-template <class T>
-using EvenSolver = std::function<SolverStats(const FermionField<T>& rhs_e,
-                                             FermionField<T>& u_e)>;
-
-/// Full even-odd-preconditioned solve of A u = f.
-template <class T>
-SolverStats even_odd_solve(const WilsonCloverOperator<T>& op,
-                           const FermionField<T>& f, FermionField<T>& u,
-                           const EvenSolver<T>& even_solver) {
-  const auto half = op.checkerboard().half_volume();
-  FermionField<T> f_e(half), f_o(half), fe_tilde(half), u_e(half), u_o(half);
-  op.split(f, f_e, f_o);
-  op.schur_rhs(f_e, f_o, fe_tilde);
-  SolverStats stats = even_solver(fe_tilde, u_e);
-  op.reconstruct_odd(f_o, u_e, u_o);
-  op.merge(u_e, u_o, u);
-  return stats;
-}
-
-/// Batched even-system solver contract: solve Dtilde_ee u_e[b] = rhs_e[b]
-/// for every RHS of the batch in one call — the hook a multi-RHS
-/// (SOA-over-RHS lane-vectorized) even solver plugs into.
-template <class T>
-using BatchEvenSolver = std::function<SolverStats(
-    const std::vector<const FermionField<T>*>& rhs_e,
-    const std::vector<FermionField<T>*>& u_e)>;
-
-/// Batched even-odd-preconditioned solve of A u[b] = f[b]: every RHS is
-/// reduced to the half lattice first, the even systems are handed to the
-/// batched solver as ONE call (so it can vectorize over the RHS index),
-/// and every odd half is reconstructed after. With nrhs = 1 this performs
-/// the identical operation sequence as even_odd_solve.
-template <class T>
-SolverStats even_odd_solve_batch(const WilsonCloverOperator<T>& op,
-                                 const std::vector<const FermionField<T>*>& f,
-                                 const std::vector<FermionField<T>*>& u,
-                                 const BatchEvenSolver<T>& even_solver) {
-  LQCD_CHECK_MSG(!f.empty() && f.size() == u.size(),
-                 "even_odd_solve_batch needs matching, non-empty batches");
-  const auto half = op.checkerboard().half_volume();
-  const auto nrhs = f.size();
-  std::vector<FermionField<T>> f_e(nrhs), f_o(nrhs), fe_tilde(nrhs),
-      u_e(nrhs), u_o(nrhs);
-  std::vector<const FermionField<T>*> rhs_ptrs(nrhs);
-  std::vector<FermionField<T>*> ue_ptrs(nrhs);
-  for (std::size_t b = 0; b < nrhs; ++b) {
-    f_e[b] = FermionField<T>(half);
-    f_o[b] = FermionField<T>(half);
-    fe_tilde[b] = FermionField<T>(half);
-    u_e[b] = FermionField<T>(half);
-    u_o[b] = FermionField<T>(half);
-    op.split(*f[b], f_e[b], f_o[b]);
-    op.schur_rhs(f_e[b], f_o[b], fe_tilde[b]);
-    rhs_ptrs[b] = &fe_tilde[b];
-    ue_ptrs[b] = &u_e[b];
-  }
-  SolverStats stats = even_solver(rhs_ptrs, ue_ptrs);
-  for (std::size_t b = 0; b < nrhs; ++b) {
-    op.reconstruct_odd(f_o[b], u_e[b], u_o[b]);
-    op.merge(u_e[b], u_o[b], *u[b]);
-  }
-  return stats;
-}
 
 }  // namespace lqcd

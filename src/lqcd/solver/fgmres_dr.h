@@ -45,7 +45,9 @@ struct FGMRESDRParams {
   /// subspace is discarded and the solve restarts plain from the freshly
   /// recomputed true residual (residual replacement). A healthy deflated
   /// solve reduces the residual every cycle, so this never fires on the
-  /// fault-free path.
+  /// fault-free path. max_stagnant_cycles consecutive cycles whose every
+  /// preconditioned direction was NaN/Inf or zero end the solve with
+  /// kNanDetected or kStagnation.
   double stagnation_threshold = 0.999;
   int max_stagnant_cycles = 3;
 };
@@ -198,6 +200,7 @@ class FgmresDrEngine {
       ++stats_.nonfinite_events;
       mcur_ = j;
       defective_ = true;
+      defect_ = Breakdown::kNanDetected;
       end_cycle();
       return;
     }
@@ -217,6 +220,7 @@ class FgmresDrEngine {
       if (zero_column) {
         mcur_ = j;
         defective_ = true;
+        defect_ = Breakdown::kStagnation;
       }
       end_cycle();
       return;
@@ -354,15 +358,23 @@ class FgmresDrEngine {
         done_ = true;
         return;
       }
-      // Every direction this cycle was degenerate. Residual replacement:
+      // Every direction this cycle was degenerate. After
+      // max_stagnant_cycles such cycles in a row the preconditioner is
+      // taken to never return a usable direction: end the solve, naming
+      // the last column's defect. Until then, residual replacement:
       // discard the subspace and restart plain from the current true
-      // residual (x is unchanged, r/rnorm are still current). Bounded by
-      // max_iterations — each failed attempt consumed an Arnoldi step.
+      // residual (x is unchanged, r/rnorm are still current).
+      if (++degenerate_cycles_ >= params_.max_stagnant_cycles) {
+        stats_.breakdown = defect_;
+        done_ = true;
+        return;
+      }
       ++stats_.stagnation_restarts;
       restart_plain();
       begin_cycle();
       return;
     }
+    degenerate_cycles_ = 0;
 
     // ---- Projected solve and solution update ------------------------
     const int mcur = mcur_;
@@ -566,8 +578,10 @@ class FgmresDrEngine {
   SolverStats stats_;
   double bnorm_ = 0, rnorm_ = 0, prev_cycle_rnorm_ = 0;
   int stagnant_cycles_ = 0;
+  int degenerate_cycles_ = 0;  ///< consecutive cycles with no basis vector
   int j0_ = 0, j_ = 0, mcur_ = 0;
   bool defective_ = false;
+  Breakdown defect_ = Breakdown::kNone;  ///< last degenerate column's cause
   bool deflation_live_ = false;
   bool early_exit_ = false;
   bool done_ = false;

@@ -54,14 +54,6 @@ class BatchPreconditioner : public Preconditioner<T> {
   }
 };
 
-template <class T>
-class IdentityPreconditioner final : public Preconditioner<T> {
- public:
-  void apply(const FermionField<T>& in, FermionField<T>& out) override {
-    copy(in, out);
-  }
-};
-
 /// Why a solve terminated without reaching its tolerance. kNone for a
 /// converged (or intentionally fixed-count) solve; anything else is a
 /// structured replacement for the silent `break`s the Krylov kernels used

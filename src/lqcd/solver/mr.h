@@ -1,118 +1,31 @@
-// Minimal residual (MR) iteration [Saad, Iterative Methods, Sec. 5.3.2].
+// Minimal residual (MR) scalars of the Schwarz block solve [Saad,
+// Iterative Methods, Sec. 5.3.2].
 //
-// This is the paper's block solver (Sec. II-D): it needs only three
-// vectors (x, r, Ar), which is what lets the per-domain solve run from L2
-// cache. Each iteration costs one operator application plus one batched
-// reduction for the two inner products.
-#pragma once
-
-#include <algorithm>
-#include <cstdint>
-#include <vector>
-
-#include "lqcd/base/aligned.h"
-#include "lqcd/simd/dispatch.h"
-#include "lqcd/solver/linear_operator.h"
-
-namespace lqcd {
-
-struct MRParams {
-  int max_iterations = 10;
-  /// Relative residual target; <= 0 means "run exactly max_iterations",
-  /// the fixed-iteration-count mode the Schwarz block solve uses.
-  double tolerance = 0.0;
-  /// Over/under-relaxation factor omega (1.0 = plain MR).
-  double omega = 1.0;
-};
-
-template <class T>
-SolverStats mr_solve(const LinearOperator<T>& op, const FermionField<T>& b,
-                     FermionField<T>& x, const MRParams& params,
-                     bool x_is_zero = false) {
-  SolverStats stats;
-  const std::int64_t n = op.vector_size();
-  LQCD_CHECK(b.size() == n && x.size() == n);
-
-  FermionField<T> r(n), ar(n);
-  if (x_is_zero) {
-    copy(b, r);
-  } else {
-    op.apply(x, r);
-    ++stats.matvecs;
-    sub(b, r, r);
-  }
-  const double bnorm = norm(b);
-  ++stats.global_sum_events;
-  if (bnorm == 0.0) {
-    x.zero();
-    stats.converged = true;
-    return stats;
-  }
-  double rnorm2 = norm2(r);
-  ++stats.global_sum_events;
-
-  const T omega = static_cast<T>(params.omega);
-  for (int it = 0; it < params.max_iterations; ++it) {
-    const double rel = std::sqrt(rnorm2) / bnorm;
-    stats.residual_history.push_back(rel);
-    if (params.tolerance > 0 && rel <= params.tolerance) {
-      stats.converged = true;
-      break;
-    }
-    op.apply(r, ar);
-    ++stats.matvecs;
-    // alpha = <Ar, r> / <Ar, Ar>; both inner products in one reduction.
-    const auto arr = dot(ar, r);
-    const double arar = norm2(ar);
-    ++stats.global_sum_events;
-    if (!std::isfinite(arar) || !std::isfinite(rnorm2)) {
-      ++stats.nonfinite_events;
-      stats.breakdown = Breakdown::kNanDetected;
-      break;
-    }
-    if (arar == 0.0) {
-      // r in the null space of op: no usable direction.
-      stats.breakdown = Breakdown::kStagnation;
-      break;
-    }
-    const Complex<T> alpha(
-        static_cast<T>(omega * arr.real() / arar),
-        static_cast<T>(omega * arr.imag() / arar));
-    axpy(alpha, r, x);
-    axpy(-alpha, ar, r);
-    // Track ||r||^2 incrementally? Recompute: cheap and robust, and
-    // bundles with the next iteration's reduction in a real multi-node
-    // run, so we do not count it separately.
-    rnorm2 = norm2(r);
-    ++stats.iterations;
-  }
-  stats.final_relative_residual = std::sqrt(rnorm2) / bnorm;
-  if (params.tolerance > 0 && stats.final_relative_residual <= params.tolerance)
-    stats.converged = true;
-  if (stats.converged)
-    stats.breakdown = Breakdown::kNone;
-  else if (params.tolerance > 0 && stats.breakdown == Breakdown::kNone)
-    stats.breakdown = Breakdown::kMaxIterations;
-  // tolerance <= 0 is the fixed-iteration-count mode: running out the
-  // budget is the intended completion, not a breakdown.
-  return stats;
-}
-
-// ---------------------------------------------------------------------------
-// Lane-wise MR scalars for multi-RHS block solves (SOA-over-RHS).
+// MR is the paper's block solver (Sec. II-D): it needs only three vectors
+// (x, r, Ar), which is what lets the per-domain solve run from L2 cache.
+// Each iteration costs one operator application plus one pass for the two
+// inner products.
 //
 // The Schwarz block solve stores a batch of right-hand sides with the RHS
 // index innermost ([site][component][lane], see schwarz/storage.h) and
 // runs the MR recurrence on all lanes in one pass. Each lane carries its
 // OWN alpha = <Ar, r> / <Ar, Ar> — accumulated in double — and a lane
 // whose <Ar, Ar> hits exact zero is masked out (alpha forced to 0,
-// freezing its z and r): the lane form of mr_solve's `if (arar == 0.0)
-// break`.
+// freezing its z and r): r lies in the null space of the block operator,
+// so the lane has no usable direction left.
 //
 // The helpers below are layout-light on purpose: they take raw float
 // pointers in the [complex component][lane] order plus the lane count, so
 // they work on any container (or sub-range) with that innermost layout.
-// ---------------------------------------------------------------------------
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "lqcd/simd/dispatch.h"
+
+namespace lqcd {
 
 /// Per-lane MR scalar state. `lanes` is the padded lane count; only the
 /// first `active_lanes` start active (padding lanes never iterate and are

@@ -203,9 +203,10 @@ HopOutcome send_hop(const std::vector<int>& entry_ranks,
       ++stats.corruptions;
       // Serialize the payload, flip one bit in transit, and check the
       // Fletcher-32 checksum that travels with the message.
-      std::vector<unsigned char> wire(values.size() * sizeof(T));
-      if (!wire.empty())
-        std::memcpy(wire.data(), values.data(), wire.size());
+      const auto* bytes =
+          reinterpret_cast<const unsigned char*>(values.data());
+      std::vector<unsigned char> wire(bytes,
+                                      bytes + values.size() * sizeof(T));
       const std::uint32_t sent = fletcher32_bytes(wire.data(), wire.size());
       if (!wire.empty()) wire[0] ^= 1u;
       const std::uint32_t received =

@@ -72,7 +72,6 @@ class VirtualGrid {
 
   const Geometry& global() const noexcept { return *global_; }
   const Coord& grid() const noexcept { return grid_; }
-  const Coord& local_dims() const noexcept { return local_; }
   int num_ranks() const noexcept { return num_ranks_; }
   std::int64_t local_volume() const noexcept { return local_volume_; }
 

@@ -1,9 +1,10 @@
 // Fault-tolerant collectives: ProxyTree topology, Fletcher-32 checksums,
 // bit-identity of the host-proxy tree allreduce, dead-rank rewiring at
 // every tree position, bounded retransmits, structured degradation, the
-// analytic traffic mirror (knc::allreduce_tree_work), and the fault hooks
-// threaded through the halo exchange, the distributed BiCGstab and the
-// Schwarz packed-matrix ABFT checksums.
+// analytic traffic mirror (knc::allreduce_tree_work), the distributed
+// BiCGstab against the single-node solve, and the fault hooks threaded
+// through the halo exchange, the distributed BiCGstab and the Schwarz
+// packed-matrix ABFT checksums.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include "lqcd/gauge/gauge_field.h"
 #include "lqcd/knc/work_model.h"
 #include "lqcd/schwarz/schwarz.h"
+#include "lqcd/solver/even_odd.h"
 #include "lqcd/vnode/distributed_solver.h"
 
 namespace lqcd {
@@ -592,6 +594,47 @@ struct SolveFixture {
     return global;
   }
 };
+
+TEST(DistributedSolver, MatchesSingleNodeBiCGstab) {
+  const Geometry geom({4, 4, 8, 8});
+  const Checkerboard cb(geom);
+  auto gauge = random_gauge_field<double>(geom, 0.5, 71);
+  gauge.make_time_antiperiodic();
+  const WilsonCloverOperator<double> op(geom, cb, gauge, 0.3, 1.0);
+  const WilsonCloverLinOp<double> a(op);
+  FermionField<double> b(geom.volume());
+  gaussian(b, 72);
+  BiCGstabParams p;
+  p.tolerance = 1e-10;
+  p.max_iterations = 4000;
+  FermionField<double> x_ref(geom.volume());
+  const auto st_ref = bicgstab_solve(a, b, x_ref, p);
+
+  const VirtualGrid vg(geom, {1, 1, 2, 2});
+  DistributedWilsonClover<double> dop(vg, gauge, 0.3, 1.0);
+  DistributedField<double> db(vg), dx(vg);
+  scatter(vg, b, db);
+  const auto res = distributed_bicgstab(vg, dop, db, dx, p);
+
+  EXPECT_TRUE(res.stats.converged);
+  // Same iteration count (identical arithmetic up to rounding) ...
+  EXPECT_NEAR(res.stats.iterations, st_ref.iterations, 2);
+  // ... and the same solution.
+  FermionField<double> x_dist(geom.volume()), r(geom.volume());
+  gather(vg, dx, x_dist);
+  op.apply(x_dist, r);
+  sub(b, r, r);
+  EXPECT_LT(norm(r) / norm(b), 2e-10);
+  sub(x_ref, x_dist, x_dist);
+  EXPECT_LT(norm(x_dist), 1e-6 * norm(x_ref));
+
+  // Comm accounting: 4 messages per rank per apply (2 cut dims), and
+  // multiple allreduces per iteration (BiCGstab's weakness).
+  EXPECT_EQ(res.comm.messages,
+            res.stats.matvecs * vg.num_ranks() * 2 * 2);
+  EXPECT_GT(res.comm.allreduces,
+            4 * static_cast<std::int64_t>(res.stats.iterations));
+}
 
 TEST(DistributedCollectives, BicgstabFanoutInvariantBitwise) {
   // The tree reduces in rank order regardless of arity, so the whole

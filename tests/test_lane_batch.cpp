@@ -2,8 +2,8 @@
 // container and its gather bridge, the lane-wise MR scalars with
 // convergence masking, the bit-identity of a batch against per-RHS
 // apply() calls (a batch of one runs at one lane, wider batches pad), the
-// apply_batch geometry guard, the batched even-odd driver, and the work
-// model's RHS-lane efficiency term.
+// apply_batch geometry guard, and the work model's RHS-lane efficiency
+// term.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,7 +11,6 @@
 
 #include "lqcd/core/dd_solver.h"
 #include "lqcd/knc/work_model.h"
-#include "lqcd/solver/even_odd.h"
 #include "lqcd/solver/mr.h"
 
 namespace lqcd {
@@ -365,51 +364,6 @@ TEST(LaneBatch, MismatchedGeometryThrowsWithoutMutatingEarlierRhs) {
   std::vector<const FermionField<float>*> fp2{&good_f};
   std::vector<FermionField<float>*> up2{&bad_u};
   EXPECT_THROW(m.apply_batch(fp2, up2), Error);
-}
-
-// ---------------------------------------------------------------------------
-// Batched even-odd driver.
-// ---------------------------------------------------------------------------
-
-TEST(EvenOddBatch, MatchesPerRhsEvenOddSolve) {
-  SchwarzFixture f;
-  const MRParams mrp{8, 0.0, 1.0};
-  const SchurLinOp<float> schur(f.op);
-
-  const EvenSolver<float> even1 = [&](const FermionField<float>& rhs,
-                                      FermionField<float>& ue) {
-    return mr_solve(schur, rhs, ue, mrp, true);
-  };
-  const BatchEvenSolver<float> evenN =
-      [&](const std::vector<const FermionField<float>*>& rhs,
-          const std::vector<FermionField<float>*>& ue) {
-        SolverStats last;
-        for (std::size_t b = 0; b < rhs.size(); ++b)
-          last = mr_solve(schur, *rhs[b], *ue[b], mrp, true);
-        return last;
-      };
-
-  const int nrhs = 3;
-  std::vector<FermionField<float>> ff(nrhs), u_seq(nrhs), u_bat(nrhs);
-  std::vector<const FermionField<float>*> fp;
-  std::vector<FermionField<float>*> up;
-  for (int i = 0; i < nrhs; ++i) {
-    const auto ii = static_cast<std::size_t>(i);
-    ff[ii] = FermionField<float>(f.geom.volume());
-    u_seq[ii] = FermionField<float>(f.geom.volume());
-    u_bat[ii] = FermionField<float>(f.geom.volume());
-    gaussian(ff[ii], static_cast<std::uint64_t>(180 + i));
-    fp.push_back(&ff[ii]);
-    up.push_back(&u_bat[ii]);
-    even_odd_solve(f.op, ff[ii], u_seq[ii], even1);
-  }
-  even_odd_solve_batch(f.op, fp, up, evenN);
-
-  for (int i = 0; i < nrhs; ++i)
-    EXPECT_EQ(rel_field_diff(u_seq[static_cast<std::size_t>(i)],
-                             u_bat[static_cast<std::size_t>(i)]),
-              0.0)
-        << "RHS " << i;
 }
 
 // ---------------------------------------------------------------------------

@@ -342,7 +342,7 @@ TEST(DDSolverConfig, StagnationParametersReachOuterSolver) {
 // ---------------------------------------------------------------------------
 
 TEST(DDSolverStats, MergedStatsIncludeSinglePrecisionFallbackSweeps) {
-  // Inject fp16-overflow faults so the resilient adapter retries on the
+  // Inject fp16-overflow faults so the precision bridge retries on the
   // single-precision fallback preconditioner. Every retry is a Schwarz
   // application on the FALLBACK object; before the fix schwarz_stats()
   // reported only the half-precision primary and those sweeps vanished.

@@ -1,9 +1,10 @@
 // Fault-injection and resilient-solve layer: injector determinism,
-// breakdown reporting in the Krylov kernels, precision fallback,
-// checkpoint/rollback, and the cluster-level fault model.
+// breakdown reporting in the Krylov kernels, the precision bridge and its
+// fallback, checkpoint/rollback, and the cluster-level fault model.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "lqcd/cluster/cluster_sim.h"
@@ -11,9 +12,6 @@
 #include "lqcd/resilience/fault_injector.h"
 #include "lqcd/resilience/resilient_solve.h"
 #include "lqcd/solver/bicgstab.h"
-#include "lqcd/solver/cg.h"
-#include "lqcd/solver/gcr.h"
-#include "lqcd/solver/mr.h"
 #include "lqcd/solver/richardson.h"
 
 namespace lqcd {
@@ -179,44 +177,20 @@ TEST(BiCGstab, ReportsNanInsteadOfLooping) {
   EXPECT_GE(stats.nonfinite_events, 1);
 }
 
-TEST(CG, ReportsNanInsteadOfThrowing) {
-  // The positive-definiteness check would throw on a NaN pAp without the
-  // finiteness guard running first.
-  NanOperator<double> op(16);
-  FermionField<double> b(16), x(16);
-  gaussian(b, 8);
-  CGParams p;
-  const auto stats = cg_solve(op, b, x, p);
-  EXPECT_FALSE(stats.converged);
-  EXPECT_EQ(stats.breakdown, Breakdown::kNanDetected);
-}
+template <class T>
+class ConstantPreconditioner final : public BatchPreconditioner<T> {
+ public:
+  explicit ConstantPreconditioner(T value) : value_(value) {}
+  void apply(const FermionField<T>&, FermionField<T>& out) override {
+    for (std::int64_t i = 0; i < out.size(); ++i)
+      for (int sp = 0; sp < kNumSpins; ++sp)
+        for (int c = 0; c < kNumColors; ++c)
+          out[i].s[sp].c[c] = Complex<T>(value_, 0);
+  }
 
-TEST(MR, ReportsNanBreakdown) {
-  NanOperator<double> op(16);
-  FermionField<double> b(16), x(16);
-  gaussian(b, 9);
-  MRParams p;
-  p.max_iterations = 50;
-  p.tolerance = 1e-8;
-  const auto stats = mr_solve(op, b, x, p);
-  EXPECT_FALSE(stats.converged);
-  EXPECT_EQ(stats.breakdown, Breakdown::kNanDetected);
-}
-
-TEST(GCR, StagnationTerminatesInsteadOfSpinning) {
-  // A p = 0 for every direction: <Ap, Ap> = 0 forever. The seed code's
-  // breakdown `break` only left the inner loop, so the outer restart loop
-  // span indefinitely; it must now return with kStagnation.
-  std::vector<Complex<double>> d(16, Complex<double>(0, 0));
-  DiagonalOperator<double> op(d);
-  FermionField<double> b(16), x(16);
-  gaussian(b, 10);
-  GCRParams p;
-  p.tolerance = 1e-10;
-  const auto stats = gcr_solve<double>(op, nullptr, b, x, p);
-  EXPECT_FALSE(stats.converged);
-  EXPECT_EQ(stats.breakdown, Breakdown::kStagnation);
-}
+ private:
+  T value_;
+};
 
 TEST(FGMRESDR, NanRhsDetectedBeforeAnyWork) {
   const std::int64_t n = 16;
@@ -232,6 +206,33 @@ TEST(FGMRESDR, NanRhsDetectedBeforeAnyWork) {
   EXPECT_FALSE(stats.converged);
   EXPECT_EQ(stats.breakdown, Breakdown::kNanDetected);
   EXPECT_EQ(stats.iterations, 0);
+}
+
+TEST(FGMRESDR, UnusablePreconditionerEndsWithTypedBreakdown) {
+  // A preconditioner that never returns a usable direction — every output
+  // NaN, or every output zero — must end the solve after
+  // max_stagnant_cycles degenerate cycles instead of restarting until
+  // max_iterations.
+  const std::int64_t n = 16;
+  DiagonalOperator<double> op(std::vector<Complex<double>>(
+      static_cast<std::size_t>(n), Complex<double>(2, 0)));
+  FermionField<double> b(n);
+  gaussian(b, 19);
+  const FGMRESDRParams p;
+  const struct {
+    double value;
+    Breakdown breakdown;
+  } cases[] = {{std::numeric_limits<double>::quiet_NaN(),
+                Breakdown::kNanDetected},
+               {0.0, Breakdown::kStagnation}};
+  for (const auto& c : cases) {
+    ConstantPreconditioner<double> m(c.value);
+    FermionField<double> x(n);
+    const auto stats = fgmres_dr_solve<double>(op, &m, b, x, p);
+    EXPECT_FALSE(stats.converged);
+    EXPECT_EQ(stats.breakdown, c.breakdown) << to_string(stats.breakdown);
+    EXPECT_LE(stats.precond_applications, p.max_stagnant_cycles + 1);
+  }
 }
 
 TEST(Richardson, SkipsPoisonedInnerCorrection) {
@@ -277,7 +278,7 @@ TEST(Richardson, SkipsPoisonedInnerCorrection) {
 }
 
 // ---------------------------------------------------------------------------
-// CheckpointMonitor and the resilient adapter, in isolation
+// CheckpointMonitor and the precision bridge, in isolation
 // ---------------------------------------------------------------------------
 
 TEST(CheckpointMonitor, ChecksPointsOnImprovementRollsBackOnDivergence) {
@@ -314,47 +315,76 @@ TEST(CheckpointMonitor, NonFiniteTrueResidualTriggersRollback) {
   EXPECT_TRUE(all_finite(x));
 }
 
-template <class T>
-class ConstantPreconditioner final : public Preconditioner<T> {
- public:
-  explicit ConstantPreconditioner(T value) : value_(value) {}
-  void apply(const FermionField<T>&, FermionField<T>& out) override {
-    for (std::int64_t i = 0; i < out.size(); ++i)
-      for (int sp = 0; sp < kNumSpins; ++sp)
-        for (int c = 0; c < kNumColors; ++c)
-          out[i].s[sp].c[c] = Complex<T>(value_, 0);
-  }
-
- private:
-  T value_;
-};
-
-TEST(ResilientSchwarzAdapter, FallsBackWhenPrimaryOutputNonFinite) {
+TEST(PrecisionBridge, FallsBackWhenPrimaryOutputNonFinite) {
   const std::int64_t n = 8;
   ConstantPreconditioner<float> primary(
       std::numeric_limits<float>::infinity());
   ConstantPreconditioner<float> fallback(2.0f);
   int fallbacks = 0;
-  ResilientSchwarzAdapter adapter(primary, &fallback,
-                                  [&] { ++fallbacks; }, n);
+  PrecisionBridge bridge(primary, n, /*resilient=*/true, &fallback,
+                         [&] { ++fallbacks; });
   FermionField<double> in(n), out(n);
   gaussian(in, 17);
-  adapter.apply(in, out);
+  bridge.apply(in, out);
   EXPECT_EQ(fallbacks, 1);
   EXPECT_TRUE(all_finite(out));
   EXPECT_DOUBLE_EQ(out[0].s[0].c[0].real(), 2.0);
 }
 
-TEST(ResilientSchwarzAdapter, ZeroesCorrectionWithoutFallback) {
+TEST(PrecisionBridge, ZeroesCorrectionWithoutFallback) {
   const std::int64_t n = 8;
   ConstantPreconditioner<float> primary(
       std::numeric_limits<float>::quiet_NaN());
-  ResilientSchwarzAdapter adapter(primary, nullptr, nullptr, n);
+  PrecisionBridge bridge(primary, n, /*resilient=*/true);
   FermionField<double> in(n), out(n);
   gaussian(in, 18);
-  adapter.apply(in, out);
+  bridge.apply(in, out);
   EXPECT_TRUE(all_finite(out));
   EXPECT_EQ(norm(out), 0.0);
+}
+
+TEST(PrecisionBridge, ApplyIsBatchOfOneAndPlainBridgePassesNonFinite) {
+  // apply() equals apply_batch() of one bit for bit, on the primary
+  // DDSolver passes: a half-precision Schwarz preconditioner.
+  const Geometry geom({4, 4, 4, 8});
+  const Checkerboard cb(geom);
+  auto gauge_d = random_gauge_field<double>(geom, 0.7, 251);
+  gauge_d.make_time_antiperiodic();
+  const auto gauge = convert<float>(gauge_d);
+  WilsonCloverOperator<float> op(geom, cb, gauge, 0.1f, 1.0f);
+  op.prepare_schur();
+  const DomainPartition part(geom, {2, 2, 2, 4});
+  SchwarzPreconditioner<Half> schwarz(part, op, SchwarzParams{});
+  PrecisionBridge plain(schwarz, geom.volume(), /*resilient=*/false);
+  FermionField<double> in(geom.volume()), one(geom.volume()),
+      batch(geom.volume());
+  gaussian(in, 252);
+  plain.apply(in, one);
+  plain.apply_batch({&in}, {&batch});
+  ASSERT_TRUE(all_finite(one));
+  EXPECT_EQ(std::memcmp(one.data(), batch.data(),
+                        static_cast<std::size_t>(one.size()) *
+                            sizeof(Spinor<double>)),
+            0);
+
+  // A plain bridge does not scan: a non-finite output passes through
+  // unchanged, and neither the fallback nor its notification runs.
+  const std::int64_t n = 8;
+  ConstantPreconditioner<float> primary(
+      std::numeric_limits<float>::infinity());
+  ConstantPreconditioner<float> fallback(2.0f);
+  int fallbacks = 0;
+  PrecisionBridge unscanned(primary, n, /*resilient=*/false, &fallback,
+                            [&] { ++fallbacks; });
+  FermionField<double> in8(n), out8(n);
+  gaussian(in8, 253);
+  unscanned.apply(in8, out8);
+  EXPECT_EQ(fallbacks, 0);
+  for (std::int64_t i = 0; i < n; ++i)
+    for (int sp = 0; sp < kNumSpins; ++sp)
+      for (int c = 0; c < kNumColors; ++c)
+        EXPECT_EQ(out8[i].s[sp].c[c].real(),
+                  std::numeric_limits<double>::infinity());
 }
 
 // ---------------------------------------------------------------------------
@@ -460,7 +490,7 @@ TEST(DDSolverResilience, RecoversFromInjectedSdcBitFlip) {
 
 TEST(DDSolverResilience, RecoversFromFp16OverflowViaPrecisionFallback) {
   // Inject an fp16-saturation infinity into the Schwarz sweep residual:
-  // the half-precision preconditioner output goes non-finite, the adapter
+  // the half-precision preconditioner output goes non-finite, the bridge
   // retries on the single-precision matrices, and the outer solve
   // proceeds to the target.
   Problem prob({8, 8, 8, 8}, 0.7, 221);
@@ -487,6 +517,45 @@ TEST(DDSolverResilience, RecoversFromFp16OverflowViaPrecisionFallback) {
   EXPECT_TRUE(stats.converged);
   EXPECT_LT(true_residual(WilsonCloverLinOp<double>(solver.op()), prob.b, x),
             2e-10);
+}
+
+TEST(DDSolverResilience, Fp16OverflowEndsTypedOrFallsBack) {
+  // Mass 7e4 puts the clover diagonal past the fp16 range (65504), so
+  // every half-precision Schwarz output is non-finite. Without resilience
+  // the solve must end at once with kNanDetected, not restart until
+  // max_iterations; the precision fallback converges; resilience without
+  // a fallback zeroes every correction and ends with kStagnation.
+  Problem prob({8, 8, 8, 8}, 0.7, 241);
+  DDSolverConfig resilient;
+  resilient.resilience.enabled = true;
+  const auto setup = std::make_shared<DDSolverSetup>(prob.geom, prob.gauge,
+                                                     7e4, 1.0, resilient);
+  const int few = DDSolverConfig{}.max_stagnant_cycles + 1;
+
+  DDSolver plain(setup, DDSolverConfig{});
+  FermionField<double> x(prob.geom.volume());
+  const auto st_plain = plain.solve(prob.b, x);
+  EXPECT_FALSE(st_plain.converged);
+  EXPECT_EQ(st_plain.breakdown, Breakdown::kNanDetected);
+  EXPECT_LE(st_plain.precond_applications, few);
+
+  DDSolver hardened(setup, resilient);
+  x.zero();
+  const auto st_hard = hardened.solve(prob.b, x);
+  EXPECT_TRUE(st_hard.converged);
+  EXPECT_GE(hardened.schwarz_stats().precision_fallbacks, 1);
+  EXPECT_LT(true_residual(WilsonCloverLinOp<double>(hardened.op()), prob.b,
+                          x),
+            2e-10);
+
+  DDSolverConfig no_fallback = resilient;
+  no_fallback.resilience.precision_fallback = false;
+  DDSolver zeroing(setup, no_fallback);
+  x.zero();
+  const auto st_zero = zeroing.solve(prob.b, x);
+  EXPECT_FALSE(st_zero.converged);
+  EXPECT_EQ(st_zero.breakdown, Breakdown::kStagnation);
+  EXPECT_LE(st_zero.precond_applications, few);
 }
 
 TEST(DDSolverResilience, RecoversFromDegenerateZeroCorrection) {

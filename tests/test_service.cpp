@@ -171,6 +171,24 @@ TEST(Service, BatchOfOneBitIdenticalToDirectSolve) {
   EXPECT_FALSE(res.setup_cache_hit);
 }
 
+TEST(Service, DeflationOffServesALoneRequest) {
+  // deflation_size = 0 (plain restarted FGMRES) gives solve_batch no
+  // recycle space, while the service still passes its context's recycle
+  // cache: a lone request must not touch the absent space.
+  Problem prob({8, 4, 4, 4}, 0.7, 105);
+  SolverServiceConfig scfg;
+  scfg.solver = service_solver_config();
+  scfg.solver.deflation_size = 0;
+  scfg.worker_threads = 0;
+
+  SolverService service(scfg);
+  auto fut = service.submit(make_request(prob, 205));
+  service.drain();
+  const SolveResult res = fut.get();
+  EXPECT_TRUE(res.stats.converged);
+  EXPECT_EQ(res.batch_lanes, 1);
+}
+
 TEST(Service, FifoFairnessAcrossConfigurations) {
   // Interleaved submissions on two configurations: the scheduler packs
   // each dispatch around the queue HEAD, so configuration A's requests

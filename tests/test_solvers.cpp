@@ -1,14 +1,12 @@
-// Krylov solvers: MR, CG, BiCGstab, FGMRES(-DR), mixed-precision
-// Richardson, and the even-odd solve driver — on synthetic operators with
-// controlled spectra and on real Wilson-Clover systems.
+// Krylov solvers: BiCGstab, FGMRES(-DR), mixed-precision Richardson, and
+// the even-odd Schur operator — on synthetic operators with controlled
+// spectra and on real Wilson-Clover systems.
 #include <gtest/gtest.h>
 
 #include "lqcd/gauge/gauge_field.h"
 #include "lqcd/solver/bicgstab.h"
-#include "lqcd/solver/cg.h"
 #include "lqcd/solver/even_odd.h"
 #include "lqcd/solver/fgmres_dr.h"
-#include "lqcd/solver/mr.h"
 #include "lqcd/solver/richardson.h"
 
 namespace lqcd {
@@ -22,86 +20,6 @@ double true_residual(const LinearOperator<T>& op, const FermionField<T>& b,
   op.apply(x, r);
   sub(b, r, r);
   return norm(r) / norm(b);
-}
-
-std::vector<Complex<double>> spd_spectrum(std::int64_t n, double cond,
-                                          std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Complex<double>> d(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i)
-    d[static_cast<std::size_t>(i)] =
-        Complex<double>(1.0 + (cond - 1.0) * rng.uniform(), 0.0);
-  return d;
-}
-
-TEST(MR, ConvergesOnDiagonalSystem) {
-  DiagonalOperator<double> op(spd_spectrum(64, 4.0, 1));
-  FermionField<double> b(64), x(64);
-  gaussian(b, 2);
-  MRParams p;
-  p.max_iterations = 200;
-  p.tolerance = 1e-8;
-  const auto stats = mr_solve(op, b, x, p);
-  EXPECT_TRUE(stats.converged);
-  EXPECT_LT(true_residual(op, b, x), 1e-7);
-}
-
-TEST(MR, FixedIterationModeRunsExactCount) {
-  DiagonalOperator<double> op(spd_spectrum(32, 3.0, 3));
-  FermionField<double> b(32), x(32);
-  gaussian(b, 4);
-  MRParams p;
-  p.max_iterations = 5;
-  p.tolerance = 0.0;  // fixed-count mode, as in the Schwarz block solve
-  const auto stats = mr_solve(op, b, x, p);
-  EXPECT_EQ(stats.iterations, 5);
-}
-
-TEST(MR, XIsZeroShortcutMatchesGeneralPath) {
-  DiagonalOperator<double> op(spd_spectrum(32, 5.0, 5));
-  FermionField<double> b(32), x1(32), x2(32);
-  gaussian(b, 6);
-  MRParams p;
-  p.max_iterations = 7;
-  mr_solve(op, b, x1, p, /*x_is_zero=*/true);
-  x2.zero();
-  mr_solve(op, b, x2, p, /*x_is_zero=*/false);
-  sub(x1, x2, x2);
-  EXPECT_LT(norm(x2), 1e-12 * norm(x1));
-}
-
-TEST(MR, ResidualDecreasesMonotonically) {
-  DiagonalOperator<double> op(spd_spectrum(48, 10.0, 7));
-  FermionField<double> b(48), x(48);
-  gaussian(b, 8);
-  MRParams p;
-  p.max_iterations = 30;
-  const auto stats = mr_solve(op, b, x, p);
-  for (std::size_t i = 1; i < stats.residual_history.size(); ++i)
-    EXPECT_LE(stats.residual_history[i], stats.residual_history[i - 1] + 1e-15);
-}
-
-TEST(CG, RecoversKnownSolution) {
-  DiagonalOperator<double> op(spd_spectrum(64, 50.0, 9));
-  FermionField<double> x_true(64), b(64), x(64);
-  gaussian(x_true, 10);
-  op.apply(x_true, b);
-  CGParams p;
-  p.tolerance = 1e-12;
-  const auto stats = cg_solve(op, b, x, p);
-  EXPECT_TRUE(stats.converged);
-  sub(x, x_true, x);
-  EXPECT_LT(norm(x), 1e-9 * norm(x_true));
-}
-
-TEST(CG, ThrowsOnIndefiniteOperator) {
-  std::vector<Complex<double>> d(16, Complex<double>(1, 0));
-  d[3] = Complex<double>(-1, 0);
-  DiagonalOperator<double> op(d);
-  FermionField<double> b(16), x(16);
-  gaussian(b, 11);
-  CGParams p;
-  EXPECT_THROW(cg_solve(op, b, x, p), Error);
 }
 
 TEST(BiCGstab, ConvergesOnComplexDiagonal) {
@@ -237,19 +155,19 @@ TEST(FGMRESDR, ConvergesOnWilsonCloverWithDeflation) {
   EXPECT_LT(true_residual(a, b, x), 2e-10);
 }
 
-/// A few MR sweeps on the same operator as a (flexible, approximate)
-/// preconditioner.
+/// A few BiCGstab iterations on the same operator as a (flexible,
+/// approximate) preconditioner.
 template <class T>
-class MRPreconditioner final : public Preconditioner<T> {
+class BiCGstabPreconditioner final : public Preconditioner<T> {
  public:
-  MRPreconditioner(const LinearOperator<T>& op, int iters)
+  BiCGstabPreconditioner(const LinearOperator<T>& op, int iters)
       : op_(&op), iters_(iters) {}
   void apply(const FermionField<T>& in, FermionField<T>& out) override {
     out.zero();
-    MRParams p;
+    BiCGstabParams p;
     p.max_iterations = iters_;
-    p.tolerance = 0.0;
-    mr_solve(*op_, in, out, p, /*x_is_zero=*/true);
+    p.tolerance = 0.0;  // run exactly iters_ iterations
+    bicgstab_solve(*op_, in, out, p);
   }
 
  private:
@@ -268,7 +186,7 @@ TEST(FGMRES, FlexiblePreconditioningReducesOuterIterations) {
   p.tolerance = 1e-10;
   p.max_iterations = 2000;
   const auto s0 = fgmres_dr_solve<double>(a, nullptr, b, x0, p);
-  MRPreconditioner<double> m(a, 6);
+  BiCGstabPreconditioner<double> m(a, 3);
   const auto s1 = fgmres_dr_solve<double>(a, &m, b, x1, p);
   EXPECT_TRUE(s0.converged);
   EXPECT_TRUE(s1.converged);
@@ -301,32 +219,6 @@ TEST(Richardson, MixedPrecisionReachesDoublePrecisionTarget) {
   EXPECT_TRUE(stats.converged);
   EXPECT_LT(true_residual(a_d, b, x), 2e-10);
   EXPECT_GT(stats.precond_applications, 1);  // needed several inner solves
-}
-
-TEST(EvenOdd, SchurSolveMatchesDirectFullSolve) {
-  WilsonFixture f({4, 4, 4, 8}, 0.6, 0.2, 1.0, 81);
-  f.op.prepare_schur();
-  WilsonCloverLinOp<double> a(f.op);
-  SchurLinOp<double> schur(f.op);
-
-  FermionField<double> b(f.geom.volume()), x_direct(f.geom.volume()),
-      x_eo(f.geom.volume());
-  gaussian(b, 82);
-
-  BiCGstabParams p;
-  p.tolerance = 1e-11;
-  p.max_iterations = 4000;
-  bicgstab_solve(a, b, x_direct, p);
-
-  EvenSolver<double> even = [&](const FermionField<double>& rhs,
-                                FermionField<double>& ue) {
-    return bicgstab_solve(schur, rhs, ue, p);
-  };
-  even_odd_solve(f.op, b, x_eo, even);
-
-  EXPECT_LT(true_residual(a, b, x_eo), 1e-9);
-  sub(x_direct, x_eo, x_eo);
-  EXPECT_LT(norm(x_eo), 1e-7 * norm(x_direct));
 }
 
 TEST(EvenOdd, SchurReducesIterationCount) {
