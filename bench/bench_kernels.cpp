@@ -54,8 +54,6 @@ BackendResults run_backend(simd::Backend b, bool smoke) {
 
   auto m = bench::measure_su3_mul_nn(nmat, w);
   add("su3_mul_nn", "gflops", m, m.gflops());
-  m = bench::measure_su3_mul_lanes(nsites, lanes, w);
-  add("su3_mul_lanes", "gflops", m, m.gflops());
   m = bench::measure_dslash_lanes(nsites, lanes, w);
   add("dslash_lanes", "gflops", m, m.gflops());
   m = bench::measure_clover_lanes(nsites, lanes, w);
@@ -161,10 +159,8 @@ int main(int argc, char** argv) {
     }
 
   Table t({"kernel", "metric", "scalar", "avx2", "avx512"});
-  const char* names[] = {"su3_mul_nn",       "su3_mul_lanes",
-                         "dslash_lanes",     "clover_lanes",
-                         "block_solve",      "block_solve_rhs1",
-                         "fp16_roundtrip"};
+  const char* names[] = {"su3_mul_nn",  "dslash_lanes",     "clover_lanes",
+                         "block_solve", "block_solve_rhs1", "fp16_roundtrip"};
   for (const char* name : names) {
     const char* metric = std::strcmp(name, "fp16_roundtrip") == 0
                              ? "GB/s"

@@ -3,8 +3,11 @@
 //  (1) Guard overhead on the fault-free path: DDSolver with the full
 //      resilience stack armed (finiteness scans on every preconditioner
 //      output + one iterate checkpoint per outer cycle) vs. the plain
-//      pipeline. Acceptance budget: < 2% wall-clock overhead, identical
-//      iteration trajectory.
+//      pipeline. Prints the wall-clock overhead and whether the iteration
+//      trajectory is identical. The overhead is not gated: 8^4 solves are
+//      too short to resolve a few percent. The identical trajectory is
+//      asserted by the test
+//      DDSolverResilience.FaultFreePathIsBitIdenticalToSeedPipeline.
 //  (2) Time-to-solution under injected faults, one scenario per fault
 //      class (SDC bit-flip of the iterate, fp16 saturation in the Schwarz
 //      sweep, degenerate zero correction), with the recovery events the
@@ -119,7 +122,7 @@ int main(int argc, char** argv) {
     const auto armed = run_solve(prob, mass, cfg, repeats);
     const double overhead =
         100.0 * (armed.seconds - plain.seconds) / plain.seconds;
-    std::printf("fault-free overhead (budget < 2%%)\n");
+    std::printf("fault-free overhead\n");
     std::printf("  plain pipeline     : %8.3f s, %4d iterations\n",
                 plain.seconds, plain.stats.iterations);
     std::printf("  resilience armed   : %8.3f s, %4d iterations\n",

@@ -21,10 +21,8 @@ namespace lqcd::bench {
 
 // Per-site / per-call flop counts, from the repo's instrumented counter
 // contract (knc/work_model.h and SchwarzStats): 198 per SU(3)
-// matrix-matrix multiply, 132 per SU(3) x half-spinor, 168 per dslash
-// hop, 504 per clover block pair.
+// matrix-matrix multiply, 168 per dslash hop, 504 per clover block pair.
 inline constexpr double kFlopsSu3MulNn = 198.0;
-inline constexpr double kFlopsSu3MulHalfSpinor = 132.0;
 inline constexpr double kFlopsPerHop = 168.0;
 inline constexpr double kFlopsCloverPair = 504.0;
 
@@ -70,33 +68,6 @@ inline KernelMeasurement measure_su3_mul_nn(std::int64_t nmat,
       },
       min_seconds);
   m.flops = kFlopsSu3MulNn * static_cast<double>(nmat);
-  return m;
-}
-
-/// SU(3) x half-spinor on lane vectors: one link applied to all lanes,
-/// streamed over `nsites` sites.
-inline KernelMeasurement measure_su3_mul_lanes(std::int32_t nsites, int lanes,
-                                               double min_seconds) {
-  const auto u = detail::random_floats(static_cast<std::int64_t>(nsites) * 18,
-                                       111);
-  const auto x = detail::random_floats(
-      static_cast<std::int64_t>(nsites) * 12 * lanes, 112);
-  std::vector<float> y(x.size());
-  KernelMeasurement m;
-  const auto& k = simd::kernels();
-  m.seconds = time_kernel(
-      [&] {
-        for (std::int32_t s = 0; s < nsites; ++s)
-          k.su3_mul_lanes(u.data() + std::size_t(s) * 18,
-                          x.data() + std::size_t(s) * 12 * lanes,
-                          y.data() + std::size_t(s) * 12 * lanes, lanes,
-                          s & 1);
-        checksum_accumulate(m.checksum, y.data(),
-                            static_cast<std::int64_t>(y.size()), 89);
-      },
-      min_seconds);
-  m.flops =
-      kFlopsSu3MulHalfSpinor * static_cast<double>(nsites) * lanes;
   return m;
 }
 

@@ -41,6 +41,12 @@ SolverStats stale_setup_stats() {
   return st;
 }
 
+/// Cost of one ABFT checksum sweep, in units of one preconditioner
+/// application: the C of the Young/Daly verify-interval tuner
+/// (AbftConfig::verify_interval = 0). A sweep streams the packed matrices
+/// once (~1/20 of an application's memory traffic).
+constexpr double kAbftVerifyCostApplications = 0.05;
+
 }  // namespace
 
 DDSolverSetup::DDSolverSetup(const Geometry& geom,
@@ -154,12 +160,8 @@ DDSolver::DDSolver(std::shared_ptr<DDSolverSetup> setup,
         if (schwarz_half_) schwarz_half_->note_precision_fallback();
       });
   if (rc.enabled) {
-    if (rc.checkpoint_rollback) {
-      CheckpointMonitorConfig mc;
-      mc.detect_ratio = rc.rollback_detect_ratio;
-      monitor_ =
-          std::make_unique<CheckpointMonitor<double>>(mc, rc.iterate_injector);
-    }
+    monitor_ = std::make_unique<CheckpointMonitor<double>>(
+        CheckpointMonitorConfig{}, rc.iterate_injector);
     if (rc.abft.enabled) {
       AbftConfig ac = rc.abft;
       if (ac.verify_interval == 0) {
@@ -171,7 +173,7 @@ DDSolver::DDSolver(std::shared_ptr<DDSolverSetup> setup,
                 ? std::max<int>(
                       1, static_cast<int>(std::llround(
                              daly_checkpoint_interval(
-                                 ac.verify_cost_applications,
+                                 kAbftVerifyCostApplications,
                                  1.0 / ac.fault_probability_per_application))))
                 : AbftConfig{}.verify_interval;
       }
@@ -200,8 +202,7 @@ FGMRESDRParams DDSolver::outer_params() const {
 }
 
 bool DDSolver::setup_is_stale() const {
-  return config_.stale_setup_check &&
-         setup_->master().content_checksum() != setup_->gauge_checksum();
+  return setup_->master().content_checksum() != setup_->gauge_checksum();
 }
 
 SolverStats DDSolver::solve(const FermionField<double>& b,
@@ -340,10 +341,8 @@ std::vector<SolverStats> DDSolver::solve_batch(
       const auto li = static_cast<std::size_t>(i);
       const auto ri = static_cast<std::size_t>(first_lane + i);
       if (monitor_) {
-        CheckpointMonitorConfig mc;
-        mc.detect_ratio = rc.rollback_detect_ratio;
         lane_monitors[li] = std::make_unique<CheckpointMonitor<double>>(
-            mc, rc.iterate_injector);
+            CheckpointMonitorConfig{}, rc.iterate_injector);
         if (abft_guard_) lane_monitors[li]->set_abft_guard(abft_guard_.get());
       }
       lanes[li] = std::make_unique<FgmresDrEngine<double>>(

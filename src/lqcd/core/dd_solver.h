@@ -23,16 +23,15 @@ namespace lqcd {
 /// the solver pipeline is exactly the fault-oblivious one: same objects,
 /// same arithmetic, bit-identical iteration counts.
 struct ResilienceConfig {
+  /// Arms the layer, including its CheckpointMonitor: the outer iterate
+  /// is checkpointed at every FGMRES cycle whose true residual improved
+  /// and rolled back when recursive and true residuals diverge (silent
+  /// data corruption of the iterate).
   bool enabled = false;
   /// Retry a Schwarz apply on the single-precision preconditioner
   /// matrices when the half-precision one produces NaN/Inf (fp16
   /// overflow). Recorded in SchwarzStats::precision_fallbacks.
   bool precision_fallback = true;
-  /// Checkpoint the outer iterate at every FGMRES cycle whose true
-  /// residual improved; roll back when recursive and true residuals
-  /// diverge (silent data corruption of the iterate).
-  bool checkpoint_rollback = true;
-  double rollback_detect_ratio = 10.0;
   /// Optional fault injection (testing/benchmarking): `schwarz_injector`
   /// corrupts the preconditioner's sweep residual, `iterate_injector`
   /// corrupts the outer iterate between cycles, `packed_injector` flips
@@ -87,14 +86,6 @@ struct DDSolverConfig {
   /// stagnant cycles force a plain restart with residual replacement.
   double stagnation_threshold = 0.999;
   int max_stagnant_cycles = 3;
-  /// Verify at every solve entry that the caller's double-precision gauge
-  /// field still matches the checksum stamped when the setup was packed.
-  /// On mismatch the solve returns immediately with
-  /// Breakdown::kStaleSetup instead of silently solving against stale
-  /// packed data (the caller mutated the gauge field — e.g. another HMC
-  /// trajectory — without rebuilding the solver). Costs one Fletcher-32
-  /// pass over the gauge field per solve/solve_batch call.
-  bool stale_setup_check = true;
   ResilienceConfig resilience; ///< breakdown detection & recovery layer
 };
 
@@ -359,8 +350,12 @@ class DDSolver {
 
  private:
   FGMRESDRParams outer_params() const;
-  /// True when stale_setup_check is on and the caller's gauge field no
-  /// longer matches the checksum the setup was packed against.
+  /// True when the caller's double-precision gauge field no longer
+  /// matches the checksum stamped when the setup was packed (the caller
+  /// mutated it, e.g. another HMC trajectory, without rebuilding the
+  /// solver). solve() and solve_batch() check it first and return
+  /// Breakdown::kStaleSetup instead of solving against stale packed data;
+  /// the check is one Fletcher-32 pass over the gauge field per call.
   bool setup_is_stale() const;
 
   DDSolverConfig config_;

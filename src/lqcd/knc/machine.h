@@ -68,7 +68,7 @@ struct KncSpec {
 struct HostCalibration {
   const char* backend = "scalar";  ///< active SIMD dispatch backend
   double su3_nn_gflops = 0;        ///< dense SU(3) matrix-multiply ceiling
-  double dslash_gflops = 0;        ///< lane hop kernel (project/mul/reconstruct)
+  double dslash_gflops = 0;        ///< whole-domain lane dslash kernel
   double block_solve_gflops = 0;   ///< full lane-vectorized block solve
   double fp16_gbs = 0;             ///< binary16 round-trip bandwidth
 

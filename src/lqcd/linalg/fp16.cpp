@@ -3,8 +3,6 @@
 #include <bit>
 #include <cstring>
 
-#include "lqcd/simd/dispatch.h"
-
 namespace lqcd {
 
 namespace {
@@ -97,14 +95,6 @@ std::int64_t count_half_overflows(const float* src, std::int64_t n) noexcept {
   for (std::int64_t i = 0; i < n; ++i)
     if (half_overflows(src[i])) ++count;
   return count;
-}
-
-void float_to_half(const float* src, Half* dst, std::int64_t n) {
-  simd::kernels().float_to_half_n(src, dst, n);
-}
-
-void half_to_float(const Half* src, float* dst, std::int64_t n) {
-  simd::kernels().half_to_float_n(src, dst, n);
 }
 
 }  // namespace lqcd

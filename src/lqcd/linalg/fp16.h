@@ -27,12 +27,6 @@ inline float half_round_trip(float f) noexcept {
   return half_to_float(float_to_half(f));
 }
 
-// Array forms are runtime-dispatched (simd/dispatch.h): F16C on capable
-// hosts, bit-identical software conversion otherwise. Not noexcept — the
-// first dispatched call validates LQCD_SIMD_BACKEND and may throw.
-void float_to_half(const float* src, Half* dst, std::int64_t n);
-void half_to_float(const Half* src, float* dst, std::int64_t n);
-
 /// Overflow-detection hook: true iff storing `f` as binary16 loses the
 /// value to saturation — i.e. f is finite but |f| rounds to +-inf. NaN and
 /// float infinities are NOT overflow (they were already non-finite).

@@ -8,8 +8,7 @@
 // redundancy:
 //
 //   * each cycle whose true residual improves on the best checkpoint is
-//     checkpointed (one extra field copy per cycle — the <2% overhead
-//     budget of bench_resilience);
+//     checkpointed (one extra field copy per cycle);
 //   * a cycle whose true residual is non-finite, or exceeds the projected
 //     estimate by `detect_ratio` AND is worse than the best checkpoint, is
 //     declared corrupted: x is rolled back to the checkpoint and the
@@ -63,8 +62,6 @@ struct AbftConfig {
   /// per RHS for batched applies). 0 = auto-tune at solver construction
   /// from fault_probability_per_application via the Young/Daly optimizer.
   int verify_interval = 16;
-  bool check_packed_gauge = true;   ///< verify packed gauge links
-  bool check_packed_clover = true;  ///< verify packed clover blocks
   /// Verify the recycled deflation subspace between the solves of a
   /// batch; a mismatch discards the subspace (it is an optimization, not
   /// a correctness requirement) and counts as a detection.
@@ -72,10 +69,6 @@ struct AbftConfig {
   /// Expected packed-data upset probability per preconditioner
   /// application; the lambda of the Young/Daly verify-interval tuner.
   double fault_probability_per_application = 0.0;
-  /// Cost of one checksum sweep, in units of one preconditioner
-  /// application; the C of the verify-interval tuner. A sweep streams the
-  /// packed matrices once (~1/20 of an application's memory traffic).
-  double verify_cost_applications = 0.05;
 };
 
 struct AbftStats {
@@ -143,10 +136,9 @@ class PackedDomainStore {
   /// Storage-precision tag ("half"/"single") for diagnostics.
   virtual const char* store_name() const = 0;
   /// Append the indices of domains whose packed checksums no longer
-  /// match, honoring the scope flags. Must be callable concurrently with
-  /// nothing (the guard sweeps between applications, never inside one).
-  virtual void find_corrupt_domains(bool check_gauge, bool check_clover,
-                                    std::vector<int>& bad) const = 0;
+  /// match. Must be callable concurrently with nothing (the guard sweeps
+  /// between applications, never inside one).
+  virtual void find_corrupt_domains(std::vector<int>& bad) const = 0;
   /// Re-pack one domain from the source field and restamp its checksums.
   virtual void repack_domain(int domain) = 0;
   /// Re-verify the pack source (float gauge + clover) against the
@@ -234,8 +226,7 @@ class AbftGuard {
     AbftStatus status = AbftStatus::kClean;
     for (PackedDomainStore* store : stores_) {
       bad_.clear();
-      store->find_corrupt_domains(config_.check_packed_gauge,
-                                  config_.check_packed_clover, bad_);
+      store->find_corrupt_domains(bad_);
       if (bad_.empty()) continue;
       stats_.detections += static_cast<std::int64_t>(bad_.size());
       last_detection_application_ = applications_;

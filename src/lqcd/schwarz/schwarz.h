@@ -156,10 +156,9 @@ class SchwarzSetup final : public PackedDomainStore {
     inv_o_.resize(static_cast<std::size_t>(nd) * hv * 2 * kCloverBlockReals);
 
     // Pack every domain and stamp the ABFT checksums: one Fletcher-32 per
-    // (domain, packed component) for localization plus the combined
-    // per-domain value, re-verifiable via verify_checksums(), and the
-    // field-level source checksums the repair ladder trusts.
-    checksums_.resize(static_cast<std::size_t>(nd));
+    // (domain, packed component), which localizes a corruption and is
+    // re-verifiable via verify_checksums(), and the field-level source
+    // checksums the repair ladder trusts.
     sums_.resize(static_cast<std::size_t>(nd));
     for (int d = 0; d < nd; ++d) pack_domain(d);
     stamp_source();
@@ -239,11 +238,7 @@ class SchwarzSetup final : public PackedDomainStore {
   const DomainPartition& partition() const noexcept { return *part_; }
   const WilsonCloverOperator<float>& op() const noexcept { return *op_; }
 
-  /// Pack-time Fletcher-32 checksum of domain d's packed matrices.
-  std::uint32_t domain_checksum(int d) const noexcept {
-    return checksums_[static_cast<std::size_t>(d)];
-  }
-  /// Pack-time checksum of one packed component of domain d.
+  /// Pack-time Fletcher-32 checksum of one packed component of domain d.
   std::uint32_t domain_checksum(int d, PackedComponent c) const noexcept {
     const DomainSums& s = sums_[static_cast<std::size_t>(d)];
     switch (c) {
@@ -260,24 +255,18 @@ class SchwarzSetup final : public PackedDomainStore {
   const char* store_name() const override { return StorageTraits<S>::name(); }
 
   /// Append the indices of domains whose packed per-component checksums
-  /// no longer match their pack-time stamps, honoring the scope flags.
-  void find_corrupt_domains(bool check_gauge, bool check_clover,
-                            std::vector<int>& bad) const override {
+  /// no longer match their pack-time stamps.
+  void find_corrupt_domains(std::vector<int>& bad) const override {
     const int nd = part_->num_domains();
     std::vector<unsigned char> corrupt(static_cast<std::size_t>(nd), 0);
     unsigned char* flags = corrupt.data();
-#pragma omp parallel for schedule(static) default(none) \
-    shared(nd, check_gauge, check_clover, flags)
+#pragma omp parallel for schedule(static) default(none) shared(nd, flags)
     for (int d = 0; d < nd; ++d) {
-      bool ok = true;
-      if (check_gauge)
-        ok = component_checksum(d, PackedComponent::kGaugeLinks) ==
-             sums_[static_cast<std::size_t>(d)].links;
-      if (ok && check_clover)
-        ok = component_checksum(d, PackedComponent::kCloverDiag) ==
-                 sums_[static_cast<std::size_t>(d)].diag &&
-             component_checksum(d, PackedComponent::kCloverInv) ==
-                 sums_[static_cast<std::size_t>(d)].inv;
+      const DomainSums& s = sums_[static_cast<std::size_t>(d)];
+      const bool ok =
+          component_checksum(d, PackedComponent::kGaugeLinks) == s.links &&
+          component_checksum(d, PackedComponent::kCloverDiag) == s.diag &&
+          component_checksum(d, PackedComponent::kCloverInv) == s.inv;
       flags[d] = ok ? 0 : 1;
     }
     for (int d = 0; d < nd; ++d)
@@ -311,7 +300,7 @@ class SchwarzSetup final : public PackedDomainStore {
   /// invariant); returns the number of mismatching domains (0 = intact).
   int verify_checksums() const {
     std::vector<int> bad;
-    find_corrupt_domains(true, true, bad);
+    find_corrupt_domains(bad);
     return static_cast<int>(bad.size());
   }
 
@@ -533,20 +522,10 @@ class SchwarzSetup final : public PackedDomainStore {
     std::uint32_t inv = 0;
   };
 
-  std::uint32_t compute_domain_checksum(int d) const noexcept {
-    const std::size_t nl = component_count(PackedComponent::kGaugeLinks);
-    const std::size_t nc = component_count(PackedComponent::kCloverDiag);
-    Fletcher32 f;
-    f.update(link_ptr(d, 0, 0), nl * sizeof(S));
-    f.update(diag_e_ptr(d, 0, 0), nc * sizeof(S));
-    f.update(inv_o_ptr(d, 0, 0), nc * sizeof(S));
-    return f.value();
-  }
-
   /// Pack (or re-pack) domain d from the source operator and stamp its
-  /// per-component and combined checksums. The constructor's pack loop
-  /// and the ABFT rung-1 repair are the same code path, so a repair is
-  /// bit-identical to the original pack by construction.
+  /// per-component checksums. The constructor's pack loop and the ABFT
+  /// rung-1 repair are the same code path, so a repair is bit-identical
+  /// to the original pack by construction.
   void pack_domain(int d) {
     const std::int32_t vd = part_->domain_volume();
     const std::int32_t hv = part_->domain_half_volume();
@@ -568,7 +547,6 @@ class SchwarzSetup final : public PackedDomainStore {
     s.links = component_checksum(d, PackedComponent::kGaugeLinks);
     s.diag = component_checksum(d, PackedComponent::kCloverDiag);
     s.inv = component_checksum(d, PackedComponent::kCloverInv);
-    checksums_[static_cast<std::size_t>(d)] = compute_domain_checksum(d);
   }
 
   /// Field-level Fletcher-32 over the source clover blocks (forward and
@@ -597,8 +575,7 @@ class SchwarzSetup final : public PackedDomainStore {
   AlignedVector<S> links_;   // [domain][local][mu][18]
   AlignedVector<S> diag_e_;  // [domain][even local][chi][36]
   AlignedVector<S> inv_o_;   // [domain][odd local][chi][36]
-  std::vector<std::uint32_t> checksums_;  // pack-time ABFT, one per domain
-  std::vector<DomainSums> sums_;          // per-component localization
+  std::vector<DomainSums> sums_;          // pack-time ABFT, per component
   std::uint32_t source_gauge_sum_ = 0;    // field-level source checksums
   std::uint32_t source_clover_sum_ = 0;
 

@@ -6,17 +6,16 @@
 // otherwise the backend reports "not compiled" and dispatch never lands
 // here.
 //
-// Numerics: su3_mul_nn / su3_mul_lanes / phase_madd / xpay and the
-// dslash and face pack use separate mul+add in exactly the scalar
-// accumulation order (j = 0, 1, 2), so they are bit-identical to the
-// scalar backend. clover_lanes and the MR kernels use FMA: per-term
-// rounding differs from scalar at the last bit (<= 1e-6 relative after
-// accumulation), which the dispatch contract allows. Every lane of them,
-// vector chunk or tail, runs the same FMA sequence, so a lane's result
-// does not depend on its position in the batch and the AVX-512 backend
-// (same sequence) agrees bitwise. Tails are masked 4-lane chunks or
-// explicit std::fma chains, never plain scalar code; this TU compiles
-// with -ffp-contract=off like every other backend.
+// Numerics: su3_mul_nn, xpay, the dslash and the face pack use separate
+// mul+add in exactly the scalar accumulation order (j = 0, 1, 2), so they
+// are bit-identical to the scalar backend. clover_lanes and the MR kernels
+// use FMA: per-term rounding differs from scalar at the last bit (<= 1e-6
+// relative after accumulation), which the dispatch contract allows. Every
+// lane of them, vector chunk or tail, runs the same FMA sequence, so a
+// lane's result does not depend on its position in the batch and the
+// AVX-512 backend (same sequence) agrees bitwise. Tails are masked 4-lane
+// chunks or explicit std::fma chains, never plain scalar code; this TU
+// compiles with -ffp-contract=off like every other backend.
 //
 // One lane (a batch of one) runs kernels vectorized within the site: a
 // spinor's spin pair (r0, r1) at one color is one __m128 [r0 re, r0 im,
@@ -76,154 +75,6 @@ inline void su3_mul_nn(const float* a, const float* b, float* c,
   }
   if (n > 0)
     ref::su3_mul_nn_one(a + (n - 1) * 18, b + (n - 1) * 18, c + (n - 1) * 18);
-}
-
-// ---------------------------------------------------------------------------
-// Lane kernels: the SOA-over-RHS layout keeps re/im in separate contiguous
-// lane vectors, so these are pure elementwise vertical ops — no shuffles.
-// ---------------------------------------------------------------------------
-
-inline void su3_mul_lanes(const float* u, const float* x, float* y, int lanes,
-                          int adjoint) noexcept {
-  for (int sp = 0; sp < 2; ++sp)
-    for (int i = 0; i < kNumColors; ++i) {
-      float ur[3], ui[3];
-      const float* xr[3];
-      for (int j = 0; j < kNumColors; ++j) {
-        ur[j] = adjoint ? u[(j * 3 + i) * 2] : u[(i * 3 + j) * 2];
-        ui[j] = adjoint ? -u[(j * 3 + i) * 2 + 1] : u[(i * 3 + j) * 2 + 1];
-        xr[j] = x + (sp * kNumColors + j) * 2 * lanes;
-      }
-      float* y_re = y + (sp * kNumColors + i) * 2 * lanes;
-      float* y_im = y_re + lanes;
-      int l = 0;
-      for (; l + 8 <= lanes; l += 8) {
-        __m256 acc_re = _mm256_setzero_ps();
-        __m256 acc_im = _mm256_setzero_ps();
-        for (int j = 0; j < 3; ++j) {
-          const __m256 vur = _mm256_set1_ps(ur[j]);
-          const __m256 vui = _mm256_set1_ps(ui[j]);
-          const __m256 vxr = _mm256_loadu_ps(xr[j] + l);
-          const __m256 vxi = _mm256_loadu_ps(xr[j] + lanes + l);
-          const __m256 re =
-              _mm256_sub_ps(_mm256_mul_ps(vur, vxr), _mm256_mul_ps(vui, vxi));
-          const __m256 im =
-              _mm256_add_ps(_mm256_mul_ps(vur, vxi), _mm256_mul_ps(vui, vxr));
-          acc_re = j == 0 ? re : _mm256_add_ps(acc_re, re);
-          acc_im = j == 0 ? im : _mm256_add_ps(acc_im, im);
-        }
-        _mm256_storeu_ps(y_re + l, acc_re);
-        _mm256_storeu_ps(y_im + l, acc_im);
-      }
-      for (; l + 4 <= lanes; l += 4) {
-        __m128 acc_re = _mm_setzero_ps();
-        __m128 acc_im = _mm_setzero_ps();
-        for (int j = 0; j < 3; ++j) {
-          const __m128 vur = _mm_set1_ps(ur[j]);
-          const __m128 vui = _mm_set1_ps(ui[j]);
-          const __m128 vxr = _mm_loadu_ps(xr[j] + l);
-          const __m128 vxi = _mm_loadu_ps(xr[j] + lanes + l);
-          const __m128 re =
-              _mm_sub_ps(_mm_mul_ps(vur, vxr), _mm_mul_ps(vui, vxi));
-          const __m128 im =
-              _mm_add_ps(_mm_mul_ps(vur, vxi), _mm_mul_ps(vui, vxr));
-          acc_re = j == 0 ? re : _mm_add_ps(acc_re, re);
-          acc_im = j == 0 ? im : _mm_add_ps(acc_im, im);
-        }
-        _mm_storeu_ps(y_re + l, acc_re);
-        _mm_storeu_ps(y_im + l, acc_im);
-      }
-      for (; l < lanes; ++l) {
-        float cr = 0.0f, ci = 0.0f;
-        for (int j = 0; j < 3; ++j) {
-          const float pr = ur[j] * xr[j][l] - ui[j] * xr[j][lanes + l];
-          const float pi = ur[j] * xr[j][lanes + l] + ui[j] * xr[j][l];
-          cr = j == 0 ? pr : cr + pr;
-          ci = j == 0 ? pi : ci + pi;
-        }
-        y_re[l] = cr;
-        y_im[l] = ci;
-      }
-    }
-}
-
-/// out = a + s * phase*b, lane-wise (see scalar_kernels.h). mul+add only:
-/// bit-identical to the scalar path.
-inline void phase_madd(const float* a_re, const float* a_im,
-                       const float* b_re, const float* b_im, Phase p, float s,
-                       float* o_re, float* o_im, int lanes) noexcept {
-  // Reduce the four phase cases to out_re = a_re + sr*br', where the
-  // phase picks which of (b_re, b_im) feeds each output and the sign.
-  //   +1: o_re = a + s*b_re,  o_im = a + s*b_im
-  //   -1: o_re = a - s*b_re,  o_im = a - s*b_im
-  //   +i: o_re = a - s*b_im,  o_im = a + s*b_re
-  //   -i: o_re = a + s*b_im,  o_im = a - s*b_re
-  const float* br = b_re;
-  const float* bi = b_im;
-  float sr = s, si = s;
-  switch (p) {
-    case Phase::kPlusOne:
-      break;
-    case Phase::kMinusOne:
-      sr = -s;
-      si = -s;
-      break;
-    case Phase::kPlusI:
-      br = b_im;
-      bi = b_re;
-      sr = -s;
-      break;
-    case Phase::kMinusI:
-    default:
-      br = b_im;
-      bi = b_re;
-      si = -s;
-      break;
-  }
-  const __m256 vsr = _mm256_set1_ps(sr);
-  const __m256 vsi = _mm256_set1_ps(si);
-  int l = 0;
-  for (; l + 8 <= lanes; l += 8) {
-    const __m256 re = _mm256_add_ps(_mm256_loadu_ps(a_re + l),
-                                    _mm256_mul_ps(vsr, _mm256_loadu_ps(br + l)));
-    const __m256 im = _mm256_add_ps(_mm256_loadu_ps(a_im + l),
-                                    _mm256_mul_ps(vsi, _mm256_loadu_ps(bi + l)));
-    _mm256_storeu_ps(o_re + l, re);
-    _mm256_storeu_ps(o_im + l, im);
-  }
-  for (; l + 4 <= lanes; l += 4) {
-    const __m128 re = _mm_add_ps(
-        _mm_loadu_ps(a_re + l),
-        _mm_mul_ps(_mm_set1_ps(sr), _mm_loadu_ps(br + l)));
-    const __m128 im = _mm_add_ps(
-        _mm_loadu_ps(a_im + l),
-        _mm_mul_ps(_mm_set1_ps(si), _mm_loadu_ps(bi + l)));
-    _mm_storeu_ps(o_re + l, re);
-    _mm_storeu_ps(o_im + l, im);
-  }
-  for (; l < lanes; ++l) {
-    const float re = a_re[l] + sr * br[l];
-    const float im = a_im[l] + si * bi[l];
-    o_re[l] = re;
-    o_im[l] = im;
-  }
-}
-
-inline void project_lanes(const float* in_site, int mu, int sign, float* h,
-                          int lanes) noexcept {
-  const PermPhaseMatrix& g = kGamma[static_cast<std::size_t>(mu)];
-  const float s = sign > 0 ? 1.0f : -1.0f;
-  for (int r = 0; r < 2; ++r) {
-    const int col = g.col[static_cast<std::size_t>(r)];
-    for (int c = 0; c < kNumColors; ++c) {
-      const float* a_re = in_site + (r * kNumColors + c) * 2 * lanes;
-      const float* b_re = in_site + (col * kNumColors + c) * 2 * lanes;
-      float* o_re = h + (r * kNumColors + c) * 2 * lanes;
-      phase_madd(a_re, a_re + lanes, b_re, b_re + lanes,
-                 g.phase[static_cast<std::size_t>(r)], s, o_re, o_re + lanes,
-                 lanes);
-    }
-  }
 }
 
 /// Vector traits of simd/dslash_lanes.h and clover_site(): 8 lanes per

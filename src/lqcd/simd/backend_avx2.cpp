@@ -12,10 +12,7 @@ namespace lqcd::simd::detail {
 namespace {
 constexpr Kernels kAvx2Kernels = {
     Backend::kAvx2,
-    "avx2",
     &a2::su3_mul_nn,
-    &a2::su3_mul_lanes,
-    &a2::project_lanes,
     &a2::dslash_lanes,
     &a2::clover_lanes,
     &a2::xpay_lanes,

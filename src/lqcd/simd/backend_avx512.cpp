@@ -5,7 +5,7 @@
 // plus the AVX2 set and -ffp-contract=off.
 //
 // Numerics match the AVX2 backend kernel-for-kernel: the bit-identical
-// kernels (su3 multiply, projection, dslash, face pack, xpay) use separate
+// kernels (su3 multiply, dslash, face pack, xpay) use separate
 // mul+add in scalar accumulation order; clover and MR use the per-lane FMA
 // sequence of the AVX2 kernels, which is width-independent, so avx512 ==
 // avx2 bitwise there as well.
@@ -33,74 +33,6 @@ namespace lqcd::simd::a5 {
 
 inline __mmask16 tail_mask(int rem) noexcept {
   return static_cast<__mmask16>((1u << rem) - 1u);
-}
-
-/// out = a + s * phase*b, lane-wise, 16 lanes per op with a masked tail.
-/// Same mul+add reduction as the scalar path: bit-identical.
-inline void phase_madd(const float* a_re, const float* a_im,
-                       const float* b_re, const float* b_im, Phase p, float s,
-                       float* o_re, float* o_im, int lanes) noexcept {
-  const float* br = b_re;
-  const float* bi = b_im;
-  float sr = s, si = s;
-  switch (p) {
-    case Phase::kPlusOne:
-      break;
-    case Phase::kMinusOne:
-      sr = -s;
-      si = -s;
-      break;
-    case Phase::kPlusI:
-      br = b_im;
-      bi = b_re;
-      sr = -s;
-      break;
-    case Phase::kMinusI:
-    default:
-      br = b_im;
-      bi = b_re;
-      si = -s;
-      break;
-  }
-  const __m512 vsr = _mm512_set1_ps(sr);
-  const __m512 vsi = _mm512_set1_ps(si);
-  int l = 0;
-  for (; l + 16 <= lanes; l += 16) {
-    _mm512_storeu_ps(
-        o_re + l, _mm512_add_ps(_mm512_loadu_ps(a_re + l),
-                                _mm512_mul_ps(vsr, _mm512_loadu_ps(br + l))));
-    _mm512_storeu_ps(
-        o_im + l, _mm512_add_ps(_mm512_loadu_ps(a_im + l),
-                                _mm512_mul_ps(vsi, _mm512_loadu_ps(bi + l))));
-  }
-  if (l < lanes) {
-    const __mmask16 m = tail_mask(lanes - l);
-    _mm512_mask_storeu_ps(
-        o_re + l, m,
-        _mm512_add_ps(_mm512_maskz_loadu_ps(m, a_re + l),
-                      _mm512_mul_ps(vsr, _mm512_maskz_loadu_ps(m, br + l))));
-    _mm512_mask_storeu_ps(
-        o_im + l, m,
-        _mm512_add_ps(_mm512_maskz_loadu_ps(m, a_im + l),
-                      _mm512_mul_ps(vsi, _mm512_maskz_loadu_ps(m, bi + l))));
-  }
-}
-
-inline void project_lanes(const float* in_site, int mu, int sign, float* h,
-                          int lanes) noexcept {
-  const PermPhaseMatrix& g = kGamma[static_cast<std::size_t>(mu)];
-  const float s = sign > 0 ? 1.0f : -1.0f;
-  for (int r = 0; r < 2; ++r) {
-    const int col = g.col[static_cast<std::size_t>(r)];
-    for (int c = 0; c < kNumColors; ++c) {
-      const float* a_re = in_site + (r * kNumColors + c) * 2 * lanes;
-      const float* b_re = in_site + (col * kNumColors + c) * 2 * lanes;
-      float* o_re = h + (r * kNumColors + c) * 2 * lanes;
-      phase_madd(a_re, a_re + lanes, b_re, b_re + lanes,
-                 g.phase[static_cast<std::size_t>(r)], s, o_re, o_re + lanes,
-                 lanes);
-    }
-  }
 }
 
 /// Vector traits of simd/dslash_lanes.h and a2::clover_site(): 16 lanes
@@ -438,43 +370,6 @@ inline void clover_lanes(const float* blocks, std::int32_t nsites,
   }
 }
 
-inline void su3_mul_lanes(const float* u, const float* x, float* y, int lanes,
-                          int adjoint) noexcept {
-  for (int sp = 0; sp < 2; ++sp)
-    for (int i = 0; i < kNumColors; ++i) {
-      float ur[3], ui[3];
-      const float* xr[3];
-      for (int j = 0; j < kNumColors; ++j) {
-        ur[j] = adjoint ? u[(j * 3 + i) * 2] : u[(i * 3 + j) * 2];
-        ui[j] = adjoint ? -u[(j * 3 + i) * 2 + 1] : u[(i * 3 + j) * 2 + 1];
-        xr[j] = x + (sp * kNumColors + j) * 2 * lanes;
-      }
-      float* y_re = y + (sp * kNumColors + i) * 2 * lanes;
-      float* y_im = y_re + lanes;
-      for (int l = 0; l < lanes; l += 16) {
-        const __mmask16 m =
-            lanes - l >= 16 ? static_cast<__mmask16>(0xFFFF)
-                            : tail_mask(lanes - l);
-        __m512 acc_re = _mm512_setzero_ps();
-        __m512 acc_im = _mm512_setzero_ps();
-        for (int j = 0; j < 3; ++j) {
-          const __m512 vur = _mm512_set1_ps(ur[j]);
-          const __m512 vui = _mm512_set1_ps(ui[j]);
-          const __m512 vxr = _mm512_maskz_loadu_ps(m, xr[j] + l);
-          const __m512 vxi = _mm512_maskz_loadu_ps(m, xr[j] + lanes + l);
-          const __m512 re =
-              _mm512_sub_ps(_mm512_mul_ps(vur, vxr), _mm512_mul_ps(vui, vxi));
-          const __m512 im =
-              _mm512_add_ps(_mm512_mul_ps(vur, vxi), _mm512_mul_ps(vui, vxr));
-          acc_re = j == 0 ? re : _mm512_add_ps(acc_re, re);
-          acc_im = j == 0 ? im : _mm512_add_ps(acc_im, im);
-        }
-        _mm512_mask_storeu_ps(y_re + l, m, acc_re);
-        _mm512_mask_storeu_ps(y_im + l, m, acc_im);
-      }
-    }
-}
-
 inline void xpay_lanes(const float* x, float s, const float* y, float* out,
                        std::int64_t n) noexcept {
   const __m512 vs = _mm512_set1_ps(s);
@@ -622,10 +517,7 @@ namespace lqcd::simd::detail {
 namespace {
 constexpr Kernels kAvx512Kernels = {
     Backend::kAvx512,
-    "avx512",
     &a2::su3_mul_nn,
-    &a5::su3_mul_lanes,
-    &a5::project_lanes,
     &a5::dslash_lanes,
     &a5::clover_lanes,
     &a5::xpay_lanes,

@@ -9,10 +9,7 @@ namespace lqcd::simd::detail {
 namespace {
 constexpr Kernels kScalarKernels = {
     Backend::kScalar,
-    "scalar",
     &ref::su3_mul_nn,
-    &ref::su3_mul_lanes,
-    &ref::project_lanes,
     &ref::dslash_lanes,
     &ref::clover_lanes,
     &ref::xpay_lanes,

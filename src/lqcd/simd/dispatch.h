@@ -12,11 +12,11 @@
 // are reached through the function-pointer table below.
 //
 // Numerical contract (tested in tests/test_simd.cpp):
-//   - su3_mul_nn, su3_mul_lanes, project_lanes, dslash_lanes,
-//     pack_faces_lanes and xpay are BIT-IDENTICAL across backends: every
-//     backend evaluates the same expressions in the same order, FMA
-//     contraction is disabled on all backend translation units
-//     (-ffp-contract=off) and the intrinsic paths use separate mul/add.
+//   - su3_mul_nn, dslash_lanes, pack_faces_lanes and xpay are
+//     BIT-IDENTICAL across backends: every backend evaluates the same
+//     expressions in the same order, FMA contraction is disabled on all
+//     backend translation units (-ffp-contract=off) and the intrinsic
+//     paths use separate mul/add.
 //   - clover_lanes and the MR kernels MAY use FMA in the wide backends;
 //     they agree with scalar to <= 1e-6 relative, and avx2 and avx512
 //     evaluate the same per-lane FMA sequence, so those two agree bitwise.
@@ -54,22 +54,11 @@ inline constexpr int kCommonLaneWidth = 16;
 /// floats, components are [re lane vector][im lane vector] pairs.
 struct Kernels {
   Backend backend;
-  const char* name;
 
   /// c[i] = a[i] * b[i] over n row-major complex 3x3 matrices (18 floats
   /// each, (re,im) interleaved) — the su3_bench calibration kernel.
   void (*su3_mul_nn)(const float* a, const float* b, float* c,
                      std::int64_t n);
-
-  /// y = U x (or U^dagger x when adjoint != 0) on 2-spin half-spinor lane
-  /// vectors (12 complex components). `u` is one 18-float SU(3) matrix.
-  void (*su3_mul_lanes)(const float* u, const float* x, float* y, int lanes,
-                        int adjoint);
-
-  /// h = upper two rows of (1 + sign*gamma_mu) applied to the 24-component
-  /// spinor lane vectors at `in_site` (-> 12 components).
-  void (*project_lanes)(const float* in_site, int mu, int sign, float* h,
-                        int lanes);
 
   /// The Dirichlet parity dslash of one domain on all lanes in one call.
   /// Output site i (< nsites) is local site l = l0 + i and receives the

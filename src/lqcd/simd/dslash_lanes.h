@@ -16,9 +16,8 @@
 // The boundary pack behind Kernels::pack_faces_lanes reuses the same
 // projection and SU(3) rows (pack_chunk()).
 //
-// Numerics, per lane, are those of the per-hop project / SU(3) multiply /
-// reconstruct-accumulate kernels this replaces, so every backend is
-// bit-identical to the scalar one:
+// Numerics, per lane, are pinned so that every backend is bit-identical
+// to the scalar one:
 //   - projection and reconstruction compute a + s*phase*b with s = +-1,
 //     as a + b' or a - b' (b' = b_re or b_im by the phase). Multiplying
 //     by +-1 is exact and IEEE 754 defines a - b as a + (-b), so this is

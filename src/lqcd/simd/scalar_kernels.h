@@ -20,7 +20,7 @@
 #include "lqcd/linalg/fp16.h"
 #include "lqcd/simd/dslash_lanes.h"
 #include "lqcd/su3/clover_block.h"
-#include "lqcd/su3/gamma.h"
+#include "lqcd/su3/spinor.h"
 
 namespace lqcd::simd::detail {
 
@@ -63,94 +63,6 @@ inline void su3_mul_nn(const float* a, const float* b, float* c,
                        std::int64_t n) noexcept {
   for (std::int64_t m = 0; m < n; ++m)
     su3_mul_nn_one(a + m * 18, b + m * 18, c + m * 18);
-}
-
-/// out = a + s * phase*b, lane-wise, for one complex component pair.
-/// In-place use (out == a) is fine: each lane reads before it writes.
-inline void phase_madd(const float* a_re, const float* a_im,
-                       const float* b_re, const float* b_im, Phase p, float s,
-                       float* o_re, float* o_im, int lanes) noexcept {
-  switch (p) {
-    case Phase::kPlusOne:
-      LQCD_PRAGMA_SIMD
-      for (int l = 0; l < lanes; ++l) {
-        o_re[l] = a_re[l] + s * b_re[l];
-        o_im[l] = a_im[l] + s * b_im[l];
-      }
-      break;
-    case Phase::kMinusOne:
-      LQCD_PRAGMA_SIMD
-      for (int l = 0; l < lanes; ++l) {
-        o_re[l] = a_re[l] - s * b_re[l];
-        o_im[l] = a_im[l] - s * b_im[l];
-      }
-      break;
-    case Phase::kPlusI:
-      LQCD_PRAGMA_SIMD
-      for (int l = 0; l < lanes; ++l) {
-        const float br = b_re[l], bi = b_im[l];
-        o_re[l] = a_re[l] - s * bi;
-        o_im[l] = a_im[l] + s * br;
-      }
-      break;
-    case Phase::kMinusI:
-    default:
-      LQCD_PRAGMA_SIMD
-      for (int l = 0; l < lanes; ++l) {
-        const float br = b_re[l], bi = b_im[l];
-        o_re[l] = a_re[l] + s * bi;
-        o_im[l] = a_im[l] - s * br;
-      }
-      break;
-  }
-}
-
-inline void project_lanes(const float* in_site, int mu, int sign, float* h,
-                          int lanes) noexcept {
-  const PermPhaseMatrix& g = kGamma[static_cast<std::size_t>(mu)];
-  const float s = sign > 0 ? 1.0f : -1.0f;
-  for (int r = 0; r < 2; ++r) {
-    const int col = g.col[static_cast<std::size_t>(r)];
-    for (int c = 0; c < kNumColors; ++c) {
-      const float* a_re = in_site + (r * kNumColors + c) * 2 * lanes;
-      const float* b_re = in_site + (col * kNumColors + c) * 2 * lanes;
-      float* o_re = h + (r * kNumColors + c) * 2 * lanes;
-      phase_madd(a_re, a_re + lanes, b_re, b_re + lanes,
-                 g.phase[static_cast<std::size_t>(r)], s, o_re, o_re + lanes,
-                 lanes);
-    }
-  }
-}
-
-inline void su3_mul_lanes(const float* u, const float* x, float* y, int lanes,
-                          int adjoint) noexcept {
-  for (int sp = 0; sp < 2; ++sp)
-    for (int i = 0; i < kNumColors; ++i) {
-      float* y_re = y + (sp * kNumColors + i) * 2 * lanes;
-      float* y_im = y_re + lanes;
-      for (int j = 0; j < kNumColors; ++j) {
-        // u[(row*3+col)*2] is the real part of U_{row,col}; the adjoint
-        // path reads U_{j,i} and conjugates.
-        const float ur = adjoint ? u[(j * 3 + i) * 2] : u[(i * 3 + j) * 2];
-        const float ui = adjoint ? -u[(j * 3 + i) * 2 + 1]
-                                 : u[(i * 3 + j) * 2 + 1];
-        const float* x_re = x + (sp * kNumColors + j) * 2 * lanes;
-        const float* x_im = x_re + lanes;
-        if (j == 0) {
-          LQCD_PRAGMA_SIMD
-          for (int l = 0; l < lanes; ++l) {
-            y_re[l] = ur * x_re[l] - ui * x_im[l];
-            y_im[l] = ur * x_im[l] + ui * x_re[l];
-          }
-        } else {
-          LQCD_PRAGMA_SIMD
-          for (int l = 0; l < lanes; ++l) {
-            y_re[l] += ur * x_re[l] - ui * x_im[l];
-            y_im[l] += ur * x_im[l] + ui * x_re[l];
-          }
-        }
-      }
-    }
 }
 
 /// The whole-domain lane dslash (simd/dslash_lanes.h): one lane as a

@@ -99,8 +99,7 @@ class FakeStore final : public PackedDomainStore {
   explicit FakeStore(int nd) : nd_(nd) {}
   int num_domains() const override { return nd_; }
   const char* store_name() const override { return "fake"; }
-  void find_corrupt_domains(bool, bool,
-                            std::vector<int>& bad) const override {
+  void find_corrupt_domains(std::vector<int>& bad) const override {
     for (int d : corrupt) bad.push_back(d);
   }
   void repack_domain(int d) override {
@@ -285,16 +284,9 @@ TEST(SchwarzAbft, TargetedCorruptionLocalizesToTheDomain) {
   EXPECT_EQ(inj.stats().events_at(FaultSite::kPackedData), 1);
 
   std::vector<int> bad;
-  m.find_corrupt_domains(true, true, bad);
+  m.find_corrupt_domains(bad);
   EXPECT_EQ(bad, std::vector<int>{target});
   EXPECT_EQ(m.verify_checksums(), 1);
-  // Scope flags: a clover upset is invisible to a gauge-only sweep.
-  bad.clear();
-  m.find_corrupt_domains(true, false, bad);
-  EXPECT_TRUE(bad.empty());
-  bad.clear();
-  m.find_corrupt_domains(false, true, bad);
-  EXPECT_EQ(bad, std::vector<int>{target});
 }
 
 TEST(SchwarzAbft, RepackRestoresTheDomainBitIdentically) {
@@ -304,10 +296,17 @@ TEST(SchwarzAbft, RepackRestoresTheDomainBitIdentically) {
   SchwarzPreconditioner<float> pre(f.part, f.op, sp);
   SchwarzSetup<float>& m = *pre.setup();
 
-  const int nd = m.num_domains();
-  std::vector<std::uint32_t> before(static_cast<std::size_t>(nd));
-  for (int d = 0; d < nd; ++d)
-    before[static_cast<std::size_t>(d)] = m.domain_checksum(d);
+  // Every domain's pack-time stamps, one per packed component.
+  auto stamps = [&m] {
+    std::vector<std::uint32_t> s;
+    for (int d = 0; d < m.num_domains(); ++d)
+      for (const PackedComponent c :
+           {PackedComponent::kGaugeLinks, PackedComponent::kCloverDiag,
+            PackedComponent::kCloverInv})
+        s.push_back(m.domain_checksum(d, c));
+    return s;
+  };
+  const std::vector<std::uint32_t> before = stamps();
   FermionField<float> rhs(f.geom.volume()), u_ref(f.geom.volume());
   gaussian(rhs, 44);
   pre.apply(rhs, u_ref);
@@ -323,16 +322,14 @@ TEST(SchwarzAbft, RepackRestoresTheDomainBitIdentically) {
 
   ASSERT_TRUE(m.source_intact());
   std::vector<int> bad;
-  m.find_corrupt_domains(true, true, bad);
+  m.find_corrupt_domains(bad);
   for (int d : bad) m.repack_domain(d);
 
   // Bit-identical repair: pack_domain is the same code path as
   // construction, so every checksum must return to its pack-time value
   // and the preconditioner must produce the exact pre-corruption output.
   EXPECT_EQ(m.verify_checksums(), 0);
-  for (int d = 0; d < nd; ++d)
-    EXPECT_EQ(m.domain_checksum(d), before[static_cast<std::size_t>(d)])
-        << "domain " << d;
+  EXPECT_EQ(stamps(), before);
   FermionField<float> u_post(f.geom.volume());
   pre.apply(rhs, u_post);
   expect_float_fields_identical(u_ref, u_post);
@@ -388,10 +385,10 @@ TEST(SchwarzAbft, VerificationIsThreadCountInvariant) {
 
   set_threads(1);
   std::vector<int> bad1;
-  m.find_corrupt_domains(true, true, bad1);
+  m.find_corrupt_domains(bad1);
   set_threads(4);
   std::vector<int> bad4;
-  m.find_corrupt_domains(true, true, bad4);
+  m.find_corrupt_domains(bad4);
   set_threads(1);
   EXPECT_EQ(bad1, bad4);
   EXPECT_EQ(bad1, (std::vector<int>{3, 7}));

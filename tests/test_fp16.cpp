@@ -6,6 +6,7 @@
 
 #include "lqcd/base/rng.h"
 #include "lqcd/linalg/fp16.h"
+#include "lqcd/simd/dispatch.h"
 
 namespace lqcd {
 namespace {
@@ -161,14 +162,15 @@ TEST(Fp16, CountHalfOverflows) {
   EXPECT_EQ(count_half_overflows(vals, 2), 0);
 }
 
+// The array conversions of the active dispatch backend.
 TEST(Fp16, VectorConversion) {
   Rng rng(7);
   constexpr std::int64_t n = 1000;
   std::vector<float> src(n), back(n);
   std::vector<Half> mid(n);
   for (auto& v : src) v = static_cast<float>(rng.gaussian());
-  float_to_half(src.data(), mid.data(), n);
-  half_to_float(mid.data(), back.data(), n);
+  simd::kernels().float_to_half_n(src.data(), mid.data(), n);
+  simd::kernels().half_to_float_n(mid.data(), back.data(), n);
   for (std::int64_t i = 0; i < n; ++i)
     EXPECT_EQ(back[static_cast<size_t>(i)],
               half_round_trip(src[static_cast<size_t>(i)]));

@@ -5,7 +5,7 @@
 
 // Bit-exact kernel with separated mul/add; this TU's synthetic compile
 // entry carries -ffp-contract=off.
-void project_lanes(const float* in, float* out, int n) {
+void dslash_lanes(const float* in, float* out, int n) {
   for (int i = 0; i < n; ++i) {
     const float t = in[i] * 2.0f;
     out[i] = t;

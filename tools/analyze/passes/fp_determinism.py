@@ -1,9 +1,9 @@
 """fp-determinism: the bit-reproducibility contract, checked at the
 build-flag AND expression level.
 
-The cross-backend contract (simd/dispatch.h) says the lane kernels —
-su3_mul_nn, su3_mul_lanes, project, the dslash, the face pack, xpay,
-the fp16 converters — are BIT-IDENTICAL across scalar/avx2/avx512, which only
+The cross-backend contract (simd/dispatch.h) says the kernels —
+su3_mul_nn, the dslash, the face pack, xpay, the fp16 converters —
+are BIT-IDENTICAL across scalar/avx2/avx512, which only
 holds if (a) every TU that compiles them does so with -ffp-contract=off
 and no fast-math family flag, and (b) no kernel on the bit-exact list
 uses an explicit FMA (std::fma / _mm*_fmadd_*), since separate
@@ -14,7 +14,7 @@ The pass discovers bit-exact TUs semantically: a TU whose include
 closure defines a function on the bit-exact list is a bit-exact TU.
 For each such TU it verifies the compile_commands.json flags; and for
 every bit-exact kernel it walks the local callgraph (helpers like
-phase_madd inherit the caller's contract) flagging explicit FMA. When
+dslash_site inherit the caller's contract) flagging explicit FMA. When
 a bit-exact TU lacks -ffp-contract=off, FMA-contractible `a*b+c`
 expressions inside its bit-exact kernels are reported too — those are
 the exact sites the compiler would silently fuse.
@@ -29,8 +29,8 @@ from tools.analyze.findings import Finding
 from tools.analyze.textmodel import tu_command, tu_path
 
 BIT_EXACT = {
-    "su3_mul_nn", "su3_mul_lanes", "project_lanes", "dslash_lanes",
-    "pack_faces_lanes", "xpay_lanes", "float_to_half_n", "half_to_float_n",
+    "su3_mul_nn", "dslash_lanes", "pack_faces_lanes", "xpay_lanes",
+    "float_to_half_n", "half_to_float_n",
 }
 FMA_ALLOWED = {"clover_lanes", "mr_dots_lanes", "mr_axpy_lanes"}
 
