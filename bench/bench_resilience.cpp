@@ -3,8 +3,9 @@
 //  (1) Guard overhead on the fault-free path: DDSolver with the full
 //      resilience stack armed (finiteness scans on every preconditioner
 //      output + one iterate checkpoint per outer cycle) vs. the plain
-//      pipeline. Prints the wall-clock overhead and whether the iteration
-//      trajectory is identical. The overhead is not gated: 8^4 solves are
+//      pipeline, after one untimed warm-up solve. Prints the wall-clock
+//      overhead and whether the iteration trajectory is identical. The
+//      overhead is not gated: 8^4 solves are
 //      too short to resolve a few percent. The identical trajectory is
 //      asserted by the test
 //      DDSolverResilience.FaultFreePathIsBitIdenticalToSeedPipeline.
@@ -117,6 +118,10 @@ int main(int argc, char** argv) {
   // ---- (1) fault-free overhead ------------------------------------------
   {
     DDSolverConfig cfg = base_config();
+    // One untimed solve first: the process's first solve pays page faults,
+    // OpenMP thread start-up and cold caches, which would be charged to
+    // the plain pipeline alone.
+    run_solve(prob, mass, cfg, 1);
     const auto plain = run_solve(prob, mass, cfg, repeats);
     cfg.resilience.enabled = true;
     const auto armed = run_solve(prob, mass, cfg, repeats);

@@ -207,20 +207,11 @@ bool DDSolver::setup_is_stale() const {
 
 SolverStats DDSolver::solve(const FermionField<double>& b,
                             FermionField<double>& x) {
-  if (setup_is_stale()) return stale_setup_stats();
-  if (monitor_) monitor_->drop_checkpoint();
-  if (abft_guard_) abft_guard_->begin_solve();
-  try {
-    SolverStats st = fgmres_dr_solve<double>(*linop_, bridge_.get(), b, x,
-                                             outer_params(), monitor_.get());
-    // Closing sweep: corruption after the last periodic sweep must not
-    // survive into the next solve (or go unreported) — every upset is
-    // repaired or escalates before this call returns.
-    if (abft_guard_) abft_guard_->sweep();
-    return st;
-  } catch (const AbftError&) {
-    return data_corruption_stats();
-  }
+  const FermionField<double>* pb = &b;
+  FermionField<double>* px = &x;
+  SolverStats st;
+  solve_lanes({&pb, 1}, {&px, 1}, BatchSolveOptions{}, {&st, 1});
+  return st;
 }
 
 std::vector<SolverStats> DDSolver::solve_batch(
@@ -233,30 +224,47 @@ std::vector<SolverStats> DDSolver::solve_batch(
     const std::vector<FermionField<double>>& b,
     std::vector<FermionField<double>>& x, const BatchSolveOptions& options) {
   LQCD_CHECK_MSG(b.size() == x.size(), "solve_batch needs |b| == |x|");
+  std::vector<const FermionField<double>*> pb;
+  std::vector<FermionField<double>*> px;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    pb.push_back(&b[i]);
+    px.push_back(&x[i]);
+  }
+  std::vector<SolverStats> out(b.size());
+  solve_lanes(pb, px, options, out);
+  return out;
+}
+
+void DDSolver::solve_lanes(std::span<const FermionField<double>* const> b,
+                           std::span<FermionField<double>* const> x,
+                           const BatchSolveOptions& options,
+                           std::span<SolverStats> out) {
   LQCD_CHECK_MSG(
       options.tolerances.empty() || options.tolerances.size() == b.size(),
       "solve_batch options need one tolerance per RHS (or none)");
   const int nrhs = static_cast<int>(b.size());
-  std::vector<SolverStats> out(static_cast<std::size_t>(nrhs));
-  if (nrhs == 0) return out;
+  if (nrhs == 0) return;
   if (setup_is_stale()) {
     for (auto& st : out) st = stale_setup_stats();
-    return out;
+    return;
   }
 
   // Per-lane outer parameters: each RHS converges at its OWN tolerance —
   // the engines are per-lane, so a tight lane keeps iterating (and a
   // converged loose lane stops consuming preconditioner work) no matter
   // what the rest of the batch targets.
-  std::vector<FGMRESDRParams> lane_params(static_cast<std::size_t>(nrhs),
-                                          outer_params());
-  for (std::size_t i = 0; i < options.tolerances.size(); ++i)
-    lane_params[i].tolerance = options.tolerances[i];
+  const auto lane_params = [&](int i) {
+    FGMRESDRParams p = outer_params();
+    if (!options.tolerances.empty())
+      p.tolerance = options.tolerances[static_cast<std::size_t>(i)];
+    return p;
+  };
 
   // Resolve the deflation-recycle space. A caller-provided persistent
   // cache is keyed by the configuration checksum: presenting a subspace
   // harvested on a different gauge configuration discards it instead of
-  // poisoning this solve with meaningless deflation directions.
+  // poisoning this solve with meaningless deflation directions. One RHS
+  // without a cache gets none: no later lane would read its harvest.
   DeflationSpace<double> local_recycle;
   DeflationSpace<double>* rec = nullptr;
   RecycleCache* cache = options.recycle;
@@ -267,7 +275,7 @@ std::vector<SolverStats> DDSolver::solve_batch(
         cache->gauge_key = setup_->gauge_checksum();
       }
       rec = &cache->space;
-    } else {
+    } else if (nrhs > 1) {
       rec = &local_recycle;
     }
   }
@@ -294,25 +302,16 @@ std::vector<SolverStats> DDSolver::solve_batch(
     int first_lane = 0;
     if (rec == nullptr || !rec->valid()) {
       // RHS 0 runs alone: its solve seeds the recycled deflation subspace
-      // the rest of the batch projects against. (With nrhs == 1 this path
-      // is the whole call and executes exactly what solve() executes.)
-      out[0] = fgmres_dr_solve<double>(*linop_, bridge_.get(), b[0], x[0],
-                                       lane_params[0], monitor_.get(), rec);
+      // the rest of the batch projects against. (With nrhs == 1 this is
+      // the whole solve, and the lockstep below has no lane.)
+      out[0] = fgmres_dr_solve<double>(*linop_, bridge_.get(), *b[0], *x[0],
+                                       lane_params(0), monitor_.get(), rec);
       first_lane = 1;
-      if (nrhs == 1) {
-        if (cache != nullptr && rec != nullptr && rec->valid() &&
-            abft_guard_ && abft_guard_->config().check_deflation) {
-          cache->abft_sum = deflation_checksum(*rec);
-          cache->abft_stamped = true;
-        }
-        if (abft_guard_) abft_guard_->sweep();
-        return out;
-      }
 
       // In-call check_deflation scope: stamp the recycled subspace right
       // after its harvest; the shared verify below re-checks it just
       // before the lanes project against it.
-      if (abft_guard_ && abft_guard_->config().check_deflation &&
+      if (nrhs > 1 && abft_guard_ && abft_guard_->config().check_deflation &&
           rec != nullptr && rec->valid()) {
         defl_sum = deflation_checksum(*rec);
         defl_stamped = true;
@@ -346,8 +345,8 @@ std::vector<SolverStats> DDSolver::solve_batch(
         if (abft_guard_) lane_monitors[li]->set_abft_guard(abft_guard_.get());
       }
       lanes[li] = std::make_unique<FgmresDrEngine<double>>(
-          *linop_, b[ri], x[ri], lane_params[ri], lane_monitors[li].get(),
-          rec);
+          *linop_, *b[ri], *x[ri], lane_params(first_lane + i),
+          lane_monitors[li].get(), rec);
     }
 
     std::vector<const FermionField<double>*> pin;
@@ -385,12 +384,13 @@ std::vector<SolverStats> DDSolver::solve_batch(
       cache->abft_sum = deflation_checksum(*rec);
       cache->abft_stamped = true;
     }
+    // Closing sweep: corruption after the last periodic sweep must not
+    // survive into the next solve (or go unreported) — every upset is
+    // repaired or escalates before this call returns.
     if (abft_guard_) abft_guard_->sweep();
-    return out;
   } catch (const AbftError&) {
     // Unrepairable ladder mid-batch: no lane's iterate is trustworthy.
     for (auto& st : out) st = data_corruption_stats();
-    return out;
   }
 }
 

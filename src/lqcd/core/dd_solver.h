@@ -11,6 +11,8 @@
 
 #include <functional>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "lqcd/resilience/resilient_solve.h"
 #include "lqcd/schwarz/schwarz.h"
@@ -294,7 +296,8 @@ class DDSolver {
   /// precisions the setup was built without.
   DDSolver(std::shared_ptr<DDSolverSetup> setup, const DDSolverConfig& config);
 
-  /// Solve A x = b to the configured relative residual.
+  /// Solve A x = b to the configured relative residual: solve_batch()
+  /// of one right-hand side, without copying b.
   SolverStats solve(const FermionField<double>& b, FermionField<double>& x);
 
   /// Solve A x[i] = b[i] for a batch of right-hand sides (paper Sec. VI).
@@ -303,7 +306,7 @@ class DDSolver {
   /// RHS a head start); the remaining RHS then advance in lockstep so
   /// every preconditioner application is one batched Schwarz sweep that
   /// streams each domain's packed matrices once for the whole batch.
-  /// With b.size() == 1 this is bit-identical to solve().
+  /// With b.size() == 1 this is solve().
   std::vector<SolverStats> solve_batch(
       const std::vector<FermionField<double>>& b,
       std::vector<FermionField<double>>& x);
@@ -350,6 +353,13 @@ class DDSolver {
 
  private:
   FGMRESDRParams outer_params() const;
+  /// The one solve path behind solve() and solve_batch(): the right-hand
+  /// sides and solutions by pointer, each lane's stats into `out`;
+  /// |b| == |x| == |out|.
+  void solve_lanes(std::span<const FermionField<double>* const> b,
+                   std::span<FermionField<double>* const> x,
+                   const BatchSolveOptions& options,
+                   std::span<SolverStats> out);
   /// True when the caller's double-precision gauge field no longer
   /// matches the checksum stamped when the setup was packed (the caller
   /// mutated it, e.g. another HMC trajectory, without rebuilding the

@@ -2,22 +2,28 @@
 
 namespace lqcd {
 
+void DomainPartition::check_tiling(const Geometry& geom, const Coord& block) {
+  for (int mu = 0; mu < kNumDims; ++mu) {
+    const int b = block[static_cast<std::size_t>(mu)];
+    LQCD_CHECK_MSG(b >= 2 && b % 2 == 0,
+                   "block extent " << mu << " must be even and >= 2");
+    LQCD_CHECK_MSG(geom.dim(mu) % b == 0,
+                   "lattice dim " << mu << " (" << geom.dim(mu)
+                                  << ") not divisible by block extent " << b);
+    LQCD_CHECK_MSG((geom.dim(mu) / b) % 2 == 0,
+                   "domain grid extent " << mu << " (" << geom.dim(mu) / b
+                                         << ") must be even for two-coloring");
+  }
+}
+
 DomainPartition::DomainPartition(const Geometry& geom, const Coord& block)
     : geom_(&geom), block_(block) {
+  check_tiling(geom, block);
   block_volume_ = 1;
   num_domains_ = 1;
   for (int mu = 0; mu < kNumDims; ++mu) {
     const auto mu_s = static_cast<std::size_t>(mu);
-    LQCD_CHECK_MSG(block_[mu_s] >= 2 && block_[mu_s] % 2 == 0,
-                   "block extent " << mu << " must be even and >= 2");
-    LQCD_CHECK_MSG(geom.dim(mu) % block_[mu_s] == 0,
-                   "lattice dim " << mu << " (" << geom.dim(mu)
-                                  << ") not divisible by block extent "
-                                  << block_[mu_s]);
     grid_[mu_s] = geom.dim(mu) / block_[mu_s];
-    LQCD_CHECK_MSG(grid_[mu_s] % 2 == 0,
-                   "domain grid extent " << mu << " (" << grid_[mu_s]
-                                         << ") must be even for two-coloring");
     block_volume_ *= block_[mu_s];
     num_domains_ *= grid_[mu_s];
   }

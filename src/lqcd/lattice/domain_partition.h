@@ -23,8 +23,13 @@ class DomainPartition {
  public:
   /// Each lattice dimension must be divisible by the block extent, and the
   /// resulting domain-grid extent must be even (required for two-coloring
-  /// of the multiplicative method, as in Lüscher's SAP).
+  /// of the multiplicative method, as in Lüscher's SAP). Throws
+  /// lqcd::Error otherwise (check_tiling()).
   DomainPartition(const Geometry& geom, const Coord& block);
+
+  /// The constructor's tiling rule on its own: throws lqcd::Error unless
+  /// `block` tiles `geom` into an even domain grid of even blocks.
+  static void check_tiling(const Geometry& geom, const Coord& block);
 
   const Geometry& geometry() const noexcept { return *geom_; }
   const Coord& block() const noexcept { return block_; }

@@ -20,6 +20,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -107,7 +108,7 @@ class CachedConfiguration {
   /// Returns false when the gauge field's content no longer matches the
   /// key — the client mutated it between submit() and dispatch — in which
   /// case nothing is cached and the dispatch must refuse with
-  /// Breakdown::kStaleSetup.
+  /// Breakdown::kStaleSetup. Rethrows what a failed build throws.
   bool ensure_built(const Geometry& geom, const GaugeField<double>& gauge) {
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
@@ -123,18 +124,43 @@ class CachedConfiguration {
     // setup built from a mutated field would be cached under a key that
     // promises different content.
     std::shared_ptr<DDSolverSetup> built;
-    if (gauge.content_checksum() == key_.gauge_checksum &&
-        gauge.content_digest64() == key_.gauge_digest)
-      built = DDSolverSetup::make_owning(geom, gauge, key_.mass, key_.csw,
-                                         config_);
+    std::exception_ptr error;
+    try {
+      if (gauge.content_checksum() == key_.gauge_checksum &&
+          gauge.content_digest64() == key_.gauge_digest)
+        built = DDSolverSetup::make_owning(geom, gauge, key_.mass, key_.csw,
+                                           config_);
+    } catch (...) {
+      // A build that throws (a singular clover block, say) still releases
+      // the latch: waiting followers then try, and fail, on their own.
+      error = std::current_exception();
+    }
 
     lock.lock();
     building_ = false;
     if (built != nullptr) setup_ = std::move(built);
     cv_.notify_all();
+    if (error) std::rethrow_exception(error);
     return setup_ != nullptr;
   }
 
+  /// A context leased for one dispatch, returned to the pool when the
+  /// lease ends, however the dispatch ends.
+  class Lease {
+   public:
+    explicit Lease(CachedConfiguration& conf)
+        : conf_(&conf), ctx_(conf.acquire_context()) {}
+    ~Lease() { conf_->release(ctx_); }
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    Context* operator->() const noexcept { return ctx_; }
+
+   private:
+    CachedConfiguration* conf_;
+    Context* ctx_;
+  };
+
+ private:
   /// Lease a free context, growing the pool if allowed; blocks on the
   /// entry's condition variable while the pool is at its cap and fully
   /// leased (no busy-wait — the ABFT single-context gate can hold a
@@ -168,7 +194,6 @@ class CachedConfiguration {
     cv_.notify_one();
   }
 
- private:
   SetupKey key_;
   DDSolverConfig config_;
   int max_contexts_ = 0;
@@ -194,7 +219,8 @@ class SetupCache {
   /// the same new configuration wait and then hit, while other keys (and
   /// stats()/size()) proceed. Returns nullptr — caching nothing — when
   /// the gauge content no longer matches `key` (mutated after submit).
-  /// `was_hit` (optional) reports which path was taken.
+  /// A build that throws drops the entry and rethrows. `was_hit`
+  /// (optional) reports which path was taken.
   std::shared_ptr<CachedConfiguration> acquire(
       const SetupKey& key, const Geometry& geom,
       const GaugeField<double>& gauge, const DDSolverConfig& config,
@@ -222,16 +248,17 @@ class SetupCache {
         lru_.push_front(entry);
       }
     }
-    if (entry->ensure_built(geom, gauge)) return entry;
-    // Stale source: drop the unbuildable entry (it may already have been
-    // evicted by a concurrent miss — erase by identity, not position).
+    bool built = false;
+    try {
+      built = entry->ensure_built(geom, gauge);
+    } catch (...) {
+      drop(entry.get());
+      throw;
+    }
+    if (built) return entry;
+    drop(entry.get());
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.stale_rejects;
-    for (auto it = lru_.begin(); it != lru_.end(); ++it)
-      if (it->get() == entry.get()) {
-        lru_.erase(it);
-        break;
-      }
     return nullptr;
   }
 
@@ -246,6 +273,17 @@ class SetupCache {
   }
 
  private:
+  /// Drop an unbuildable entry (it may already have been evicted by a
+  /// concurrent miss — erase by identity, not position).
+  void drop(const CachedConfiguration* entry) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto it = lru_.begin(); it != lru_.end(); ++it)
+      if (it->get() == entry) {
+        lru_.erase(it);
+        break;
+      }
+  }
+
   std::size_t capacity_;
   mutable std::mutex mu_;
   /// Front = most recently used. Linear scan is fine: capacity is a

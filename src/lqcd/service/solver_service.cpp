@@ -4,6 +4,8 @@
 #include <cmath>
 #include <utility>
 
+#include "lqcd/lattice/domain_partition.h"
+
 namespace lqcd {
 
 SolverService::SolverService(SolverServiceConfig config)
@@ -23,6 +25,11 @@ std::future<SolveResult> SolverService::submit(SolveRequest request) {
                  "submit() needs a geometry and a gauge configuration");
   LQCD_CHECK_MSG(request.source.size() == request.geom->volume(),
                  "source size must match the lattice volume");
+  LQCD_CHECK_MSG(request.gauge->geometry().dims() == request.geom->dims(),
+                 "the gauge field's lattice must match the request geometry");
+  // A lattice the service's block cannot tile would fail only at
+  // dispatch, inside the setup build.
+  DomainPartition::check_tiling(*request.geom, config_.solver.block);
   // Refuse at the boundary every field no solve can honor.
   LQCD_CHECK_MSG(all_finite(request.source),
                  "source must be finite (it has a NaN or Inf entry)");
@@ -115,7 +122,17 @@ void SolverService::refuse_stale(std::vector<PendingRequest> batch) {
   }
 }
 
-void SolverService::dispatch(std::vector<PendingRequest> batch) {
+void SolverService::fail(std::vector<PendingRequest> batch,
+                         const std::exception_ptr& error) {
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_.completed += static_cast<std::uint64_t>(batch.size());
+  }
+  for (auto& p : batch) p.promise.set_exception(error);
+}
+
+std::vector<SolveResult> SolverService::solve(
+    std::vector<PendingRequest>& batch) {
   const int nrhs = static_cast<int>(batch.size());
   const SetupKey key = batch.front().key;
   const SolveRequest& head = batch.front().request;
@@ -123,18 +140,14 @@ void SolverService::dispatch(std::vector<PendingRequest> batch) {
   bool cache_hit = false;
   std::shared_ptr<CachedConfiguration> conf = cache_.acquire(
       key, *head.geom, *head.gauge, config_.solver, &cache_hit);
-  if (conf == nullptr) {
-    // The gauge field no longer matches the submit-time key: the client
-    // mutated it in flight. Refuse the whole batch with the structured
-    // stale-setup breakdown (nothing was cached, no arithmetic ran).
-    refuse_stale(std::move(batch));
-    return;
-  }
+  // The gauge field no longer matches the submit-time key: the client
+  // mutated it in flight (nothing was cached, no arithmetic ran).
+  if (conf == nullptr) return {};
 
   // Lease a solver context; blocks (condition variable, no spin) when the
   // configuration caps its pool (in-solve ABFT repair mutates shared
   // packed data) and every context is leased by a concurrent dispatch.
-  CachedConfiguration::Context* ctx = conf->acquire_context();
+  CachedConfiguration::Lease ctx(*conf);
 
   std::vector<double> queue_seconds(static_cast<std::size_t>(nrhs));
   std::vector<FermionField<double>> b;
@@ -155,11 +168,8 @@ void SolverService::dispatch(std::vector<PendingRequest> batch) {
   Timer solve_timer;
   std::vector<SolverStats> stats = ctx->solver->solve_batch(b, x, options);
   const double solve_seconds = solve_timer.seconds();
-  conf->release(ctx);
 
   std::vector<SolveResult> results(static_cast<std::size_t>(nrhs));
-  std::uint64_t n_converged = 0;
-  std::uint64_t n_deadline_missed = 0;
   for (int i = 0; i < nrhs; ++i) {
     const auto li = static_cast<std::size_t>(i);
     SolveResult& res = results[li];
@@ -174,26 +184,47 @@ void SolverService::dispatch(std::vector<PendingRequest> batch) {
     res.setup_cache_hit = cache_hit;
     const double deadline = batch[li].request.deadline_seconds;
     res.deadline_missed = deadline > 0.0 && res.total_seconds > deadline;
+  }
+  return results;
+}
+
+void SolverService::dispatch(std::vector<PendingRequest> batch) {
+  std::vector<SolveResult> results;
+  try {
+    results = solve(batch);
+  } catch (...) {
+    // A batch no solve can honor (a singular clover term, say) fails
+    // every one of its futures with the error; the worker keeps serving.
+    fail(std::move(batch), std::current_exception());
+    return;
+  }
+  if (results.empty()) {
+    refuse_stale(std::move(batch));
+    return;
+  }
+
+  const auto nrhs = static_cast<std::uint64_t>(results.size());
+  std::uint64_t n_converged = 0;
+  std::uint64_t n_deadline_missed = 0;
+  for (const SolveResult& res : results) {
     if (res.stats.converged) ++n_converged;
     if (res.deadline_missed) ++n_deadline_missed;
   }
-
   // Commit the counters BEFORE fulfilling any promise: a client that
   // observed its future ready must find this batch already reflected in
   // stats().
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.completed += static_cast<std::uint64_t>(nrhs);
+    stats_.completed += nrhs;
     ++stats_.batches;
-    if (nrhs < config_.batch.max_lanes) ++stats_.partial_batches;
-    stats_.lanes_solved += static_cast<std::uint64_t>(nrhs);
+    if (nrhs < static_cast<std::uint64_t>(config_.batch.max_lanes))
+      ++stats_.partial_batches;
+    stats_.lanes_solved += nrhs;
     stats_.converged += n_converged;
     stats_.deadline_misses += n_deadline_missed;
   }
-  for (int i = 0; i < nrhs; ++i) {
-    const auto li = static_cast<std::size_t>(i);
-    batch[li].promise.set_value(std::move(results[li]));
-  }
+  for (std::size_t i = 0; i < results.size(); ++i)
+    batch[i].promise.set_value(std::move(results[i]));
 }
 
 }  // namespace lqcd

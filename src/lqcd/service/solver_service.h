@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -51,7 +52,7 @@ struct SolverServiceConfig {
 /// which is what the 1-vs-N-thread parity test pins down.
 struct ServiceStats {
   std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
+  std::uint64_t completed = 0;  ///< futures made ready, errors included
   std::uint64_t batches = 0;
   std::uint64_t partial_batches = 0;  ///< dispatched below max_lanes
   std::uint64_t lanes_solved = 0;
@@ -88,8 +89,12 @@ class SolverService {
   /// refused: the returned future carries an lqcd::Error instead of
   /// blocking forever on a promise no worker will ever fulfill. Throws
   /// lqcd::Error, and queues nothing, on a request without geometry or
-  /// gauge field, a source of the wrong size, a non-finite mass or csw, a
-  /// tolerance outside (0, 1), or a negative or non-finite deadline.
+  /// gauge field, a gauge field on another lattice, a lattice the
+  /// configured block cannot tile (DomainPartition::check_tiling), a
+  /// source of the wrong size, a non-finite mass or csw, a tolerance
+  /// outside (0, 1), or a negative or non-finite deadline. A request that
+  /// passes these checks but whose setup or solve throws (a singular
+  /// clover term, say) gets that exception through its future.
   std::future<SolveResult> submit(SolveRequest request);
 
   /// Dispatch queued requests inline on the calling thread until the
@@ -106,8 +111,15 @@ class SolverService {
 
  private:
   void worker_loop();
-  /// Run one batch end-to-end and fulfill its promises.
+  /// Run one batch end-to-end and fulfill its promises: with results, with
+  /// the stale-setup refusal, or with the exception its solve threw.
   void dispatch(std::vector<PendingRequest> batch);
+  /// The batch's results, or none when its gauge field was mutated
+  /// between submit() and dispatch. Throws what the setup or solve throws.
+  std::vector<SolveResult> solve(std::vector<PendingRequest>& batch);
+  /// Fulfill every promise of a batch with `error`.
+  void fail(std::vector<PendingRequest> batch,
+            const std::exception_ptr& error);
   /// Fulfill every promise of a batch whose gauge field was mutated
   /// between submit() and dispatch with Breakdown::kStaleSetup.
   void refuse_stale(std::vector<PendingRequest> batch);

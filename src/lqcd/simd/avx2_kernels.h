@@ -1,21 +1,27 @@
 // AVX2+FMA+F16C implementations of the dispatched kernels.
 //
-// INTERNAL to src/lqcd/simd/: included by backend_avx2.cpp (and by
-// backend_avx512.cpp for the kernels it does not widen). Compiles to real
-// code only when the translation unit has AVX2, FMA and F16C enabled;
-// otherwise the backend reports "not compiled" and dispatch never lands
-// here.
+// INTERNAL to src/lqcd/simd/: included by backend_avx2.cpp, and by
+// backend_avx512.cpp for su3_mul_nn, the FMA chunk bodies and the
+// one-lane MR kernels. Compiles to real code only when the translation
+// unit has AVX2, FMA and F16C enabled; otherwise the backend reports
+// "not compiled" and dispatch never lands here.
+//
+// The backend is its vector traits (Ymm 8 lanes, Xmm 4, masked XmmTail),
+// its chunk list {Ymm, Xmm} + XmmTail, and its one-lane kernels. Every
+// lane kernel at two or more lanes is the chunk loop of
+// simd/dslash_lanes.h over that list.
 //
 // Numerics: su3_mul_nn, xpay, the dslash and the face pack use separate
 // mul+add in exactly the scalar accumulation order (j = 0, 1, 2), so they
 // are bit-identical to the scalar backend. clover_lanes and the MR kernels
 // use FMA: per-term rounding differs from scalar at the last bit (<= 1e-6
-// relative after accumulation), which the dispatch contract allows. Every
-// lane of them, vector chunk or tail, runs the same FMA sequence, so a
-// lane's result does not depend on its position in the batch and the
-// AVX-512 backend (same sequence) agrees bitwise. Tails are masked 4-lane
-// chunks or explicit std::fma chains, never plain scalar code; this TU
-// compiles with -ffp-contract=off like every other backend.
+// relative after accumulation), which the dispatch contract allows. Their
+// chunk bodies (clover_site, mr_dots_chunk, mr_axpy_chunk) are written
+// once over the vector traits and serve avx2 and avx512 alike, and the
+// one-lane kernels run the same per-lane FMA sequence, so a lane's result
+// does not depend on its position in the batch or on the backend's chunk
+// widths: avx2 and avx512 agree bitwise. This TU compiles with
+// -ffp-contract=off like every other backend.
 //
 // One lane (a batch of one) runs kernels vectorized within the site: a
 // spinor's spin pair (r0, r1) at one color is one __m128 [r0 re, r0 im,
@@ -24,6 +30,7 @@
 // sequence of the lane kernels.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 
 #include "lqcd/simd/scalar_kernels.h"
@@ -77,17 +84,32 @@ inline void su3_mul_nn(const float* a, const float* b, float* c,
     ref::su3_mul_nn_one(a + (n - 1) * 18, b + (n - 1) * 18, c + (n - 1) * 18);
 }
 
-/// Vector traits of simd/dslash_lanes.h and clover_site(): 8 lanes per
-/// __m256, 4 per __m128, and a masked __m128 for the last lanes % 4.
-/// fmadd(a, b, c) = a * b + c and fnmadd(a, b, c) = c - a * b, each
-/// rounded once.
+/// Vector traits of simd/dslash_lanes.h and the FMA chunk bodies below:
+/// 8 lanes per __m256, 4 per __m128, and a masked __m128 for the last
+/// lanes % 4. fmadd(a, b, c) = a * b + c and fnmadd(a, b, c) = c - a * b,
+/// each rounded once. dreg holds a chunk's lanes in double (the MR inner
+/// products).
 struct Ymm {
   using reg = __m256;
+  struct dreg {
+    __m256d lo, hi;
+  };
   static constexpr int width = 8;
   reg load(const float* p) const noexcept { return _mm256_loadu_ps(p); }
   void store(float* p, reg x) const noexcept { _mm256_storeu_ps(p, x); }
+  dreg load(const double* p) const noexcept {
+    return {_mm256_loadu_pd(p), _mm256_loadu_pd(p + 4)};
+  }
+  void store(double* p, dreg x) const noexcept {
+    _mm256_storeu_pd(p, x.lo);
+    _mm256_storeu_pd(p + 4, x.hi);
+  }
   static reg zero() noexcept { return _mm256_setzero_ps(); }
   static reg set1(float x) noexcept { return _mm256_set1_ps(x); }
+  static dreg widen(reg x) noexcept {
+    return {_mm256_cvtps_pd(_mm256_castps256_ps128(x)),
+            _mm256_cvtps_pd(_mm256_extractf128_ps(x, 1))};
+  }
   static reg add(reg a, reg b) noexcept { return _mm256_add_ps(a, b); }
   static reg sub(reg a, reg b) noexcept { return _mm256_sub_ps(a, b); }
   static reg mul(reg a, reg b) noexcept { return _mm256_mul_ps(a, b); }
@@ -97,15 +119,27 @@ struct Ymm {
   static reg fnmadd(reg a, reg b, reg c) noexcept {
     return _mm256_fnmadd_ps(a, b, c);
   }
+  static dreg fmadd(dreg a, dreg b, dreg c) noexcept {
+    return {_mm256_fmadd_pd(a.lo, b.lo, c.lo),
+            _mm256_fmadd_pd(a.hi, b.hi, c.hi)};
+  }
+  static dreg fnmadd(dreg a, dreg b, dreg c) noexcept {
+    return {_mm256_fnmadd_pd(a.lo, b.lo, c.lo),
+            _mm256_fnmadd_pd(a.hi, b.hi, c.hi)};
+  }
 };
 
 struct Xmm {
   using reg = __m128;
+  using dreg = __m256d;
   static constexpr int width = 4;
   reg load(const float* p) const noexcept { return _mm_loadu_ps(p); }
   void store(float* p, reg x) const noexcept { _mm_storeu_ps(p, x); }
+  dreg load(const double* p) const noexcept { return _mm256_loadu_pd(p); }
+  void store(double* p, dreg x) const noexcept { _mm256_storeu_pd(p, x); }
   static reg zero() noexcept { return _mm_setzero_ps(); }
   static reg set1(float x) noexcept { return _mm_set1_ps(x); }
+  static dreg widen(reg x) noexcept { return _mm256_cvtps_pd(x); }
   static reg add(reg a, reg b) noexcept { return _mm_add_ps(a, b); }
   static reg sub(reg a, reg b) noexcept { return _mm_sub_ps(a, b); }
   static reg mul(reg a, reg b) noexcept { return _mm_mul_ps(a, b); }
@@ -115,18 +149,30 @@ struct Xmm {
   static reg fnmadd(reg a, reg b, reg c) noexcept {
     return _mm_fnmadd_ps(a, b, c);
   }
+  static dreg fmadd(dreg a, dreg b, dreg c) noexcept {
+    return _mm256_fmadd_pd(a, b, c);
+  }
+  static dreg fnmadd(dreg a, dreg b, dreg c) noexcept {
+    return _mm256_fnmadd_pd(a, b, c);
+  }
 };
 
-/// A masked Xmm for the last lanes % 4: lane l is live iff l < rem.
+/// A masked Xmm for the last lanes % 4: lane l is live iff l < live.
 struct XmmTail : Xmm {
   __m128i m;
+  explicit XmmTail(int live) noexcept
+      : m(_mm_cmpgt_epi32(_mm_set1_epi32(live), _mm_setr_epi32(0, 1, 2, 3))) {}
   reg load(const float* p) const noexcept { return _mm_maskload_ps(p, m); }
   void store(float* p, reg x) const noexcept { _mm_maskstore_ps(p, m, x); }
+  dreg load(const double* p) const noexcept {
+    return _mm256_maskload_pd(p, _mm256_cvtepi32_epi64(m));
+  }
+  void store(double* p, dreg x) const noexcept {
+    _mm256_maskstore_pd(p, _mm256_cvtepi32_epi64(m), x);
+  }
 };
 
-inline __m128i tail_mask4(int rem) noexcept {
-  return _mm_cmpgt_epi32(_mm_set1_epi32(rem), _mm_setr_epi32(0, 1, 2, 3));
-}
+using Chunks = detail::ChunkList<XmmTail, Ymm, Xmm>;
 
 /// One site's clover block pair (Kernels::clover_lanes) on one chunk of
 /// lanes; `x` and `y` point at the chunk's first lane. Row i of each
@@ -162,6 +208,55 @@ template <class V>
       v.store(y0 + 2 * i * lanes, acc_re);
       v.store(y0 + (2 * i + 1) * lanes, acc_im);
     }
+  }
+}
+
+/// The MR inner products of one chunk of lanes from lane c, in double:
+/// two FMAs per component and accumulator, in component order (the
+/// sequence of mr_dots_one).
+template <class V>
+[[gnu::always_inline]] inline void mr_dots_chunk(
+    const V& v, const float* r, const float* ar, std::int64_t ncomplex,
+    int lanes, std::int64_t c, double* arr_re, double* arr_im,
+    double* arar) noexcept {
+  auto srr = v.load(arr_re + c), sri = v.load(arr_im + c),
+       saa = v.load(arar + c);
+  for (std::int64_t k = 0; k < ncomplex; ++k) {
+    const float* br = r + 2 * k * lanes + c;
+    const float* ba = ar + 2 * k * lanes + c;
+    const auto rr = V::widen(v.load(br)), ri = V::widen(v.load(br + lanes));
+    const auto ad = V::widen(v.load(ba)), ai = V::widen(v.load(ba + lanes));
+    srr = V::fmadd(ad, rr, srr);
+    srr = V::fmadd(ai, ri, srr);
+    sri = V::fmadd(ad, ri, sri);
+    sri = V::fnmadd(ai, rr, sri);
+    saa = V::fmadd(ad, ad, saa);
+    saa = V::fmadd(ai, ai, saa);
+  }
+  v.store(arr_re + c, srr);
+  v.store(arr_im + c, sri);
+  v.store(arar + c, saa);
+}
+
+/// The MR update of one chunk of lanes from lane c: z += alpha r and
+/// r -= alpha Ar, two FMAs per component (the sequence of mr_axpy_one).
+template <class V>
+[[gnu::always_inline]] inline void mr_axpy_chunk(
+    const V& v, float* z, float* r, const float* ar, std::int64_t ncomplex,
+    int lanes, std::int64_t c, const float* alpha_re,
+    const float* alpha_im) noexcept {
+  const auto alr = v.load(alpha_re + c), ali = v.load(alpha_im + c);
+  for (std::int64_t k = 0; k < ncomplex; ++k) {
+    float* zre = z + 2 * k * lanes + c;
+    float* rre = r + 2 * k * lanes + c;
+    const float* are = ar + 2 * k * lanes + c;
+    const auto vrr = v.load(rre), vri = v.load(rre + lanes);
+    const auto var = v.load(are), vai = v.load(are + lanes);
+    v.store(zre, V::fnmadd(ali, vri, V::fmadd(alr, vrr, v.load(zre))));
+    v.store(zre + lanes,
+            V::fmadd(ali, vrr, V::fmadd(alr, vri, v.load(zre + lanes))));
+    v.store(rre, V::fmadd(ali, vai, V::fnmadd(alr, var, vrr)));
+    v.store(rre + lanes, V::fnmadd(ali, var, V::fnmadd(alr, vai, vri)));
   }
 }
 
@@ -352,30 +447,15 @@ template <int Mu, bool Forward>
 
 }  // namespace one
 
-/// The whole-domain lane dslash: one lane within the site, otherwise
-/// 8-lane chunks, then 4, then a masked 4.
 inline void dslash_lanes(const float* links, const std::int32_t* nbr,
                          std::int32_t l0, std::int32_t in_off,
                          std::int32_t nsites, const float* in, float* out,
                          int lanes) noexcept {
-  if (lanes == 1) {
+  if (lanes == 1)
     one::dslash(links, nbr, l0, in_off, nsites, in, out);
-    return;
-  }
-  for (std::int32_t i = 0; i < nsites; ++i) {
-    float* o = out + static_cast<std::size_t>(i) * kSpinorReals *
-                         static_cast<std::size_t>(lanes);
-    int c = 0;
-    for (; c + Ymm::width <= lanes; c += Ymm::width)
-      detail::dslash_site(Ymm{}, links, nbr, l0 + i, in_off, in + c, o + c,
-                          lanes);
-    for (; c + Xmm::width <= lanes; c += Xmm::width)
-      detail::dslash_site(Xmm{}, links, nbr, l0 + i, in_off, in + c, o + c,
-                          lanes);
-    if (c < lanes)
-      detail::dslash_site(XmmTail{{}, tail_mask4(lanes - c)}, links, nbr,
-                          l0 + i, in_off, in + c, o + c, lanes);
-  }
+  else
+    detail::dslash_chunks<Chunks>(links, nbr, l0, in_off, nsites, in, out,
+                                  lanes);
 }
 
 inline void pack_faces_lanes(const float* links,
@@ -383,28 +463,15 @@ inline void pack_faces_lanes(const float* links,
                              const std::int32_t* face_size, const float* z,
                              int lanes, int nrhs, float* out,
                              std::int64_t rhs_stride) noexcept {
-  if (lanes == 1) {
-    detail::for_each_face_site(
-        links, face_sites, face_size, z, 1, out,
-        []<int Mu, bool Forward>(const float* u, const float* zs, float* o) {
-          one::pack_site<Mu, Forward>(u, zs, o);
-        });
+  if (lanes > 1) {
+    detail::pack_faces_chunks<Chunks>(links, face_sites, face_size, z, lanes,
+                                      nrhs, out, rhs_stride);
     return;
   }
   detail::for_each_face_site(
-      links, face_sites, face_size, z, lanes, out,
-      [&]<int Mu, bool Forward>(const float* u, const float* zs, float* o) {
-        int c = 0;
-        for (; c + Ymm::width <= lanes && c < nrhs; c += Ymm::width)
-          detail::pack_chunk<Mu, Forward>(Ymm{}, u, zs, lanes, c, nrhs, o,
-                                          rhs_stride);
-        for (; c + Xmm::width <= lanes && c < nrhs; c += Xmm::width)
-          detail::pack_chunk<Mu, Forward>(Xmm{}, u, zs, lanes, c, nrhs, o,
-                                          rhs_stride);
-        if (c < lanes && c < nrhs)
-          detail::pack_chunk<Mu, Forward>(XmmTail{{}, tail_mask4(lanes - c)},
-                                          u, zs, lanes, c, nrhs, o,
-                                          rhs_stride);
+      links, face_sites, face_size, z, 1, out,
+      []<int Mu, bool Forward>(const float* u, const float* zs, float* o) {
+        one::pack_site<Mu, Forward>(u, zs, o);
       });
 }
 
@@ -421,38 +488,26 @@ inline void clover_lanes(const float* blocks, std::int32_t nsites,
       one::clover_pair(b, x, y);
       continue;
     }
-    int c = 0;
-    for (; c + Ymm::width <= lanes; c += Ymm::width)
-      clover_site(Ymm{}, b, x + c, y + c, lanes);
-    for (; c + Xmm::width <= lanes; c += Xmm::width)
-      clover_site(Xmm{}, b, x + c, y + c, lanes);
-    if (c < lanes)
-      clover_site(XmmTail{{}, tail_mask4(lanes - c)}, b, x + c, y + c, lanes);
+    detail::for_each_chunk(Chunks{}, lanes, lanes,
+                           [&](const auto& v, std::int64_t c) {
+                             clover_site(v, b, x + c, y + c, lanes);
+                           });
   }
 }
+
 inline void xpay_lanes(const float* x, float s, const float* y, float* out,
                        std::int64_t n) noexcept {
-  const __m256 vs = _mm256_set1_ps(s);
-  std::int64_t k = 0;
-  for (; k + 8 <= n; k += 8)
-    _mm256_storeu_ps(out + k,
-                     _mm256_add_ps(_mm256_loadu_ps(x + k),
-                                   _mm256_mul_ps(vs, _mm256_loadu_ps(y + k))));
-  for (; k < n; ++k) out[k] = x[k] + s * y[k];
+  detail::xpay_chunks<Chunks>(x, s, y, out, n);
 }
 
-/// The MR inner products of lane l exactly as a vector chunk computes
-/// them: two FMAs per component and accumulator, in component order.
-inline void mr_dots_lane(const float* r, const float* ar,
-                         std::int64_t ncomplex, int lanes, int l,
-                         double* arr_re, double* arr_im,
-                         double* arar) noexcept {
-  double srr = arr_re[l], sri = arr_im[l], saa = arar[l];
+/// The MR inner products of one lane: mr_dots_chunk()'s FMA sequence.
+inline void mr_dots_one(const float* r, const float* ar,
+                        std::int64_t ncomplex, double* arr_re,
+                        double* arr_im, double* arar) noexcept {
+  double srr = *arr_re, sri = *arr_im, saa = *arar;
   for (std::int64_t k = 0; k < ncomplex; ++k) {
-    const double rr = r[2 * k * lanes + l];
-    const double ri = r[(2 * k + 1) * lanes + l];
-    const double ad = ar[2 * k * lanes + l];
-    const double ai = ar[(2 * k + 1) * lanes + l];
+    const double rr = r[2 * k], ri = r[2 * k + 1];
+    const double ad = ar[2 * k], ai = ar[2 * k + 1];
     srr = std::fma(ad, rr, srr);
     srr = std::fma(ai, ri, srr);
     sri = std::fma(ad, ri, sri);
@@ -460,71 +515,16 @@ inline void mr_dots_lane(const float* r, const float* ar,
     saa = std::fma(ad, ad, saa);
     saa = std::fma(ai, ai, saa);
   }
-  arr_re[l] = srr;
-  arr_im[l] = sri;
-  arar[l] = saa;
+  *arr_re = srr;
+  *arr_im = sri;
+  *arar = saa;
 }
 
-/// mr_dots_lanes on lanes [lc, lanes): 4-lane chunks, then single lanes.
-inline void mr_dots_range(const float* r, const float* ar,
-                          std::int64_t ncomplex, int lanes, int lc,
-                          double* arr_re, double* arr_im,
-                          double* arar) noexcept {
-  for (; lc + 4 <= lanes; lc += 4) {
-    __m256d vrr = _mm256_loadu_pd(arr_re + lc);
-    __m256d vri = _mm256_loadu_pd(arr_im + lc);
-    __m256d vaa = _mm256_loadu_pd(arar + lc);
-    for (std::int64_t k = 0; k < ncomplex; ++k) {
-      const float* base_r = r + 2 * k * lanes + lc;
-      const float* base_a = ar + 2 * k * lanes + lc;
-      const __m256d rr = _mm256_cvtps_pd(_mm_loadu_ps(base_r));
-      const __m256d ri = _mm256_cvtps_pd(_mm_loadu_ps(base_r + lanes));
-      const __m256d ad = _mm256_cvtps_pd(_mm_loadu_ps(base_a));
-      const __m256d ai = _mm256_cvtps_pd(_mm_loadu_ps(base_a + lanes));
-      vrr = _mm256_fmadd_pd(ad, rr, vrr);
-      vrr = _mm256_fmadd_pd(ai, ri, vrr);
-      vri = _mm256_fmadd_pd(ad, ri, vri);
-      vri = _mm256_fnmadd_pd(ai, rr, vri);
-      vaa = _mm256_fmadd_pd(ad, ad, vaa);
-      vaa = _mm256_fmadd_pd(ai, ai, vaa);
-    }
-    _mm256_storeu_pd(arr_re + lc, vrr);
-    _mm256_storeu_pd(arr_im + lc, vri);
-    _mm256_storeu_pd(arar + lc, vaa);
-  }
-  for (; lc < lanes; ++lc)
-    mr_dots_lane(r, ar, ncomplex, lanes, lc, arr_re, arr_im, arar);
-}
-
-inline void mr_dots_lanes(const float* r, const float* ar,
-                          std::int64_t ncomplex, int lanes, double* arr_re,
-                          double* arr_im, double* arar) noexcept {
-  mr_dots_range(r, ar, ncomplex, lanes, 0, arr_re, arr_im, arar);
-}
-
-/// The MR update of lane l exactly as a vector chunk computes it.
-inline void mr_axpy_lane(float* z, float* r, const float* ar,
-                         std::int64_t ncomplex, int lanes, int l, float alr,
-                         float ali) noexcept {
-  for (std::int64_t k = 0; k < ncomplex; ++k) {
-    float* zre = z + 2 * k * lanes + l;
-    float* zim = zre + lanes;
-    float* rre = r + 2 * k * lanes + l;
-    float* rim = rre + lanes;
-    const float are = ar[2 * k * lanes + l];
-    const float aim = ar[(2 * k + 1) * lanes + l];
-    const float rr = *rre, ri = *rim;
-    *zre = std::fma(-ali, ri, std::fma(alr, rr, *zre));
-    *zim = std::fma(ali, rr, std::fma(alr, ri, *zim));
-    *rre = std::fma(ali, aim, std::fma(-alr, are, rr));
-    *rim = std::fma(-ali, are, std::fma(-alr, aim, ri));
-  }
-}
-
-/// One lane, within the site: at one lane a component's real and
-/// imaginary parts are adjacent, so each __m256 holds four complex
-/// numbers and a pair swap lines up the cross terms. Same FMA sequence
-/// per component as mr_axpy_lane.
+/// The MR update of one lane, within the site: at one lane a component's
+/// real and imaginary parts are adjacent, so each __m256 holds four
+/// complex numbers and a pair swap lines up the cross terms. Same FMA
+/// sequence per component as mr_axpy_chunk(); the last one to three
+/// complex numbers run the same step on zero-padded copies.
 inline void mr_axpy_one(float* z, float* r, const float* ar,
                         std::int64_t ncomplex, float alr,
                         float ali) noexcept {
@@ -534,94 +534,61 @@ inline void mr_axpy_one(float* z, float* r, const float* ar,
                                       ali);
   const __m256 r_ali = _mm256_setr_ps(ali, -ali, ali, -ali, ali, -ali, ali,
                                       -ali);
-  std::int64_t k = 0;
-  for (; k + 4 <= ncomplex; k += 4) {
-    const __m256 vr = _mm256_loadu_ps(r + 2 * k);
-    const __m256 va = _mm256_loadu_ps(ar + 2 * k);
-    __m256 vz = _mm256_fmadd_ps(valr, vr, _mm256_loadu_ps(z + 2 * k));
+  const auto step = [&](float* zk, float* rk, const float* ak) {
+    const __m256 vr = _mm256_loadu_ps(rk);
+    const __m256 va = _mm256_loadu_ps(ak);
+    __m256 vz = _mm256_fmadd_ps(valr, vr, _mm256_loadu_ps(zk));
     vz = _mm256_fmadd_ps(z_ali, swap_pairs(vr), vz);
-    _mm256_storeu_ps(z + 2 * k, vz);
+    _mm256_storeu_ps(zk, vz);
     __m256 nr = _mm256_fnmadd_ps(valr, va, vr);
     nr = _mm256_fmadd_ps(r_ali, swap_pairs(va), nr);
-    _mm256_storeu_ps(r + 2 * k, nr);
+    _mm256_storeu_ps(rk, nr);
+  };
+  std::int64_t k = 0;
+  for (; k + 4 <= ncomplex; k += 4) step(z + 2 * k, r + 2 * k, ar + 2 * k);
+  if (k < ncomplex) {
+    const std::int64_t n = 2 * (ncomplex - k);
+    float zt[8] = {}, rt[8] = {}, at[8] = {};
+    std::copy_n(z + 2 * k, n, zt);
+    std::copy_n(r + 2 * k, n, rt);
+    std::copy_n(ar + 2 * k, n, at);
+    step(zt, rt, at);
+    std::copy_n(zt, n, z + 2 * k);
+    std::copy_n(rt, n, r + 2 * k);
   }
-  if (k < ncomplex)
-    mr_axpy_lane(z + 2 * k, r + 2 * k, ar + 2 * k, ncomplex - k, 1, 0, alr,
-                 ali);
 }
 
-/// mr_axpy_lanes on lanes [lc, lanes): 8-lane chunks, 4-lane chunks, then
-/// single lanes.
-inline void mr_axpy_range(float* z, float* r, const float* ar,
-                          std::int64_t ncomplex, int lanes, int lc,
-                          const float* alpha_re,
-                          const float* alpha_im) noexcept {
-  for (; lc + 8 <= lanes; lc += 8) {
-    const __m256 alr = _mm256_loadu_ps(alpha_re + lc);
-    const __m256 ali = _mm256_loadu_ps(alpha_im + lc);
-    for (std::int64_t k = 0; k < ncomplex; ++k) {
-      float* zre = z + 2 * k * lanes + lc;
-      float* rre = r + 2 * k * lanes + lc;
-      const float* are = ar + 2 * k * lanes + lc;
-      const __m256 vrr = _mm256_loadu_ps(rre);
-      const __m256 vri = _mm256_loadu_ps(rre + lanes);
-      const __m256 var = _mm256_loadu_ps(are);
-      const __m256 vai = _mm256_loadu_ps(are + lanes);
-      __m256 vzr = _mm256_loadu_ps(zre);
-      __m256 vzi = _mm256_loadu_ps(zre + lanes);
-      vzr = _mm256_fmadd_ps(alr, vrr, vzr);
-      vzr = _mm256_fnmadd_ps(ali, vri, vzr);
-      vzi = _mm256_fmadd_ps(alr, vri, vzi);
-      vzi = _mm256_fmadd_ps(ali, vrr, vzi);
-      _mm256_storeu_ps(zre, vzr);
-      _mm256_storeu_ps(zre + lanes, vzi);
-      __m256 nrr = _mm256_fnmadd_ps(alr, var, vrr);
-      nrr = _mm256_fmadd_ps(ali, vai, nrr);
-      __m256 nri = _mm256_fnmadd_ps(alr, vai, vri);
-      nri = _mm256_fnmadd_ps(ali, var, nri);
-      _mm256_storeu_ps(rre, nrr);
-      _mm256_storeu_ps(rre + lanes, nri);
-    }
+/// Kernels::mr_dots_lanes of a wide backend with chunk list C.
+template <class C>
+inline void mr_dots_lanes(const float* r, const float* ar,
+                          std::int64_t ncomplex, int lanes, double* arr_re,
+                          double* arr_im, double* arar) noexcept {
+  if (lanes == 1) {
+    mr_dots_one(r, ar, ncomplex, arr_re, arr_im, arar);
+    return;
   }
-  for (; lc + 4 <= lanes; lc += 4) {
-    const __m128 alr = _mm_loadu_ps(alpha_re + lc);
-    const __m128 ali = _mm_loadu_ps(alpha_im + lc);
-    for (std::int64_t k = 0; k < ncomplex; ++k) {
-      float* zre = z + 2 * k * lanes + lc;
-      float* rre = r + 2 * k * lanes + lc;
-      const float* are = ar + 2 * k * lanes + lc;
-      const __m128 vrr = _mm_loadu_ps(rre);
-      const __m128 vri = _mm_loadu_ps(rre + lanes);
-      const __m128 var = _mm_loadu_ps(are);
-      const __m128 vai = _mm_loadu_ps(are + lanes);
-      __m128 vzr = _mm_loadu_ps(zre);
-      __m128 vzi = _mm_loadu_ps(zre + lanes);
-      vzr = _mm_fmadd_ps(alr, vrr, vzr);
-      vzr = _mm_fnmadd_ps(ali, vri, vzr);
-      vzi = _mm_fmadd_ps(alr, vri, vzi);
-      vzi = _mm_fmadd_ps(ali, vrr, vzi);
-      _mm_storeu_ps(zre, vzr);
-      _mm_storeu_ps(zre + lanes, vzi);
-      __m128 nrr = _mm_fnmadd_ps(alr, var, vrr);
-      nrr = _mm_fmadd_ps(ali, vai, nrr);
-      __m128 nri = _mm_fnmadd_ps(alr, vai, vri);
-      nri = _mm_fnmadd_ps(ali, var, nri);
-      _mm_storeu_ps(rre, nrr);
-      _mm_storeu_ps(rre + lanes, nri);
-    }
-  }
-  for (; lc < lanes; ++lc)
-    mr_axpy_lane(z, r, ar, ncomplex, lanes, lc, alpha_re[lc], alpha_im[lc]);
+  detail::for_each_chunk(C{}, lanes, lanes,
+                         [&](const auto& v, std::int64_t c) {
+                           mr_dots_chunk(v, r, ar, ncomplex, lanes, c, arr_re,
+                                         arr_im, arar);
+                         });
 }
 
+/// Kernels::mr_axpy_lanes of a wide backend with chunk list C.
+template <class C>
 inline void mr_axpy_lanes(float* z, float* r, const float* ar,
                           std::int64_t ncomplex, int lanes,
                           const float* alpha_re,
                           const float* alpha_im) noexcept {
-  if (lanes == 1)
+  if (lanes == 1) {
     mr_axpy_one(z, r, ar, ncomplex, alpha_re[0], alpha_im[0]);
-  else
-    mr_axpy_range(z, r, ar, ncomplex, lanes, 0, alpha_re, alpha_im);
+    return;
+  }
+  detail::for_each_chunk(C{}, lanes, lanes,
+                         [&](const auto& v, std::int64_t c) {
+                           mr_axpy_chunk(v, z, r, ar, ncomplex, lanes, c,
+                                         alpha_re, alpha_im);
+                         });
 }
 
 inline void float_to_half_n(const float* src, Half* dst,

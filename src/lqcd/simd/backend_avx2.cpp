@@ -17,8 +17,8 @@ constexpr Kernels kAvx2Kernels = {
     &a2::clover_lanes,
     &a2::xpay_lanes,
     &a2::pack_faces_lanes,
-    &a2::mr_dots_lanes,
-    &a2::mr_axpy_lanes,
+    &a2::mr_dots_lanes<a2::Chunks>,
+    &a2::mr_axpy_lanes<a2::Chunks>,
     &a2::float_to_half_n,
     &a2::half_to_float_n,
     4,  // lane_width: the 8- and 4-wide paths leave no scalar tail

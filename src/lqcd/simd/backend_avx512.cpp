@@ -1,10 +1,13 @@
-// AVX-512 backend: 16-lane masked versions of the hot lane kernels (the
-// mask makes the lane tail free — no scalar remainder), reusing the AVX2
-// implementations for su3_mul_nn and for the MR kernels' lanes beyond the
-// last full 16. Compiled with -mavx512f -mavx512vl -mavx512bw -mavx512dq
-// plus the AVX2 set and -ffp-contract=off.
+// AVX-512 backend: its vector traits (Zmm, 16 lanes per __m512, and the
+// masked ZmmTail, so a lane tail is one masked chunk), its chunk list
+// {Zmm} + ZmmTail, and its one-lane kernels. Every lane kernel at two or
+// more lanes is the chunk loop of simd/dslash_lanes.h over that list,
+// with the chunk bodies avx2 uses (a2::clover_site, a2::mr_dots_chunk,
+// a2::mr_axpy_chunk: one pass per 16 lanes). su3_mul_nn and the one-lane
+// MR kernels are the AVX2 ones. Compiled with -mavx512f -mavx512vl
+// -mavx512bw -mavx512dq plus the AVX2 set and -ffp-contract=off.
 //
-// Numerics match the AVX2 backend kernel-for-kernel: the bit-identical
+// Numerics match the AVX2 backend kernel-for-kernel: the bit-exact
 // kernels (su3 multiply, dslash, face pack, xpay) use separate
 // mul+add in scalar accumulation order; clover and MR use the per-lane FMA
 // sequence of the AVX2 kernels, which is width-independent, so avx512 ==
@@ -31,19 +34,33 @@
 
 namespace lqcd::simd::a5 {
 
-inline __mmask16 tail_mask(int rem) noexcept {
-  return static_cast<__mmask16>((1u << rem) - 1u);
-}
-
-/// Vector traits of simd/dslash_lanes.h and a2::clover_site(): 16 lanes
-/// per __m512, and a masked variant for the last lanes % 16.
+/// Vector traits of simd/dslash_lanes.h and the a2:: FMA chunk bodies:
+/// 16 lanes per __m512 (as doubles, two __m512d), and a masked variant
+/// for the last lanes % 16.
 struct Zmm {
   using reg = __m512;
+  struct dreg {
+    __m512d lo, hi;
+  };
   static constexpr int width = 16;
   reg load(const float* p) const noexcept { return _mm512_loadu_ps(p); }
   void store(float* p, reg x) const noexcept { _mm512_storeu_ps(p, x); }
+  dreg load(const double* p) const noexcept {
+    return {_mm512_loadu_pd(p), _mm512_loadu_pd(p + 8)};
+  }
+  void store(double* p, dreg x) const noexcept {
+    _mm512_storeu_pd(p, x.lo);
+    _mm512_storeu_pd(p + 8, x.hi);
+  }
   static reg zero() noexcept { return _mm512_setzero_ps(); }
   static reg set1(float x) noexcept { return _mm512_set1_ps(x); }
+  /// (Zero-masked conversions and extracts: GCC 12 warns about the
+  /// undefined pass-through operand of the unmasked cvtps_pd and of
+  /// castps512_ps256.)
+  static dreg widen(reg x) noexcept {
+    return {_mm512_maskz_cvtps_pd(0xFF, _mm512_extractf32x8_ps(x, 0)),
+            _mm512_maskz_cvtps_pd(0xFF, _mm512_extractf32x8_ps(x, 1))};
+  }
   static reg add(reg a, reg b) noexcept { return _mm512_add_ps(a, b); }
   static reg sub(reg a, reg b) noexcept { return _mm512_sub_ps(a, b); }
   static reg mul(reg a, reg b) noexcept { return _mm512_mul_ps(a, b); }
@@ -53,15 +70,38 @@ struct Zmm {
   static reg fnmadd(reg a, reg b, reg c) noexcept {
     return _mm512_fnmadd_ps(a, b, c);
   }
+  static dreg fmadd(dreg a, dreg b, dreg c) noexcept {
+    return {_mm512_fmadd_pd(a.lo, b.lo, c.lo),
+            _mm512_fmadd_pd(a.hi, b.hi, c.hi)};
+  }
+  static dreg fnmadd(dreg a, dreg b, dreg c) noexcept {
+    return {_mm512_fnmadd_pd(a.lo, b.lo, c.lo),
+            _mm512_fnmadd_pd(a.hi, b.hi, c.hi)};
+  }
 };
 
+/// A masked Zmm for the last lanes % 16: lane l is live iff l < live.
 struct ZmmTail : Zmm {
   __mmask16 m;
+  explicit ZmmTail(int live) noexcept
+      : m(static_cast<__mmask16>((1u << live) - 1u)) {}
   reg load(const float* p) const noexcept {
     return _mm512_maskz_loadu_ps(m, p);
   }
   void store(float* p, reg x) const noexcept { _mm512_mask_storeu_ps(p, m, x); }
+  dreg load(const double* p) const noexcept {
+    return {_mm512_maskz_loadu_pd(lo8(), p),
+            _mm512_maskz_loadu_pd(hi8(), p + 8)};
+  }
+  void store(double* p, dreg x) const noexcept {
+    _mm512_mask_storeu_pd(p, lo8(), x.lo);
+    _mm512_mask_storeu_pd(p + 8, hi8(), x.hi);
+  }
+  __mmask8 lo8() const noexcept { return static_cast<__mmask8>(m); }
+  __mmask8 hi8() const noexcept { return static_cast<__mmask8>(m >> 8); }
 };
+
+using Chunks = detail::ChunkList<ZmmTail, Zmm>;
 
 // ---------------------------------------------------------------------------
 // One lane, vectorized within the site. The permute indices and sign masks
@@ -297,27 +337,15 @@ inline void clover_block(const float* b, const float* x, float* y) noexcept {
 
 }  // namespace one
 
-/// The whole-domain lane dslash: one lane within the site, otherwise
-/// 16-lane chunks and a masked tail.
 inline void dslash_lanes(const float* links, const std::int32_t* nbr,
                          std::int32_t l0, std::int32_t in_off,
                          std::int32_t nsites, const float* in, float* out,
                          int lanes) noexcept {
-  if (lanes == 1) {
+  if (lanes == 1)
     one::dslash(links, nbr, l0, in_off, nsites, in, out);
-    return;
-  }
-  for (std::int32_t i = 0; i < nsites; ++i) {
-    float* o = out + static_cast<std::size_t>(i) * kSpinorReals *
-                         static_cast<std::size_t>(lanes);
-    int c = 0;
-    for (; c + Zmm::width <= lanes; c += Zmm::width)
-      detail::dslash_site(Zmm{}, links, nbr, l0 + i, in_off, in + c, o + c,
-                          lanes);
-    if (c < lanes)
-      detail::dslash_site(ZmmTail{{}, tail_mask(lanes - c)}, links, nbr,
-                          l0 + i, in_off, in + c, o + c, lanes);
-  }
+  else
+    detail::dslash_chunks<Chunks>(links, nbr, l0, in_off, nsites, in, out,
+                                  lanes);
 }
 
 inline void pack_faces_lanes(const float* links,
@@ -325,25 +353,15 @@ inline void pack_faces_lanes(const float* links,
                              const std::int32_t* face_size, const float* z,
                              int lanes, int nrhs, float* out,
                              std::int64_t rhs_stride) noexcept {
-  if (lanes == 1) {
-    detail::for_each_face_site(
-        links, face_sites, face_size, z, 1, out,
-        []<int Mu, bool Forward>(const float* u, const float* zs, float* o) {
-          one::pack_site<Mu, Forward>(u, zs, o);
-        });
+  if (lanes > 1) {
+    detail::pack_faces_chunks<Chunks>(links, face_sites, face_size, z, lanes,
+                                      nrhs, out, rhs_stride);
     return;
   }
   detail::for_each_face_site(
-      links, face_sites, face_size, z, lanes, out,
-      [&]<int Mu, bool Forward>(const float* u, const float* zs, float* o) {
-        int c = 0;
-        for (; c + Zmm::width <= lanes && c < nrhs; c += Zmm::width)
-          detail::pack_chunk<Mu, Forward>(Zmm{}, u, zs, lanes, c, nrhs, o,
-                                          rhs_stride);
-        if (c < lanes && c < nrhs)
-          detail::pack_chunk<Mu, Forward>(ZmmTail{{}, tail_mask(lanes - c)},
-                                          u, zs, lanes, c, nrhs, o,
-                                          rhs_stride);
+      links, face_sites, face_size, z, 1, out,
+      []<int Mu, bool Forward>(const float* u, const float* zs, float* o) {
+        one::pack_site<Mu, Forward>(u, zs, o);
       });
 }
 
@@ -361,126 +379,16 @@ inline void clover_lanes(const float* blocks, std::int32_t nsites,
       one::clover_block(b + detail::kCloverBlockFloats, x + 12, y + 12);
       continue;
     }
-    int c = 0;
-    for (; c + Zmm::width <= lanes; c += Zmm::width)
-      a2::clover_site(Zmm{}, b, x + c, y + c, lanes);
-    if (c < lanes)
-      a2::clover_site(ZmmTail{{}, tail_mask(lanes - c)}, b, x + c, y + c,
-                      lanes);
+    detail::for_each_chunk(Chunks{}, lanes, lanes,
+                           [&](const auto& v, std::int64_t c) {
+                             a2::clover_site(v, b, x + c, y + c, lanes);
+                           });
   }
 }
 
 inline void xpay_lanes(const float* x, float s, const float* y, float* out,
                        std::int64_t n) noexcept {
-  const __m512 vs = _mm512_set1_ps(s);
-  std::int64_t k = 0;
-  for (; k + 16 <= n; k += 16)
-    _mm512_storeu_ps(
-        out + k, _mm512_add_ps(_mm512_loadu_ps(x + k),
-                               _mm512_mul_ps(vs, _mm512_loadu_ps(y + k))));
-  if (k < n) {
-    const __mmask16 m = tail_mask(static_cast<int>(n - k));
-    _mm512_mask_storeu_ps(
-        out + k, m,
-        _mm512_add_ps(_mm512_maskz_loadu_ps(m, x + k),
-                      _mm512_mul_ps(vs, _mm512_maskz_loadu_ps(m, y + k))));
-  }
-}
-
-/// Eight floats widened to double. (The zero-masked form: GCC 12 warns
-/// about the unmasked one's undefined pass-through operand.)
-inline __m512d widen(const float* p) noexcept {
-  return _mm512_maskz_cvtps_pd(0xFF, _mm256_loadu_ps(p));
-}
-
-/// One step of the MR inner products on 8 lanes (as a2::mr_dots_range).
-inline void mr_dots_step(__m512d ad, __m512d ai, __m512d rr, __m512d ri,
-                         __m512d& vrr, __m512d& vri, __m512d& vaa) noexcept {
-  vrr = _mm512_fmadd_pd(ad, rr, vrr);
-  vrr = _mm512_fmadd_pd(ai, ri, vrr);
-  vri = _mm512_fmadd_pd(ad, ri, vri);
-  vri = _mm512_fnmadd_pd(ai, rr, vri);
-  vaa = _mm512_fmadd_pd(ad, ad, vaa);
-  vaa = _mm512_fmadd_pd(ai, ai, vaa);
-}
-
-/// The MR inner products: one pass per 16 lanes (two __m512d of each
-/// accumulator), the rest through the AVX2 kernel's 4-lane and one-lane
-/// paths. Same per-lane FMA sequence everywhere.
-inline void mr_dots_lanes(const float* r, const float* ar,
-                          std::int64_t ncomplex, int lanes, double* arr_re,
-                          double* arr_im, double* arar) noexcept {
-  int lc = 0;
-  for (; lc + 16 <= lanes; lc += 16) {
-    __m512d rr0 = _mm512_loadu_pd(arr_re + lc);
-    __m512d rr1 = _mm512_loadu_pd(arr_re + lc + 8);
-    __m512d ri0 = _mm512_loadu_pd(arr_im + lc);
-    __m512d ri1 = _mm512_loadu_pd(arr_im + lc + 8);
-    __m512d aa0 = _mm512_loadu_pd(arar + lc);
-    __m512d aa1 = _mm512_loadu_pd(arar + lc + 8);
-    for (std::int64_t k = 0; k < ncomplex; ++k) {
-      const float* br = r + 2 * k * lanes + lc;
-      const float* ba = ar + 2 * k * lanes + lc;
-      for (int h = 0; h < 2; ++h) {
-        const __m512d rr = widen(br + 8 * h);
-        const __m512d ri = widen(br + lanes + 8 * h);
-        const __m512d ad = widen(ba + 8 * h);
-        const __m512d ai = widen(ba + lanes + 8 * h);
-        if (h == 0)
-          mr_dots_step(ad, ai, rr, ri, rr0, ri0, aa0);
-        else
-          mr_dots_step(ad, ai, rr, ri, rr1, ri1, aa1);
-      }
-    }
-    _mm512_storeu_pd(arr_re + lc, rr0);
-    _mm512_storeu_pd(arr_re + lc + 8, rr1);
-    _mm512_storeu_pd(arr_im + lc, ri0);
-    _mm512_storeu_pd(arr_im + lc + 8, ri1);
-    _mm512_storeu_pd(arar + lc, aa0);
-    _mm512_storeu_pd(arar + lc + 8, aa1);
-  }
-  a2::mr_dots_range(r, ar, ncomplex, lanes, lc, arr_re, arr_im, arar);
-}
-
-/// The MR update: one pass per 16 lanes, the rest (and one lane, within
-/// the site) through the AVX2 kernel. Same per-lane FMA sequence.
-inline void mr_axpy_lanes(float* z, float* r, const float* ar,
-                          std::int64_t ncomplex, int lanes,
-                          const float* alpha_re,
-                          const float* alpha_im) noexcept {
-  if (lanes == 1) {
-    a2::mr_axpy_one(z, r, ar, ncomplex, alpha_re[0], alpha_im[0]);
-    return;
-  }
-  int lc = 0;
-  for (; lc + 16 <= lanes; lc += 16) {
-    const __m512 alr = _mm512_loadu_ps(alpha_re + lc);
-    const __m512 ali = _mm512_loadu_ps(alpha_im + lc);
-    for (std::int64_t k = 0; k < ncomplex; ++k) {
-      float* zre = z + 2 * k * lanes + lc;
-      float* rre = r + 2 * k * lanes + lc;
-      const float* are = ar + 2 * k * lanes + lc;
-      const __m512 vrr = _mm512_loadu_ps(rre);
-      const __m512 vri = _mm512_loadu_ps(rre + lanes);
-      const __m512 var = _mm512_loadu_ps(are);
-      const __m512 vai = _mm512_loadu_ps(are + lanes);
-      __m512 vzr = _mm512_loadu_ps(zre);
-      __m512 vzi = _mm512_loadu_ps(zre + lanes);
-      vzr = _mm512_fmadd_ps(alr, vrr, vzr);
-      vzr = _mm512_fnmadd_ps(ali, vri, vzr);
-      vzi = _mm512_fmadd_ps(alr, vri, vzi);
-      vzi = _mm512_fmadd_ps(ali, vrr, vzi);
-      _mm512_storeu_ps(zre, vzr);
-      _mm512_storeu_ps(zre + lanes, vzi);
-      __m512 nrr = _mm512_fnmadd_ps(alr, var, vrr);
-      nrr = _mm512_fmadd_ps(ali, vai, nrr);
-      __m512 nri = _mm512_fnmadd_ps(alr, vai, vri);
-      nri = _mm512_fnmadd_ps(ali, var, nri);
-      _mm512_storeu_ps(rre, nrr);
-      _mm512_storeu_ps(rre + lanes, nri);
-    }
-  }
-  a2::mr_axpy_range(z, r, ar, ncomplex, lanes, lc, alpha_re, alpha_im);
+  detail::xpay_chunks<Chunks>(x, s, y, out, n);
 }
 
 inline void float_to_half_n(const float* src, Half* dst,
@@ -522,8 +430,8 @@ constexpr Kernels kAvx512Kernels = {
     &a5::clover_lanes,
     &a5::xpay_lanes,
     &a5::pack_faces_lanes,
-    &a5::mr_dots_lanes,
-    &a5::mr_axpy_lanes,
+    &a2::mr_dots_lanes<a5::Chunks>,
+    &a2::mr_axpy_lanes<a5::Chunks>,
     &a5::float_to_half_n,
     &a5::half_to_float_n,
     16,  // lane_width: one unmasked __m512 per lane vector

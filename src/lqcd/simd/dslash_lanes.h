@@ -1,14 +1,26 @@
-// The whole-domain lane dslash behind Kernels::dslash_lanes, written once
-// over a backend's vector type.
+// The lane kernels behind the dispatch table, written once over a
+// backend's vector type and chunk list.
 //
-// INTERNAL to src/lqcd/simd/: every backend TU runs dslash_site() over
-// the output sites and over chunks of lanes, with its own vector traits
-// (the portable ones are below; avx2_kernels.h and backend_avx512.cpp add
-// theirs). Each hop projects, multiplies by the link and reconstructs one
-// chunk of lanes in registers, with no half-spinor scratch in memory; a
-// site's 24 accumulators are stored once, after its eight hops. mu and
-// the hop direction are template parameters, so every kGamma permutation
-// and phase is a compile-time constant. The per-hop helpers are always
+// INTERNAL to src/lqcd/simd/: a backend is its vector traits, its chunk
+// list and its one-lane kernels. The traits of the portable backend are
+// below; avx2_kernels.h and backend_avx512.cpp add theirs. for_each_chunk()
+// runs a chunk body over all lanes of a call: full chunks of each width
+// in the backend's list, widest first, then one masked tail chunk. Every
+// kernel at two or more lanes is that loop plus a chunk body:
+//   - dslash_site(), pack_chunk() and xpay_chunks(), written once below
+//     for every backend;
+//   - the clover and MR bodies, one FMA-free set in scalar_kernels.h and
+//     one FMA set in avx2_kernels.h that avx2 and avx512 share.
+// A lane's result therefore does not depend on its chunk: a full chunk
+// and the masked tail run the same operation sequence.
+//
+// The whole-domain lane dslash behind Kernels::dslash_lanes runs
+// dslash_site() over the output sites and the chunks. Each hop projects,
+// multiplies by the link and reconstructs one chunk of lanes in
+// registers, with no half-spinor scratch in memory; a site's 24
+// accumulators are stored once, after its eight hops. mu and the hop
+// direction are template parameters, so every kGamma permutation and
+// phase is a compile-time constant. The per-hop helpers are always
 // inlined: keeping the accumulators in registers is the point, and left
 // to its size heuristics GCC outlines the SU(3) rows of the portable
 // backend's chunk, which then run from memory at a third of the speed.
@@ -26,46 +38,54 @@
 //     separate multiplies and one subtract or add;
 //   - the accumulator starts at +0 and adds the hops in the order
 //     mu = 0..3, forward before backward.
-// No FMA anywhere: every including TU compiles with -ffp-contract=off.
-// Lane tails are masked vector chunks, never one lane in a plain float:
-// on a single lane the real and imaginary halves of each complex product
-// are the only independent statements, and GCC 12's SLP vectorizer pairs
-// them into vfmaddsub even under -ffp-contract=off, which moves the last
-// bit.
+// No FMA anywhere in these bodies: every including TU compiles with
+// -ffp-contract=off. Lane tails are masked vector chunks, never one lane
+// in a plain float: on a single lane the real and imaginary halves of
+// each complex product are the only independent statements, and GCC 12's
+// SLP vectorizer pairs them into vfmaddsub even under -ffp-contract=off,
+// which moves the last bit.
 //
 // A vector-traits type V provides
-//   using reg = ...;                 one chunk of V::width lanes
+//   using reg = ...;                 one chunk of V::width floats
 //   reg load(const float*) const;    void store(float*, reg) const;
 //   static reg zero(), set1(float), add(reg, reg), sub(reg, reg),
 //              mul(reg, reg);
-// load and store are members so that a masked tail can carry its mask.
+// and, for the MR inner products, a chunk of doubles (load and store
+// overloads on double*, widen(reg)). load and store are members so that
+// a masked tail can carry its mask; a tail is constructed from its
+// number of live lanes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "lqcd/base/aligned.h"
 #include "lqcd/su3/gamma.h"
 
 namespace lqcd::simd::detail {
 
-/// K lanes as a float array with element-wise loops for the compiler to
-/// vectorize: the portable backend's chunk. (Temporaries are
+/// K lanes as a float (or double) array with element-wise loops for the
+/// compiler to vectorize: the portable backend's chunk. (Temporaries are
 /// value-initialized: at K = 1 GCC 12 otherwise warns that they may be
 /// used uninitialized.)
 template <int K>
 struct LaneArray {
-  struct reg {
-    float v[K];
+  template <class T>
+  struct vec {
+    T v[K];
   };
+  using reg = vec<float>;
   static constexpr int width = K;
-  reg load(const float* p) const noexcept {
-    reg o{};
+  template <class T>
+  vec<T> load(const T* p) const noexcept {
+    vec<T> o{};
     LQCD_PRAGMA_SIMD
     for (int l = 0; l < K; ++l) o.v[l] = p[l];
     return o;
   }
-  void store(float* p, const reg& x) const noexcept {
+  template <class T>
+  void store(T* p, const vec<T>& x) const noexcept {
     LQCD_PRAGMA_SIMD
     for (int l = 0; l < K; ++l) p[l] = x.v[l];
   }
@@ -76,41 +96,76 @@ struct LaneArray {
     for (int l = 0; l < K; ++l) o.v[l] = x;
     return o;
   }
-  static reg add(const reg& a, const reg& b) noexcept {
-    reg o{};
+  static vec<double> widen(const reg& x) noexcept {
+    vec<double> o{};
+    LQCD_PRAGMA_SIMD
+    for (int l = 0; l < K; ++l) o.v[l] = x.v[l];
+    return o;
+  }
+  template <class T>
+  static vec<T> add(const vec<T>& a, const vec<T>& b) noexcept {
+    vec<T> o{};
     LQCD_PRAGMA_SIMD
     for (int l = 0; l < K; ++l) o.v[l] = a.v[l] + b.v[l];
     return o;
   }
-  static reg sub(const reg& a, const reg& b) noexcept {
-    reg o{};
+  template <class T>
+  static vec<T> sub(const vec<T>& a, const vec<T>& b) noexcept {
+    vec<T> o{};
     LQCD_PRAGMA_SIMD
     for (int l = 0; l < K; ++l) o.v[l] = a.v[l] - b.v[l];
     return o;
   }
-  static reg mul(const reg& a, const reg& b) noexcept {
-    reg o{};
+  template <class T>
+  static vec<T> mul(const vec<T>& a, const vec<T>& b) noexcept {
+    vec<T> o{};
     LQCD_PRAGMA_SIMD
     for (int l = 0; l < K; ++l) o.v[l] = a.v[l] * b.v[l];
     return o;
   }
 };
 
-/// The last lanes % K lanes of a batch in a LaneArray<K>: lanes from `n`
-/// on compute on zeros and are never stored.
+/// The last n < K lanes of a call in a LaneArray<K>: lanes from `n` on
+/// compute on zeros and are never stored.
 template <int K>
 struct LaneArrayTail : LaneArray<K> {
-  using reg = typename LaneArray<K>::reg;
+  template <class T>
+  using vec = typename LaneArray<K>::template vec<T>;
   int n;
-  reg load(const float* p) const noexcept {
-    reg o{};
-    for (int l = 0; l < K; ++l) o.v[l] = l < n ? p[l] : 0.0f;
+  explicit LaneArrayTail(int live) noexcept : n(live) {}
+  template <class T>
+  vec<T> load(const T* p) const noexcept {
+    vec<T> o{};
+    for (int l = 0; l < K; ++l) o.v[l] = l < n ? p[l] : T(0);
     return o;
   }
-  void store(float* p, const reg& x) const noexcept {
+  template <class T>
+  void store(T* p, const vec<T>& x) const noexcept {
     for (int l = 0; l < n; ++l) p[l] = x.v[l];
   }
 };
+
+/// A backend's chunk list: full chunks of the widths Full::width, widest
+/// first, then one Tail chunk for whatever is left.
+template <class Tail, class... Full>
+struct ChunkList {};
+
+/// Calls body(v, c) for chunk traits v covering lanes [c, c + width) of
+/// [0, n): as many full chunks of each width as fit, in list order, then
+/// one Tail(n - c) if lanes remain. No chunk starts at or past `limit`
+/// (the face pack stops at nrhs; every other kernel passes n).
+template <class Tail, class... Full, class Body>
+[[gnu::always_inline]] inline void for_each_chunk(ChunkList<Tail, Full...>,
+                                                  std::int64_t n,
+                                                  std::int64_t limit,
+                                                  Body&& body) noexcept {
+  std::int64_t c = 0;
+  const auto full = [&](const auto& v) {
+    for (; c + v.width <= n && c < limit; c += v.width) body(v, c);
+  };
+  (full(Full{}), ...);
+  if (c < n && c < limit) body(Tail(static_cast<int>(n - c)), c);
+}
 
 /// How o = a + s*phase*b reads b for s = +-1: o_re = a_re -+ (swap ?
 /// b_im : b_re), o_im = a_im -+ (swap ? b_re : b_im), subtracting where
@@ -302,8 +357,8 @@ inline void for_each_face_site(const float* links,
 /// b < nrhs of the chunk at out + b * rhs_stride.
 template <int Mu, bool Forward, class V>
 [[gnu::always_inline]] inline void pack_chunk(
-    const V& v, const float* u, const float* z_site, int lanes, int c,
-    int nrhs, float* out, std::int64_t rhs_stride) noexcept {
+    const V& v, const float* u, const float* z_site, int lanes,
+    std::int64_t c, int nrhs, float* out, std::int64_t rhs_stride) noexcept {
   using Reg = typename V::reg;
   Reg h[12];
   project_row<Mu, Forward, 0>(v, z_site + c, lanes, h);
@@ -323,11 +378,56 @@ template <int Mu, bool Forward, class V>
   } else {
     for (int k = 0; k < 12; ++k) v.store(t[k], h[k]);
   }
-  const int n = nrhs - c < V::width ? nrhs - c : V::width;
-  for (int b = 0; b < n; ++b) {
-    float* o = out + static_cast<std::int64_t>(c + b) * rhs_stride;
+  const std::int64_t n = nrhs - c < V::width ? nrhs - c : V::width;
+  for (std::int64_t b = 0; b < n; ++b) {
+    float* o = out + (c + b) * rhs_stride;
     for (int k = 0; k < 12; ++k) o[k] = t[k][b];
   }
+}
+
+/// Kernels::dslash_lanes at two or more lanes: dslash_site() over the
+/// output sites and the chunks of list C.
+template <class C>
+inline void dslash_chunks(const float* links, const std::int32_t* nbr,
+                          std::int32_t l0, std::int32_t in_off,
+                          std::int32_t nsites, const float* in, float* out,
+                          int lanes) noexcept {
+  for (std::int32_t i = 0; i < nsites; ++i) {
+    float* o = out + static_cast<std::size_t>(i) * kSpinorReals *
+                         static_cast<std::size_t>(lanes);
+    for_each_chunk(C{}, lanes, lanes, [&](const auto& v, std::int64_t c) {
+      dslash_site(v, links, nbr, l0 + i, in_off, in + c, o + c, lanes);
+    });
+  }
+}
+
+/// Kernels::pack_faces_lanes at two or more lanes: pack_chunk() over the
+/// face sites and the chunks of list C that start below nrhs.
+template <class C>
+inline void pack_faces_chunks(const float* links,
+                              const std::int32_t* face_sites,
+                              const std::int32_t* face_size, const float* z,
+                              int lanes, int nrhs, float* out,
+                              std::int64_t rhs_stride) noexcept {
+  for_each_face_site(
+      links, face_sites, face_size, z, lanes, out,
+      [&]<int Mu, bool Forward>(const float* u, const float* zs, float* o) {
+        for_each_chunk(C{}, lanes, nrhs, [&](const auto& v, std::int64_t c) {
+          pack_chunk<Mu, Forward>(v, u, zs, lanes, c, nrhs, o, rhs_stride);
+        });
+      });
+}
+
+/// Kernels::xpay_lanes in chunks of list C: out = x + s * y with a
+/// separate multiply and add per float, as xpay is in the bit-exact tier.
+template <class C>
+inline void xpay_chunks(const float* x, float s, const float* y, float* out,
+                        std::int64_t n) noexcept {
+  for_each_chunk(C{}, n, n, [&](const auto& v, std::int64_t c) {
+    using V = std::decay_t<decltype(v)>;
+    v.store(out + c,
+            V::add(v.load(x + c), V::mul(V::set1(s), v.load(y + c))));
+  });
 }
 
 }  // namespace lqcd::simd::detail

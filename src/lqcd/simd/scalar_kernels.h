@@ -1,11 +1,15 @@
 // Portable reference implementations of the dispatched kernels.
 //
 // INTERNAL to src/lqcd/simd/: backend_scalar.cpp exposes these as the
-// scalar table, and the AVX2/AVX-512 backends reuse them for loop tails so
-// every tail is bit-identical to the scalar path. All translation units
-// that include this header are compiled with -ffp-contract=off, which
-// (together with the fixed accumulation order below) pins the scalar
-// results bit-for-bit across compilers and -march levels: without
+// scalar table. At two or more lanes every lane kernel is the chunk
+// loop of simd/dslash_lanes.h over the chunk list {LaneArray<8>,
+// LaneArray<4>} + LaneArrayTail<4>; the clover and MR chunk bodies below
+// are the FMA-free reference the wide backends' FMA bodies are held to
+// (<= 1e-6 relative). One lane runs the LaneArray<1> dslash and pack and
+// the register-resident one-lane clover and MR loops. All translation
+// units that include this header are compiled with -ffp-contract=off,
+// which (together with the fixed accumulation order below) pins the
+// scalar results bit-for-bit across compilers and -march levels: without
 // contraction, none of these unit-stride elementwise loops gives the
 // autovectorizer any reassociation freedom.
 //
@@ -65,34 +69,24 @@ inline void su3_mul_nn(const float* a, const float* b, float* c,
     su3_mul_nn_one(a + m * 18, b + m * 18, c + m * 18);
 }
 
+using Chunks = detail::ChunkList<detail::LaneArrayTail<4>,
+                                 detail::LaneArray<8>, detail::LaneArray<4>>;
+
 /// The whole-domain lane dslash (simd/dslash_lanes.h): one lane as a
-/// plain float, otherwise 8-lane chunks, then 4, then a zero-filled 4-lane
-/// tail.
+/// LaneArray<1>, otherwise the chunk list.
 inline void dslash_lanes(const float* links, const std::int32_t* nbr,
                          std::int32_t l0, std::int32_t in_off,
                          std::int32_t nsites, const float* in, float* out,
                          int lanes) noexcept {
-  using One = detail::LaneArray<1>;
-  using Wide = detail::LaneArray<8>;
-  using Narrow = detail::LaneArray<4>;
-  for (std::int32_t i = 0; i < nsites; ++i) {
-    float* o = out + static_cast<std::size_t>(i) * kSpinorReals *
-                         static_cast<std::size_t>(lanes);
-    if (lanes == 1) {
-      detail::dslash_site(One{}, links, nbr, l0 + i, in_off, in, o, 1);
-      continue;
-    }
-    int c = 0;
-    for (; c + Wide::width <= lanes; c += Wide::width)
-      detail::dslash_site(Wide{}, links, nbr, l0 + i, in_off, in + c, o + c,
-                          lanes);
-    for (; c + Narrow::width <= lanes; c += Narrow::width)
-      detail::dslash_site(Narrow{}, links, nbr, l0 + i, in_off, in + c, o + c,
-                          lanes);
-    if (c < lanes)
-      detail::dslash_site(detail::LaneArrayTail<Narrow::width>{{}, lanes - c},
-                          links, nbr, l0 + i, in_off, in + c, o + c, lanes);
+  if (lanes > 1) {
+    detail::dslash_chunks<Chunks>(links, nbr, l0, in_off, nsites, in, out,
+                                  lanes);
+    return;
   }
+  for (std::int32_t i = 0; i < nsites; ++i)
+    detail::dslash_site(detail::LaneArray<1>{}, links, nbr, l0 + i, in_off,
+                        in, out + static_cast<std::size_t>(i) * kSpinorReals,
+                        1);
 }
 
 /// The whole-domain boundary pack, chunked like dslash_lanes.
@@ -101,80 +95,55 @@ inline void pack_faces_lanes(const float* links,
                              const std::int32_t* face_size, const float* z,
                              int lanes, int nrhs, float* out,
                              std::int64_t rhs_stride) noexcept {
-  using One = detail::LaneArray<1>;
-  using Wide = detail::LaneArray<8>;
-  using Narrow = detail::LaneArray<4>;
+  if (lanes > 1) {
+    detail::pack_faces_chunks<Chunks>(links, face_sites, face_size, z, lanes,
+                                      nrhs, out, rhs_stride);
+    return;
+  }
   detail::for_each_face_site(
-      links, face_sites, face_size, z, lanes, out,
+      links, face_sites, face_size, z, 1, out,
       [&]<int Mu, bool Forward>(const float* u, const float* zs, float* o) {
-        if (lanes == 1) {
-          detail::pack_chunk<Mu, Forward>(One{}, u, zs, 1, 0, 1, o,
-                                          rhs_stride);
-          return;
-        }
-        int c = 0;
-        for (; c + Wide::width <= lanes && c < nrhs; c += Wide::width)
-          detail::pack_chunk<Mu, Forward>(Wide{}, u, zs, lanes, c, nrhs, o,
-                                          rhs_stride);
-        for (; c + Narrow::width <= lanes && c < nrhs; c += Narrow::width)
-          detail::pack_chunk<Mu, Forward>(Narrow{}, u, zs, lanes, c, nrhs, o,
-                                          rhs_stride);
-        if (c < lanes && c < nrhs)
-          detail::pack_chunk<Mu, Forward>(
-              detail::LaneArrayTail<Narrow::width>{{}, lanes - c}, u, zs,
-              lanes, c, nrhs, o, rhs_stride);
+        detail::pack_chunk<Mu, Forward>(detail::LaneArray<1>{}, u, zs, 1, 0,
+                                        1, o, rhs_stride);
       });
 }
 
-/// One site's clover block pair on all lanes, as PackedHermitian6::apply
-/// orders it: row i starts at diag_i x_i, then adds offd[i][j] x_j for
-/// j < i and x_j conj(offd[j][i]) for j > i.
-inline void clover_site(const float* blk, const float* in_site,
-                        float* out_site, int lanes) noexcept {
+/// One site's clover block pair on one chunk of lanes, as
+/// PackedHermitian6::apply orders it: row i starts at diag_i x_i, then
+/// adds offd[i][j] x_j for j < i and x_j conj(offd[j][i]) for j > i, each
+/// term a complex product by separate multiplies (conj(p) x as p x with
+/// Im p negated, which is exact). `x` and `y` point at the chunk's first
+/// lane.
+template <class V>
+inline void clover_chunk(const V& v, const float* blk, const float* x,
+                         float* y, int lanes) noexcept {
+  using Reg = typename V::reg;
   for (int chi = 0; chi < 2; ++chi) {
     const float* b = blk + chi * detail::kCloverBlockFloats;
-    const float* x0 = in_site + chi * 2 * kCloverBlockDim * lanes;
-    float* y0 = out_site + chi * 2 * kCloverBlockDim * lanes;
+    const float* x0 = x + chi * 2 * kCloverBlockDim * lanes;
+    float* y0 = y + chi * 2 * kCloverBlockDim * lanes;
     for (int i = 0; i < kCloverBlockDim; ++i) {
-      float* o_re = y0 + 2 * i * lanes;
-      float* o_im = o_re + lanes;
-      {
-        const float di = b[i];
-        const float* x_re = x0 + 2 * i * lanes;
-        const float* x_im = x_re + lanes;
-        LQCD_PRAGMA_SIMD
-        for (int l = 0; l < lanes; ++l) {
-          o_re[l] = di * x_re[l];
-          o_im[l] = di * x_im[l];
-        }
+      const Reg di = V::set1(b[i]);
+      Reg acc_re = V::mul(di, v.load(x0 + 2 * i * lanes));
+      Reg acc_im = V::mul(di, v.load(x0 + (2 * i + 1) * lanes));
+      for (int j = 0; j < kCloverBlockDim; ++j) {
+        if (j == i) continue;
+        const int k = j < i ? packed_index(i, j) : packed_index(j, i);
+        const float oi = b[kCloverBlockDim + 2 * k + 1];
+        const Reg pr = V::set1(b[kCloverBlockDim + 2 * k]);
+        const Reg pi = V::set1(j < i ? oi : -oi);
+        const Reg xr = v.load(x0 + 2 * j * lanes);
+        const Reg xi = v.load(x0 + (2 * j + 1) * lanes);
+        acc_re = V::add(acc_re, V::sub(V::mul(pr, xr), V::mul(pi, xi)));
+        acc_im = V::add(acc_im, V::add(V::mul(pr, xi), V::mul(pi, xr)));
       }
-      for (int j = 0; j < i; ++j) {
-        const float* o = b + kCloverBlockDim + 2 * packed_index(i, j);
-        const float pr = o[0], pi = o[1];
-        const float* x_re = x0 + 2 * j * lanes;
-        const float* x_im = x_re + lanes;
-        LQCD_PRAGMA_SIMD
-        for (int l = 0; l < lanes; ++l) {
-          o_re[l] += pr * x_re[l] - pi * x_im[l];
-          o_im[l] += pr * x_im[l] + pi * x_re[l];
-        }
-      }
-      for (int j = i + 1; j < kCloverBlockDim; ++j) {
-        const float* o = b + kCloverBlockDim + 2 * packed_index(j, i);
-        const float pr = o[0], pi = o[1];
-        const float* x_re = x0 + 2 * j * lanes;
-        const float* x_im = x_re + lanes;
-        LQCD_PRAGMA_SIMD
-        for (int l = 0; l < lanes; ++l) {
-          o_re[l] += x_re[l] * pr + x_im[l] * pi;
-          o_im[l] += x_im[l] * pr - x_re[l] * pi;
-        }
-      }
+      v.store(y0 + 2 * i * lanes, acc_re);
+      v.store(y0 + (2 * i + 1) * lanes, acc_im);
     }
   }
 }
 
-/// clover_site() on one lane with the columns j outermost: each row still
+/// clover_chunk() on one lane with the columns j outermost: each row still
 /// adds its terms in the order j = 0..5, and the twelve rows' chains of
 /// adds interleave instead of running one after another.
 inline void clover_site_one(const float* blk, const float* x,
@@ -216,17 +185,46 @@ inline void clover_lanes(const float* blocks, std::int32_t nsites,
   for (std::int32_t s = 0; s < nsites; ++s) {
     const float* b =
         blocks + static_cast<std::size_t>(s) * 2 * detail::kCloverBlockFloats;
-    if (lanes == 1)
-      clover_site_one(b, in + s * stride, out + s * stride);
-    else
-      clover_site(b, in + s * stride, out + s * stride, lanes);
+    const float* x = in + s * stride;
+    float* y = out + s * stride;
+    if (lanes == 1) {
+      clover_site_one(b, x, y);
+      continue;
+    }
+    detail::for_each_chunk(Chunks{}, lanes, lanes,
+                           [&](const auto& v, std::int64_t c) {
+                             clover_chunk(v, b, x + c, y + c, lanes);
+                           });
   }
 }
 
 inline void xpay_lanes(const float* x, float s, const float* y, float* out,
                        std::int64_t n) noexcept {
-  LQCD_PRAGMA_SIMD
-  for (std::int64_t k = 0; k < n; ++k) out[k] = x[k] + s * y[k];
+  detail::xpay_chunks<Chunks>(x, s, y, out, n);
+}
+
+/// The MR inner products of one chunk of lanes from lane c, in double:
+/// arr += Ar_re r_re + Ar_im r_im (and so on) per component, by separate
+/// multiplies and adds, in component order.
+template <class V>
+inline void mr_dots_chunk(const V& v, const float* r, const float* ar,
+                          std::int64_t ncomplex, int lanes, std::int64_t c,
+                          double* arr_re, double* arr_im,
+                          double* arar) noexcept {
+  auto srr = v.load(arr_re + c), sri = v.load(arr_im + c),
+       saa = v.load(arar + c);
+  for (std::int64_t k = 0; k < ncomplex; ++k) {
+    const float* br = r + 2 * k * lanes + c;
+    const float* ba = ar + 2 * k * lanes + c;
+    const auto rr = V::widen(v.load(br)), ri = V::widen(v.load(br + lanes));
+    const auto ad = V::widen(v.load(ba)), ai = V::widen(v.load(ba + lanes));
+    srr = V::add(srr, V::add(V::mul(ad, rr), V::mul(ai, ri)));
+    sri = V::add(sri, V::sub(V::mul(ad, ri), V::mul(ai, rr)));
+    saa = V::add(saa, V::add(V::mul(ad, ad), V::mul(ai, ai)));
+  }
+  v.store(arr_re + c, srr);
+  v.store(arr_im + c, sri);
+  v.store(arar + c, saa);
 }
 
 inline void mr_dots_lanes(const float* r, const float* ar,
@@ -246,19 +244,35 @@ inline void mr_dots_lanes(const float* r, const float* ar,
     *arar = saa;
     return;
   }
+  detail::for_each_chunk(Chunks{}, lanes, lanes,
+                         [&](const auto& v, std::int64_t c) {
+                           mr_dots_chunk(v, r, ar, ncomplex, lanes, c, arr_re,
+                                         arr_im, arar);
+                         });
+}
+
+/// The MR update of one chunk of lanes from lane c: z += alpha r and
+/// r -= alpha Ar, each complex product by separate multiplies and one
+/// subtract or add before the update.
+template <class V>
+inline void mr_axpy_chunk(const V& v, float* z, float* r, const float* ar,
+                          std::int64_t ncomplex, int lanes, std::int64_t c,
+                          const float* alpha_re,
+                          const float* alpha_im) noexcept {
+  const auto alr = v.load(alpha_re + c), ali = v.load(alpha_im + c);
   for (std::int64_t k = 0; k < ncomplex; ++k) {
-    const float* rre = r + 2 * k * lanes;
-    const float* rim = rre + lanes;
-    const float* are = ar + 2 * k * lanes;
-    const float* aim = are + lanes;
-    LQCD_PRAGMA_SIMD
-    for (int l = 0; l < lanes; ++l) {
-      const double ar_ = are[l], ai_ = aim[l];
-      const double rr_ = rre[l], ri_ = rim[l];
-      arr_re[l] += ar_ * rr_ + ai_ * ri_;
-      arr_im[l] += ar_ * ri_ - ai_ * rr_;
-      arar[l] += ar_ * ar_ + ai_ * ai_;
-    }
+    float* zre = z + 2 * k * lanes + c;
+    float* rre = r + 2 * k * lanes + c;
+    const float* are = ar + 2 * k * lanes + c;
+    const auto vrr = v.load(rre), vri = v.load(rre + lanes);
+    const auto var = v.load(are), vai = v.load(are + lanes);
+    v.store(zre, V::add(v.load(zre),
+                        V::sub(V::mul(alr, vrr), V::mul(ali, vri))));
+    v.store(zre + lanes, V::add(v.load(zre + lanes),
+                                V::add(V::mul(alr, vri), V::mul(ali, vrr))));
+    v.store(rre, V::sub(vrr, V::sub(V::mul(alr, var), V::mul(ali, vai))));
+    v.store(rre + lanes,
+            V::sub(vri, V::add(V::mul(alr, vai), V::mul(ali, var))));
   }
 }
 
@@ -283,21 +297,11 @@ inline void mr_axpy_lanes(float* z, float* r, const float* ar,
       r[k + 1] -= alr * ar[k + 1] + ali * ar[k];
     return;
   }
-  for (std::int64_t k = 0; k < ncomplex; ++k) {
-    float* zre = z + 2 * k * lanes;
-    float* zim = zre + lanes;
-    float* rre = r + 2 * k * lanes;
-    float* rim = rre + lanes;
-    const float* are = ar + 2 * k * lanes;
-    const float* aim = are + lanes;
-    LQCD_PRAGMA_SIMD
-    for (int l = 0; l < lanes; ++l) {
-      zre[l] += alpha_re[l] * rre[l] - alpha_im[l] * rim[l];
-      zim[l] += alpha_re[l] * rim[l] + alpha_im[l] * rre[l];
-      rre[l] -= alpha_re[l] * are[l] - alpha_im[l] * aim[l];
-      rim[l] -= alpha_re[l] * aim[l] + alpha_im[l] * are[l];
-    }
-  }
+  detail::for_each_chunk(Chunks{}, lanes, lanes,
+                         [&](const auto& v, std::int64_t c) {
+                           mr_axpy_chunk(v, z, r, ar, ncomplex, lanes, c,
+                                         alpha_re, alpha_im);
+                         });
 }
 
 inline void float_to_half_n(const float* src, Half* dst,

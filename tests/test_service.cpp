@@ -8,6 +8,8 @@
 #include <chrono>
 #include <future>
 #include <limits>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "lqcd/service/request.h"
@@ -469,6 +471,85 @@ TEST(Service, SubmitRefusesNonFiniteOrOutOfRangeFields) {
   auto fut = service.submit(make_request(prob, 951, 1e-9));
   service.drain();
   EXPECT_TRUE(fut.get().stats.converged);
+}
+
+TEST(Service, SubmitRefusesAnUntileableLatticeOrAMismatchedGaugeField) {
+  // The block {4, 2, 2, 2} splits t = 6 into three domains, an odd grid
+  // the two-colored sweep cannot run; accepted, the request failed only
+  // inside the setup build at dispatch.
+  SolverServiceConfig scfg;
+  scfg.solver = service_solver_config();
+  scfg.worker_threads = 0;
+  SolverService service(scfg);
+  Problem untileable({8, 4, 4, 6}, 0.7, 281);
+  EXPECT_THROW(service.submit(make_request(untileable, 970)), Error);
+
+  Problem prob({8, 4, 4, 4}, 0.7, 282);
+  Problem longer({8, 4, 4, 8}, 0.7, 283);
+  SolveRequest mismatched = make_request(prob, 971);
+  mismatched.gauge = &longer.gauge;
+  EXPECT_THROW(service.submit(std::move(mismatched)), Error);
+  EXPECT_EQ(service.stats().submitted, 0u);
+
+  auto fut = service.submit(make_request(prob, 972));
+  service.drain();
+  EXPECT_TRUE(fut.get().stats.converged);
+}
+
+TEST(Service, SingularCloverRequestFailsItsFutureAndWorkerKeepsServing) {
+  // mass -4 with csw 0 makes every clover block singular, so the setup
+  // build throws at dispatch. The worker must hand that error to the
+  // request's future and go on serving; it used to die in
+  // std::terminate. The waits are bounded so a regression fails instead
+  // of hanging.
+  Problem prob({8, 4, 4, 4}, 0.7, 291);
+  SolverServiceConfig scfg;
+  scfg.solver = service_solver_config();
+  scfg.worker_threads = 1;
+  SolverService service(scfg);
+
+  SolveRequest singular = make_request(prob, 980);
+  singular.mass = -4.0;
+  singular.csw = 0.0;
+  auto bad = service.submit(std::move(singular));
+  ASSERT_EQ(bad.wait_for(std::chrono::seconds(60)), std::future_status::ready);
+  EXPECT_THROW(bad.get(), Error);
+
+  auto fut = service.submit(make_request(prob, 981));
+  ASSERT_EQ(fut.wait_for(std::chrono::seconds(60)), std::future_status::ready);
+  EXPECT_TRUE(fut.get().stats.converged);
+  EXPECT_EQ(service.stats().completed, 2u);
+}
+
+TEST(SetupCache, ThrowingBuildReleasesItsLatchAndDropsItsEntry) {
+  // Two concurrent acquires of a configuration whose build throws (a
+  // singular clover term): both must return with the error. A build that
+  // left its latch set made every later acquire of the key wait forever.
+  // The acquires run on detached threads that own what they touch, so a
+  // regression fails the bounded wait instead of hanging the test.
+  auto prob = std::make_shared<Problem>(Coord{8, 4, 4, 4}, 0.7, 301);
+  auto cache = std::make_shared<SetupCache>(2);
+  const SetupKey key{prob->gauge.content_checksum(),
+                     prob->gauge.content_digest64(), -4.0, 0.0};
+  std::vector<std::future<bool>> threw;
+  for (int t = 0; t < 2; ++t) {
+    auto done = std::make_shared<std::promise<bool>>();
+    threw.push_back(done->get_future());
+    std::thread([prob, cache, key, done] {
+      try {
+        cache->acquire(key, prob->geom, prob->gauge, service_solver_config());
+        done->set_value(false);
+      } catch (const Error&) {
+        done->set_value(true);
+      }
+    }).detach();
+  }
+  for (auto& f : threw) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(60)), std::future_status::ready)
+        << "an acquire is stuck behind a failed build";
+    EXPECT_TRUE(f.get());
+  }
+  EXPECT_EQ(cache->size(), 0u);
 }
 
 // ---------------------------------------------------------------------------

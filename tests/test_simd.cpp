@@ -224,7 +224,7 @@ TEST(SimdParity, DslashLanesIsBitIdenticalAcrossBackends) {
     return out;
   };
 
-  for (const int lanes : {1, 3, 4, 8, 12, 16, 17, 32})
+  for (const int lanes : {1, 3, 4, 8, 12, 16, 17, 31, 32})
     for (const int parity : {0, 1}) {
       const std::int32_t l0 = parity == 0 ? 0 : hv;
       const std::int32_t in_off = parity == 0 ? hv : 0;
@@ -417,7 +417,7 @@ TEST(SimdParity, CloverPairMatchesScalarToFmaTolerance) {
 // lane b's data in every backend; avx2 equals avx512 bitwise (the same
 // per-lane FMA sequence, vectorized differently); scalar agrees to the
 // FMA tolerance.
-constexpr int kLaneRows[] = {1, 3, 4, 8, 16, 17};
+constexpr int kLaneRows[] = {1, 3, 4, 8, 16, 17, 31};
 
 TEST(SimdParity, CloverLanesIsLaneIndependentAndWideBackendsAgreeBitwise) {
   const std::int32_t nsites = 5;

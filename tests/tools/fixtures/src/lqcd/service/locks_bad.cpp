@@ -26,6 +26,20 @@ class Account {
     return balance_;
   }
 
+  // A unique_lock released around a braced block and taken again still
+  // guards the access after the relock.
+  void relock_after_block(long delta) {
+    std::unique_lock<std::mutex> lk(mu_a_);
+    balance_ = balance_ + 1;
+    lk.unlock();
+    long scaled = 0;
+    if (delta > 0) {
+      scaled = 2 * delta;
+    }
+    lk.lock();
+    balance_ = balance_ + scaled;
+  }
+
   long total_locked() {
     // `_locked` names the caller-holds-the-lock contract: exempt.
     return balance_;

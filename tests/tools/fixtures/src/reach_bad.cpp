@@ -76,3 +76,38 @@ void simd_throw(float* a, int n) {
     a[i] = 2.0f * a[i];
   }
 }
+
+// Qualified calls: `Q::name(...)` resolves within class Q, and a
+// qualifier naming no class is a type parameter, whose calls reach
+// member functions only. The vector-traits call V::sub below must not be
+// resolved to the throwing free function sub(); Checked::run still is.
+float sub(float a, float b) {
+  if (a < b) throw Error{};
+  return a - b;
+}
+
+struct Lanes {
+  static float sub(float a, float b) { return a - b; }
+};
+
+struct Checked {
+  static float run(float a) {
+    if (a < 0.0f) throw Error{};
+    return a;
+  }
+};
+
+template <class V>
+float chunk_body(const V&, float a, float b) {
+  return V::sub(a, b);
+}
+
+void region_traits(float* a, int n) {
+#pragma omp parallel for default(none) shared(a, n)
+  for (int i = 0; i < n; ++i) a[i] = chunk_body(Lanes{}, a[i], 1.0f);
+}
+
+void region_class_qualified(float* a, int n) {
+#pragma omp parallel for default(none) shared(a, n)  // EXPECT: parallel-reachability
+  for (int i = 0; i < n; ++i) a[i] = Checked::run(a[i]);
+}

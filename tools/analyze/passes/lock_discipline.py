@@ -95,7 +95,10 @@ def _simulate(fn, cls, lines: list[str]) -> _FnLocks:
                 for a in active:
                     if a.held and a.var and a.depth > depth:
                         a.held = False
-                active = [a for a in active if a.held]
+                # A guard whose scope is still open stays re-lockable
+                # (unique_lock::unlock(), a braced block, then lock()).
+                active = [a for a in active
+                          if a.held or (a.var and a.depth <= depth)]
             elif kind == "acquire":
                 var, mexpr = payload
                 if "defer_lock" in text or "adopt_lock" in text:

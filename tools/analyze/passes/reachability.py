@@ -91,8 +91,16 @@ def _span_calls(lines: list[str], span: tuple[int, int]) -> list[tuple]:
 
 def _resolve(name: str, receiver: str, caller_cls: str | None,
              by_name) -> list:
-    """Name-based overload resolution with two narrowings that mirror
+    """Name-based overload resolution with three narrowings that mirror
     C++ lookup:
+
+    * qualified call — `Q::name(...)` targets Q's own member when the
+      project defines a class Q; a CamelCase qualifier that names no
+      project class is a type (a template parameter such as the vector
+      traits `V` of the SIMD chunk bodies, by the project's naming rule),
+      so it targets member functions only, never a same-named free
+      function; a lower-case qualifier is a namespace and resolves by
+      name as before;
 
     * blessed receiver — a call through a receiver whose name contains
       'scope' (e.g. `domain_scope_->maybe_corrupt_reals(...)`) targets
@@ -105,6 +113,14 @@ def _resolve(name: str, receiver: str, caller_cls: str | None,
       `note_opportunity(tid)` inside ParallelFaultScope would also walk
       FaultInjector::note_opportunity."""
     defs = by_name.get(name, [])
+    if receiver.endswith("::"):
+        scope = receiver[:-2]
+        own = [d for d in defs if d.cls == scope]
+        if own:
+            return own
+        if scope[:1].isupper():
+            return [d for d in defs if d.cls]
+        return defs
     if receiver and "scope" in receiver.lower():
         scoped = [d for d in defs if d.cls and "scope" in d.cls.lower()]
         if scoped:

@@ -461,13 +461,19 @@ def _qualifying_class(toks: list[_Tok], name_i: int, line: int,
 
 
 _RECEIVER_RE = re.compile(r"([A-Za-z_]\w*)\s*(?:\.|->)\s*$")
+_QUALIFIER_RE = re.compile(r"([A-Za-z_]\w*)\s*::\s*$")
 
 
 def call_receiver(text: str, name_start: int) -> str:
     """Receiver of a member call: the identifier before `.` / `->`,
-    '<expr>' for a complex receiver (`blocks[chi]->apply(...)`), or ''
-    when the call is genuinely unqualified. The distinction matters:
-    only unqualified calls get member-first (this->) resolution."""
+    '<expr>' for a complex receiver (`blocks[chi]->apply(...)`), the
+    innermost qualifier with its `::` for a qualified call (`V::sub(...)`
+    gives 'V::'), or '' when the call is genuinely unqualified. The
+    distinction matters: only unqualified calls get member-first (this->)
+    resolution."""
+    m = _QUALIFIER_RE.search(text[:name_start])
+    if m:
+        return m.group(1) + "::"
     prefix = text[:name_start].rstrip()
     if not prefix.endswith((".", "->")):
         return ""
