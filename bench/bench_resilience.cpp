@@ -7,8 +7,8 @@
 //      overhead and whether the iteration trajectory is identical. The
 //      overhead is not gated: 8^4 solves are
 //      too short to resolve a few percent. The identical trajectory is
-//      asserted by the test
-//      DDSolverResilience.FaultFreePathIsBitIdenticalToSeedPipeline.
+//      asserted by the resilience_on_vs_off_fault_free row of
+//      tests/test_contracts.cpp.
 //  (2) Time-to-solution under injected faults, one scenario per fault
 //      class (SDC bit-flip of the iterate, fp16 saturation in the Schwarz
 //      sweep, degenerate zero correction), with the recovery events the

@@ -297,8 +297,6 @@ void DDSolver::solve_lanes(std::span<const FermionField<double>* const> b,
     }
 
     const ResilienceConfig& rc = config_.resilience;
-    std::uint32_t defl_sum = 0;
-    bool defl_stamped = false;
     int first_lane = 0;
     if (rec == nullptr || !rec->valid()) {
       // RHS 0 runs alone: its solve seeds the recycled deflation subspace
@@ -307,26 +305,11 @@ void DDSolver::solve_lanes(std::span<const FermionField<double>* const> b,
       out[0] = fgmres_dr_solve<double>(*linop_, bridge_.get(), *b[0], *x[0],
                                        lane_params(0), monitor_.get(), rec);
       first_lane = 1;
-
-      // In-call check_deflation scope: stamp the recycled subspace right
-      // after its harvest; the shared verify below re-checks it just
-      // before the lanes project against it.
-      if (nrhs > 1 && abft_guard_ && abft_guard_->config().check_deflation &&
-          rec != nullptr && rec->valid()) {
-        defl_sum = deflation_checksum(*rec);
-        defl_stamped = true;
-      }
     }
     // else: a valid subspace from a previous batch on this configuration
     // exists — skip the solo seeding phase and run EVERY lane in lockstep
     // from the first preconditioner application (the persistent-service
     // fast path).
-
-    if (defl_stamped) {
-      const bool intact = deflation_checksum(*rec) == defl_sum;
-      abft_guard_->note_deflation_verification(intact);
-      if (!intact) rec->clear();
-    }
 
     // Lockstep lanes. Each lane gets its own CheckpointMonitor (the
     // checkpoint is per-iterate state); counters are merged back into the

@@ -8,6 +8,7 @@
 // (clover+mass) = 504, full A = 1848.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 
 #include "lqcd/dirac/clover_term.h"
@@ -78,7 +79,7 @@ class WilsonCloverOperator {
     for (std::int32_t x = 0; x < static_cast<std::int32_t>(volume); ++x)
       out[x] = dslash_site(*geom_, *gauge_, in, x,
                            [](std::int32_t i) { return i; });
-    flops_ += volume * kDslashFlopsPerSite;
+    flops_.fetch_add(volume * kDslashFlopsPerSite, kRelaxed);
   }
 
   /// out = A in (full lattice).
@@ -97,7 +98,7 @@ class WilsonCloverOperator {
         for (int c = 0; c < kNumColors; ++c)
           out[x].s[sp].c[c] = diag.s[sp].c[c] - half * hop.s[sp].c[c];
     }
-    flops_ += volume * kWilsonCloverFlopsPerSite;
+    flops_.fetch_add(volume * kWilsonCloverFlopsPerSite, kRelaxed);
   }
 
   /// out_cb (parity `out_parity`, checkerboard-indexed, half_volume sites)
@@ -116,7 +117,7 @@ class WilsonCloverOperator {
           *geom_, *gauge_, in_cb, x,
           [this](std::int32_t full) { return cb_->cb_index(full); });
     }
-    flops_ += half * kDslashFlopsPerSite;
+    flops_.fetch_add(half * kDslashFlopsPerSite, kRelaxed);
   }
 
   /// Site-diagonal term on one parity: out_cb = (mass+clover) in_cb.
@@ -130,7 +131,7 @@ class WilsonCloverOperator {
     for (std::int64_t i = 0; i < half; ++i)
       clover_.apply_site(sites[static_cast<std::size_t>(i)], in_cb[i],
                          out_cb[i]);
-    flops_ += half * kCloverFlopsPerSite;
+    flops_.fetch_add(half * kCloverFlopsPerSite, kRelaxed);
   }
 
   /// Inverse site-diagonal on one parity (requires prepare_schur()).
@@ -146,7 +147,7 @@ class WilsonCloverOperator {
     for (std::int64_t i = 0; i < half; ++i)
       clover_.apply_inv_site(sites[static_cast<std::size_t>(i)], in_cb[i],
                              out_cb[i]);
-    flops_ += half * kCloverFlopsPerSite;
+    flops_.fetch_add(half * kCloverFlopsPerSite, kRelaxed);
   }
 
   /// Precompute the odd-site block inverses used by the Schur complement.
@@ -237,8 +238,8 @@ class WilsonCloverOperator {
     apply_diag_inv_cb(1, rhs, u_o);
   }
 
-  std::int64_t flops() const noexcept { return flops_; }
-  void reset_flops() const noexcept { flops_ = 0; }
+  std::int64_t flops() const noexcept { return flops_.load(kRelaxed); }
+  void reset_flops() const noexcept { flops_.store(0, kRelaxed); }
 
  private:
   const Geometry* geom_;
@@ -247,7 +248,10 @@ class WilsonCloverOperator {
   T mass_;
   T csw_;
   CloverTerm<T> clover_;
-  mutable std::int64_t flops_ = 0;
+  static constexpr auto kRelaxed = std::memory_order_relaxed;
+  /// Atomic because DDSolvers sharing one setup apply this operator from
+  /// concurrent solves; relaxed because the count orders nothing.
+  mutable std::atomic<std::int64_t> flops_{0};
 };
 
 /// gamma_5 applied site-wise (for gamma5-hermiticity tests: gamma_5 A

@@ -23,9 +23,9 @@ struct BlockSolveWork {
   double matrix_bytes = 0;        ///< links+clover storage (precision-dep.)
   double pack_bytes = 0;          ///< boundary buffer bytes produced
   double working_set_bytes = 0;   ///< matrices + the 7 resident spinors
-  /// Fraction of the RHS-lane vector slots doing useful work (1.0 for the
-  /// scalar single-RHS path; nrhs / padded-lane-count for the
-  /// SOA-over-RHS lane-vectorized path). See rhs_lane_efficiency().
+  /// Fraction of the RHS-lane vector slots doing useful work (1.0 for a
+  /// single RHS, which runs at one lane; nrhs / padded-lane-count for a
+  /// padded SOA-over-RHS lane batch). See rhs_lane_efficiency().
   double rhs_lane_efficiency = 1.0;
   KernelWork kernel;              ///< aggregated descriptor for the model
 };

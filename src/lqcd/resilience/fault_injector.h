@@ -125,6 +125,7 @@ struct FaultInjectorStats {
   std::int64_t events_at(FaultSite s) const noexcept {
     return site_events[static_cast<int>(s)];
   }
+  bool operator==(const FaultInjectorStats&) const = default;
 
   /// Merge another shard's counters, preserving the per-site
   /// opportunity/event breakdown — the per-thread injector shards of a

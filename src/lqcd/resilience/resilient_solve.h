@@ -62,8 +62,8 @@ struct AbftConfig {
   /// per RHS for batched applies). 0 = auto-tune at solver construction
   /// from fault_probability_per_application via the Young/Daly optimizer.
   int verify_interval = 16;
-  /// Verify the recycled deflation subspace between the solves of a
-  /// batch; a mismatch discards the subspace (it is an optimization, not
+  /// Verify a RecycleCache's deflation subspace when the next batch picks
+  /// it up; a mismatch discards the subspace (it is an optimization, not
   /// a correctness requirement) and counts as a detection.
   bool check_deflation = false;
   /// Expected packed-data upset probability per preconditioner
@@ -78,6 +78,7 @@ struct AbftStats {
   std::int64_t rollbacks = 0;      ///< rung-2/3 iterate rollbacks serviced
   std::int64_t escalations = 0;    ///< rung-2+ source repairs required
 
+  bool operator==(const AbftStats&) const = default;
   AbftStats& operator+=(const AbftStats& o) noexcept {
     verifications += o.verifications;
     detections += o.detections;
@@ -91,12 +92,6 @@ struct AbftStats {
 inline AbftStats operator+(AbftStats a, const AbftStats& b) noexcept {
   a += b;
   return a;
-}
-
-inline bool operator==(const AbftStats& a, const AbftStats& b) noexcept {
-  return a.verifications == b.verifications && a.detections == b.detections &&
-         a.repacks == b.repacks && a.rollbacks == b.rollbacks &&
-         a.escalations == b.escalations;
 }
 
 /// Outcome of one checksum sweep, ordered by escalation rung.
@@ -291,6 +286,7 @@ struct CheckpointMonitorStats {
   int rollbacks = 0;     ///< corruptions detected and rolled back
   std::int64_t injected = 0;  ///< faults the attached injector fired
 
+  bool operator==(const CheckpointMonitorStats&) const = default;
   CheckpointMonitorStats& operator+=(const CheckpointMonitorStats& o) noexcept {
     checkpoints += o.checkpoints;
     rollbacks += o.rollbacks;

@@ -99,6 +99,7 @@ struct SchwarzStats {
   std::int64_t sweeps = 0;  ///< full Schwarz sweeps executed
 
   void reset() { *this = SchwarzStats{}; }
+  bool operator==(const SchwarzStats&) const = default;
 
   SchwarzStats& operator+=(const SchwarzStats& o) noexcept {
     applications += o.applications;

@@ -61,11 +61,7 @@ struct SetupCacheStats {
   /// computed at submission (the client mutated it in flight).
   std::uint64_t stale_rejects = 0;
 
-  friend bool operator==(const SetupCacheStats& a,
-                         const SetupCacheStats& b) noexcept {
-    return a.hits == b.hits && a.misses == b.misses &&
-           a.evictions == b.evictions && a.stale_rejects == b.stale_rejects;
-  }
+  bool operator==(const SetupCacheStats&) const = default;
 };
 
 /// One cached configuration: the shared immutable setup plus a pool of

@@ -49,7 +49,7 @@ struct SolverServiceConfig {
 /// Aggregate service counters. All fields are functions of WHAT was
 /// submitted, not of thread interleaving, provided dispatch composition
 /// is deterministic (e.g. submissions land within the batching window) —
-/// which is what the 1-vs-N-thread parity test pins down.
+/// which tests/test_contracts.cpp pins down at 1 and 4 workers.
 struct ServiceStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;  ///< futures made ready, errors included
@@ -63,14 +63,7 @@ struct ServiceStats {
   std::uint64_t stale_refusals = 0;
   SetupCacheStats cache;
 
-  friend bool operator==(const ServiceStats& a,
-                         const ServiceStats& b) noexcept {
-    return a.submitted == b.submitted && a.completed == b.completed &&
-           a.batches == b.batches && a.partial_batches == b.partial_batches &&
-           a.lanes_solved == b.lanes_solved && a.converged == b.converged &&
-           a.deadline_misses == b.deadline_misses &&
-           a.stale_refusals == b.stale_refusals && a.cache == b.cache;
-  }
+  bool operator==(const ServiceStats&) const = default;
 };
 
 class SolverService {

@@ -95,6 +95,8 @@ struct SolverStats {
   std::int64_t nonfinite_events = 0;  ///< NaN/Inf detections survived
   int recycle_projections = 0;  ///< initial residual projected onto a
                                 ///< recycled deflation subspace (multi-RHS)
+
+  bool operator==(const SolverStats&) const = default;
 };
 
 /// Cycle-granularity observer for restarted outer solvers. on_cycle() is

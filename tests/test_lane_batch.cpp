@@ -1,13 +1,9 @@
 // Lane-vectorized (SOA-over-RHS) Schwarz block solves: the BlockSpinorLanes
 // container and its gather bridge, the lane-wise MR scalars with
-// convergence masking, the bit-identity of a batch against per-RHS
-// apply() calls (a batch of one runs at one lane, wider batches pad), the
-// apply_batch geometry guard, and the work model's RHS-lane efficiency
-// term.
+// convergence masking, the apply_batch geometry guard, and the work
+// model's RHS-lane efficiency term. A batch against per-RHS apply() calls
+// is the lanes row of test_contracts.cpp.
 #include <gtest/gtest.h>
-
-#include <cmath>
-#include <cstring>
 
 #include "lqcd/core/dd_solver.h"
 #include "lqcd/knc/work_model.h"
@@ -36,16 +32,6 @@ struct SchwarzFixture {
     op.prepare_schur();
   }
 };
-
-double rel_field_diff(const FermionField<float>& a,
-                      const FermionField<float>& b) {
-  double diff2 = 0, ref2 = 0;
-  for (std::int64_t s = 0; s < a.size(); ++s) {
-    diff2 += norm2(a[s] - b[s]);
-    ref2 += norm2(a[s]);
-  }
-  return ref2 > 0 ? std::sqrt(diff2 / ref2) : std::sqrt(diff2);
-}
 
 // ---------------------------------------------------------------------------
 // SOA-over-RHS container and gather bridge.
@@ -171,165 +157,6 @@ TEST(LaneMR, MasksZeroLaneAndFreezesItsVectors) {
   st.arar[1] = 1.0;
   lane_mr_alphas(st);
   EXPECT_EQ(st.active[1], 0);
-}
-
-// ---------------------------------------------------------------------------
-// Tentpole: lane-vectorized batched apply vs per-RHS apply() calls.
-// ---------------------------------------------------------------------------
-
-/// Tolerance of the lane path against per-RHS applies where a test does
-/// not assert bit-identity.
-constexpr double kLaneTolerance = 1e-5;
-
-bool same_bits(const FermionField<float>& a, const FermionField<float>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(),
-                     static_cast<std::size_t>(a.size()) *
-                         sizeof(Spinor<float>)) == 0;
-}
-
-/// Run each RHS through its own apply() on `ref` (fresh stats): the
-/// one-lane block solve that RHS gets alone. ref.stats() ends as the sum
-/// over the per-RHS applies; the return value is the stats of one.
-SchwarzStats apply_each(SchwarzPreconditioner<float>& ref,
-                        const std::vector<FermionField<float>>& f,
-                        std::vector<FermionField<float>>& u) {
-  SchwarzStats one;
-  for (std::size_t i = 0; i < f.size(); ++i) {
-    ref.apply(f[i], u[i]);
-    if (i == 0) one = ref.stats();
-  }
-  return one;
-}
-
-TEST(LaneBatch, MatchesScalarPathWithinToleranceAndCounterExactly) {
-  SchwarzFixture f;
-  for (const int nrhs : {2, 3, 5, 8}) {
-    SchwarzParams p;
-    p.schwarz_iterations = 2;
-    p.block_mr_iterations = 3;
-    SchwarzPreconditioner<float> lane(f.part, f.op, p);
-    SchwarzPreconditioner<float> scalar(f.part, f.op, p);
-
-    std::vector<FermionField<float>> ff(static_cast<std::size_t>(nrhs)),
-        u_lane(static_cast<std::size_t>(nrhs)),
-        u_scalar(static_cast<std::size_t>(nrhs));
-    std::vector<const FermionField<float>*> fp;
-    std::vector<FermionField<float>*> lp;
-    for (int i = 0; i < nrhs; ++i) {
-      const auto ii = static_cast<std::size_t>(i);
-      ff[ii] = FermionField<float>(f.geom.volume());
-      u_lane[ii] = FermionField<float>(f.geom.volume());
-      u_scalar[ii] = FermionField<float>(f.geom.volume());
-      gaussian(ff[ii], static_cast<std::uint64_t>(140 + i));
-      fp.push_back(&ff[ii]);
-      lp.push_back(&u_lane[ii]);
-    }
-    lane.apply_batch(fp, lp);
-    const SchwarzStats one = apply_each(scalar, ff, u_scalar);
-
-    // Lanes are independent at every lane count, so each RHS of the
-    // padded batch carries exactly the bits of its one-lane apply().
-    for (int i = 0; i < nrhs; ++i) {
-      EXPECT_LT(rel_field_diff(u_scalar[static_cast<std::size_t>(i)],
-                               u_lane[static_cast<std::size_t>(i)]),
-                kLaneTolerance)
-          << "nrhs " << nrhs << " RHS " << i;
-      EXPECT_TRUE(same_bits(u_scalar[static_cast<std::size_t>(i)],
-                            u_lane[static_cast<std::size_t>(i)]))
-          << "nrhs " << nrhs << " RHS " << i;
-    }
-    // So does the maintained residual (the last apply() left RHS nrhs-1's).
-    EXPECT_TRUE(same_bits(lane.residual(nrhs - 1), scalar.residual(0)))
-        << "nrhs " << nrhs;
-
-    // The instrumented counters are a hard contract, not a tolerance:
-    // the per-RHS work is the sum over the per-RHS applies, while the
-    // batch streams each domain's matrices once per visit, exactly as
-    // often as ONE apply() does (the paper's Sec. VI amortization).
-    const auto& sl = lane.stats();
-    const auto& ss = scalar.stats();
-    EXPECT_EQ(sl.applications, ss.applications) << "nrhs " << nrhs;
-    EXPECT_EQ(sl.sweeps, one.sweeps) << "nrhs " << nrhs;
-    EXPECT_EQ(sl.matrix_block_loads, one.matrix_block_loads)
-        << "nrhs " << nrhs;
-    EXPECT_EQ(sl.block_solves, ss.block_solves) << "nrhs " << nrhs;
-    EXPECT_EQ(sl.mr_iterations, ss.mr_iterations) << "nrhs " << nrhs;
-    EXPECT_EQ(sl.boundary_bytes, ss.boundary_bytes) << "nrhs " << nrhs;
-    EXPECT_EQ(sl.flops, ss.flops) << "nrhs " << nrhs;
-  }
-}
-
-TEST(LaneBatch, ApplyIsABatchOfOneBitIdentically) {
-  // apply() is apply_batch() of one RHS: one block-solve path, at one
-  // lane, so the two are bit-identical by construction.
-  SchwarzFixture f;
-  SchwarzParams p;
-  p.schwarz_iterations = 2;
-  p.block_mr_iterations = 3;
-  SchwarzPreconditioner<float> m(f.part, f.op, p);
-
-  FermionField<float> b(f.geom.volume()), u1(f.geom.volume()),
-      u2(f.geom.volume());
-  gaussian(b, 150);
-  m.apply(b, u1);
-  const FermionField<float>* fp[1] = {&b};
-  std::vector<const FermionField<float>*> fv{fp[0]};
-  std::vector<FermionField<float>*> uv{&u2};
-  m.apply_batch(fv, uv);
-  EXPECT_TRUE(same_bits(u1, u2));
-}
-
-TEST(LaneBatch, ConvergedLaneIsMaskedWithScalarCounterParity) {
-  // One RHS of the batch is exactly zero: it "converges" in its first MR
-  // iteration of every domain visit while the others keep iterating. The
-  // lane path must (a) leave its correction exactly zero — the masked
-  // lane is frozen, not polluted by its active neighbors — and (b) charge
-  // mr_iterations exactly as per-RHS apply() calls do.
-  SchwarzFixture f;
-  SchwarzParams p;
-  p.schwarz_iterations = 2;
-  p.block_mr_iterations = 4;
-  SchwarzPreconditioner<float> lane(f.part, f.op, p);
-  SchwarzPreconditioner<float> scalar(f.part, f.op, p);
-
-  const int nrhs = 3;
-  std::vector<FermionField<float>> ff(nrhs), u_lane(nrhs), u_scalar(nrhs);
-  std::vector<const FermionField<float>*> fp;
-  std::vector<FermionField<float>*> lp;
-  for (int i = 0; i < nrhs; ++i) {
-    const auto ii = static_cast<std::size_t>(i);
-    ff[ii] = FermionField<float>(f.geom.volume());
-    u_lane[ii] = FermionField<float>(f.geom.volume());
-    u_scalar[ii] = FermionField<float>(f.geom.volume());
-    if (i != 1) gaussian(ff[ii], static_cast<std::uint64_t>(160 + i));
-    fp.push_back(&ff[ii]);
-    lp.push_back(&u_lane[ii]);
-  }
-  lane.apply_batch(fp, lp);
-  apply_each(scalar, ff, u_scalar);
-
-  // The zero RHS yields an exactly-zero correction on both paths.
-  double unorm2 = 0;
-  for (std::int64_t s = 0; s < f.geom.volume(); ++s)
-    unorm2 += norm2(u_lane[1][s]);
-  EXPECT_EQ(unorm2, 0.0);
-
-  // Counter parity: the masked lane stops counting MR iterations after
-  // its breakdown iteration, exactly like the scalar `break`.
-  EXPECT_EQ(lane.stats().mr_iterations, scalar.stats().mr_iterations);
-  EXPECT_EQ(lane.stats().flops, scalar.stats().flops);
-  EXPECT_LT(lane.stats().mr_iterations,
-            static_cast<std::int64_t>(nrhs) * lane.stats().sweeps *
-                f.part.num_domains() * p.block_mr_iterations)
-      << "the zero lane must not be charged full MR iteration counts";
-
-  // The nonzero RHS still match their per-RHS applies.
-  for (const int i : {0, 2})
-    EXPECT_LT(rel_field_diff(u_scalar[static_cast<std::size_t>(i)],
-                             u_lane[static_cast<std::size_t>(i)]),
-              kLaneTolerance)
-        << "RHS " << i;
 }
 
 // ---------------------------------------------------------------------------

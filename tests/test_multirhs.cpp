@@ -36,13 +36,6 @@ double true_relative_residual(const WilsonCloverOperator<double>& op,
   return norm(r) / norm(b);
 }
 
-double field_diff_norm(const FermionField<double>& a,
-                       const FermionField<double>& b) {
-  FermionField<double> d(a.size());
-  sub(a, b, d);
-  return norm(d);
-}
-
 /// Config that forces multiple FGMRES-DR cycles (small basis, weak
 /// preconditioner), so deflated restarts — and hence a harvestable
 /// recycling subspace — actually occur. A single strong-preconditioner
@@ -62,34 +55,6 @@ DDSolverConfig batch_config() {
 // ---------------------------------------------------------------------------
 // Tentpole: solve_batch consistency with solve.
 // ---------------------------------------------------------------------------
-
-TEST(MultiRhs, BatchOfOneIsBitIdenticalToSolve) {
-  // Solves are deterministic within a process, so a batch of one must
-  // reproduce solve() exactly: same trajectory, same counters, same bits.
-  Problem prob({8, 8, 8, 8}, 0.7, 311);
-  DDSolverConfig cfg = batch_config();
-  DDSolver solver(prob.geom, prob.gauge, 0.1, 1.0, cfg);
-
-  FermionField<double> x1(prob.geom.volume());
-  const auto s1 = solver.solve(prob.b, x1);
-
-  std::vector<FermionField<double>> b{prob.b},
-      x{FermionField<double>(prob.geom.volume())};
-  const auto sb = solver.solve_batch(b, x);
-  ASSERT_EQ(sb.size(), 1u);
-  const auto& s2 = sb[0];
-
-  EXPECT_TRUE(s1.converged);
-  EXPECT_TRUE(s2.converged);
-  EXPECT_EQ(s1.iterations, s2.iterations);
-  EXPECT_EQ(s1.matvecs, s2.matvecs);
-  EXPECT_EQ(s1.precond_applications, s2.precond_applications);
-  EXPECT_EQ(s1.global_sum_events, s2.global_sum_events);
-  EXPECT_EQ(s1.residual_history, s2.residual_history);
-  EXPECT_EQ(s1.final_relative_residual, s2.final_relative_residual);
-  EXPECT_EQ(s2.recycle_projections, 0);  // nothing to recycle from
-  EXPECT_EQ(field_diff_norm(x1, x[0]), 0.0);
-}
 
 TEST(MultiRhs, BatchConvergesEveryRhsWithNoMoreTotalIterations) {
   // The propagator workload: 12 spin-color point sources. Every RHS must
@@ -170,145 +135,6 @@ TEST(MultiRhs, StatsAccumulateAcrossSolveAndSolveBatchCalls) {
   EXPECT_EQ(solver.schwarz_stats().applications, 0);
   EXPECT_EQ(solver.schwarz_stats().matrix_block_loads, 0);
   EXPECT_EQ(solver.schwarz_stats().sweeps, 0);
-}
-
-// ---------------------------------------------------------------------------
-// Batched Schwarz preconditioner: matrix-load amortization + independence.
-// ---------------------------------------------------------------------------
-
-struct SchwarzFixture {
-  Geometry geom;
-  Checkerboard cb;
-  GaugeField<float> gauge;
-  WilsonCloverOperator<float> op;
-  DomainPartition part;
-
-  SchwarzFixture()
-      : geom({8, 8, 8, 8}),
-        cb(geom),
-        gauge([&] {
-          auto gd = random_gauge_field<double>(geom, 0.5, 17);
-          gd.make_time_antiperiodic();
-          return convert<float>(gd);
-        }()),
-        op(geom, cb, gauge, 0.1f, 1.0f),
-        part(geom, {4, 4, 4, 4}) {
-    op.prepare_schur();
-  }
-};
-
-TEST(SchwarzBatch, MatrixLoadsPerSweepIndependentOfNrhs) {
-  SchwarzFixture f;
-  SchwarzParams p;
-  p.schwarz_iterations = 3;
-  p.block_mr_iterations = 4;
-  SchwarzPreconditioner<float> m(f.part, f.op, p);
-
-  const auto run = [&](int nrhs) {
-    std::vector<FermionField<float>> ff(static_cast<std::size_t>(nrhs)),
-        uu(static_cast<std::size_t>(nrhs));
-    std::vector<const FermionField<float>*> fp;
-    std::vector<FermionField<float>*> up;
-    for (int i = 0; i < nrhs; ++i) {
-      ff[static_cast<std::size_t>(i)] = FermionField<float>(f.geom.volume());
-      uu[static_cast<std::size_t>(i)] = FermionField<float>(f.geom.volume());
-      gaussian(ff[static_cast<std::size_t>(i)],
-               static_cast<std::uint64_t>(50 + i));
-      fp.push_back(&ff[static_cast<std::size_t>(i)]);
-      up.push_back(&uu[static_cast<std::size_t>(i)]);
-    }
-    m.reset_stats();
-    m.apply_batch(fp, up);
-    return m.stats();
-  };
-
-  const auto s1 = run(1);
-  const auto s12 = run(12);
-
-  // One sweep visits each of the 16 domains once; a visit streams the
-  // packed matrices once for the whole batch.
-  EXPECT_EQ(s1.sweeps, 3);
-  EXPECT_EQ(s12.sweeps, 3);
-  EXPECT_EQ(s1.matrix_block_loads, 3 * 16);
-  EXPECT_EQ(s12.matrix_block_loads, s1.matrix_block_loads);
-  // While everything per-RHS scales by 12.
-  EXPECT_EQ(s12.applications, 12 * s1.applications);
-  EXPECT_EQ(s12.block_solves, 12 * s1.block_solves);
-  EXPECT_EQ(s12.mr_iterations, 12 * s1.mr_iterations);
-  EXPECT_EQ(s12.boundary_bytes, 12 * s1.boundary_bytes);
-}
-
-TEST(SchwarzBatch, BatchedRhsAreIndependentAndMatchSequentialApplies) {
-  // Each RHS of a batch must get the result it would get alone: the
-  // per-(RHS, domain) face-buffer slots, residual fields and MR lanes
-  // must not leak across the batch. A batch of three runs the lane path,
-  // which matches sequential apply() calls to the lane tolerance of
-  // test_lane_batch.cpp; the no-leak check itself is bit-exact.
-  constexpr double kLaneTolerance = 1e-5;
-  SchwarzFixture f;
-  SchwarzParams p;
-  p.schwarz_iterations = 2;
-  p.block_mr_iterations = 3;
-  SchwarzPreconditioner<float> m(f.part, f.op, p);
-
-  const int nrhs = 3;
-  std::vector<FermionField<float>> ff(nrhs), u_seq(nrhs), u_bat(nrhs);
-  for (int i = 0; i < nrhs; ++i) {
-    const auto ii = static_cast<std::size_t>(i);
-    ff[ii] = FermionField<float>(f.geom.volume());
-    u_seq[ii] = FermionField<float>(f.geom.volume());
-    u_bat[ii] = FermionField<float>(f.geom.volume());
-    gaussian(ff[ii], static_cast<std::uint64_t>(70 + i));
-  }
-  for (int i = 0; i < nrhs; ++i)
-    m.apply(ff[static_cast<std::size_t>(i)],
-            u_seq[static_cast<std::size_t>(i)]);
-
-  std::vector<const FermionField<float>*> fp;
-  std::vector<FermionField<float>*> up;
-  for (int i = 0; i < nrhs; ++i) {
-    fp.push_back(&ff[static_cast<std::size_t>(i)]);
-    up.push_back(&u_bat[static_cast<std::size_t>(i)]);
-  }
-  m.apply_batch(fp, up);
-
-  for (int i = 0; i < nrhs; ++i) {
-    const auto ii = static_cast<std::size_t>(i);
-    double diff2 = 0, ref2 = 0;
-    for (std::int64_t s = 0; s < f.geom.volume(); ++s) {
-      diff2 += norm2(u_seq[ii][s] - u_bat[ii][s]);
-      ref2 += norm2(u_seq[ii][s]);
-    }
-    EXPECT_LT(std::sqrt(diff2 / ref2), kLaneTolerance) << "RHS " << i;
-    // The maintained residual of lane i must equal f_i - A u_i.
-    FermionField<float> au(f.geom.volume());
-    f.op.apply(u_bat[ii], au);
-    sub(ff[ii], au, au);
-    double rdiff2 = 0;
-    for (std::int64_t s = 0; s < f.geom.volume(); ++s)
-      rdiff2 += norm2(au[s] - m.residual(i)[s]);
-    EXPECT_LT(std::sqrt(rdiff2), 1e-6 * norm(ff[ii])) << "RHS " << i;
-  }
-
-  // No leak, bit-exact: RHS 0 of {f0, g1, g2} is RHS 0 of {f0, f1, f2}.
-  std::vector<FermionField<float>> gg(nrhs - 1);
-  FermionField<float> u_alt0(f.geom.volume());
-  std::vector<FermionField<float>> u_alt(nrhs - 1);
-  std::vector<const FermionField<float>*> gp{&ff[0]};
-  std::vector<FermionField<float>*> ap{&u_alt0};
-  for (int i = 0; i < nrhs - 1; ++i) {
-    const auto ii = static_cast<std::size_t>(i);
-    gg[ii] = FermionField<float>(f.geom.volume());
-    u_alt[ii] = FermionField<float>(f.geom.volume());
-    gaussian(gg[ii], static_cast<std::uint64_t>(90 + i));
-    gp.push_back(&gg[ii]);
-    ap.push_back(&u_alt[ii]);
-  }
-  m.apply_batch(gp, ap);
-  double leak2 = 0;
-  for (std::int64_t s = 0; s < f.geom.volume(); ++s)
-    leak2 += norm2(u_bat[0][s] - u_alt0[s]);
-  EXPECT_EQ(leak2, 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -561,30 +387,6 @@ TEST(RecycleCache, ConfigurationFlipDiscardsHarvestedSubspace) {
   EXPECT_EQ(cache.gauge_key, prob_b.gauge.content_checksum());
   EXPECT_LE(true_relative_residual(solver_b.op(), bb[0], xb[0]),
             cfg.tolerance);
-}
-
-TEST(SharedSetup, TwoSolversOnOneSetupMatchIndependentSolvers) {
-  // The service path: many DDSolver instances attached to one
-  // DDSolverSetup must behave exactly like independently constructed
-  // solvers (the setup is immutable during fault-free solves).
-  Problem prob({8, 8, 8, 8}, 0.7, 451);
-  DDSolverConfig cfg = batch_config();
-  auto setup = std::make_shared<DDSolverSetup>(prob.geom, prob.gauge, 0.1,
-                                               1.0, cfg);
-  DDSolver shared_1(setup, cfg);
-  DDSolver shared_2(setup, cfg);
-  DDSolver independent(prob.geom, prob.gauge, 0.1, 1.0, cfg);
-
-  FermionField<double> x1(prob.geom.volume()), x2(prob.geom.volume()),
-      x3(prob.geom.volume());
-  const auto s1 = shared_1.solve(prob.b, x1);
-  const auto s2 = shared_2.solve(prob.b, x2);
-  const auto s3 = independent.solve(prob.b, x3);
-  ASSERT_TRUE(s1.converged);
-  EXPECT_EQ(s1.iterations, s3.iterations);
-  EXPECT_EQ(s1.residual_history, s3.residual_history);
-  EXPECT_EQ(field_diff_norm(x1, x3), 0.0);
-  EXPECT_EQ(field_diff_norm(x2, x3), 0.0);
 }
 
 }  // namespace

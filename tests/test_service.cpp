@@ -1,8 +1,8 @@
 // SolverService: lane-packing batch scheduler, checksum-keyed setup
-// cache, persistent deflation recycling, and the service-level
-// determinism guarantees (FIFO fairness, batch-of-1 bit-identity with
-// the direct solver, thread-count-invariant stats under fault
-// injection).
+// cache, persistent deflation recycling, FIFO fairness and the typed
+// refusals at the submit boundary. A lone request against a direct solve
+// and 1 vs 4 workers under fault injection are rows of
+// test_contracts.cpp.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -31,13 +31,6 @@ struct Problem {
           return g;
         }()) {}
 };
-
-double field_diff_norm(const FermionField<double>& a,
-                       const FermionField<double>& b) {
-  FermionField<double> d(a.size());
-  sub(a, b, d);
-  return norm(d);
-}
 
 /// Small, fast solver configuration (16 domains on the 8x4x4x4 test
 /// lattice). Deliberately weak preconditioner and tiny basis so solves
@@ -138,40 +131,6 @@ TEST(BatchScheduler, HeadWhoseKeyIsUnequalToItselfIsStillDispatched) {
 // ---------------------------------------------------------------------------
 // Service end-to-end (synchronous drain() mode: deterministic)
 // ---------------------------------------------------------------------------
-
-TEST(Service, BatchOfOneBitIdenticalToDirectSolve) {
-  // A lone request takes the solo path of solve_batch, which is the
-  // documented bit-identical twin of DDSolver::solve(): same trajectory,
-  // same counters, same solution bits.
-  Problem prob({8, 4, 4, 4}, 0.7, 101);
-  SolverServiceConfig scfg;
-  scfg.solver = service_solver_config();
-  scfg.worker_threads = 0;
-
-  SolveRequest req = make_request(prob, 200);
-  const FermionField<double> b = req.source;  // keep a copy
-
-  SolverService service(scfg);
-  auto fut = service.submit(std::move(req));
-  service.drain();
-  SolveResult res = fut.get();
-
-  DDSolver direct(prob.geom, prob.gauge, 0.1, 1.0, scfg.solver);
-  FermionField<double> x(prob.geom.volume());
-  const SolverStats st = direct.solve(b, x);
-
-  ASSERT_TRUE(res.stats.converged);
-  ASSERT_TRUE(st.converged);
-  EXPECT_EQ(res.stats.iterations, st.iterations);
-  EXPECT_EQ(res.stats.matvecs, st.matvecs);
-  EXPECT_EQ(res.stats.precond_applications, st.precond_applications);
-  EXPECT_EQ(res.stats.global_sum_events, st.global_sum_events);
-  EXPECT_EQ(res.stats.residual_history, st.residual_history);
-  EXPECT_EQ(res.stats.final_relative_residual, st.final_relative_residual);
-  EXPECT_EQ(field_diff_norm(res.solution, x), 0.0);
-  EXPECT_EQ(res.batch_lanes, 1);
-  EXPECT_FALSE(res.setup_cache_hit);
-}
 
 TEST(Service, DeflationOffServesALoneRequest) {
   // deflation_size = 0 (plain restarted FGMRES) gives solve_batch no
@@ -550,60 +509,6 @@ TEST(SetupCache, ThrowingBuildReleasesItsLatchAndDropsItsEntry) {
     EXPECT_TRUE(f.get());
   }
   EXPECT_EQ(cache->size(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Thread-count invariance under fault injection
-// ---------------------------------------------------------------------------
-
-ServiceStats run_service(int worker_threads, FaultInjector* packed_injector) {
-  Problem prob({8, 4, 4, 4}, 0.7, 191);
-  SolverServiceConfig scfg;
-  scfg.solver = service_solver_config();
-  scfg.solver.resilience.enabled = true;
-  scfg.solver.resilience.abft.enabled = true;
-  scfg.solver.resilience.abft.verify_interval = 4;
-  scfg.solver.resilience.packed_injector = packed_injector;
-  scfg.batch.max_lanes = 4;
-  scfg.batch.window_seconds = 2.0;  // submissions land well inside
-  scfg.worker_threads = worker_threads;
-
-  std::vector<std::future<SolveResult>> futs;
-  ServiceStats out;
-  {
-    SolverService service(scfg);
-    for (std::uint64_t i = 0; i < 8; ++i)
-      futs.push_back(service.submit(make_request(prob, 800 + i)));
-    if (worker_threads == 0) service.drain();
-    for (auto& f : futs) EXPECT_TRUE(f.get().stats.converged);
-    out = service.stats();
-  }
-  return out;
-}
-
-TEST(Service, StatsParityOneVsFourWorkersUnderFaultInjection) {
-  // The packed-data injector draws through ParallelFaultScope, whose
-  // fault pattern is a pure function of (seed, schedule, key) — and ABFT
-  // caps each configuration at ONE solver context, serializing
-  // dispatches. Identical request streams must therefore produce
-  // EXPECT_EQ-identical service stats for ANY worker count.
-  FaultInjectorConfig fic;
-  fic.fault = FaultClass::kSpinorBitFlip;
-  fic.seed = 77;
-  fic.probability = 1e-3;
-  fic.max_events = -1;
-
-  FaultInjector inj1(fic), inj4(fic);
-  const ServiceStats s1 = run_service(1, &inj1);
-  const ServiceStats s4 = run_service(4, &inj4);
-
-  EXPECT_EQ(s1, s4);
-  EXPECT_EQ(s1.completed, 8u);
-  EXPECT_EQ(s1.converged, 8u);
-  EXPECT_EQ(s1.batches, 2u);
-  // The two injectors saw the same opportunity stream.
-  EXPECT_EQ(inj1.stats().opportunities, inj4.stats().opportunities);
-  EXPECT_EQ(inj1.stats().events, inj4.stats().events);
 }
 
 }  // namespace

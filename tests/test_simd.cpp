@@ -5,16 +5,14 @@
 // arithmetic (su3/gamma.h); <= 1e-6 for the FMA-carrying clover and MR
 // kernels, which avx2 and avx512 evaluate bitwise alike — lane
 // independence at every lane count (lane b of a call equals a one-lane
-// call), backend-invariance of the Schwarz instrumented counters, and the
-// lane-width contract: every backend's width divides kCommonLaneWidth, and
-// a batch's output does not depend on the width it is padded to or on the
-// batch size, one included.
+// call), and the lane-width contract: every backend's width divides
+// kCommonLaneWidth. The same contracts one layer up, on whole Schwarz
+// applies, are the backend and lanes rows of test_contracts.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "lqcd/base/error.h"
@@ -643,189 +641,6 @@ TEST(SimdParity, MrKernelsAreLaneIndependentAndWideBackendsAgreeBitwise) {
             << simd::to_string(w) << " lanes " << lanes << " lane " << b;
       }
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end: the Schwarz batched solve under every backend.
-// ---------------------------------------------------------------------------
-
-TEST(SimdSchwarz, BatchSolveAgreesAcrossBackendsWithIdenticalCounters) {
-  Geometry geom({8, 8, 8, 8});
-  Checkerboard cb(geom);
-  auto gauge = [&] {
-    auto gd = random_gauge_field<double>(geom, 0.5, 81);
-    gd.make_time_antiperiodic();
-    return convert<float>(gd);
-  }();
-  WilsonCloverOperator<float> op(geom, cb, gauge, 0.1f, 1.0f);
-  op.prepare_schur();
-  DomainPartition part(geom, {4, 4, 4, 4});
-
-  const int nrhs = 5;
-  SchwarzParams p;
-  p.schwarz_iterations = 2;
-  p.block_mr_iterations = 3;
-
-  std::vector<FermionField<float>> ff(nrhs);
-  std::vector<const FermionField<float>*> fp;
-  for (int i = 0; i < nrhs; ++i) {
-    const auto ii = static_cast<std::size_t>(i);
-    ff[ii] = FermionField<float>(geom.volume());
-    gaussian(ff[ii], static_cast<std::uint64_t>(90 + i));
-    fp.push_back(&ff[ii]);
-  }
-
-  auto run = [&](Backend b, std::vector<FermionField<float>>& u,
-                 SchwarzStats& stats) {
-    ScopedBackend scope(b);
-    SchwarzPreconditioner<float> m(part, op, p);
-    std::vector<FermionField<float>*> up;
-    for (int i = 0; i < nrhs; ++i) {
-      const auto ii = static_cast<std::size_t>(i);
-      u[ii] = FermionField<float>(geom.volume());
-      up.push_back(&u[ii]);
-    }
-    m.apply_batch(fp, up);
-    stats = m.stats();
-  };
-
-  std::vector<FermionField<float>> u_ref(nrhs);
-  SchwarzStats ref_stats;
-  run(Backend::kScalar, u_ref, ref_stats);
-
-  for (const Backend w : wide_backends()) {
-    std::vector<FermionField<float>> u(nrhs);
-    SchwarzStats stats;
-    run(w, u, stats);
-    for (int i = 0; i < nrhs; ++i) {
-      const auto ii = static_cast<std::size_t>(i);
-      double diff2 = 0, ref2 = 0;
-      for (std::int64_t s = 0; s < u_ref[ii].size(); ++s) {
-        diff2 += norm2(u_ref[ii][s] - u[ii][s]);
-        ref2 += norm2(u_ref[ii][s]);
-      }
-      EXPECT_LT(std::sqrt(diff2 / ref2), 1e-5)
-          << simd::to_string(w) << " RHS " << i;
-    }
-    // Counters are a hard contract: identical matrix loads, MR
-    // iterations (lane masking branches only on exact zeros) and flops.
-    EXPECT_EQ(stats.applications, ref_stats.applications);
-    EXPECT_EQ(stats.sweeps, ref_stats.sweeps);
-    EXPECT_EQ(stats.matrix_block_loads, ref_stats.matrix_block_loads);
-    EXPECT_EQ(stats.block_solves, ref_stats.block_solves);
-    EXPECT_EQ(stats.mr_iterations, ref_stats.mr_iterations)
-        << simd::to_string(w);
-    EXPECT_EQ(stats.boundary_bytes, ref_stats.boundary_bytes);
-    EXPECT_EQ(stats.flops, ref_stats.flops) << simd::to_string(w);
-  }
-}
-
-// The padded lane width is a pure speed choice. Padding lanes are inert
-// and lanes are independent, so each RHS's apply_batch output does not
-// depend on the batch it rides in or on the width the batch is padded
-// to: avx2 pads to multiples of 4, avx512 to multiples of 16 (nrhs = 17
-// runs two 16-lane vectors). Both backends evaluate the lane kernels
-// bit-identically, so the rows below are bitwise, counters EXPECT_EQ.
-TEST(SimdSchwarz, BatchOutputIsIndependentOfLaneWidthAndBatchSize) {
-  Geometry geom({8, 8, 8, 8});
-  Checkerboard cb(geom);
-  auto gauge = [&] {
-    auto gd = random_gauge_field<double>(geom, 0.5, 83);
-    gd.make_time_antiperiodic();
-    return convert<float>(gd);
-  }();
-  WilsonCloverOperator<float> op(geom, cb, gauge, 0.1f, 1.0f);
-  op.prepare_schur();
-  DomainPartition part(geom, {4, 4, 4, 4});
-  auto setup = std::make_shared<SchwarzSetup<Half>>(part, op);
-  SchwarzParams p;
-  p.schwarz_iterations = 2;
-  p.block_mr_iterations = 3;
-
-  const std::vector<int> batch_sizes = {1, 2, 3, 5, 11, 16, 17};
-  const int max_rhs = 17;
-  std::vector<FermionField<float>> ff(max_rhs);
-  std::vector<const FermionField<float>*> fp;
-  for (int i = 0; i < max_rhs; ++i) {
-    const auto ii = static_cast<std::size_t>(i);
-    ff[ii] = FermionField<float>(geom.volume());
-    gaussian(ff[ii], static_cast<std::uint64_t>(300 + i));
-    fp.push_back(&ff[ii]);
-  }
-
-  struct Run {
-    std::vector<FermionField<float>> u;
-    SchwarzStats stats;
-  };
-  // One apply of RHS 0 .. nrhs-1 on the given preconditioner under
-  // backend b; stats are that apply's alone.
-  auto apply = [&](SchwarzPreconditioner<Half>& m, Backend b, int nrhs) {
-    ScopedBackend scope(b);
-    Run r;
-    r.u.resize(static_cast<std::size_t>(nrhs));
-    std::vector<FermionField<float>*> up;
-    for (auto& u : r.u) {
-      u = FermionField<float>(geom.volume());
-      up.push_back(&u);
-    }
-    const std::vector<const FermionField<float>*> f(fp.begin(),
-                                                    fp.begin() + nrhs);
-    m.reset_stats();
-    m.apply_batch(f, up);
-    r.stats = m.stats();
-    return r;
-  };
-  auto same_bits = [](const FermionField<float>& a,
-                      const FermionField<float>& b) {
-    return a.size() == b.size() &&
-           std::memcmp(a.data(), b.data(),
-                       static_cast<std::size_t>(a.size()) *
-                           sizeof(Spinor<float>)) == 0;
-  };
-
-  // Batch-size rows, on every backend this machine runs: one instance
-  // applies every batch size in turn (the lane scratch re-keys as the
-  // padded count grows and shrinks), and RHS i of each batch carries the
-  // same bits as RHS i of the widest batch. In particular RHS 0-2 of a
-  // 3-batch equal RHS 0-2 of an 11-batch.
-  for (const Backend b : simd::available_backends()) {
-    SchwarzPreconditioner<Half> m(setup, p);
-    const Run widest = apply(m, b, max_rhs);
-    for (const int nrhs : batch_sizes) {
-      const Run r = apply(m, b, nrhs);
-      for (int i = 0; i < nrhs; ++i)
-        EXPECT_TRUE(same_bits(r.u[static_cast<std::size_t>(i)],
-                              widest.u[static_cast<std::size_t>(i)]))
-            << simd::to_string(b) << " nrhs " << nrhs << " RHS " << i;
-    }
-  }
-
-  // Cross-backend rows: avx2 (4-lane padding) against avx512 (16-lane
-  // padding) on the same instance, so every row also switches the
-  // backend between two applies. Skipped without AVX-512.
-  if (!simd::backend_supported(Backend::kAvx2) ||
-      !simd::backend_supported(Backend::kAvx512))
-    GTEST_SKIP() << "cross-backend rows need avx2 and avx512";
-  SchwarzPreconditioner<Half> m(setup, p);
-  for (const int nrhs : batch_sizes) {
-    const Run a2 = apply(m, Backend::kAvx2, nrhs);
-    const Run a5 = apply(m, Backend::kAvx512, nrhs);
-    for (int i = 0; i < nrhs; ++i)
-      EXPECT_TRUE(same_bits(a2.u[static_cast<std::size_t>(i)],
-                            a5.u[static_cast<std::size_t>(i)]))
-          << "nrhs " << nrhs << " RHS " << i;
-    EXPECT_EQ(a5.stats.applications, a2.stats.applications) << nrhs;
-    EXPECT_EQ(a5.stats.block_solves, a2.stats.block_solves) << nrhs;
-    EXPECT_EQ(a5.stats.mr_iterations, a2.stats.mr_iterations) << nrhs;
-    EXPECT_EQ(a5.stats.flops, a2.stats.flops) << nrhs;
-    EXPECT_EQ(a5.stats.boundary_bytes, a2.stats.boundary_bytes) << nrhs;
-    EXPECT_EQ(a5.stats.injected_faults, a2.stats.injected_faults) << nrhs;
-    EXPECT_EQ(a5.stats.precision_fallbacks, a2.stats.precision_fallbacks)
-        << nrhs;
-    EXPECT_EQ(a5.stats.matrix_block_loads, a2.stats.matrix_block_loads)
-        << nrhs;
-    EXPECT_EQ(a5.stats.sweeps, a2.stats.sweeps) << nrhs;
   }
 }
 

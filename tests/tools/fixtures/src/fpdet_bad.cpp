@@ -30,3 +30,14 @@ float chunk_fma(float a, float b, float c) {
 void dslash_lanes(const float* in, float* out, int n) {
   for_each_chunk(n, [&](int c) { out[c] = chunk_fma(in[c], 2.0f, out[c]); });
 }
+
+// A bit-exact kernel that reaches its FMA helper through a call with
+// explicit template arguments (the shape of dslash_lanes.h's helpers).
+template <int Mu>
+float phased_fma(float a, float b, float c) {
+  return std::fma(a, b, c);  // EXPECT: fp-determinism
+}
+
+void pack_faces_lanes(const float* in, float* out, int n) {
+  for (int i = 0; i < n; ++i) out[i] = phased_fma<1>(in[i], 2.0f, out[i]);
+}

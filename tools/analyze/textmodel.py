@@ -35,7 +35,10 @@ KEYWORDS = {
     "static_cast", "reinterpret_cast", "const_cast", "dynamic_cast",
 }
 
-CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
+# A call, optionally with explicit template arguments (`f<1>(`,
+# `g<Mu, true>(`, `h<V<T>>(`: one nesting level).
+CALL_RE = re.compile(
+    r"\b([A-Za-z_]\w*)\s*(?:<(?:[^<>();{}]|<[^<>();{}]*>)*>\s*)?\(")
 
 ANNOTATION_RE = re.compile(
     r"//\s*analyze-safe\(([a-z*-]+)\)\s*:\s*(\S.*)")
