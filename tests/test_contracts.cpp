@@ -25,13 +25,16 @@
 //             opportunities per apply; find_corrupt_domains is equal at
 //             1 and 4 threads.
 //
-// Solve tier: a table of DDSolver / SolverService row pairs. Each row
-// declares its relation: kSameTrajectory (equal SolverStats — iterations,
-// matvecs, preconditioner applications, global sums, residual history,
-// final residual — and equal solution bits) or kSameCounters (equal
-// iterations, solutions within 1e-8 relative). The exact side counters a
-// row records (AbftStats, FaultInjectorStats, ServiceStats) must be equal
-// under either relation.
+// The parity tests these rows took over keep their names: a Schwarz one
+// runs its rows on one instance, and a solve one is its row.
+//
+// Solve tier: a table of DDSolver / SolverService row pairs, one named
+// test a row. Each row declares its relation: kSameTrajectory (equal
+// SolverStats — iterations, matvecs, preconditioner applications, global
+// sums, residual history, final residual — and equal solution bits) or
+// kSameCounters (equal iterations, solutions within 1e-8 relative). The
+// exact side counters a row records (AbftStats, FaultInjectorStats,
+// ServiceStats) must be equal under either relation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -196,8 +199,23 @@ const Lattice& lattice() {
   return l;
 }
 
+/// The rows of the Schwarz tier. An instance's matrix entry runs them
+/// all; a named test below runs its own.
+enum Row : unsigned {
+  kThreads = 1u << 0,  ///< 4 == 1 and built at 1 == 1; the hook row
+  kLanes = 1u << 1,
+  kBatchOfOne = 1u << 2,
+  kZeroRhs = 1u << 3,
+  kScalarVsWide = 1u << 4,
+  kAvx2VsAvx512 = 1u << 5,
+  kAbftSweep = 1u << 6,
+  kAllRows = (1u << 7) - 1,
+};
+
+/// Rows `rows` of the instance (backend, S, additive), under `backend`.
 template <class S>
-void schwarz_cells(Backend backend, bool additive) {
+void schwarz_cells(Backend backend, bool additive, unsigned rows) {
+  const simd::ScopedBackend scope(backend);
   const Lattice& L = lattice();
   SchwarzParams p;
   p.schwarz_iterations = 2;
@@ -213,23 +231,33 @@ void schwarz_cells(Backend backend, bool additive) {
   // One-lane references: every source through its own apply().
   SchwarzPreconditioner<S> ref(setup, p);
   std::vector<Apply> one;
-  for (int b = 0; b < kMaxRhs; ++b) {
-    const FermionField<float>& f = L.f[static_cast<std::size_t>(b)];
-    one.push_back(run(ref, {&f}, u));
-    if constexpr (std::is_same_v<S, float>) {
-      FermionField<float> d(f.size());
-      L.op.apply(u[0], d);
-      sub(f, d, d);
-      sub(d, ref.residual(0), d);
-      EXPECT_LT(norm(d), 1e-6 * norm(f)) << "RHS " << b;
+  if (rows & (kLanes | kBatchOfOne | kZeroRhs))
+    for (int b = 0; b < kMaxRhs; ++b) {
+      const FermionField<float>& f = L.f[static_cast<std::size_t>(b)];
+      one.push_back(run(ref, {&f}, u));
+      if (std::is_same_v<S, float> && (rows & kLanes)) {
+        FermionField<float> d(f.size());
+        L.op.apply(u[0], d);
+        sub(f, d, d);
+        sub(d, ref.residual(0), d);
+        EXPECT_LT(norm(d), 1e-6 * norm(f)) << "RHS " << b;
+      }
     }
+  if (rows & kLanes) {
+    EXPECT_EQ(one[0].stats.sweeps, p.schwarz_iterations);
+    EXPECT_EQ(one[0].stats.matrix_block_loads, visits);
   }
-  EXPECT_EQ(one[0].stats.sweeps, p.schwarz_iterations);
-  EXPECT_EQ(one[0].stats.matrix_block_loads, visits);
-  ref.apply(L.f[0], u[0]);  // apply() is apply_batch() of one
-  EXPECT_EQ(bits(u[0]), one[0].u[0]);
+  if (rows & kBatchOfOne) {
+    ref.apply(L.f[0], u[0]);  // apply() is apply_batch() of one
+    EXPECT_EQ(bits(u[0]), one[0].u[0]);
+  }
 
+  // The lanes row needs the serial hook-off applies only.
+  const bool threads = (rows & kThreads) != 0;
+  std::vector<std::pair<int, int>> placements = {{1, 1}};
+  if (threads) placements.insert(placements.end(), {{4, 4}, {1, 4}});
   for (const bool hook : {false, true}) {
+    if (hook ? !threads : !(rows & (kThreads | kLanes))) continue;
     SCOPED_TRACE(hook ? "hook on" : "hook off");
     FaultInjectorConfig fic;
     fic.seed = 4242;
@@ -240,8 +268,7 @@ void schwarz_cells(Backend backend, bool additive) {
     // per-thread scratch pool grows on first use.
     std::vector<std::vector<Apply>> runs;
     std::vector<FaultInjectorStats> injected;
-    for (const auto& [build, use] :
-         {std::pair{1, 1}, std::pair{4, 4}, std::pair{1, 4}}) {
+    for (const auto& [build, use] : placements) {
       const Threads at_build(build);
       FaultInjector inj(fic);
       SchwarzParams q = p;
@@ -254,14 +281,19 @@ void schwarz_cells(Backend backend, bool additive) {
     }
     for (std::size_t i = 0; i < sizes.size(); ++i) {
       SCOPED_TRACE(testing::Message() << "nrhs " << sizes[i]);
-      EXPECT_EQ(runs[1][i], runs[0][i]) << "4 threads";
-      EXPECT_EQ(runs[2][i], runs[0][i]) << "built at 1 thread, applied at 4";
-      if (hook)
+      if (threads) {
+        EXPECT_EQ(runs[1][i], runs[0][i]) << "4 threads";
+        EXPECT_EQ(runs[2][i], runs[0][i])
+            << "built at 1 thread, applied at 4";
+      }
+      if (hook) {
         EXPECT_GT(runs[0][i].stats.injected_faults, 0);
-      else
+      } else if (rows & kLanes) {
         EXPECT_EQ(runs[0][i],
                   lanes_of({one.begin(), one.begin() + sizes[i]}));
+      }
     }
+    if (!threads) continue;
     EXPECT_EQ(injected[1], injected[0]);
     EXPECT_EQ(injected[2], injected[0]);
     // One opportunity per domain visit, not per RHS.
@@ -273,15 +305,17 @@ void schwarz_cells(Backend backend, bool additive) {
   // A zero RHS stays exactly zero and leaks into neither neighbour: the
   // batch is its three one-lane applies, and the zero lane is charged
   // fewer MR iterations than a live one.
-  const FermionField<float> zero(L.geom.volume());
-  const Apply zero_one = run(ref, {&zero}, u);
-  EXPECT_EQ(run(ref, {&L.f[0], &zero, &L.f[2]}, u),
-            lanes_of({one[0], zero_one, one[2]}));
-  EXPECT_EQ(norm(u[1]), 0.0);
-  EXPECT_LT(zero_one.stats.mr_iterations, one[0].stats.mr_iterations);
+  if (rows & kZeroRhs) {
+    const FermionField<float> zero(L.geom.volume());
+    const Apply zero_one = run(ref, {&zero}, u);
+    EXPECT_EQ(run(ref, {&L.f[0], &zero, &L.f[2]}, u),
+              lanes_of({one[0], zero_one, one[2]}));
+    EXPECT_EQ(norm(u[1]), 0.0);
+    EXPECT_LT(zero_one.stats.mr_iterations, one[0].stats.mr_iterations);
+  }
 
   // Scalar vs wide at 17 RHS (padded lanes; two vectors on avx512).
-  if (backend != Backend::kScalar) {
+  if ((rows & kScalarVsWide) && backend != Backend::kScalar) {
     std::vector<FermionField<float>> us;
     const Apply wide = run(ref, L.first(kMaxRhs), u);
     const simd::ScopedBackend scalar(Backend::kScalar);
@@ -290,7 +324,8 @@ void schwarz_cells(Backend backend, bool additive) {
       EXPECT_LE(rel_diff(us[b], u[b]), 1e-5) << "RHS " << b;
   }
   // avx2 == avx512, switching backend between applies on one instance.
-  if (backend == Backend::kAvx512 && simd::backend_supported(Backend::kAvx2))
+  if ((rows & kAvx2VsAvx512) && backend == Backend::kAvx512 &&
+      simd::backend_supported(Backend::kAvx2))
     for (const int n : batch_sizes({Backend::kAvx2, Backend::kAvx512})) {
       const Apply a5 = run(ref, L.first(n), u);
       const simd::ScopedBackend avx2(Backend::kAvx2);
@@ -298,6 +333,7 @@ void schwarz_cells(Backend backend, bool additive) {
     }
 
   // find_corrupt_domains at 1 and 4 threads (last: it corrupts the setup).
+  if (!(rows & kAbftSweep)) return;
   FaultInjectorConfig flips;
   flips.max_events = 2;
   FaultInjector inj(flips);
@@ -321,11 +357,10 @@ TEST_P(SchwarzContract, Cells) {
   const auto [backend, half, additive] = GetParam();
   if (!simd::backend_supported(backend))
     GTEST_SKIP() << simd::to_string(backend) << " is not supported here";
-  const simd::ScopedBackend scope(backend);
   if (half)
-    schwarz_cells<Half>(backend, additive);
+    schwarz_cells<Half>(backend, additive, kAllRows);
   else
-    schwarz_cells<float>(backend, additive);
+    schwarz_cells<float>(backend, additive, kAllRows);
 }
 
 std::string cell_name(const testing::TestParamInfo<SchwarzCell>& info) {
@@ -340,6 +375,56 @@ INSTANTIATE_TEST_SUITE_P(
                                      Backend::kAvx512),
                      testing::Bool(), testing::Bool()),
     cell_name);
+
+// The rows under the names of the parity tests they replaced, each on one
+// instance: the backend the dispatch selects (LQCD_SIMD_BACKEND forces
+// one), S = float, multiplicative, unless the name asks for another axis.
+// Where two names share a row they take different instances, so no two
+// run the same cell.
+
+TEST(ThreadSafety, SchwarzMultiplicativeCountersAndBitsAreThreadInvariant) {
+  schwarz_cells<float>(simd::active_backend(), false, kThreads);
+  schwarz_cells<Half>(simd::active_backend(), false, kThreads);
+}
+
+TEST(ThreadSafety, SchwarzAdditiveCountersAndBitsAreThreadInvariant) {
+  schwarz_cells<float>(simd::active_backend(), true, kThreads);
+  schwarz_cells<Half>(simd::active_backend(), true, kThreads);
+}
+
+TEST(LaneBatch, MatchesScalarPathWithinToleranceAndCounterExactly) {
+  schwarz_cells<float>(simd::active_backend(), false, kLanes);
+}
+
+TEST(LaneBatch, ApplyIsABatchOfOneBitIdentically) {
+  schwarz_cells<float>(simd::active_backend(), false, kBatchOfOne);
+}
+
+TEST(LaneBatch, ConvergedLaneIsMaskedWithScalarCounterParity) {
+  schwarz_cells<float>(simd::active_backend(), false, kZeroRhs);
+}
+
+TEST(SchwarzBatch, MatrixLoadsPerSweepIndependentOfNrhs) {
+  schwarz_cells<Half>(simd::active_backend(), true, kLanes);
+}
+
+TEST(SchwarzBatch, BatchedRhsAreIndependentAndMatchSequentialApplies) {
+  schwarz_cells<float>(simd::active_backend(), true, kLanes | kZeroRhs);
+}
+
+TEST(SimdSchwarz, BatchSolveAgreesAcrossBackendsWithIdenticalCounters) {
+  for (const Backend b : simd::available_backends())
+    if (b != Backend::kScalar) schwarz_cells<float>(b, false, kScalarVsWide);
+}
+
+TEST(SimdSchwarz, BatchOutputIsIndependentOfLaneWidthAndBatchSize) {
+  for (const Backend b : simd::available_backends())
+    schwarz_cells<Half>(b, false, kLanes | kAvx2VsAvx512);
+}
+
+TEST(SchwarzAbft, VerificationIsThreadCountInvariant) {
+  schwarz_cells<float>(simd::active_backend(), false, kAbftSweep);
+}
 
 // ---------------------------------------------------------------------------
 // Solve tier
@@ -587,34 +672,9 @@ std::pair<Side, Side> service_workers_1_vs_4_packed_faults() {
 
 enum class Relation { kSameTrajectory, kSameCounters };
 
-struct SolveRow {
-  const char* name;
-  Relation relation;
-  std::pair<Side, Side> (*run)();
-};
-
-const SolveRow kRows[] = {
-    {"solve_vs_batch_of_one", Relation::kSameTrajectory,
-     solve_vs_batch_of_one},
-    {"service_lone_request_vs_direct_solve", Relation::kSameTrajectory,
-     service_lone_request_vs_direct_solve},
-    {"shared_setup_vs_independent", Relation::kSameTrajectory,
-     shared_setup_vs_independent},
-    {"resilience_on_vs_off_fault_free", Relation::kSameTrajectory,
-     resilience_on_vs_off_fault_free},
-    {"abft_on_vs_off_fault_free", Relation::kSameTrajectory,
-     abft_on_vs_off_fault_free},
-    {"omp_threads_1_vs_4_packed_faults", Relation::kSameCounters,
-     omp_threads_1_vs_4_packed_faults},
-    {"service_workers_1_vs_4_packed_faults", Relation::kSameCounters,
-     service_workers_1_vs_4_packed_faults},
-};
-
-class SolveContract : public testing::TestWithParam<SolveRow> {};
-
-TEST_P(SolveContract, Holds) {
-  const SolveRow& row = GetParam();
-  const auto [a, b] = row.run();
+/// The row `sides` holds under `relation`.
+void holds(Relation relation, const std::pair<Side, Side>& sides) {
+  const auto& [a, b] = sides;
   ASSERT_EQ(a.x.size(), b.x.size());
   EXPECT_EQ(a.abft, b.abft);
   EXPECT_EQ(a.injected, b.injected);
@@ -622,7 +682,7 @@ TEST_P(SolveContract, Holds) {
   for (std::size_t i = 0; i < a.x.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "RHS " << i);
     EXPECT_TRUE(a.stats[i].converged);
-    if (row.relation == Relation::kSameTrajectory) {
+    if (relation == Relation::kSameTrajectory) {
       EXPECT_EQ(a.stats[i], b.stats[i]);
       EXPECT_EQ(bits(a.x[i]), bits(b.x[i]));
     } else {
@@ -632,10 +692,35 @@ TEST_P(SolveContract, Holds) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Rows, SolveContract, testing::ValuesIn(kRows),
-                         [](const testing::TestParamInfo<SolveRow>& info) {
-                           return std::string(info.param.name);
-                         });
+// The table: one row a test, under the name of the parity test it replaced.
+
+TEST(MultiRhs, BatchOfOneIsBitIdenticalToSolve) {
+  holds(Relation::kSameTrajectory, solve_vs_batch_of_one());
+}
+
+TEST(Service, BatchOfOneBitIdenticalToDirectSolve) {
+  holds(Relation::kSameTrajectory, service_lone_request_vs_direct_solve());
+}
+
+TEST(SharedSetup, TwoSolversOnOneSetupMatchIndependentSolvers) {
+  holds(Relation::kSameTrajectory, shared_setup_vs_independent());
+}
+
+TEST(DDSolverResilience, FaultFreePathIsBitIdenticalToSeedPipeline) {
+  holds(Relation::kSameTrajectory, resilience_on_vs_off_fault_free());
+}
+
+TEST(DDSolverAbft, FaultFreePathIsBitIdenticalToAbftOff) {
+  holds(Relation::kSameTrajectory, abft_on_vs_off_fault_free());
+}
+
+TEST(DDSolverAbft, StatsAreThreadCountInvariant) {
+  holds(Relation::kSameCounters, omp_threads_1_vs_4_packed_faults());
+}
+
+TEST(Service, StatsParityOneVsFourWorkersUnderFaultInjection) {
+  holds(Relation::kSameCounters, service_workers_1_vs_4_packed_faults());
+}
 
 }  // namespace
 }  // namespace lqcd
