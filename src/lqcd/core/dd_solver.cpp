@@ -161,7 +161,7 @@ DDSolver::DDSolver(std::shared_ptr<DDSolverSetup> setup,
       });
   if (rc.enabled) {
     monitor_ = std::make_unique<CheckpointMonitor<double>>(
-        CheckpointMonitorConfig{}, rc.iterate_injector);
+        rc.iterate_injector);
     if (rc.abft.enabled) {
       AbftConfig ac = rc.abft;
       if (ac.verify_interval == 0) {
@@ -323,8 +323,8 @@ void DDSolver::solve_lanes(std::span<const FermionField<double>* const> b,
       const auto li = static_cast<std::size_t>(i);
       const auto ri = static_cast<std::size_t>(first_lane + i);
       if (monitor_) {
-        lane_monitors[li] = std::make_unique<CheckpointMonitor<double>>(
-            CheckpointMonitorConfig{}, rc.iterate_injector);
+        lane_monitors[li] =
+            std::make_unique<CheckpointMonitor<double>>(rc.iterate_injector);
         if (abft_guard_) lane_monitors[li]->set_abft_guard(abft_guard_.get());
       }
       lanes[li] = std::make_unique<FgmresDrEngine<double>>(

@@ -8,16 +8,28 @@
 //
 // Because every domain has the same block shape and an even-aligned
 // origin, the local site ordering (even sites first, then odd — matching
-// the global parity) and the local neighbor table are shared by all
-// domains; only the local->global site map is per-domain.
+// the global parity), the local neighbor table and the face tables are
+// shared by all domains; only the local->global site map, the neighbor
+// domains and the halo order are per-domain. None of it depends on the
+// precision the Schwarz matrices are stored in, so it is built once here.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "lqcd/lattice/geometry.h"
 
 namespace lqcd {
+
+/// One face buffer a destination domain's halo update consumes: the
+/// (mu, dir) face that domain `producer` packed toward it.
+struct HaloSource {
+  int producer;
+  int mu;
+  Dir dir;
+};
 
 class DomainPartition {
  public:
@@ -96,18 +108,54 @@ class DomainPartition {
   }
 
   /// Local indices of the sites on a face of the block: face(mu, fwd) is
-  /// the x_mu == block_mu - 1 plane, face(mu, bwd) the x_mu == 0 plane.
-  /// Shared by all domains.
-  const std::vector<std::int32_t>& face_sites(int mu, Dir dir) const noexcept {
-    return faces_[static_cast<std::size_t>(mu) * 2 +
-                  (dir == Dir::kForward ? 0 : 1)];
+  /// the x_mu == block_mu - 1 plane, face(mu, bwd) the x_mu == 0 plane,
+  /// each in increasing local order. Shared by all domains; a view into
+  /// face_sites().
+  std::span<const std::int32_t> face_sites(int mu, Dir dir) const noexcept {
+    return face_span(face_sites_, mu, dir);
+  }
+
+  /// Every face site, back to back in face-buffer order: mu-major, the
+  /// forward face before the backward one. Face-buffer entry p (a packed
+  /// half spinor) belongs to local site face_sites()[p].
+  std::span<const std::int32_t> face_sites() const noexcept {
+    return face_sites_;
+  }
+
+  /// Position of face (mu, dir) in face_sites().
+  std::int32_t face_offset(int mu, Dir dir) const noexcept {
+    return face_offset_[face_slot(mu, dir)];
   }
 
   /// Number of sites on a (mu) face.
   std::int32_t face_size(int mu) const noexcept {
-    return static_cast<std::int32_t>(
-        faces_[static_cast<std::size_t>(mu) * 2].size());
+    return face_size_[static_cast<std::size_t>(mu)];
   }
+
+  /// Sites per face, by mu (the face_size argument of the boundary pack).
+  const std::int32_t* face_sizes() const noexcept { return face_size_.data(); }
+
+  /// Partner map of face (mu, dir): entry i is the local site, in the
+  /// neighbor domain across that face, that face site i couples to — the
+  /// same block coordinates with x_mu on the opposite plane.
+  std::span<const std::int32_t> face_partners(int mu, Dir dir) const noexcept {
+    return face_span(partners_, mu, dir);
+  }
+
+  /// The 2 * kNumDims incoming faces of destination domain d, in the
+  /// order its halo update adds them: by producer index, then mu, then
+  /// forward before backward. That is the per-site addition order of a
+  /// serial loop over producers (then mu, then direction), so a halo
+  /// update run in parallel over destinations gives the same bits at
+  /// every thread count.
+  const std::array<HaloSource, 2 * kNumDims>& halo_sources(
+      int d) const noexcept {
+    return halo_sources_[static_cast<std::size_t>(d)];
+  }
+
+  /// In-domain hops of one parity -> other parity half dslash (the hops
+  /// that stay inside the block), for flop accounting.
+  std::int64_t hops_per_parity() const noexcept { return hops_per_parity_; }
 
   /// Block-local coordinate of a local site index (shared by all domains).
   const Coord& local_coord(std::int32_t l) const noexcept {
@@ -122,6 +170,16 @@ class DomainPartition {
   }
 
  private:
+  static std::size_t face_slot(int mu, Dir dir) noexcept {
+    return static_cast<std::size_t>(mu) * 2 + (dir == Dir::kForward ? 0 : 1);
+  }
+  std::span<const std::int32_t> face_span(
+      const std::vector<std::int32_t>& flat, int mu, Dir dir) const noexcept {
+    return std::span<const std::int32_t>(flat).subspan(
+        static_cast<std::size_t>(face_offset(mu, dir)),
+        static_cast<std::size_t>(face_size(mu)));
+  }
+
   const Geometry* geom_;
   Coord block_{};
   Coord grid_{};
@@ -137,7 +195,12 @@ class DomainPartition {
   std::vector<int> site_domain_;          // [global] -> domain
   std::vector<std::int32_t> site_local_;  // [global] -> local
   std::vector<int> domain_nbr_;           // [domain][mu][dir] -> domain
-  std::vector<std::vector<std::int32_t>> faces_;  // [mu*2+dirbit] -> locals
+  std::vector<std::int32_t> face_sites_;  // face-buffer order -> local
+  std::vector<std::int32_t> partners_;    // face-buffer order -> partner
+  std::array<std::int32_t, 2 * kNumDims> face_offset_{};  // [mu*2+dirbit]
+  std::array<std::int32_t, kNumDims> face_size_{};
+  std::vector<std::array<HaloSource, 2 * kNumDims>> halo_sources_;
+  std::int64_t hops_per_parity_ = 0;
 };
 
 }  // namespace lqcd

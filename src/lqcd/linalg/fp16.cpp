@@ -83,18 +83,4 @@ float half_to_float(Half h) noexcept {
   return float_of(sign | ((exp + 127 - 15) << 23) | (mant << 13));
 }
 
-bool half_overflows(float f) noexcept {
-  const std::uint32_t abs = bits_of(f) & 0x7fffffffu;
-  // Finite float (below the float inf/NaN band) whose magnitude rounds to
-  // >= 2^16 — the same threshold float_to_half saturates at.
-  return abs < 0x7f800000u && abs >= 0x477ff000u;
-}
-
-std::int64_t count_half_overflows(const float* src, std::int64_t n) noexcept {
-  std::int64_t count = 0;
-  for (std::int64_t i = 0; i < n; ++i)
-    if (half_overflows(src[i])) ++count;
-  return count;
-}
-
 }  // namespace lqcd

@@ -27,14 +27,4 @@ inline float half_round_trip(float f) noexcept {
   return half_to_float(float_to_half(f));
 }
 
-/// Overflow-detection hook: true iff storing `f` as binary16 loses the
-/// value to saturation — i.e. f is finite but |f| rounds to +-inf. NaN and
-/// float infinities are NOT overflow (they were already non-finite).
-bool half_overflows(float f) noexcept;
-
-/// Count of values in [src, src+n) that would saturate to +-inf when
-/// stored as binary16. The resilience layer uses this to attribute a
-/// non-finite preconditioner output to fp16 range exhaustion.
-std::int64_t count_half_overflows(const float* src, std::int64_t n) noexcept;
-
 }  // namespace lqcd

@@ -10,9 +10,10 @@
 //   * each cycle whose true residual improves on the best checkpoint is
 //     checkpointed (one extra field copy per cycle);
 //   * a cycle whose true residual is non-finite, or exceeds the projected
-//     estimate by `detect_ratio` AND is worse than the best checkpoint, is
-//     declared corrupted: x is rolled back to the checkpoint and the
-//     solver is told to discard its subspace and restart from there.
+//     estimate by `kCheckpointDetectRatio` AND is worse than the best
+//     checkpoint, is declared corrupted: x is rolled back to the checkpoint
+//     and the solver is told to discard its subspace and restart from
+//     there.
 //
 // An optional FaultInjector is invoked after the detection step, so an
 // injected SDC lands between cycles and must be caught by the NEXT
@@ -274,13 +275,6 @@ class AbftGuard {
   bool rollback_requested_ = false;
 };
 
-struct CheckpointMonitorConfig {
-  /// True residual must exceed detect_ratio * estimate to count as
-  /// diverged. Healthy flexible-GMRES cycles keep the two within a few
-  /// percent, so 10x is far outside the fault-free envelope.
-  double detect_ratio = 10.0;
-};
-
 struct CheckpointMonitorStats {
   int checkpoints = 0;   ///< iterate snapshots taken
   int rollbacks = 0;     ///< corruptions detected and rolled back
@@ -295,12 +289,17 @@ struct CheckpointMonitorStats {
   }
 };
 
+/// CheckpointMonitor's divergence test: the true residual must exceed
+/// this multiple of the solver's estimate. Healthy flexible-GMRES cycles
+/// keep the two within a few percent, so 10x is far outside the
+/// fault-free envelope.
+inline constexpr double kCheckpointDetectRatio = 10.0;
+
 template <class T>
 class CheckpointMonitor final : public SolveMonitor<T> {
  public:
-  explicit CheckpointMonitor(const CheckpointMonitorConfig& config = {},
-                             FaultInjector* injector = nullptr)
-      : config_(config), injector_(injector) {}
+  explicit CheckpointMonitor(FaultInjector* injector = nullptr)
+      : injector_(injector) {}
 
   const CheckpointMonitorStats& stats() const noexcept { return stats_; }
 
@@ -343,7 +342,8 @@ class CheckpointMonitor final : public SolveMonitor<T> {
     const bool diverged =
         !std::isfinite(true_rel_residual) ||
         (true_rel_residual >
-             config_.detect_ratio * std::max(estimated_rel_residual, 1e-300) &&
+             kCheckpointDetectRatio *
+                 std::max(estimated_rel_residual, 1e-300) &&
          has_checkpoint_ && true_rel_residual > checkpoint_rel_residual_);
     if (diverged && has_checkpoint_) {
       copy(checkpoint_, x);
@@ -367,7 +367,6 @@ class CheckpointMonitor final : public SolveMonitor<T> {
   }
 
  private:
-  CheckpointMonitorConfig config_;
   FaultInjector* injector_;
   AbftGuard* abft_ = nullptr;
   CheckpointMonitorStats stats_;

@@ -25,19 +25,12 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <memory>
 #include <numeric>
-#include <type_traits>
 #include <utility>
 
-#include "lqcd/dirac/wilson_clover.h"
-#include "lqcd/lattice/domain_partition.h"
-#include "lqcd/resilience/fault_injector.h"
-#include "lqcd/resilience/resilient_solve.h"
-#include "lqcd/schwarz/storage.h"
-#include "lqcd/simd/dispatch.h"
+#include "lqcd/schwarz/setup.h"
 #include "lqcd/solver/linear_operator.h"
 #include "lqcd/solver/mr.h"
 
@@ -56,9 +49,10 @@ struct SchwarzParams {
   int block_mr_iterations = 5;  ///< Idomain MR iterations per block solve
   bool additive = false;        ///< additive instead of multiplicative
   /// Paper Sec. VI (future work): store the preconditioner's SPINORS in
-  /// half precision too, shrinking the working set and the boundary
-  /// buffers further. Emulated by rounding the domain residual gather,
-  /// the correction, and the face buffers through IEEE binary16.
+  /// half precision too, shrinking the working set further. Emulated by
+  /// rounding the gathered domain residual and the block-solve correction
+  /// through IEEE binary16 on every domain visit. The face buffers are
+  /// not rounded: they are packed in float from the rounded correction.
   bool half_precision_spinors = false;
   /// Optional fault-injection hook: corrupts the sweep residual once per
   /// apply() (per the injector's own schedule), modelling SDC or fp16
@@ -120,476 +114,6 @@ inline SchwarzStats operator+(SchwarzStats a, const SchwarzStats& b) noexcept {
   return a;
 }
 
-/// Immutable-after-pack per-configuration state of the Schwarz method:
-/// the packed per-domain gauge/clover matrices in storage scalar S, their
-/// pack-time ABFT checksums, and the partition-derived geometry tables
-/// (face-buffer offsets, partner maps, hop counts). One SchwarzSetup can
-/// back any number of SchwarzPreconditioner instances — each of those
-/// owns only mutable per-solve state (residuals, face buffers, per-thread
-/// scratch, stats) — which is what lets a long-lived solver service pay
-/// the packing cost once per gauge configuration and share it across
-/// every solve on that configuration.
-///
-/// "Immutable" has one deliberate exception: the ABFT repair ladder
-/// re-packs corrupted domains in place (repack_domain()/repack_all()), so
-/// solves that may trigger in-solve repair must not run concurrently on a
-/// shared setup.
-template <class S>
-class SchwarzSetup final : public PackedDomainStore {
- public:
-  /// `op` must have prepare_schur() already called (the odd-site clover
-  /// inverses are copied into the packed domain storage). The partition
-  /// and operator must refer to the same geometry, and both must outlive
-  /// the setup: the operator is the authoritative pack source the ABFT
-  /// repair ladder re-packs corrupted domains from.
-  SchwarzSetup(const DomainPartition& part,
-               const WilsonCloverOperator<float>& op)
-      : part_(&part), op_(&op) {
-    LQCD_CHECK(&part.geometry() == &op.geometry());
-    LQCD_CHECK_MSG(op.clover().has_inverses(),
-                   "call prepare_schur() on the operator first");
-    const int nd = part.num_domains();
-    const std::int32_t vd = part.domain_volume();
-    const std::int32_t hv = part.domain_half_volume();
-
-    links_.resize(static_cast<std::size_t>(nd) * vd * kNumDims * kSU3Reals);
-    diag_e_.resize(static_cast<std::size_t>(nd) * hv * 2 * kCloverBlockReals);
-    inv_o_.resize(static_cast<std::size_t>(nd) * hv * 2 * kCloverBlockReals);
-
-    // Pack every domain and stamp the ABFT checksums: one Fletcher-32 per
-    // (domain, packed component), which localizes a corruption and is
-    // re-verifiable via verify_checksums(), and the field-level source
-    // checksums the repair ladder trusts.
-    sums_.resize(static_cast<std::size_t>(nd));
-    for (int d = 0; d < nd; ++d) pack_domain(d);
-    stamp_source();
-
-    // Face buffer offsets. One buffer per domain face; a packed
-    // half-spinor is 12 reals (48 B in single precision) per site — the
-    // paper's Fig. 3: four sites fit three cache lines.
-    std::int64_t off = 0;
-    for (int mu = 0; mu < kNumDims; ++mu)
-      for (int dirbit = 0; dirbit < 2; ++dirbit) {
-        face_offset_[static_cast<std::size_t>(mu) * 2 +
-                     static_cast<std::size_t>(dirbit)] = off;
-        off += static_cast<std::int64_t>(part.face_size(mu)) * 12;
-      }
-    buffer_stride_ = off;
-
-    // The face sites in the same order, back to back: face-buffer entry p
-    // (12 floats at offset 12 p) packs local site face_sites_[p].
-    for (int mu = 0; mu < kNumDims; ++mu) {
-      face_size_[static_cast<std::size_t>(mu)] = part.face_size(mu);
-      for (const Dir dir : {Dir::kForward, Dir::kBackward}) {
-        const auto& f = part.face_sites(mu, dir);
-        face_sites_.insert(face_sites_.end(), f.begin(), f.end());
-      }
-    }
-
-    // Partner map: producer face site -> consumer-local site index.
-    for (int mu = 0; mu < kNumDims; ++mu) {
-      const auto mu_s = static_cast<std::size_t>(mu);
-      const auto& ffwd = part.face_sites(mu, Dir::kForward);
-      const auto& fbwd = part.face_sites(mu, Dir::kBackward);
-      partner_fwd_[mu_s].resize(ffwd.size());
-      partner_bwd_[mu_s].resize(fbwd.size());
-      for (std::size_t i = 0; i < ffwd.size(); ++i) {
-        Coord c = part.local_coord(ffwd[i]);
-        c[mu_s] = 0;  // consumer's backward face
-        partner_fwd_[mu_s][i] = part.local_index(c);
-      }
-      for (std::size_t i = 0; i < fbwd.size(); ++i) {
-        Coord c = part.local_coord(fbwd[i]);
-        c[mu_s] = part.block()[mu_s] - 1;  // consumer's forward face
-        partner_bwd_[mu_s][i] = part.local_index(c);
-      }
-    }
-
-    // Incoming faces of every destination domain, in halo-update order.
-    // The neighbor behind d in mu packed its forward face toward d; the
-    // one ahead of d packed its backward face.
-    halo_sources_.resize(static_cast<std::size_t>(nd));
-    for (int d = 0; d < nd; ++d) {
-      auto& src = halo_sources_[static_cast<std::size_t>(d)];
-      for (int mu = 0; mu < kNumDims; ++mu) {
-        const auto k = static_cast<std::size_t>(mu) * 2;
-        src[k] = {part.neighbor_domain(d, mu, Dir::kBackward), mu,
-                  Dir::kForward};
-        src[k + 1] = {part.neighbor_domain(d, mu, Dir::kForward), mu,
-                      Dir::kBackward};
-      }
-      std::stable_sort(src.begin(), src.end(),
-                       [](const HaloSource& a, const HaloSource& b) {
-                         return a.producer < b.producer;
-                       });
-    }
-
-    // Count the in-domain hops of one parity->other-parity half dslash,
-    // for flop accounting (168 flops per hop as in the paper's 1344/site
-    // full-stencil count).
-    hops_per_parity_ = 0;
-    for (std::int32_t l = hv; l < vd; ++l)
-      for (int mu = 0; mu < kNumDims; ++mu) {
-        if (part.local_neighbor(l, mu, Dir::kForward) >= 0) ++hops_per_parity_;
-        if (part.local_neighbor(l, mu, Dir::kBackward) >= 0)
-          ++hops_per_parity_;
-      }
-  }
-
-  const DomainPartition& partition() const noexcept { return *part_; }
-  const WilsonCloverOperator<float>& op() const noexcept { return *op_; }
-
-  /// Pack-time Fletcher-32 checksum of one packed component of domain d.
-  std::uint32_t domain_checksum(int d, PackedComponent c) const noexcept {
-    const DomainSums& s = sums_[static_cast<std::size_t>(d)];
-    switch (c) {
-      case PackedComponent::kGaugeLinks: return s.links;
-      case PackedComponent::kCloverDiag: return s.diag;
-      case PackedComponent::kCloverInv: return s.inv;
-    }
-    return 0;
-  }
-
-  // --- PackedDomainStore (the AbftGuard's view of this object) ---------
-
-  int num_domains() const override { return part_->num_domains(); }
-  const char* store_name() const override { return StorageTraits<S>::name(); }
-
-  /// Append the indices of domains whose packed per-component checksums
-  /// no longer match their pack-time stamps.
-  void find_corrupt_domains(std::vector<int>& bad) const override {
-    const int nd = part_->num_domains();
-    std::vector<unsigned char> corrupt(static_cast<std::size_t>(nd), 0);
-    unsigned char* flags = corrupt.data();
-#pragma omp parallel for schedule(static) default(none) shared(nd, flags)
-    for (int d = 0; d < nd; ++d) {
-      const DomainSums& s = sums_[static_cast<std::size_t>(d)];
-      const bool ok =
-          component_checksum(d, PackedComponent::kGaugeLinks) == s.links &&
-          component_checksum(d, PackedComponent::kCloverDiag) == s.diag &&
-          component_checksum(d, PackedComponent::kCloverInv) == s.inv;
-      flags[d] = ok ? 0 : 1;
-    }
-    for (int d = 0; d < nd; ++d)
-      if (flags[d] != 0) bad.push_back(d);
-  }
-
-  /// Rung-1 localized repair: re-pack one domain from the source operator
-  /// and restamp its checksums. Only valid while the source verifies
-  /// (source_intact()), or a relocation of the error would be stamped as
-  /// truth.
-  void repack_domain(int d) override { pack_domain(d); }
-
-  /// Re-verify the pack source (float gauge field + clover blocks)
-  /// against the field-level checksums stamped at pack time.
-  bool source_intact() const override {
-    return op_->gauge().content_checksum() == source_gauge_sum_ &&
-           clover_content_checksum() == source_clover_sum_;
-  }
-
-  /// Rung-2 repair service: after DDSolver rebuilt the source operator
-  /// from the double master, re-pack every domain and restamp the source
-  /// checksums against the repaired field.
-  void repack_all() {
-    for (int d = 0; d < part_->num_domains(); ++d) pack_domain(d);
-    stamp_source();
-  }
-
-  /// Re-verify every domain's packed gauge/clover bytes against the
-  /// pack-time checksums (OpenMP-parallel over domains; the per-domain
-  /// verdicts are disjoint writes, so the result is thread-count
-  /// invariant); returns the number of mismatching domains (0 = intact).
-  int verify_checksums() const {
-    std::vector<int> bad;
-    find_corrupt_domains(bad);
-    return static_cast<int>(bad.size());
-  }
-
-  /// Test hook: let `injector` corrupt the packed link storage in place
-  /// (FaultSite::kPackedMatrices) — the persistent-fault class the
-  /// checksums exist to catch. Returns true iff a fault fired.
-  bool corrupt_packed(FaultInjector& injector) {
-    return injector.maybe_corrupt_reals(
-        links_.data(), static_cast<std::int64_t>(links_.size()),
-        FaultSite::kPackedMatrices);
-  }
-
-  /// Deterministic test hook: aim `injector` at ONE (domain, component)
-  /// range (FaultSite::kPackedData), so tests can assert exactly which
-  /// domain the sweep localizes and that the repair is bit-exact.
-  bool corrupt_packed(FaultInjector& injector, int d, PackedComponent comp) {
-    S* data = nullptr;
-    std::int64_t count = 0;
-    component_range(d, comp, data, count);
-    return injector.maybe_corrupt_reals(data, count, FaultSite::kPackedData);
-  }
-
-  /// Per-domain working-set bytes of links + clover (+inverse clover)
-  /// storage — the quantity the paper fits into the 512 kB L2.
-  std::int64_t domain_matrix_bytes() const noexcept {
-    const std::int64_t vd = part_->domain_volume();
-    return vd * kNumDims * kSU3Reals * static_cast<std::int64_t>(sizeof(S)) +
-           vd * 2 * kCloverBlockReals * static_cast<std::int64_t>(sizeof(S));
-  }
-
-  // Packed-array accessors: the const overloads are the primary
-  // implementations (they never mutate), and the non-const ones forward —
-  // so const callers like verify_checksums() need no const_cast chain.
-  const S* link_ptr(int d, std::int32_t l, int mu) const noexcept {
-    return links_.data() +
-           ((static_cast<std::size_t>(d) *
-                 static_cast<std::size_t>(part_->domain_volume()) +
-             static_cast<std::size_t>(l)) *
-                kNumDims +
-            static_cast<std::size_t>(mu)) *
-               kSU3Reals;
-  }
-  S* link_ptr(int d, std::int32_t l, int mu) noexcept {
-    return const_cast<S*>(std::as_const(*this).link_ptr(d, l, mu));
-  }
-  const S* diag_e_ptr(int d, std::int32_t le, int chi) const noexcept {
-    return diag_e_.data() +
-           ((static_cast<std::size_t>(d) *
-                 static_cast<std::size_t>(part_->domain_half_volume()) +
-             static_cast<std::size_t>(le)) *
-                2 +
-            static_cast<std::size_t>(chi)) *
-               kCloverBlockReals;
-  }
-  S* diag_e_ptr(int d, std::int32_t le, int chi) noexcept {
-    return const_cast<S*>(std::as_const(*this).diag_e_ptr(d, le, chi));
-  }
-  const S* inv_o_ptr(int d, std::int32_t lo, int chi) const noexcept {
-    return inv_o_.data() +
-           ((static_cast<std::size_t>(d) *
-                 static_cast<std::size_t>(part_->domain_half_volume()) +
-             static_cast<std::size_t>(lo)) *
-                2 +
-            static_cast<std::size_t>(chi)) *
-               kCloverBlockReals;
-  }
-  S* inv_o_ptr(int d, std::int32_t lo, int chi) noexcept {
-    return const_cast<S*>(std::as_const(*this).inv_o_ptr(d, lo, chi));
-  }
-
-  /// Whole-store mutable ranges, one per packed component — the targets
-  /// of the between-sweeps packed-data fault hook.
-  S* links_data() noexcept { return links_.data(); }
-  std::int64_t links_count() const noexcept {
-    return static_cast<std::int64_t>(links_.size());
-  }
-  S* diag_e_data() noexcept { return diag_e_.data(); }
-  std::int64_t diag_e_count() const noexcept {
-    return static_cast<std::int64_t>(diag_e_.size());
-  }
-  S* inv_o_data() noexcept { return inv_o_.data(); }
-  std::int64_t inv_o_count() const noexcept {
-    return static_cast<std::int64_t>(inv_o_.size());
-  }
-
-  /// Mutable storage range of one packed component of domain d (the
-  /// deterministic corruption hook's target).
-  void component_range(int d, PackedComponent c, S*& data,
-                       std::int64_t& count) noexcept {
-    switch (c) {
-      case PackedComponent::kGaugeLinks: data = link_ptr(d, 0, 0); break;
-      case PackedComponent::kCloverDiag: data = diag_e_ptr(d, 0, 0); break;
-      case PackedComponent::kCloverInv: data = inv_o_ptr(d, 0, 0); break;
-    }
-    count = static_cast<std::int64_t>(component_count(c));
-  }
-
-  /// Fresh Fletcher-32 of one packed component of domain d (what the
-  /// parallel verification compares against the pack-time stamp).
-  std::uint32_t component_checksum(int d, PackedComponent c) const noexcept {
-    const std::size_t n = component_count(c);
-    switch (c) {
-      case PackedComponent::kGaugeLinks:
-        return packed_checksum(link_ptr(d, 0, 0), n);
-      case PackedComponent::kCloverDiag:
-        return packed_checksum(diag_e_ptr(d, 0, 0), n);
-      case PackedComponent::kCloverInv:
-        return packed_checksum(inv_o_ptr(d, 0, 0), n);
-    }
-    return 0;
-  }
-
-  // Partition-derived geometry tables, shared read-only by every
-  // preconditioner on this setup.
-  std::int64_t face_buffer_stride() const noexcept { return buffer_stride_; }
-  std::int64_t face_offset(int mu, Dir dir) const noexcept {
-    return face_offset_[static_cast<std::size_t>(mu) * 2 +
-                        (dir == Dir::kForward ? 0 : 1)];
-  }
-  const std::vector<std::int32_t>& partner_fwd(int mu) const noexcept {
-    return partner_fwd_[static_cast<std::size_t>(mu)];
-  }
-  const std::vector<std::int32_t>& partner_bwd(int mu) const noexcept {
-    return partner_bwd_[static_cast<std::size_t>(mu)];
-  }
-  std::int64_t hops_per_parity() const noexcept { return hops_per_parity_; }
-  /// Local site of every face-buffer entry, in buffer order (the
-  /// face_sites argument of simd::Kernels::pack_faces_lanes).
-  const std::int32_t* packed_face_sites() const noexcept {
-    return face_sites_.data();
-  }
-  /// Sites per face, by mu (the face_size argument of pack_faces_lanes).
-  const std::int32_t* face_sizes() const noexcept { return face_size_.data(); }
-
-  /// One face buffer a destination domain's halo update consumes: the
-  /// (mu, dir) face that domain `producer` packed toward it.
-  struct HaloSource {
-    int producer;
-    int mu;
-    Dir dir;
-  };
-  /// The 2 * kNumDims incoming faces of destination domain d, in the
-  /// order its halo update adds them: by producer index, then mu, then
-  /// forward before backward. That is the per-site addition order of a
-  /// serial loop over producers (then mu, then direction), so a halo
-  /// update run in parallel over destinations gives the same bits at
-  /// every thread count.
-  const std::array<HaloSource, 2 * kNumDims>& halo_sources(
-      int d) const noexcept {
-    return halo_sources_[static_cast<std::size_t>(d)];
-  }
-
-  /// Floats decode_domain() writes: one domain's links and both clover
-  /// components for S = Half, 0 for S = float (the view then points at
-  /// the packed store).
-  std::size_t decode_size() const noexcept {
-    if constexpr (std::is_same_v<S, float>) {
-      return 0;
-    } else {
-      return component_count(PackedComponent::kGaugeLinks) +
-             2 * component_count(PackedComponent::kCloverDiag);
-    }
-  }
-
-  /// Float view of domain d's packed matrices for one domain visit. For
-  /// S = float it points at the packed store; for S = Half the domain is
-  /// decoded into `buf` (decode_size() floats) through the dispatched
-  /// array converter, so each packed value is converted once per visit
-  /// and a packed-data upset since the last visit is what this one reads.
-  DomainMatrices decode_domain(int d, AlignedVector<float>& buf) const {
-    if constexpr (std::is_same_v<S, float>) {
-      (void)buf;
-      return {link_ptr(d, 0, 0), diag_e_ptr(d, 0, 0), inv_o_ptr(d, 0, 0)};
-    } else {
-      const std::size_t nl = component_count(PackedComponent::kGaugeLinks);
-      const std::size_t nc = component_count(PackedComponent::kCloverDiag);
-      float* out = buf.data();
-      const simd::Kernels& k = simd::kernels();
-      k.half_to_float_n(link_ptr(d, 0, 0), out,
-                        static_cast<std::int64_t>(nl));
-      k.half_to_float_n(diag_e_ptr(d, 0, 0), out + nl,
-                        static_cast<std::int64_t>(nc));
-      k.half_to_float_n(inv_o_ptr(d, 0, 0), out + nl + nc,
-                        static_cast<std::int64_t>(nc));
-      return {out, out + nl, out + nl + nc};
-    }
-  }
-
-  /// Links-only form of decode_domain(): the halo update's backward-face
-  /// multiply reads the destination's own links and nothing else.
-  const float* decode_links(int d, AlignedVector<float>& buf) const {
-    if constexpr (std::is_same_v<S, float>) {
-      (void)buf;
-      return link_ptr(d, 0, 0);
-    } else {
-      simd::kernels().half_to_float_n(
-          link_ptr(d, 0, 0), buf.data(),
-          static_cast<std::int64_t>(
-              component_count(PackedComponent::kGaugeLinks)));
-      return buf.data();
-    }
-  }
-
- private:
-  /// Scalars in one domain's packed component.
-  std::size_t component_count(PackedComponent c) const noexcept {
-    return c == PackedComponent::kGaugeLinks
-               ? static_cast<std::size_t>(part_->domain_volume()) *
-                     kNumDims * kSU3Reals
-               : static_cast<std::size_t>(part_->domain_half_volume()) * 2 *
-                     kCloverBlockReals;
-  }
-
-  /// Per-domain pack-time checksums, one per packed component, so a
-  /// verification failure localizes to (domain, component).
-  struct DomainSums {
-    std::uint32_t links = 0;
-    std::uint32_t diag = 0;
-    std::uint32_t inv = 0;
-  };
-
-  /// Pack (or re-pack) domain d from the source operator and stamp its
-  /// per-component checksums. The constructor's pack loop and the ABFT
-  /// rung-1 repair are the same code path, so a repair is bit-identical
-  /// to the original pack by construction.
-  void pack_domain(int d) {
-    const std::int32_t vd = part_->domain_volume();
-    const std::int32_t hv = part_->domain_half_volume();
-    const auto& gauge = op_->gauge();
-    const auto& clover = op_->clover();
-    for (std::int32_t l = 0; l < vd; ++l) {
-      const std::int32_t g = part_->global_site(d, l);
-      for (int mu = 0; mu < kNumDims; ++mu)
-        store_su3(gauge.link(g, mu), link_ptr(d, l, mu));
-      if (l < hv) {
-        for (int chi = 0; chi < 2; ++chi)
-          store_block(clover.block(g, chi), diag_e_ptr(d, l, chi));
-      } else {
-        for (int chi = 0; chi < 2; ++chi)
-          store_block(clover.inv_block(g, chi), inv_o_ptr(d, l - hv, chi));
-      }
-    }
-    DomainSums& s = sums_[static_cast<std::size_t>(d)];
-    s.links = component_checksum(d, PackedComponent::kGaugeLinks);
-    s.diag = component_checksum(d, PackedComponent::kCloverDiag);
-    s.inv = component_checksum(d, PackedComponent::kCloverInv);
-  }
-
-  /// Field-level Fletcher-32 over the source clover blocks (forward and
-  /// inverse), the clover half of the source_intact() verification.
-  std::uint32_t clover_content_checksum() const {
-    const auto volume =
-        static_cast<std::int32_t>(part_->geometry().volume());
-    const auto& clover = op_->clover();
-    Fletcher32 f;
-    for (std::int32_t g = 0; g < volume; ++g)
-      for (int chi = 0; chi < 2; ++chi) {
-        f.update(&clover.block(g, chi), sizeof(PackedHermitian6<float>));
-        f.update(&clover.inv_block(g, chi), sizeof(PackedHermitian6<float>));
-      }
-    return f.value();
-  }
-
-  void stamp_source() {
-    source_gauge_sum_ = op_->gauge().content_checksum();
-    source_clover_sum_ = clover_content_checksum();
-  }
-
-  const DomainPartition* part_;
-  const WilsonCloverOperator<float>* op_;  ///< authoritative pack source
-
-  AlignedVector<S> links_;   // [domain][local][mu][18]
-  AlignedVector<S> diag_e_;  // [domain][even local][chi][36]
-  AlignedVector<S> inv_o_;   // [domain][odd local][chi][36]
-  std::vector<DomainSums> sums_;          // pack-time ABFT, per component
-  std::uint32_t source_gauge_sum_ = 0;    // field-level source checksums
-  std::uint32_t source_clover_sum_ = 0;
-
-  std::int64_t buffer_stride_ = 0;
-  std::int64_t face_offset_[2 * kNumDims] = {};
-  std::vector<std::int32_t> face_sites_;
-  std::array<std::int32_t, kNumDims> face_size_{};
-  std::vector<std::int32_t> partner_fwd_[kNumDims];
-  std::vector<std::int32_t> partner_bwd_[kNumDims];
-  std::vector<std::array<HaloSource, 2 * kNumDims>> halo_sources_;
-  std::int64_t hops_per_parity_ = 0;
-};
-
 template <class S>
 class SchwarzPreconditioner final : public BatchPreconditioner<float> {
  public:
@@ -610,9 +134,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
                         const SchwarzParams& params)
       : setup_(std::move(setup)),
         part_(&setup_->partition()),
-        params_(params),
-        buffer_stride_(setup_->face_buffer_stride()),
-        hops_per_parity_(setup_->hops_per_parity()) {
+        params_(params) {
     LQCD_CHECK(setup_ != nullptr);
     // Resolve the SIMD dispatch table now, so a bad LQCD_SIMD_BACKEND
     // fails at construction rather than mid-solve at the first dispatched
@@ -620,7 +142,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
     // first block-solve kernel).
     simd::kernels();
     buffers_.resize(static_cast<std::size_t>(part_->num_domains()) *
-                    static_cast<std::size_t>(buffer_stride_));
+                    static_cast<std::size_t>(buffer_stride()));
     all_domains_.resize(static_cast<std::size_t>(part_->num_domains()));
     std::iota(all_domains_.begin(), all_domains_.end(), 0);
     ensure_scratch();
@@ -732,7 +254,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
       r_batch_.resize(static_cast<std::size_t>(nrhs));
     const std::size_t need_buf = static_cast<std::size_t>(nrhs) *
                                  static_cast<std::size_t>(nd) *
-                                 static_cast<std::size_t>(buffer_stride_);
+                                 static_cast<std::size_t>(buffer_stride());
     if (buffers_.size() < need_buf) buffers_.resize(need_buf);
 
     for (int b = 0; b < nrhs; ++b) {
@@ -812,15 +334,10 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
   void inject_packed_between_sweeps(ParallelFaultScope& scope, int s) {
     const std::int64_t k0 =
         static_cast<std::int64_t>(s) * kNumPackedComponents;
-    if (scope.maybe_corrupt_reals(0, k0, setup_->links_data(),
-                                  setup_->links_count()))
-      ++stats_.injected_faults;
-    if (scope.maybe_corrupt_reals(0, k0 + 1, setup_->diag_e_data(),
-                                  setup_->diag_e_count()))
-      ++stats_.injected_faults;
-    if (scope.maybe_corrupt_reals(0, k0 + 2, setup_->inv_o_data(),
-                                  setup_->inv_o_count()))
-      ++stats_.injected_faults;
+    for (const PackedComponent c : kPackedComponents)
+      if (setup_->corrupt_packed(
+              scope, k0 + static_cast<std::int64_t>(index_of(c)), c))
+        ++stats_.injected_faults;
   }
 
   /// Face-buffer slot of (RHS b, domain d): RHS-major so the nrhs = 1
@@ -829,15 +346,21 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
     return static_cast<std::int64_t>(b) * part_->num_domains() + d;
   }
 
+  /// Floats of one (RHS, domain) face-buffer slot: a packed half spinor
+  /// (12 reals) per face site, the faces in the partition's face order.
+  std::int64_t buffer_stride() const noexcept {
+    return 12 * static_cast<std::int64_t>(part_->face_sites().size());
+  }
+
   float* buffer_ptr(std::int64_t slot, int mu, Dir dir) noexcept {
     return buffers_.data() + static_cast<std::size_t>(slot) *
-                                 static_cast<std::size_t>(buffer_stride_) +
-           static_cast<std::size_t>(setup_->face_offset(mu, dir));
+                                 static_cast<std::size_t>(buffer_stride()) +
+           12 * static_cast<std::size_t>(part_->face_offset(mu, dir));
   }
 
   std::int64_t schur_flops() const noexcept {
     // Two half-dslashes + two block-diagonal applications + the combine.
-    return 168 * 2 * hops_per_parity_ +
+    return 168 * 2 * part_->hops_per_parity() +
            static_cast<std::int64_t>(part_->domain_volume()) * 504 / 2 * 2 +
            static_cast<std::int64_t>(part_->domain_half_volume()) * 24;
   }
@@ -859,15 +382,14 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
   /// boundary sites as packed; a backward face is first multiplied by
   /// dst's own link U_mu (`dst_links`, dst's decoded links) at its
   /// forward boundary sites.
-  void apply_face(int dst, const float* dst_links,
-                  const typename SchwarzSetup<S>::HaloSource& src,
+  void apply_face(int dst, const float* dst_links, const HaloSource& src,
                   std::int64_t slot, FermionField<float>& r,
                   SchwarzStats& stats) {
     const int mu = src.mu;
     const bool fwd = src.dir == Dir::kForward;
     const float* buf = buffer_ptr(slot, mu, src.dir);
-    const auto& partners =
-        fwd ? setup_->partner_fwd(mu) : setup_->partner_bwd(mu);
+    const std::span<const std::int32_t> partners =
+        part_->face_partners(mu, src.dir);
     for (std::size_t i = 0; i < partners.size(); ++i) {
       const std::int32_t pl = partners[i];
       HalfSpinor<float> h = read_halfspinor(buf + i * 12);
@@ -920,7 +442,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
   void lane_dslash(const DomainMatrices& m, int out_parity,
                    const BlockSpinorLanes& in, BlockSpinorLanes& out) const {
     const std::int32_t hv = part_->domain_half_volume();
-    simd::kernels().dslash_lanes(m.links, part_->local_neighbors(),
+    simd::kernels().dslash_lanes(m.links(), part_->local_neighbors(),
                                  out_parity == 0 ? 0 : hv,
                                  out_parity == 0 ? hv : 0, hv, in.data(),
                                  out.data(), out.lanes());
@@ -934,15 +456,26 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
     const std::int32_t hv = part_->domain_half_volume();
     const int L = in_e.lanes();
     lane_dslash(m, 1, in_e, sc.t1_lanes);
-    k.clover_lanes(m.inv_o, hv, sc.t1_lanes.data(), sc.t2_lanes.data(), L);
+    k.clover_lanes(m.inv_o(), hv, sc.t1_lanes.data(), sc.t2_lanes.data(),
+                   L);
     lane_dslash(m, 0, sc.t2_lanes, out_e);
-    k.clover_lanes(m.diag_e, hv, in_e.data(), sc.t1_lanes.data(), L);
+    k.clover_lanes(m.diag_e(), hv, in_e.data(), sc.t1_lanes.data(), L);
     k.xpay_lanes(sc.t1_lanes.data(), -0.25f, out_e.data(), out_e.data(),
                  static_cast<std::int64_t>(hv) * kSpinorReals * L);
   }
 
-  static void round_lanes_fp16(float* p, std::int64_t n) noexcept {
-    for (std::int64_t k = 0; k < n; ++k) p[k] = half_round_trip(p[k]);
+  /// Round p[0..n) through IEEE binary16 in place with the dispatched
+  /// array converters (bit-identical to half_round_trip() per float), a
+  /// fixed-size stack chunk at a time, so a visit allocates nothing.
+  static void round_lanes_fp16(float* p, std::int64_t n) {
+    constexpr std::int64_t kChunk = 1024;
+    Half buf[kChunk] = {};
+    const simd::Kernels& k = simd::kernels();
+    for (std::int64_t i = 0; i < n; i += kChunk) {
+      const std::int64_t m = std::min(kChunk, n - i);
+      k.float_to_half_n(p + i, buf, m);
+      k.half_to_float_n(buf, p + i, m);
+    }
   }
 
   /// One domain's block solve: gather every RHS residual into the
@@ -970,11 +503,12 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
     const float* r_odd = sc.r_lanes.data() + half_floats;
 
     // Schur RHS: rhs_e = r_e + 1/2 D_eo A_oo^-1 r_o.
-    k.clover_lanes(m.inv_o, hv, r_odd, sc.t1_lanes.data(), L);
+    k.clover_lanes(m.inv_o(), hv, r_odd, sc.t1_lanes.data(), L);
     lane_dslash(m, 0, sc.t1_lanes, sc.rhs_e_lanes);
     k.xpay_lanes(sc.r_lanes.data(), 0.5f, sc.rhs_e_lanes.data(),
                  sc.rhs_e_lanes.data(), static_cast<std::int64_t>(half_floats));
-    sc.stats.flops += nb * (168 * hops_per_parity_ + hv * (504 + 24));
+    sc.stats.flops +=
+        nb * (168 * part_->hops_per_parity() + hv * (504 + 24));
 
     // Block MR on Dtilde_ee with a fixed iteration count, z_e from 0, every
     // lane in one pass. Counter contract: a lane is charged an MR
@@ -1005,9 +539,10 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
     lane_dslash(m, 1, sc.z_lanes, sc.t1_lanes);
     k.xpay_lanes(r_odd, 0.5f, sc.t1_lanes.data(), sc.t1_lanes.data(),
                  static_cast<std::int64_t>(half_floats));
-    k.clover_lanes(m.inv_o, hv, sc.t1_lanes.data(),
+    k.clover_lanes(m.inv_o(), hv, sc.t1_lanes.data(),
                    sc.z_lanes.data() + half_floats, L);
-    sc.stats.flops += nb * (168 * hops_per_parity_ + hv * (504 + 24));
+    sc.stats.flops +=
+        nb * (168 * part_->hops_per_parity() + hv * (504 + 24));
 
     if (params_.half_precision_spinors)
       round_lanes_fp16(sc.z_lanes.data(),
@@ -1045,11 +580,11 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
     // Fig. 3): forward faces are link-multiplied by the producer (it owns
     // U_mu(x)); backward faces are packed raw and link-multiplied by the
     // consumer.
-    k.pack_faces_lanes(m.links, setup_->packed_face_sites(),
-                       setup_->face_sizes(), sc.z_lanes.data(), L, nrhs,
+    k.pack_faces_lanes(m.links(), part_->face_sites().data(),
+                       part_->face_sizes(), sc.z_lanes.data(), L, nrhs,
                        buffer_ptr(buffer_slot(0, d), 0, Dir::kForward),
                        static_cast<std::int64_t>(part_->num_domains()) *
-                           buffer_stride_);
+                           buffer_stride());
     std::int64_t face_sites = 0;
     for (int mu = 0; mu < kNumDims; ++mu) face_sites += part_->face_size(mu);
     sc.stats.boundary_bytes += nb * 2 * face_sites * 12 * 4;
@@ -1070,8 +605,8 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
         domain_scope_->maybe_corrupt_reals(
             tid, visit_key,
             buffers_.data() + static_cast<std::size_t>(buffer_slot(0, d)) *
-                                  static_cast<std::size_t>(buffer_stride_),
-            buffer_stride_))
+                                  static_cast<std::size_t>(buffer_stride()),
+            buffer_stride()))
       ++sc.stats.injected_faults;
   }
 
@@ -1096,7 +631,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
   /// Halo update after a sweep phase: each domain of `destinations` adds
   /// its neighbors' freshly packed face buffers to its boundary residual
   /// sites. Destinations own disjoint sites, so they run in parallel, and
-  /// each applies its faces in SchwarzSetup::halo_sources() order — the
+  /// each applies its faces in DomainPartition::halo_sources() order — the
   /// per-site addition order of a serial producer-major loop — so the
   /// residual is bit-identical at every thread count.
   void apply_halo_updates(const std::vector<int>& destinations, int nrhs) {
@@ -1112,23 +647,21 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
       const int dst = destinations[static_cast<std::size_t>(i)];
       const float* links = setup_->decode_links(dst, sc.decoded);
       for (int b = 0; b < nrhs; ++b)
-        for (const auto& src : setup_->halo_sources(dst))
+        for (const HaloSource& src : part_->halo_sources(dst))
           apply_face(dst, links, src, buffer_slot(b, src.producer),
                      r_batch_[static_cast<std::size_t>(b)], sc.stats);
     }
   }
 
-  /// Shared per-configuration packed state (matrices, checksums,
-  /// geometry tables). Everything below it is per-instance mutable
-  /// per-solve state.
+  /// Shared per-configuration packed state (matrices, checksums) and the
+  /// partition whose face, partner, halo-order and hop tables the sweep
+  /// reads. Everything below them is per-instance mutable per-solve state.
   std::shared_ptr<SchwarzSetup<S>> setup_;
   const DomainPartition* part_;
   SchwarzParams params_;
   SchwarzStats stats_;
 
   AlignedVector<float> buffers_;
-  std::int64_t buffer_stride_ = 0;
-  std::int64_t hops_per_parity_ = 0;
 
   /// Residual fields, one per RHS of the widest batch seen so far.
   /// r_batch_[0] doubles as the single-RHS residual.

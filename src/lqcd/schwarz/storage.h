@@ -13,6 +13,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 
 #include "lqcd/base/checksum.h"
 #include "lqcd/base/constants.h"
@@ -99,43 +100,28 @@ PackedHermitian6<float> load_block(const S* src) noexcept {
   return b;
 }
 
-/// One domain's gauge and clover matrices as float arrays, in the packed
-/// layout: links [local][mu][18], even-site clover blocks
-/// [even local][chi][36], odd-site inverse clover blocks
-/// [odd local - hv][chi][36]. This is what a Schwarz block solve reads;
-/// SchwarzSetup::decode_domain() produces it once per domain visit.
-struct DomainMatrices {
-  const float* links = nullptr;
-  const float* diag_e = nullptr;
-  const float* inv_o = nullptr;
-
-  const float* link(std::int32_t l, int mu) const noexcept {
-    return links + (static_cast<std::size_t>(l) * kNumDims +
-                    static_cast<std::size_t>(mu)) *
-                       kSU3Reals;
-  }
-  const float* diag(std::int32_t le, int chi) const noexcept {
-    return diag_e + (static_cast<std::size_t>(le) * 2 +
-                     static_cast<std::size_t>(chi)) *
-                        kCloverBlockReals;
-  }
-  const float* inv(std::int32_t lo, int chi) const noexcept {
-    return inv_o + (static_cast<std::size_t>(lo) * 2 +
-                    static_cast<std::size_t>(chi)) *
-                       kCloverBlockReals;
-  }
-};
-
 /// The three packed per-domain arrays a Schwarz store protects with
 /// checksums; ABFT detection, repair, and injection address them by
-/// (domain, component).
+/// (domain, component). Everything that walks the components walks
+/// kPackedComponents, in this order: it fixes the fault keys, the decode
+/// offsets and the checksum order.
 enum class PackedComponent {
   kGaugeLinks = 0,  ///< 8 links per local site, 18 scalars each
   kCloverDiag,      ///< even-site clover blocks (forward application)
   kCloverInv,       ///< odd-site inverse clover blocks (Schur solve)
 };
 
-inline constexpr int kNumPackedComponents = 3;
+inline constexpr std::array<PackedComponent, 3> kPackedComponents{
+    PackedComponent::kGaugeLinks, PackedComponent::kCloverDiag,
+    PackedComponent::kCloverInv};
+inline constexpr int kNumPackedComponents =
+    static_cast<int>(kPackedComponents.size());
+
+/// Position of a component in kPackedComponents and in every array
+/// indexed by component.
+constexpr std::size_t index_of(PackedComponent c) noexcept {
+  return static_cast<std::size_t>(c);
+}
 
 inline const char* to_string(PackedComponent c) noexcept {
   switch (c) {
@@ -145,6 +131,41 @@ inline const char* to_string(PackedComponent c) noexcept {
   }
   return "?";
 }
+
+/// One domain's gauge and clover matrices as float arrays, one per
+/// PackedComponent, in the packed layout: links [local][mu][18],
+/// even-site clover blocks [even local][chi][36], odd-site inverse clover
+/// blocks [odd local - hv][chi][36]. This is what a Schwarz block solve
+/// reads; SchwarzSetup::decode_domain() produces it once per domain visit.
+struct DomainMatrices {
+  std::array<const float*, kNumPackedComponents> arrays{};
+
+  const float* links() const noexcept {
+    return arrays[index_of(PackedComponent::kGaugeLinks)];
+  }
+  const float* diag_e() const noexcept {
+    return arrays[index_of(PackedComponent::kCloverDiag)];
+  }
+  const float* inv_o() const noexcept {
+    return arrays[index_of(PackedComponent::kCloverInv)];
+  }
+
+  const float* link(std::int32_t l, int mu) const noexcept {
+    return links() + (static_cast<std::size_t>(l) * kNumDims +
+                      static_cast<std::size_t>(mu)) *
+                         kSU3Reals;
+  }
+  const float* diag(std::int32_t le, int chi) const noexcept {
+    return diag_e() + (static_cast<std::size_t>(le) * 2 +
+                       static_cast<std::size_t>(chi)) *
+                          kCloverBlockReals;
+  }
+  const float* inv(std::int32_t lo, int chi) const noexcept {
+    return inv_o() + (static_cast<std::size_t>(lo) * 2 +
+                      static_cast<std::size_t>(chi)) *
+                         kCloverBlockReals;
+  }
+};
 
 /// ABFT seed (ROADMAP): Fletcher-32 over a packed-scalar range. Computed
 /// at pack time per domain and re-verified on demand, it catches the

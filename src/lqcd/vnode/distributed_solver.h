@@ -8,6 +8,8 @@
 // — measured, not modeled.
 #pragma once
 
+#include <cmath>
+
 #include "lqcd/solver/bicgstab.h"
 #include "lqcd/vnode/distributed.h"
 
@@ -20,9 +22,12 @@ struct DistributedSolveResult {
 };
 
 /// BiCGstab on the distributed operator. Mirrors bicgstab_solve()
-/// step for step; inner products go through the counted distributed dot,
-/// and every global reduction — the dots, the norms, and the BiCGstab
-/// `tt = |t|^2` sum — runs over the fault-tolerant proxy tree
+/// step for step, including how it reports why it stopped: a zero
+/// <r0, v>, rho or omega is kRhoBreakdown, a non-finite <r0, v> or
+/// residual norm kNanDetected, an exhausted budget kMaxIterations. Inner
+/// products go through the counted distributed dot, and every global
+/// reduction — the dots, the norms, and the BiCGstab `tt = |t|^2` sum —
+/// runs over the fault-tolerant proxy tree
 /// (bit-identical to the trivial sums when no faults fire; a collective
 /// that cannot complete throws a structured Error for the
 /// checkpoint/rollback path). `iterate_injector` optionally corrupts the
@@ -77,6 +82,7 @@ DistributedSolveResult<T> distributed_bicgstab(
 
   const double bnorm = dist_norm(b);
   if (bnorm == 0.0) {
+    for (int rr = 0; rr < nr; ++rr) x.rank(rr).zero();
     stats.converged = true;
     return res;
   }
@@ -96,7 +102,15 @@ DistributedSolveResult<T> distributed_bicgstab(
     op.apply(p, v);
     ++stats.matvecs;
     const auto r0v = dot(grid, r0, v, comm, collectives);
-    if (std::abs(r0v) == 0.0) break;
+    if (!std::isfinite(r0v.real()) || !std::isfinite(r0v.imag())) {
+      ++stats.nonfinite_events;
+      stats.breakdown = Breakdown::kNanDetected;
+      break;
+    }
+    if (std::abs(r0v) == 0.0) {
+      stats.breakdown = Breakdown::kRhoBreakdown;
+      break;
+    }
     const std::complex<double> alpha = rho / r0v;
     dist_copy(r, s);
     dist_axpy(-alpha, v, s);
@@ -120,7 +134,15 @@ DistributedSolveResult<T> distributed_bicgstab(
     dist_axpy(-omega, t, r);
     const auto rho_new = dot(grid, r0, r, comm, collectives);
     rnorm = dist_norm(r);
-    if (std::abs(rho_new) == 0.0 || std::abs(omega) == 0.0) break;
+    if (!std::isfinite(rnorm)) {
+      ++stats.nonfinite_events;
+      stats.breakdown = Breakdown::kNanDetected;
+      break;
+    }
+    if (std::abs(rho_new) == 0.0 || std::abs(omega) == 0.0) {
+      stats.breakdown = Breakdown::kRhoBreakdown;
+      break;
+    }
     const std::complex<double> beta = (rho_new / rho) * (alpha / omega);
     rho = rho_new;
     dist_axpy(-omega, v, p);
@@ -134,6 +156,10 @@ DistributedSolveResult<T> distributed_bicgstab(
   stats.final_relative_residual = rnorm / bnorm;
   if (stats.final_relative_residual <= params.tolerance)
     stats.converged = true;
+  if (stats.converged)
+    stats.breakdown = Breakdown::kNone;
+  else if (stats.breakdown == Breakdown::kNone)
+    stats.breakdown = Breakdown::kMaxIterations;
   comm.messages += op.comm().messages;
   comm.bytes += op.comm().bytes;
   return res;

@@ -289,9 +289,7 @@ TEST(SchwarzAbft, RepackRestoresTheDomainBitIdentically) {
   auto stamps = [&m] {
     std::vector<std::uint32_t> s;
     for (int d = 0; d < m.num_domains(); ++d)
-      for (const PackedComponent c :
-           {PackedComponent::kGaugeLinks, PackedComponent::kCloverDiag,
-            PackedComponent::kCloverInv})
+      for (const PackedComponent c : kPackedComponents)
         s.push_back(m.domain_checksum(d, c));
     return s;
   };

@@ -716,6 +716,39 @@ TEST(DistributedCollectives, IterateInjectorHitsDistributedSolverSite) {
   EXPECT_EQ(inj.stats().events, 1);
 }
 
+TEST(DistributedSolver, NonFiniteResidualEndsWithNanDetected) {
+  // An fp16-overflow upset puts an infinity into the recursive residual
+  // at the second iteration; the solve must stop and say so, not run
+  // its 4000-iteration budget out on NaNs.
+  SolveFixture f;
+  FaultInjectorConfig fic;
+  fic.fault = FaultClass::kFp16Overflow;
+  fic.first_opportunity = 1;
+  fic.max_events = 1;
+  FaultInjector inj(fic);
+  DistributedWilsonClover<double> op(f.vg, f.gauge, 0.3, 1.0);
+  DistributedField<double> x(f.vg);
+  const auto res = distributed_bicgstab(f.vg, op, f.b, x, f.params,
+                                        CollectiveConfig{}, &inj);
+  ASSERT_EQ(inj.stats().events_at(FaultSite::kDistributedSolver), 1);
+  EXPECT_FALSE(res.stats.converged);
+  EXPECT_EQ(res.stats.breakdown, Breakdown::kNanDetected);
+  EXPECT_GE(res.stats.nonfinite_events, 1);
+  // Injected at iteration 1: detected by the end of iteration 3.
+  EXPECT_LE(res.stats.iterations, 1 + 2);
+}
+
+TEST(DistributedSolver, ExhaustedBudgetEndsWithMaxIterations) {
+  SolveFixture f;
+  f.params.max_iterations = 3;
+  DistributedWilsonClover<double> op(f.vg, f.gauge, 0.3, 1.0);
+  DistributedField<double> x(f.vg);
+  const auto res = distributed_bicgstab(f.vg, op, f.b, x, f.params);
+  EXPECT_FALSE(res.stats.converged);
+  EXPECT_EQ(res.stats.breakdown, Breakdown::kMaxIterations);
+  EXPECT_EQ(res.stats.iterations, 3);
+}
+
 // ---------------------------------------------------------------------------
 // Schwarz packed-matrix ABFT checksums
 // ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 // Domain partition: tiling, coloring, local/global consistency, faces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "lqcd/lattice/domain_partition.h"
 
@@ -110,6 +113,77 @@ TEST(DomainPartition, FaceSitesAreOnTheRightPlane) {
                 p.block()[static_cast<size_t>(mu)] - 1);
     for (const std::int32_t l : p.face_sites(mu, Dir::kBackward))
       EXPECT_EQ(p.local_coord(l)[static_cast<size_t>(mu)], 0);
+  }
+}
+
+TEST(DomainPartition, FlatFaceListFollowsFaceBufferOrder) {
+  const Geometry g({8, 4, 8, 16});
+  const DomainPartition p(g, {4, 2, 2, 4});
+  // face_sites() is every face back to back, mu-major, forward first;
+  // each face view and its partner view sit at face_offset().
+  std::vector<std::int32_t> expect;
+  for (int mu = 0; mu < kNumDims; ++mu)
+    for (const Dir dir : {Dir::kForward, Dir::kBackward}) {
+      EXPECT_EQ(p.face_offset(mu, dir), static_cast<int>(expect.size()));
+      const auto face = p.face_sites(mu, dir);
+      EXPECT_EQ(face.data(), p.face_sites().data() + expect.size());
+      EXPECT_EQ(p.face_partners(mu, dir).size(), face.size());
+      for (std::size_t i = 1; i < face.size(); ++i)
+        EXPECT_LT(face[i - 1], face[i]);  // increasing local order
+      expect.insert(expect.end(), face.begin(), face.end());
+    }
+  ASSERT_EQ(p.face_sites().size(), expect.size());
+  EXPECT_TRUE(std::equal(expect.begin(), expect.end(),
+                         p.face_sites().begin()));
+}
+
+TEST(DomainPartition, PartnerIsTheSiteAcrossTheFace) {
+  // Grid extents 2 and 4: with 2 domains in a direction the forward and
+  // backward neighbors coincide.
+  for (const auto& [dims, block] :
+       {std::pair{Coord{8, 8, 8, 8}, Coord{4, 4, 4, 4}},
+        std::pair{Coord{8, 4, 8, 16}, Coord{4, 2, 2, 4}}}) {
+    const Geometry g(dims);
+    const DomainPartition p(g, block);
+    for (int d = 0; d < p.num_domains(); ++d)
+      for (int mu = 0; mu < kNumDims; ++mu)
+        for (const Dir dir : {Dir::kForward, Dir::kBackward}) {
+          const auto face = p.face_sites(mu, dir);
+          const auto partners = p.face_partners(mu, dir);
+          const int nbr = p.neighbor_domain(d, mu, dir);
+          for (std::size_t i = 0; i < face.size(); ++i)
+            EXPECT_EQ(p.global_site(nbr, partners[i]),
+                      g.neighbor(p.global_site(d, face[i]), mu, dir))
+                << "d " << d << " mu " << mu << " site " << face[i];
+        }
+  }
+}
+
+TEST(DomainPartition, HaloSourcesListEachIncomingFaceOnceByProducer) {
+  const Geometry g({8, 4, 8, 16});
+  const DomainPartition p(g, {4, 2, 2, 4});
+  for (int d = 0; d < p.num_domains(); ++d) {
+    const auto& src = p.halo_sources(d);
+    std::set<std::pair<int, int>> faces;  // (mu, forward)
+    for (std::size_t k = 0; k < src.size(); ++k) {
+      const HaloSource& h = src[k];
+      faces.insert({h.mu, h.dir == Dir::kForward ? 1 : 0});
+      // The domain behind d packed its forward face toward d; the one
+      // ahead of d its backward face.
+      const Dir toward_producer =
+          h.dir == Dir::kForward ? Dir::kBackward : Dir::kForward;
+      EXPECT_EQ(h.producer, p.neighbor_domain(d, h.mu, toward_producer));
+      if (k > 0) {
+        const HaloSource& prev = src[k - 1];
+        // By producer; ties keep mu order, forward before backward.
+        EXPECT_TRUE(prev.producer < h.producer ||
+                    (prev.producer == h.producer &&
+                     (prev.mu < h.mu ||
+                      (prev.mu == h.mu && prev.dir == Dir::kForward))))
+            << "d " << d << " entry " << k;
+      }
+    }
+    EXPECT_EQ(faces.size(), static_cast<std::size_t>(2 * kNumDims));
   }
 }
 

@@ -125,43 +125,6 @@ TEST(Fp16, SubnormalRoundTripIsExact) {
   }
 }
 
-TEST(Fp16, OverflowDetectionBoundary) {
-  // 65504 is the max finite half; 65519 still rounds down to it; 65520 is
-  // the smallest float that rounds to infinity.
-  EXPECT_FALSE(half_overflows(65504.0f));
-  EXPECT_FALSE(half_overflows(65519.0f));
-  EXPECT_TRUE(half_overflows(65520.0f));
-  EXPECT_TRUE(half_overflows(-65520.0f));
-  EXPECT_TRUE(half_overflows(1.0e6f));
-  EXPECT_FALSE(half_overflows(0.0f));
-  // Already-non-finite inputs are not *overflow* — they were lost before
-  // the down-convert.
-  EXPECT_FALSE(half_overflows(std::numeric_limits<float>::infinity()));
-  EXPECT_FALSE(half_overflows(-std::numeric_limits<float>::infinity()));
-  EXPECT_FALSE(half_overflows(std::numeric_limits<float>::quiet_NaN()));
-}
-
-TEST(Fp16, OverflowDetectionAgreesWithRoundTrip) {
-  // half_overflows(f) must be exactly "f finite but round-trip infinite".
-  Rng rng(11);
-  for (int i = 0; i < 20000; ++i) {
-    const float mag = static_cast<float>(std::exp(rng.uniform(9.0, 13.0)));
-    const float f = (rng.uniform() < 0.5 ? -1.0f : 1.0f) * mag;
-    const bool expect =
-        std::isfinite(f) && std::isinf(half_round_trip(f));
-    EXPECT_EQ(half_overflows(f), expect) << "f=" << f;
-  }
-}
-
-TEST(Fp16, CountHalfOverflows) {
-  const float inf = std::numeric_limits<float>::infinity();
-  const float vals[] = {1.0f,     65504.0f, 65520.0f, -1.0e6f,
-                        -65519.0f, inf,      0.0f,     7.0e4f};
-  EXPECT_EQ(count_half_overflows(vals, 8), 3);  // 65520, -1e6, 7e4
-  EXPECT_EQ(count_half_overflows(vals, 0), 0);
-  EXPECT_EQ(count_half_overflows(vals, 2), 0);
-}
-
 // The array conversions of the active dispatch backend.
 TEST(Fp16, VectorConversion) {
   Rng rng(7);

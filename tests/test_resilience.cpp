@@ -282,9 +282,7 @@ TEST(Richardson, SkipsPoisonedInnerCorrection) {
 // ---------------------------------------------------------------------------
 
 TEST(CheckpointMonitor, ChecksPointsOnImprovementRollsBackOnDivergence) {
-  CheckpointMonitorConfig cfg;
-  cfg.detect_ratio = 10.0;
-  CheckpointMonitor<double> mon(cfg);
+  CheckpointMonitor<double> mon;
   FermionField<double> x(8), snapshot(8);
   gaussian(x, 15);
   copy(x, snapshot);

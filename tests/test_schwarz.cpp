@@ -215,27 +215,40 @@ std::int64_t decoded_view_mismatches(const SchwarzSetup<S>& setup) {
   auto differ = [](const auto& a, const auto& b) {
     return std::memcmp(&a, &b, sizeof a) != 0;
   };
+  // Element (l, mu) of a link array, block (i, chi) of a clover array.
+  auto link_at = [](const auto* p, std::int32_t l, int mu) {
+    return p + (static_cast<std::size_t>(l) * kNumDims +
+                static_cast<std::size_t>(mu)) *
+                   kSU3Reals;
+  };
+  auto block_at = [](const auto* p, std::int32_t i, int chi) {
+    return p + (static_cast<std::size_t>(i) * 2 +
+                static_cast<std::size_t>(chi)) *
+                   kCloverBlockReals;
+  };
   for (int d = 0; d < part.num_domains(); ++d) {
     const DomainMatrices m = setup.decode_domain(d, buf);
+    const S* links = setup.packed(d, PackedComponent::kGaugeLinks);
+    const S* diag = setup.packed(d, PackedComponent::kCloverDiag);
+    const S* inv = setup.packed(d, PackedComponent::kCloverInv);
     for (std::int32_t l = 0; l < part.domain_volume(); ++l)
       for (int mu = 0; mu < kNumDims; ++mu)
-        if (differ(load_su3(m.link(l, mu)),
-                   load_su3(setup.link_ptr(d, l, mu))))
+        if (differ(load_su3(m.link(l, mu)), load_su3(link_at(links, l, mu))))
           ++mismatches;
     for (std::int32_t i = 0; i < part.domain_half_volume(); ++i)
       for (int chi = 0; chi < 2; ++chi) {
         if (differ(load_block(m.diag(i, chi)),
-                   load_block(setup.diag_e_ptr(d, i, chi))))
+                   load_block(block_at(diag, i, chi))))
           ++mismatches;
         if (differ(load_block(m.inv(i, chi)),
-                   load_block(setup.inv_o_ptr(d, i, chi))))
+                   load_block(block_at(inv, i, chi))))
           ++mismatches;
       }
-    const float* links = setup.decode_links(d, buf);
+    const float* decoded_links = setup.decode_links(d, buf);
     for (std::int32_t l = 0; l < part.domain_volume(); ++l)
       for (int mu = 0; mu < kNumDims; ++mu)
-        if (differ(load_su3(links + (l * kNumDims + mu) * kSU3Reals),
-                   load_su3(setup.link_ptr(d, l, mu))))
+        if (differ(load_su3(link_at(decoded_links, l, mu)),
+                   load_su3(link_at(links, l, mu))))
           ++mismatches;
   }
   return mismatches;

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "lqcd/base/error.h"
@@ -463,14 +464,8 @@ TEST(SimdParity, PackFacesLanesIsBitIdenticalAcrossBackends) {
   const std::int32_t vd = part.domain_volume();
   const auto links = random_floats(
       static_cast<std::int64_t>(vd) * kNumDims * 18, 55);
-  std::vector<std::int32_t> face_sites, face_size;
-  for (int mu = 0; mu < kNumDims; ++mu) {
-    face_size.push_back(part.face_size(mu));
-    for (const Dir dir : {Dir::kForward, Dir::kBackward}) {
-      const auto& f = part.face_sites(mu, dir);
-      face_sites.insert(face_sites.end(), f.begin(), f.end());
-    }
-  }
+  const std::span<const std::int32_t> face_sites = part.face_sites();
+  const std::int32_t* face_size = part.face_sizes();
   const auto nface = static_cast<std::int64_t>(face_sites.size());
   const std::int64_t stride = 12 * nface + 7;  // per-lane buffer stride
   auto pack = [&](Backend b, const std::vector<float>& z, int lanes,
@@ -478,7 +473,7 @@ TEST(SimdParity, PackFacesLanesIsBitIdenticalAcrossBackends) {
     ScopedBackend scope(b);
     std::vector<float> out(static_cast<std::size_t>(stride * lanes), -1.0f);
     simd::kernels().pack_faces_lanes(links.data(), face_sites.data(),
-                                     face_size.data(), z.data(), lanes, nrhs,
+                                     face_size, z.data(), lanes, nrhs,
                                      out.data(), stride);
     return out;
   };
@@ -491,7 +486,7 @@ TEST(SimdParity, PackFacesLanesIsBitIdenticalAcrossBackends) {
     std::size_t p = 0;
     for (int mu = 0; mu < kNumDims; ++mu)
       for (const bool fwd : {true, false})
-        for (std::int32_t i = 0; i < face_size[std::size_t(mu)]; ++i, ++p) {
+        for (std::int32_t i = 0; i < face_size[mu]; ++i, ++p) {
           const std::int32_t l = face_sites[p];
           HalfSpinor<double> h =
               project(spinor_of(&z_b[std::size_t(l) * kSpinorReals]), mu,
