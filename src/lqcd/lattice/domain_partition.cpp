@@ -80,9 +80,7 @@ DomainPartition::DomainPartition(const Geometry& geom, const Coord& block)
 
   // Faces in face-buffer order (mu-major, forward then backward, each in
   // increasing local order), and each face site's partner across the
-  // face: the same block coordinates on the opposite plane. A packed
-  // half-spinor is 12 reals (48 B in single precision) per face site —
-  // the paper's Fig. 3: four sites fit three cache lines.
+  // face: the same block coordinates on the opposite plane.
   for (int mu = 0; mu < kNumDims; ++mu) {
     const auto mu_s = static_cast<std::size_t>(mu);
     for (const Dir dir : {Dir::kForward, Dir::kBackward}) {
