@@ -9,13 +9,9 @@
 
 #include <cmath>
 #include <complex>
-#include <vector>
 
+#include "lqcd/base/per_thread.h"
 #include "lqcd/linalg/fermion_field.h"
-
-#if defined(LQCD_HAVE_OPENMP)
-#include <omp.h>
-#endif
 
 namespace lqcd {
 
@@ -88,26 +84,6 @@ void scal(T a, FermionField<T>& x) {
   scal(Complex<T>(a, 0), x);
 }
 
-namespace detail {
-
-inline int reduction_slots() noexcept {
-#if defined(LQCD_HAVE_OPENMP)
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
-}
-
-inline int reduction_slot() noexcept {
-#if defined(LQCD_HAVE_OPENMP)
-  return omp_get_thread_num();
-#else
-  return 0;
-#endif
-}
-
-}  // namespace detail
-
 // Global sums are deterministic: each thread sums its contiguous static
 // block of sites into its own partial, and the partials are added in
 // thread-index order. An OpenMP reduction clause would combine them in
@@ -119,8 +95,7 @@ template <class T>
 std::complex<double> dot(const FermionField<T>& x, const FermionField<T>& y) {
   LQCD_CHECK(x.size() == y.size());
   const std::int64_t n = x.size();
-  std::vector<std::complex<double>> partial(
-      static_cast<std::size_t>(detail::reduction_slots()));
+  PerThread<std::complex<double>> partial;
 #pragma omp parallel default(none) shared(n, x, y, partial)
   {
     double re = 0, im = 0;
@@ -136,32 +111,24 @@ std::complex<double> dot(const FermionField<T>& x, const FermionField<T>& y) {
                 static_cast<double>(a.imag()) * b.real();
         }
     }
-    partial[static_cast<std::size_t>(detail::reduction_slot())] = {re, im};
+    partial.local() = {re, im};
   }
-  double re = 0, im = 0;
-  for (const auto& p : partial) {
-    re += p.real();
-    im += p.imag();
-  }
-  return {re, im};
+  return partial.merged(std::complex<double>{});
 }
 
 /// ||x||^2, accumulated in double.
 template <class T>
 double norm2(const FermionField<T>& x) {
   const std::int64_t n = x.size();
-  std::vector<double> partial(
-      static_cast<std::size_t>(detail::reduction_slots()));
+  PerThread<double> partial;
 #pragma omp parallel default(none) shared(n, x, partial)
   {
     double acc = 0;
 #pragma omp for schedule(static)
     for (std::int64_t i = 0; i < n; ++i) acc += norm2(x[i]);
-    partial[static_cast<std::size_t>(detail::reduction_slot())] = acc;
+    partial.local() = acc;
   }
-  double acc = 0;
-  for (const double p : partial) acc += p;
-  return acc;
+  return partial.merged(0.0);
 }
 
 template <class T>

@@ -32,11 +32,13 @@
 // visible per site in FaultInjectorStats.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
 
+#include "lqcd/base/per_thread.h"
 #include "lqcd/base/rng.h"
 #include "lqcd/gauge/gauge_field.h"
 #include "lqcd/linalg/fermion_field.h"
@@ -94,12 +96,6 @@ inline const char* to_string(FaultSite s) noexcept {
   return "?";
 }
 
-/// Sites whose hooks are pure event decisions (maybe_fault) rather than
-/// field corruptions; at these the fault CLASS gate is the caller's job.
-inline constexpr bool is_message_site(FaultSite s) noexcept {
-  return s == FaultSite::kCollectiveHop || s == FaultSite::kHaloExchange;
-}
-
 struct FaultInjectorConfig {
   FaultClass fault = FaultClass::kSpinorBitFlip;
   std::uint64_t seed = 1;
@@ -147,6 +143,66 @@ inline FaultInjectorStats operator+(FaultInjectorStats a,
   return a;
 }
 
+namespace detail {
+
+/// `v` with one bit flipped: bit `cfg_bit` when it is one of v's bits,
+/// else one drawn from `rng`. U is float, double, or Half.
+template <class U>
+U flip_bit(Rng& rng, int cfg_bit, U v) noexcept {
+  using Bits = std::conditional_t<
+      sizeof(U) == 8, std::uint64_t,
+      std::conditional_t<sizeof(U) == 4, std::uint32_t, std::uint16_t>>;
+  constexpr int kBits = 8 * static_cast<int>(sizeof(U));
+  const int bit = cfg_bit >= 0 && cfg_bit < kBits
+                      ? cfg_bit
+                      : static_cast<int>(rng.uniform_u64(kBits));
+  return std::bit_cast<U>(
+      static_cast<Bits>(std::bit_cast<Bits>(v) ^ (Bits{1} << bit)));
+}
+
+/// The corruption every field hook applies: cfg.fault on the `n` reals at
+/// `data`, with every random choice drawn from `rng`.
+///   * kZeroField zeroes all n reals and draws nothing.
+///   * kFp16Overflow overwrites one drawn real with what the saturating
+///     binary16 down-convert makes of an out-of-range value: a signed
+///     infinity.
+///   * The bit-flip classes flip one bit of one drawn real.
+/// Returns false, touching nothing, for an empty range or a message fault
+/// class. U is float, double, or Half (binary16 storage scalar).
+template <class U>
+bool corrupt_reals(Rng& rng, const FaultInjectorConfig& cfg, U* data,
+                   std::int64_t n) {
+  if (data == nullptr || n <= 0) return false;
+  auto drawn = [&]() -> U& {
+    return data[rng.uniform_u64(static_cast<std::uint64_t>(n))];
+  };
+  switch (cfg.fault) {
+    case FaultClass::kZeroField:
+      std::fill_n(data, n, U{});
+      return true;
+    case FaultClass::kFp16Overflow:
+      if constexpr (std::is_same_v<U, Half>) {
+        drawn() = float_to_half(1.0e6f);
+      } else {
+        drawn() = static_cast<U>(half_round_trip(1.0e6f));
+      }
+      return true;
+    case FaultClass::kSpinorBitFlip:
+    case FaultClass::kGaugeBitFlip: {
+      U& v = drawn();
+      v = flip_bit(rng, cfg.bit, v);
+      return true;
+    }
+    case FaultClass::kRankDeath:
+    case FaultClass::kMessageDrop:
+    case FaultClass::kMessageCorrupt:
+      return false;
+  }
+  return false;
+}
+
+}  // namespace detail
+
 class FaultInjector {
  public:
   explicit FaultInjector(const FaultInjectorConfig& config = {})
@@ -171,104 +227,38 @@ class FaultInjector {
     return true;
   }
 
-  /// Injection hook for fermion fields. Returns true iff a fault fired.
+  /// Injection hook for fermion fields: detail::corrupt_reals() on the
+  /// field's reals. Returns true iff a fault fired.
   template <class T>
   bool maybe_corrupt(FermionField<T>& f,
                      FaultSite site = FaultSite::kGeneric) {
-    if (is_message_fault(config_.fault)) {
-      note_opportunity(site);
-      return false;
-    }
-    if (!should_fire(site) || f.size() == 0) return false;
-    switch (config_.fault) {
-      case FaultClass::kZeroField:
-        f.zero();
-        break;
-      case FaultClass::kFp16Overflow: {
-        // What the saturating binary16 down-convert makes of any value
-        // beyond the half range: a signed infinity in the stored field.
-        T* reals = reinterpret_cast<T*>(f.data());
-        const auto idx = rng_.uniform_u64(
-            static_cast<std::uint64_t>(f.size()) * kSpinorReals);
-        reals[idx] = static_cast<T>(half_round_trip(1.0e6f));
-        break;
-      }
-      case FaultClass::kSpinorBitFlip:
-      case FaultClass::kGaugeBitFlip: {
-        T* reals = reinterpret_cast<T*>(f.data());
-        const auto idx = rng_.uniform_u64(
-            static_cast<std::uint64_t>(f.size()) * kSpinorReals);
-        reals[idx] = flip_bit(reals[idx]);
-        break;
-      }
-      case FaultClass::kRankDeath:
-      case FaultClass::kMessageDrop:
-      case FaultClass::kMessageCorrupt:
-        return false;  // unreachable: guarded above
-    }
-    record_event(site);
-    return true;
+    return maybe_corrupt_reals(reinterpret_cast<T*>(f.data()),
+                               f.size() * kSpinorReals, site);
   }
 
-  /// Injection hook for gauge fields: one bit of one link component.
+  /// Injection hook for gauge fields: detail::corrupt_reals() on the
+  /// reals of all links.
   template <class T>
   bool maybe_corrupt(GaugeField<T>& gauge,
                      FaultSite site = FaultSite::kGaugeField) {
-    if (is_message_fault(config_.fault)) {
-      note_opportunity(site);
-      return false;
-    }
-    if (!should_fire(site)) return false;
-    const auto volume = gauge.geometry().volume();
-    const auto site_idx = static_cast<std::int32_t>(
-        rng_.uniform_u64(static_cast<std::uint64_t>(volume)));
-    const int mu = static_cast<int>(rng_.uniform_u64(kNumDims));
-    auto& link = gauge.link(site_idx, mu);
-    const int i = static_cast<int>(rng_.uniform_u64(kNumColors));
-    const int j = static_cast<int>(rng_.uniform_u64(kNumColors));
-    if (rng_.uniform() < 0.5) {
-      link.m[i][j] = Complex<T>(flip_bit(link.m[i][j].real()),
-                                link.m[i][j].imag());
-    } else {
-      link.m[i][j] = Complex<T>(link.m[i][j].real(),
-                                flip_bit(link.m[i][j].imag()));
-    }
-    record_event(site);
-    return true;
+    const auto links =
+        static_cast<std::int64_t>(gauge.geometry().volume()) * kNumDims;
+    return maybe_corrupt_reals(
+        reinterpret_cast<T*>(&gauge.link(0, 0)),
+        links * static_cast<std::int64_t>(sizeof(SU3<T>) / sizeof(T)), site);
   }
 
   /// Injection hook for raw scalar storage (packed half/single-precision
-  /// matrix blocks): corrupts one element — or the whole range for
-  /// kZeroField — per the configured class. U is float, double, or Half
-  /// (binary16 storage scalar).
+  /// matrix blocks): detail::corrupt_reals() on data[0, count). U is
+  /// float, double, or Half.
   template <class U>
   bool maybe_corrupt_reals(U* data, std::int64_t count, FaultSite site) {
     if (is_message_fault(config_.fault)) {
       note_opportunity(site);
       return false;
     }
-    if (!should_fire(site) || count <= 0 || data == nullptr) return false;
-    const auto idx = rng_.uniform_u64(static_cast<std::uint64_t>(count));
-    switch (config_.fault) {
-      case FaultClass::kZeroField:
-        for (std::int64_t i = 0; i < count; ++i) data[i] = U{};
-        break;
-      case FaultClass::kFp16Overflow:
-        if constexpr (std::is_same_v<U, Half>) {
-          data[idx] = float_to_half(1.0e6f);
-        } else {
-          data[idx] = static_cast<U>(half_round_trip(1.0e6f));
-        }
-        break;
-      case FaultClass::kSpinorBitFlip:
-      case FaultClass::kGaugeBitFlip:
-        data[idx] = flip_bit(data[idx]);
-        break;
-      case FaultClass::kRankDeath:
-      case FaultClass::kMessageDrop:
-      case FaultClass::kMessageCorrupt:
-        return false;  // unreachable: guarded above
-    }
+    if (!should_fire(site) || !detail::corrupt_reals(rng_, config_, data, count))
+      return false;
     record_event(site);
     return true;
   }
@@ -290,35 +280,6 @@ class FaultInjector {
     if (config_.max_events >= 0 && stats_.events >= config_.max_events)
       return false;
     return config_.probability >= 1.0 || rng_.uniform() < config_.probability;
-  }
-
-  float flip_bit(float v) { return flip_bit_with(rng_, config_.bit, v); }
-  double flip_bit(double v) { return flip_bit_with(rng_, config_.bit, v); }
-  std::uint16_t flip_bit(std::uint16_t v) {
-    return flip_bit_with(rng_, config_.bit, v);
-  }
-
-  static float flip_bit_with(Rng& rng, int cfg_bit, float v) noexcept {
-    const int bit = cfg_bit >= 0 && cfg_bit < 32
-                        ? cfg_bit
-                        : static_cast<int>(rng.uniform_u64(32));
-    return std::bit_cast<float>(std::bit_cast<std::uint32_t>(v) ^
-                                (std::uint32_t{1} << bit));
-  }
-  static double flip_bit_with(Rng& rng, int cfg_bit, double v) noexcept {
-    const int bit = cfg_bit >= 0 && cfg_bit < 64
-                        ? cfg_bit
-                        : static_cast<int>(rng.uniform_u64(64));
-    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(v) ^
-                                 (std::uint64_t{1} << bit));
-  }
-  /// Half (binary16) storage scalar: flip one of its 16 bits.
-  static std::uint16_t flip_bit_with(Rng& rng, int cfg_bit,
-                                     std::uint16_t v) noexcept {
-    const int bit = cfg_bit >= 0 && cfg_bit < 16
-                        ? cfg_bit
-                        : static_cast<int>(rng.uniform_u64(16));
-    return static_cast<std::uint16_t>(v ^ (std::uint16_t{1} << bit));
   }
 
   friend class ParallelFaultScope;
@@ -345,11 +306,11 @@ class FaultInjector {
 ///     would. The fault pattern is therefore a pure function of
 ///     (seed, schedule, key) — identical for ANY thread count or
 ///     iteration interleaving.
-///   * Inside the region, thread `tid` calls maybe_corrupt_reals /
-///     maybe_fault with its unique key. Corruption randomness (element,
-///     bit) comes from a per-key forked RNG, never from shared state, and
-///     counters accumulate in cache-line-padded per-thread shards. Hooks
-///     are lock-free: no atomics, no mutexes.
+///   * Inside the region, each visit calls maybe_corrupt_reals with its
+///     unique key. Corruption randomness (element, bit) comes from a
+///     per-key forked RNG, never from shared state, and counters
+///     accumulate in the calling thread's PerThread shard. Hooks are
+///     lock-free: no atomics, no mutexes.
 ///   * merge() (serial, at region exit — also run by the destructor)
 ///     folds the shards into the injector's FaultInjectorStats via the
 ///     commutative FaultInjectorStats::operator+=, so the merged counters
@@ -361,27 +322,18 @@ class FaultInjector {
 /// the event counter is frozen for the scope's lifetime).
 class ParallelFaultScope {
  public:
-  /// Padded per-thread counter slot: one cache line per thread, so hot
-  /// hooks never false-share.
-  struct alignas(64) Shard {
-    FaultInjectorStats stats;
-  };
-
   /// `injector` may be nullptr: the scope is inert and every hook
   /// returns false without recording anything.
   ParallelFaultScope(FaultInjector* injector, FaultSite site,
-                     std::int64_t num_keys, int num_threads)
+                     std::int64_t num_keys)
       : injector_(injector), site_(site) {
     if (injector_ == nullptr || num_keys <= 0) return;
-    shards_.resize(
-        static_cast<std::size_t>(num_threads > 0 ? num_threads : 1));
     fire_.assign(static_cast<std::size_t>(num_keys), 0);
     epoch_ = injector_->scope_epochs_++;
     const FaultInjectorConfig& cfg = injector_->config_;
-    // A corruption site is inert for message fault classes (mirrors the
-    // serial maybe_corrupt* hooks): opportunities count, nothing fires,
-    // no RNG draws.
-    if (!is_message_site(site) && is_message_fault(cfg.fault)) return;
+    // Inert for message fault classes (mirrors the serial maybe_corrupt*
+    // hooks): opportunities count, nothing fires, no RNG draws.
+    if (is_message_fault(cfg.fault)) return;
     const std::int64_t base_opportunity = injector_->stats_.opportunities;
     const std::int64_t base_events = injector_->stats_.events;
     std::int64_t fired = 0;
@@ -402,48 +354,22 @@ class ParallelFaultScope {
   ParallelFaultScope(const ParallelFaultScope&) = delete;
   ParallelFaultScope& operator=(const ParallelFaultScope&) = delete;
 
-  /// Pure event-decision hook (message sites). Thread-safe for distinct
-  /// (tid, key) pairs.
-  bool maybe_fault(int tid, std::int64_t key) noexcept {
-    if (shards_.empty()) return false;
-    note_opportunity(tid);
-    return fire_[static_cast<std::size_t>(key)] != 0;
-  }
-
   /// Corruption hook for raw scalar storage, the parallel counterpart of
-  /// FaultInjector::maybe_corrupt_reals. U is float, double, or Half.
+  /// FaultInjector::maybe_corrupt_reals: detail::corrupt_reals() with the
+  /// key's own RNG. Thread-safe for distinct keys. U is float, double, or
+  /// Half.
   template <class U>
-  bool maybe_corrupt_reals(int tid, std::int64_t key, U* data,
-                           std::int64_t count) {
-    if (shards_.empty()) return false;
-    note_opportunity(tid);
-    if (fire_[static_cast<std::size_t>(key)] == 0 || count <= 0 ||
-        data == nullptr)
+  bool maybe_corrupt_reals(std::int64_t key, U* data, std::int64_t count) {
+    if (fire_.empty()) return false;
+    FaultInjectorStats& st = shards_.local();
+    ++st.opportunities;
+    ++st.site_opportunities[static_cast<int>(site_)];
+    if (fire_[static_cast<std::size_t>(key)] == 0) return false;
+    Rng rng = key_rng(injector_->config_.seed, epoch_, key);
+    if (!detail::corrupt_reals(rng, injector_->config_, data, count))
       return false;
-    const FaultInjectorConfig& cfg = injector_->config_;
-    Rng sub = key_rng(cfg.seed, epoch_, key);
-    const auto idx = sub.uniform_u64(static_cast<std::uint64_t>(count));
-    switch (cfg.fault) {
-      case FaultClass::kZeroField:
-        for (std::int64_t i = 0; i < count; ++i) data[i] = U{};
-        break;
-      case FaultClass::kFp16Overflow:
-        if constexpr (std::is_same_v<U, Half>) {
-          data[idx] = float_to_half(1.0e6f);
-        } else {
-          data[idx] = static_cast<U>(half_round_trip(1.0e6f));
-        }
-        break;
-      case FaultClass::kSpinorBitFlip:
-      case FaultClass::kGaugeBitFlip:
-        data[idx] = FaultInjector::flip_bit_with(sub, cfg.bit, data[idx]);
-        break;
-      case FaultClass::kRankDeath:
-      case FaultClass::kMessageDrop:
-      case FaultClass::kMessageCorrupt:
-        return false;  // unreachable: such scopes pre-draw no fires
-    }
-    record_event(tid);
+    ++st.events;
+    ++st.site_events[static_cast<int>(site_)];
     return true;
   }
 
@@ -453,22 +379,11 @@ class ParallelFaultScope {
   /// visited which key.
   void merge() noexcept {
     if (injector_ == nullptr || merged_) return;
-    for (const Shard& sh : shards_) injector_->stats_ += sh.stats;
+    injector_->stats_ = shards_.merged(injector_->stats_);
     merged_ = true;
   }
 
  private:
-  void note_opportunity(int tid) noexcept {
-    FaultInjectorStats& st = shards_[static_cast<std::size_t>(tid)].stats;
-    ++st.opportunities;
-    ++st.site_opportunities[static_cast<int>(site_)];
-  }
-  void record_event(int tid) noexcept {
-    FaultInjectorStats& st = shards_[static_cast<std::size_t>(tid)].stats;
-    ++st.events;
-    ++st.site_events[static_cast<int>(site_)];
-  }
-
   /// Independent per-key RNG: splitmix64 over (seed, epoch, key) so the
   /// corruption detail (element, bit) is reproducible for any threading.
   static Rng key_rng(std::uint64_t seed, std::int64_t epoch,
@@ -482,8 +397,8 @@ class ParallelFaultScope {
   FaultInjector* injector_;
   FaultSite site_;
   std::int64_t epoch_ = 0;
-  std::vector<char> fire_;     ///< pre-drawn decision per key
-  std::vector<Shard> shards_;  ///< per-thread counter slots
+  std::vector<char> fire_;  ///< pre-drawn decision per key
+  PerThread<FaultInjectorStats> shards_;
   bool merged_ = false;
 };
 

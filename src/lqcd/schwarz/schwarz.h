@@ -30,13 +30,10 @@
 #include <numeric>
 #include <utility>
 
+#include "lqcd/base/per_thread.h"
 #include "lqcd/schwarz/setup.h"
 #include "lqcd/solver/linear_operator.h"
 #include "lqcd/solver/mr.h"
-
-#if defined(LQCD_HAVE_OPENMP)
-#include <omp.h>
-#endif
 
 namespace lqcd {
 
@@ -220,20 +217,14 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
 
   /// Grow the per-thread scratch pool to the CURRENT OpenMP thread limit.
   /// The pool is sized at construction, but omp_set_num_threads() may raise
-  /// the limit afterwards; without this re-check the sweep loops would index
-  /// past the end of scratch_. Existing slots (and their warm buffers) are
-  /// kept; only the new tail is allocated. Never called from inside a
+  /// the limit afterwards; without this re-check the sweep loops would run
+  /// more threads than there are slots. Existing slots (and their warm
+  /// buffers) are kept; only new slots allocate. Never called from inside a
   /// parallel region.
   void ensure_scratch() {
-    int nthreads = 1;
-#if defined(LQCD_HAVE_OPENMP)
-    nthreads = omp_get_max_threads();
-#endif
-    if (static_cast<int>(scratch_.size()) >= nthreads) return;
-    const std::size_t old_size = scratch_.size();
-    scratch_.resize(static_cast<std::size_t>(nthreads));
-    for (std::size_t t = old_size; t < scratch_.size(); ++t)
-      scratch_[t].decoded.resize(setup_->decode_size());
+    scratch_.grow_to_thread_limit();
+    scratch_.for_each(
+        [&](Scratch& sc) { sc.decoded.resize(setup_->decode_size()); });
   }
 
   void apply_impl(int nrhs, const FermionField<float>* const* f,
@@ -282,20 +273,18 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
     // seed and the visit schedule — exactly OMP_NUM_THREADS-invariant.
     ParallelFaultScope domain_scope(
         params_.domain_fault_injector, FaultSite::kDomainSolve,
-        static_cast<std::int64_t>(params_.schwarz_iterations) * nd,
-        static_cast<int>(scratch_.size()));
+        static_cast<std::int64_t>(params_.schwarz_iterations) * nd);
     domain_scope_ = &domain_scope;
     // In-solve packed-data upsets (FaultSite::kPackedData): one pre-drawn
-    // opportunity per (sweep, packed component), fired on thread 0 in the
-    // serial gap between sweeps. Routing the serial firing through a scope
+    // opportunity per (sweep, packed component), fired in the serial gap
+    // between sweeps. Routing the serial firing through a scope
     // keeps the decisions, the corrupted element, and all counters a pure
     // function of (seed, schedule) — the same thread-count-invariance
     // contract as the domain-visit hook above.
     ParallelFaultScope packed_scope(
         params_.packed_fault_injector, FaultSite::kPackedData,
         static_cast<std::int64_t>(params_.schwarz_iterations) *
-            kNumPackedComponents,
-        1);
+            kNumPackedComponents);
     const std::vector<int>& black = part_->domains_of_color(0);
     const std::vector<int>& white = part_->domains_of_color(1);
     const auto n_black = static_cast<std::int64_t>(black.size());
@@ -321,10 +310,10 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
     domain_scope.merge();  // fold per-thread shards into the injector stats
     packed_scope.merge();
 
-    for (auto& sc : scratch_) {
+    scratch_.for_each([&](Scratch& sc) {
       stats_ += sc.stats;
       sc.stats.reset();
-    }
+    });
   }
 
   /// Fire the pre-drawn packed-data upsets of sweep `s`: one key per
@@ -598,13 +587,13 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
   /// corrupts the domain's packed RHS-0 face buffers — the data the next
   /// halo update consumes — and is charged to the per-thread scratch
   /// stats so counters merge thread-count-invariantly.
-  void visit_domain(int d, int nrhs, FermionField<float>* const* u, int tid,
+  void visit_domain(int d, int nrhs, FermionField<float>* const* u,
                     std::int64_t visit_key) {
-    auto& sc = scratch_[static_cast<std::size_t>(tid)];
+    Scratch& sc = scratch_.local();
     solve_domain_batch(d, nrhs, u, sc);
     if (domain_scope_ != nullptr &&
         domain_scope_->maybe_corrupt_reals(
-            tid, visit_key,
+            visit_key,
             buffers_.data() + static_cast<std::size_t>(buffer_slot(0, d)) *
                                   static_cast<std::size_t>(buffer_stride()),
             buffer_stride()))
@@ -619,14 +608,9 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
     const auto n = static_cast<std::int64_t>(list.size());
 #pragma omp parallel for schedule(static) default(none) \
     shared(list, n, nrhs, u, visit_base)
-    for (std::int64_t i = 0; i < n; ++i) {
-      int tid = 0;
-#if defined(LQCD_HAVE_OPENMP)
-      tid = omp_get_thread_num();
-#endif
-      visit_domain(list[static_cast<std::size_t>(i)], nrhs, u, tid,
+    for (std::int64_t i = 0; i < n; ++i)
+      visit_domain(list[static_cast<std::size_t>(i)], nrhs, u,
                    visit_base + i);
-    }
   }
 
   /// Halo update after a sweep phase: each domain of `destinations` adds
@@ -640,11 +624,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
 #pragma omp parallel for schedule(static) default(none) \
     shared(destinations, n, nrhs)
     for (std::int64_t i = 0; i < n; ++i) {
-      int tid = 0;
-#if defined(LQCD_HAVE_OPENMP)
-      tid = omp_get_thread_num();
-#endif
-      auto& sc = scratch_[static_cast<std::size_t>(tid)];
+      Scratch& sc = scratch_.local();
       const int dst = destinations[static_cast<std::size_t>(i)];
       const float* links = setup_->decode_links(dst, sc.decoded);
       for (int b = 0; b < nrhs; ++b)
@@ -670,7 +650,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float> {
   /// Read-only pointer view of r_batch_[0..nrhs) for the lane gather
   /// bridge; rebuilt at the start of every apply_impl().
   std::vector<const FermionField<float>*> r_ptrs_;
-  std::vector<Scratch> scratch_;
+  PerThread<Scratch> scratch_;
   /// 0 .. num_domains - 1: the additive sweep's visit and halo list.
   std::vector<int> all_domains_;
   /// Live only while apply_impl()'s sweep loop runs; points at the

@@ -145,12 +145,12 @@ class SchwarzSetup final : public PackedDomainStore {
         FaultSite::kPackedData);
   }
 
-  /// In-solve hook: let the pre-drawn decision `key` of `scope` (on its
-  /// serial shard 0) corrupt the whole store of component c.
+  /// In-solve hook: let the pre-drawn decision `key` of `scope` corrupt
+  /// the whole store of component c.
   bool corrupt_packed(ParallelFaultScope& scope, std::int64_t key,
                       PackedComponent c) {
     AlignedVector<S>& store = packed_[index_of(c)];
-    return scope.maybe_corrupt_reals(0, key, store.data(),
+    return scope.maybe_corrupt_reals(key, store.data(),
                                      static_cast<std::int64_t>(store.size()));
   }
 

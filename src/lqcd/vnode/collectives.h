@@ -160,69 +160,66 @@ constexpr std::int64_t allreduce_entry_bytes() noexcept {
   return static_cast<std::int64_t>(sizeof(T)) + 4;
 }
 
-namespace collective_detail {
+/// How one message of the vnode layer ended.
+enum class SendOutcome { kDelivered, kSenderDied, kRetriesExhausted };
 
-enum class HopOutcome { kDelivered, kSenderDied, kRetriesExhausted };
+struct SendResult {
+  SendOutcome outcome = SendOutcome::kDelivered;
+  int attempts = 0;     ///< transmissions, the first one included
+  int drops = 0;        ///< attempts lost in the fabric
+  int corruptions = 0;  ///< attempts that arrived bit-flipped
+  /// Delivered with its first byte flipped: checksum verification was
+  /// off, so the corruption went unnoticed.
+  bool silent_flip = false;
+};
 
-/// One upward hop with bounded-backoff retries: the sender transmits its
-/// itemized entry list; drops and detected corruptions are retried up to
-/// cfg.max_retries times. `silent_flip` reports an undetected corruption
-/// (checksum verification disabled) — the first payload value reaches the
-/// receiver bit-flipped.
-template <class T>
-HopOutcome send_hop(const std::vector<int>& entry_ranks,
-                    const std::vector<T>& values,
-                    const CollectiveConfig& cfg, bool is_rewire,
-                    CollectiveStats& stats, bool& silent_flip) {
-  silent_flip = false;
-  const std::int64_t hop_bytes =
-      static_cast<std::int64_t>(entry_ranks.size()) *
-      allreduce_entry_bytes<T>();
-  FaultInjector* inj = cfg.injector;
-  const bool armed = inj != nullptr && is_message_fault(inj->config().fault);
-  for (int attempt = 0;; ++attempt) {
-    if (attempt == 0) {
-      if (is_rewire) {
-        ++stats.rewire_hops;
-      } else {
-        ++stats.up_hops;
-      }
-    } else {
-      ++stats.retransmit_hops;
+/// The retransmit loop of every message the vnode layer sends — a proxy-
+/// tree hop or a halo face. Each attempt is one FaultInjector opportunity
+/// at `site`; an unarmed injector (nullptr or a non-message class)
+/// delivers at the first attempt and consumes none. A kRankDeath fault
+/// ends the message with kSenderDied. A kMessageDrop, or a kMessageCorrupt
+/// that the Fletcher-32 payload checksum exposes, is retried up to
+/// `max_retries` times, then ends with kRetriesExhausted. With
+/// `verify_checksums` off a corrupted attempt is delivered as is. The
+/// caller counts the attempts and reacts to the outcome.
+inline SendResult send_message(const void* payload, std::size_t bytes,
+                               FaultInjector* injector, FaultSite site,
+                               int max_retries,
+                               bool verify_checksums = true) {
+  LQCD_CHECK_MSG(bytes > 0, "send_message: empty payload");
+  SendResult res;
+  const bool armed =
+      injector != nullptr && is_message_fault(injector->config().fault);
+  for (;;) {
+    ++res.attempts;
+    if (!armed || !injector->maybe_fault(site)) return res;
+    const FaultClass fc = injector->config().fault;
+    if (fc == FaultClass::kRankDeath) {
+      res.outcome = SendOutcome::kSenderDied;
+      return res;
     }
-    stats.payload_bytes += hop_bytes;
-
-    if (!armed || !inj->maybe_fault(FaultSite::kCollectiveHop))
-      return HopOutcome::kDelivered;
-
-    const FaultClass fc = inj->config().fault;
-    if (fc == FaultClass::kRankDeath) return HopOutcome::kSenderDied;
     if (fc == FaultClass::kMessageDrop) {
-      ++stats.drops;
+      ++res.drops;
     } else {  // kMessageCorrupt
-      ++stats.corruptions;
-      // Serialize the payload, flip one bit in transit, and check the
-      // Fletcher-32 checksum that travels with the message.
-      const auto* bytes =
-          reinterpret_cast<const unsigned char*>(values.data());
-      std::vector<unsigned char> wire(bytes,
-                                      bytes + values.size() * sizeof(T));
-      const std::uint32_t sent = fletcher32_bytes(wire.data(), wire.size());
-      if (!wire.empty()) wire[0] ^= 1u;
-      const std::uint32_t received =
-          fletcher32_bytes(wire.data(), wire.size());
-      if (!cfg.verify_checksums || received == sent) {
-        // Undetected: the corrupted first value is reduced as-is.
-        silent_flip = !wire.empty();
-        return HopOutcome::kDelivered;
+      ++res.corruptions;
+      // Flip one bit in transit and check the Fletcher-32 checksum that
+      // travels with the message.
+      const auto* p = static_cast<const unsigned char*>(payload);
+      std::vector<unsigned char> wire(p, p + bytes);
+      const std::uint32_t sent = fletcher32_bytes(wire.data(), bytes);
+      wire[0] ^= 1u;
+      if (!verify_checksums || fletcher32_bytes(wire.data(), bytes) == sent) {
+        res.silent_flip = true;
+        return res;
       }
       // Detected: discard and retransmit, like a drop.
     }
-    if (attempt >= cfg.max_retries) return HopOutcome::kRetriesExhausted;
+    if (res.attempts > max_retries) {
+      res.outcome = SendOutcome::kRetriesExhausted;
+      return res;
+    }
   }
 }
-
-}  // namespace collective_detail
 
 /// Fault-tolerant allreduce of one scalar contribution per virtual rank
 /// over the host-proxy tree. Fault-free, the returned value is
@@ -273,8 +270,7 @@ AllreduceResult<T> tree_allreduce(const std::vector<T>& contributions,
       auto& c = carry[static_cast<std::size_t>(dest)];
       c.insert(c.end(), entry_ranks.begin(), entry_ranks.end());
     }
-    if (silent_flip && !entry_ranks.empty())
-      flipped[static_cast<std::size_t>(entry_ranks.front())] = 1;
+    if (silent_flip) flipped[static_cast<std::size_t>(entry_ranks.front())] = 1;
   };
 
   // Upward pass: deepest senders first, so every sender has already
@@ -293,18 +289,25 @@ AllreduceResult<T> tree_allreduce(const std::vector<T>& contributions,
       work.pop_back();
       if (!alive[static_cast<std::size_t>(snd.sender)]) continue;
       const auto& entry_ranks = carry[static_cast<std::size_t>(snd.sender)];
-      bool silent_flip = false;
-      const auto outcome = collective_detail::send_hop(
-          entry_ranks, payload_values(entry_ranks), cfg, snd.rewire,
-          res.stats, silent_flip);
-      switch (outcome) {
-        case collective_detail::HopOutcome::kDelivered:
-          deliver(entry_ranks, snd.dest, silent_flip);
+      const std::vector<T> values = payload_values(entry_ranks);
+      const SendResult sent = send_message(
+          values.data(), values.size() * sizeof(T), cfg.injector,
+          FaultSite::kCollectiveHop, cfg.max_retries, cfg.verify_checksums);
+      ++(snd.rewire ? res.stats.rewire_hops : res.stats.up_hops);
+      res.stats.retransmit_hops += sent.attempts - 1;
+      res.stats.payload_bytes += sent.attempts *
+                                 static_cast<std::int64_t>(entry_ranks.size()) *
+                                 allreduce_entry_bytes<T>();
+      res.stats.drops += sent.drops;
+      res.stats.corruptions += sent.corruptions;
+      switch (sent.outcome) {
+        case SendOutcome::kDelivered:
+          deliver(entry_ranks, snd.dest, sent.silent_flip);
           break;
-        case collective_detail::HopOutcome::kRetriesExhausted:
+        case SendOutcome::kRetriesExhausted:
           res.status = CollectiveStatus::kRetriesExhausted;
           break;
-        case collective_detail::HopOutcome::kSenderDied: {
+        case SendOutcome::kSenderDied: {
           alive[static_cast<std::size_t>(snd.sender)] = 0;
           ++res.stats.rank_deaths;
           if (res.stats.rank_deaths > cfg.max_rank_deaths) {

@@ -202,51 +202,29 @@ class DistributedWilsonClover {
     ++comm_.halo_exchanges;
   }
 
-  /// One point-to-point halo message, with the per-message fault site.
-  /// A drop times out and retransmits; a corruption is exposed by the
-  /// Fletcher-32 payload checksum travelling with the message and then
-  /// retransmits; a neighbor death cannot be rewired around (the face
-  /// data exists nowhere else) and throws for checkpoint/rollback.
+  /// One point-to-point halo message through send_message(), at the
+  /// per-message fault site. Drops and checksum-detected corruptions are
+  /// retransmitted; a neighbor death cannot be rewired around (the face
+  /// data exists nowhere else) and, like an exhausted retransmit budget,
+  /// throws for checkpoint/rollback.
   void transfer(HalfBuffer& dst, const HalfBuffer& src,
                 std::int64_t msg_bytes) {
-    if (injector_ == nullptr || !is_message_fault(injector_->config().fault)) {
-      dst = src;
-      ++comm_.messages;
-      comm_.bytes += msg_bytes;
-      return;
-    }
-    const std::size_t payload_bytes = src.size() * sizeof(HalfSpinor<T>);
-    for (int attempt = 0;; ++attempt) {
-      ++comm_.messages;
-      comm_.bytes += msg_bytes;
-      if (attempt > 0) ++comm_.retransmits;
-      if (!injector_->maybe_fault(FaultSite::kHaloExchange)) {
-        dst = src;
-        return;
-      }
-      const FaultClass fc = injector_->config().fault;
-      if (fc == FaultClass::kRankDeath) {
-        ++comm_.rank_deaths;
-        LQCD_CHECK_MSG(false,
-                       "halo exchange: neighbor rank died mid-exchange; "
-                       "escalate to checkpoint/rollback");
-      }
-      if (fc == FaultClass::kMessageCorrupt && !src.empty()) {
-        // Deliver a bit-flipped copy and compare payload checksums.
-        dst = src;
-        auto* raw = reinterpret_cast<unsigned char*>(dst.data());
-        raw[0] ^= 1u;
-        const std::uint32_t sent =
-            fletcher32_bytes(src.data(), payload_bytes);
-        const std::uint32_t received =
-            fletcher32_bytes(dst.data(), payload_bytes);
-        if (received == sent) return;  // cannot happen for a 1-bit flip
-        // Detected: fall through to retransmit.
-      }
-      LQCD_CHECK_MSG(attempt < max_retries_,
-                     "halo exchange: retransmit budget exhausted; "
+    const SendResult sent =
+        send_message(src.data(), src.size() * sizeof(HalfSpinor<T>),
+                     injector_, FaultSite::kHaloExchange, max_retries_);
+    comm_.messages += sent.attempts;
+    comm_.bytes += sent.attempts * msg_bytes;
+    comm_.retransmits += sent.attempts - 1;
+    if (sent.outcome == SendOutcome::kSenderDied) {
+      ++comm_.rank_deaths;
+      LQCD_CHECK_MSG(false,
+                     "halo exchange: neighbor rank died mid-exchange; "
                      "escalate to checkpoint/rollback");
     }
+    LQCD_CHECK_MSG(sent.outcome == SendOutcome::kDelivered,
+                   "halo exchange: retransmit budget exhausted; "
+                   "escalate to checkpoint/rollback");
+    dst = src;
   }
 
   void compute_all(const DistributedField<T>& in, DistributedField<T>& out) {

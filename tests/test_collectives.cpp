@@ -749,6 +749,30 @@ TEST(DistributedSolver, ExhaustedBudgetEndsWithMaxIterations) {
   EXPECT_EQ(res.stats.iterations, 3);
 }
 
+TEST(DistributedSolver, StopsWithTheSingleNodeCounters) {
+  // One BiCGstab body: on the same problem and budget the distributed
+  // solve stops for the same reason after the same work, global sums
+  // included, as the single-node solve.
+  SolveFixture f;
+  f.params.max_iterations = 3;
+  const Checkerboard cb(f.geom);
+  const WilsonCloverOperator<double> op(f.geom, cb, f.gauge, 0.3, 1.0);
+  const WilsonCloverLinOp<double> a(op);
+  FermionField<double> b(f.geom.volume()), x(f.geom.volume());
+  gather(f.vg, f.b, b);
+  const SolverStats single = bicgstab_solve(a, b, x, f.params);
+
+  DistributedWilsonClover<double> dop(f.vg, f.gauge, 0.3, 1.0);
+  DistributedField<double> dx(f.vg);
+  const SolverStats dist =
+      distributed_bicgstab(f.vg, dop, f.b, dx, f.params).stats;
+  EXPECT_EQ(dist.breakdown, single.breakdown);
+  EXPECT_EQ(dist.iterations, single.iterations);
+  EXPECT_EQ(dist.matvecs, single.matvecs);
+  EXPECT_EQ(dist.global_sum_events, single.global_sum_events);
+  EXPECT_GT(single.global_sum_events, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Schwarz packed-matrix ABFT checksums
 // ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 // fallback, checkpoint/rollback, and the cluster-level fault model.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "lqcd/cluster/cluster_sim.h"
 #include "lqcd/core/dd_solver.h"
@@ -68,6 +70,55 @@ TEST(FaultInjector, HonorsScheduleWindowAndBudget) {
   EXPECT_FALSE(inj.maybe_corrupt(f));
 }
 
+/// The three field hooks that share the one corruption routine.
+enum class Hook { kField, kReals, kScope };
+
+struct Corruption {
+  bool fired = false;
+  std::vector<float> before, after;  ///< the field's reals
+};
+
+/// Fire one `fault` through `hook` on a small float field.
+Corruption corrupt_through(Hook hook, FaultClass fault) {
+  FaultInjectorConfig cfg;
+  cfg.fault = fault;
+  cfg.seed = 9;
+  FaultInjector inj(cfg);
+  FermionField<float> f(4);
+  gaussian(f, 4);
+  float* reals = reinterpret_cast<float*>(f.data());
+  const std::int64_t n = f.size() * kSpinorReals;
+  Corruption c;
+  c.before.assign(reals, reals + n);
+  switch (hook) {
+    case Hook::kField:
+      c.fired = inj.maybe_corrupt(f);
+      break;
+    case Hook::kReals:
+      c.fired = inj.maybe_corrupt_reals(reals, n, FaultSite::kGeneric);
+      break;
+    case Hook::kScope: {
+      ParallelFaultScope scope(&inj, FaultSite::kDomainSolve, 1);
+      c.fired = scope.maybe_corrupt_reals(0, reals, n);
+      break;
+    }
+  }
+  c.after.assign(reals, reals + n);
+  return c;
+}
+
+/// Indices of the reals a corruption changed.
+std::vector<std::size_t> changed_reals(const Corruption& c) {
+  std::vector<std::size_t> idx;
+  for (std::size_t i = 0; i < c.before.size(); ++i)
+    if (std::bit_cast<std::uint32_t>(c.before[i]) !=
+        std::bit_cast<std::uint32_t>(c.after[i]))
+      idx.push_back(i);
+  return idx;
+}
+
+constexpr Hook kHooks[] = {Hook::kField, Hook::kReals, Hook::kScope};
+
 TEST(FaultInjector, BitFlipChangesExactlyOneComponent) {
   FaultInjectorConfig cfg;
   cfg.fault = FaultClass::kSpinorBitFlip;
@@ -85,6 +136,17 @@ TEST(FaultInjector, BitFlipChangesExactlyOneComponent) {
         if (f[i].s[sp].c[c].imag() != orig[i].s[sp].c[c].imag()) ++changed;
       }
   EXPECT_EQ(changed, 1);
+
+  // Every hook: one real, one bit.
+  for (const Hook hook : kHooks) {
+    const Corruption c = corrupt_through(hook, FaultClass::kSpinorBitFlip);
+    ASSERT_TRUE(c.fired);
+    const auto idx = changed_reals(c);
+    ASSERT_EQ(idx.size(), 1u) << static_cast<int>(hook);
+    EXPECT_EQ(std::popcount(std::bit_cast<std::uint32_t>(c.before[idx[0]]) ^
+                            std::bit_cast<std::uint32_t>(c.after[idx[0]])),
+              1);
+  }
 }
 
 TEST(FaultInjector, Fp16OverflowWritesInfinity) {
@@ -95,6 +157,23 @@ TEST(FaultInjector, Fp16OverflowWritesInfinity) {
   gaussian(f, 6);
   ASSERT_TRUE(inj.maybe_corrupt(f));
   EXPECT_FALSE(all_finite(f));
+
+  // Every hook: one real becomes an infinity.
+  for (const Hook hook : kHooks) {
+    const Corruption c = corrupt_through(hook, FaultClass::kFp16Overflow);
+    ASSERT_TRUE(c.fired);
+    const auto idx = changed_reals(c);
+    ASSERT_EQ(idx.size(), 1u) << static_cast<int>(hook);
+    EXPECT_TRUE(std::isinf(c.after[idx[0]]));
+  }
+  // kZeroField, the other class that writes a fixed value, zeroes every
+  // real through every hook.
+  for (const Hook hook : kHooks) {
+    const Corruption c = corrupt_through(hook, FaultClass::kZeroField);
+    ASSERT_TRUE(c.fired);
+    EXPECT_EQ(changed_reals(c).size(), c.before.size()) << static_cast<int>(hook);
+    for (const float v : c.after) EXPECT_EQ(std::bit_cast<std::uint32_t>(v), 0u);
+  }
 }
 
 TEST(FaultInjector, GaugeBitFlipChangesOneLinkEntry) {

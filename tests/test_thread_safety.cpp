@@ -27,14 +27,6 @@ void set_threads(int n) {
 #endif
 }
 
-int max_threads() {
-#if defined(LQCD_HAVE_OPENMP)
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
-}
-
 // ---------------------------------------------------------------------------
 // Stats mergeability (ISSUE satellite: operator+= keeps the per-site split)
 // ---------------------------------------------------------------------------
@@ -102,10 +94,8 @@ std::vector<char> visit_keys(ParallelFaultScope& scope,
                              std::vector<float>& data, std::int64_t row) {
   std::vector<char> fired(order.size(), 0);
   for (const std::int64_t k : order)
-    fired[static_cast<std::size_t>(k)] = scope.maybe_corrupt_reals(
-        /*tid=*/0, k, data.data() + k * row, row)
-                                             ? 1
-                                             : 0;
+    fired[static_cast<std::size_t>(k)] =
+        scope.maybe_corrupt_reals(k, data.data() + k * row, row) ? 1 : 0;
   return fired;
 }
 
@@ -119,11 +109,11 @@ TEST(ParallelFaultScope, FiredPatternIsVisitOrderInvariant) {
   std::vector<float> data_a(kKeys * kRow, 1.0f), data_b(kKeys * kRow, 1.0f);
   std::vector<char> fired_a, fired_b;
   {
-    ParallelFaultScope sa(&inj_a, FaultSite::kDomainSolve, kKeys, 1);
+    ParallelFaultScope sa(&inj_a, FaultSite::kDomainSolve, kKeys);
     fired_a = visit_keys(sa, forward, data_a, kRow);
   }
   {
-    ParallelFaultScope sb(&inj_b, FaultSite::kDomainSolve, kKeys, 1);
+    ParallelFaultScope sb(&inj_b, FaultSite::kDomainSolve, kKeys);
     fired_b = visit_keys(sb, reverse, data_b, kRow);
   }
   EXPECT_EQ(fired_a, fired_b);
@@ -141,7 +131,7 @@ TEST(ParallelFaultScope, HonorsMaxEventsBudget) {
   std::vector<float> data(32 * 4, 1.0f);
   std::vector<std::int64_t> order;
   for (std::int64_t k = 0; k < 32; ++k) order.push_back(k);
-  ParallelFaultScope scope(&inj, FaultSite::kDomainSolve, 32, 1);
+  ParallelFaultScope scope(&inj, FaultSite::kDomainSolve, 32);
   const auto fired = visit_keys(scope, order, data, 4);
   scope.merge();
   EXPECT_EQ(inj.stats().events, 3);
@@ -161,7 +151,7 @@ TEST(ParallelFaultScope, HonorsFirstOpportunityWindow) {
   std::vector<float> data(16 * 4, 1.0f);
   std::vector<std::int64_t> order;
   for (std::int64_t k = 0; k < 16; ++k) order.push_back(k);
-  ParallelFaultScope scope(&inj, FaultSite::kDomainSolve, 16, 1);
+  ParallelFaultScope scope(&inj, FaultSite::kDomainSolve, 16);
   const auto fired = visit_keys(scope, order, data, 4);
   scope.merge();
   EXPECT_EQ(inj.stats().opportunities, 16);
@@ -178,7 +168,7 @@ TEST(ParallelFaultScope, MessageFaultClassIsInertAtCorruptionSite) {
   std::vector<float> data(8 * 4, 1.0f);
   std::vector<std::int64_t> order;
   for (std::int64_t k = 0; k < 8; ++k) order.push_back(k);
-  ParallelFaultScope scope(&inj, FaultSite::kDomainSolve, 8, 1);
+  ParallelFaultScope scope(&inj, FaultSite::kDomainSolve, 8);
   const auto fired = visit_keys(scope, order, data, 4);
   scope.merge();
   // Mirrors the serial maybe_corrupt* contract: opportunities counted,
@@ -198,17 +188,11 @@ TEST(ParallelFaultScope, ShardMergeIsThreadCountInvariant) {
     FaultInjector inj(scope_config());
     std::vector<float> data(kKeys * kRow, 2.0f);
     {
-      ParallelFaultScope scope(&inj, FaultSite::kDomainSolve, kKeys,
-                               max_threads());
+      ParallelFaultScope scope(&inj, FaultSite::kDomainSolve, kKeys);
 #pragma omp parallel for schedule(dynamic) default(none) \
     shared(scope, data, kKeys, kRow)
-      for (std::int64_t k = 0; k < kKeys; ++k) {
-        int tid = 0;
-#if defined(LQCD_HAVE_OPENMP)
-        tid = omp_get_thread_num();
-#endif
-        scope.maybe_corrupt_reals(tid, k, data.data() + k * kRow, kRow);
-      }
+      for (std::int64_t k = 0; k < kKeys; ++k)
+        scope.maybe_corrupt_reals(k, data.data() + k * kRow, kRow);
     }
     runs.push_back(std::move(data));
     stats.push_back(inj.stats());

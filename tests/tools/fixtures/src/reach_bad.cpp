@@ -111,3 +111,30 @@ void region_class_qualified(float* a, int n) {
 #pragma omp parallel for default(none) shared(a, n)  // EXPECT: parallel-reachability
   for (int i = 0; i < n; ++i) a[i] = Checked::run(a[i]);
 }
+
+// A vector space's methods share their names with the traits calls and
+// with free functions, but lookup never reaches them from those calls: a
+// `V::` call targets static members only, and a namespace-qualified call,
+// or an unqualified one in a free function, targets free functions. The
+// throwing methods below must stay unreached.
+struct Space {
+  float sub(float a, float b) const {
+    if (a < b) throw Error{};
+    return a - b;
+  }
+  float half(float a) const {
+    if (a < 0.0f) throw Error{};
+    return 0.5f * a;
+  }
+};
+
+namespace ns {
+float half(float a) { return 0.5f * a; }
+}  // namespace ns
+
+float quarter(float a) { return half(half(a)); }
+
+void region_free_calls(float* a, int n) {
+#pragma omp parallel for default(none) shared(a, n)
+  for (int i = 0; i < n; ++i) a[i] = ns::half(a[i]) + quarter(a[i]);
+}

@@ -98,9 +98,10 @@ def _resolve(name: str, receiver: str, caller_cls: str | None,
       project defines a class Q; a CamelCase qualifier that names no
       project class is a type (a template parameter such as the vector
       traits `V` of the SIMD chunk bodies, by the project's naming rule),
-      so it targets member functions only, never a same-named free
-      function; a lower-case qualifier is a namespace and resolves by
-      name as before;
+      so it targets static member functions only, never a same-named
+      free function or a method that needs an object; a lower-case
+      qualifier is a namespace, so it targets free functions when the
+      project defines any of that name;
 
     * blessed receiver — a call through a receiver whose name contains
       'scope' (e.g. `domain_scope_->maybe_corrupt_reals(...)`) targets
@@ -110,17 +111,23 @@ def _resolve(name: str, receiver: str, caller_cls: str | None,
     * member-first — an unqualified call (no receiver) inside a member
       function of class C resolves to C's own method when C defines the
       name, exactly as unqualified name lookup does; without this,
-      `note_opportunity(tid)` inside ParallelFaultScope would also walk
-      FaultInjector::note_opportunity."""
+      `note_opportunity()` inside ParallelFaultScope would also walk
+      FaultInjector::note_opportunity. Inside a free function it
+      resolves to free functions when the project defines any of that
+      name: `norm2(x[i])` in a BLAS loop never calls a vector space's
+      norm2 method."""
     defs = by_name.get(name, [])
+    free = [d for d in defs if not d.cls]
     if receiver.endswith("::"):
         scope = receiver[:-2]
         own = [d for d in defs if d.cls == scope]
         if own:
             return own
         if scope[:1].isupper():
-            return [d for d in defs if d.cls]
-        return defs
+            return [d for d in defs if d.cls and d.static]
+        return free or defs
+    if receiver in ("", "this") and not caller_cls:
+        return free or defs
     if receiver and "scope" in receiver.lower():
         scoped = [d for d in defs if d.cls and "scope" in d.cls.lower()]
         if scoped:

@@ -63,6 +63,7 @@ class FunctionInfo:
     # (callee base name, line, receiver identifier or "")
     calls: list[tuple[str, int, str]] = field(default_factory=list)
     annotations: dict[str, str] = field(default_factory=dict)
+    static: bool = False  # declared `static` (a static member function)
 
     @property
     def qual(self) -> str:
@@ -393,7 +394,8 @@ def _collect_functions(path: Path, toks: list[_Tok], braces: dict[int, int],
         cls_name = _qualifying_class(toks, i - 1, name_tok.line, classes)
         fn = FunctionInfo(
             name=name_tok.s, cls=cls_name, path=path, line=name_tok.line,
-            body=(toks[body_open].line, toks[body_close].line))
+            body=(toks[body_open].line, toks[body_close].line),
+            static=_declared_static(toks, i - 1))
         fn.annotations = annotations_for(fn.line, raw_lines, annotations)
         _collect_calls(fn, lines)
         functions.append(fn)
@@ -445,6 +447,20 @@ def _find_body_open(toks: list[_Tok], paren_pairs: dict[int, int],
             continue
         return None
     return None
+
+
+def _declared_static(toks: list[_Tok], name_i: int) -> bool:
+    """True when the declaration naming toks[name_i] carries `static`:
+    walk back to the previous statement boundary or access specifier."""
+    j = name_i - 1
+    while j >= 0 and toks[j].s not in (";", "{", "}"):
+        if toks[j].s == ":" and j > 0 and \
+                toks[j - 1].s in ("public", "private", "protected"):
+            break
+        if toks[j].s == "static":
+            return True
+        j -= 1
+    return False
 
 
 def _qualifying_class(toks: list[_Tok], name_i: int, line: int,
