@@ -104,11 +104,15 @@ class CachedConfiguration {
   /// Returns false when the gauge field's content no longer matches the
   /// key — the client mutated it between submit() and dispatch — in which
   /// case nothing is cached and the dispatch must refuse with
-  /// Breakdown::kStaleSetup. Rethrows what a failed build throws.
+  /// Breakdown::kStaleSetup. Rethrows what a failed build throws. A build
+  /// that threw an lqcd::Error (a singular clover term, say) fails the
+  /// same way every time, so the entry keeps that error and every later
+  /// call rethrows it without building again.
   bool ensure_built(const Geometry& geom, const GaugeField<double>& gauge) {
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
       if (setup_ != nullptr) return true;
+      if (failed_) std::rethrow_exception(failed_);
       if (!building_) break;  // no builder — this caller tries (or retries
                               // after another caller's stale-source fail)
       cv_.wait(lock);
@@ -121,20 +125,25 @@ class CachedConfiguration {
     // promises different content.
     std::shared_ptr<DDSolverSetup> built;
     std::exception_ptr error;
+    bool deterministic = false;
     try {
       if (gauge.content_checksum() == key_.gauge_checksum &&
           gauge.content_digest64() == key_.gauge_digest)
         built = DDSolverSetup::make_owning(geom, gauge, key_.mass, key_.csw,
                                            config_);
+    } catch (const Error&) {
+      error = std::current_exception();
+      deterministic = true;
     } catch (...) {
-      // A build that throws (a singular clover block, say) still releases
-      // the latch: waiting followers then try, and fail, on their own.
+      // Anything else (std::bad_alloc, say) may pass on a retry: waiting
+      // followers then try on their own.
       error = std::current_exception();
     }
 
     lock.lock();
     building_ = false;
     if (built != nullptr) setup_ = std::move(built);
+    if (deterministic) failed_ = error;
     cv_.notify_all();
     if (error) std::rethrow_exception(error);
     return setup_ != nullptr;
@@ -196,6 +205,7 @@ class CachedConfiguration {
   mutable std::mutex mu_;
   std::condition_variable cv_;  ///< build completion + context release
   bool building_ = false;
+  std::exception_ptr failed_;  ///< the lqcd::Error a build threw
   std::shared_ptr<DDSolverSetup> setup_;
   std::vector<std::unique_ptr<Context>> contexts_;
 };
@@ -215,8 +225,10 @@ class SetupCache {
   /// the same new configuration wait and then hit, while other keys (and
   /// stats()/size()) proceed. Returns nullptr — caching nothing — when
   /// the gauge content no longer matches `key` (mutated after submit).
-  /// A build that throws drops the entry and rethrows. `was_hit`
-  /// (optional) reports which path was taken.
+  /// A build that throws an lqcd::Error keeps its entry, which rethrows
+  /// that error on every later acquire and ages out of the LRU like any
+  /// other; any other exception drops the entry and is rethrown.
+  /// `was_hit` (optional) reports which path was taken.
   std::shared_ptr<CachedConfiguration> acquire(
       const SetupKey& key, const Geometry& geom,
       const GaugeField<double>& gauge, const DDSolverConfig& config,
@@ -247,6 +259,8 @@ class SetupCache {
     bool built = false;
     try {
       built = entry->ensure_built(geom, gauge);
+    } catch (const Error&) {
+      throw;
     } catch (...) {
       drop(entry.get());
       throw;
@@ -269,8 +283,9 @@ class SetupCache {
   }
 
  private:
-  /// Drop an unbuildable entry (it may already have been evicted by a
-  /// concurrent miss — erase by identity, not position).
+  /// Drop an entry that holds no setup and no remembered error (it may
+  /// already have been evicted by a concurrent miss — erase by identity,
+  /// not position).
   void drop(const CachedConfiguration* entry) {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto it = lru_.begin(); it != lru_.end(); ++it)

@@ -480,7 +480,7 @@ TEST(Service, SingularCloverRequestFailsItsFutureAndWorkerKeepsServing) {
   EXPECT_EQ(service.stats().completed, 2u);
 }
 
-TEST(SetupCache, ThrowingBuildReleasesItsLatchAndDropsItsEntry) {
+TEST(SetupCache, ThrowingBuildReleasesItsLatchAndRemembersItsError) {
   // Two concurrent acquires of a configuration whose build throws (a
   // singular clover term): both must return with the error. A build that
   // left its latch set made every later acquire of the key wait forever.
@@ -508,7 +508,13 @@ TEST(SetupCache, ThrowingBuildReleasesItsLatchAndDropsItsEntry) {
         << "an acquire is stuck behind a failed build";
     EXPECT_TRUE(f.get());
   }
-  EXPECT_EQ(cache->size(), 0u);
+  // The entry keeps the error: a later acquire rethrows it without
+  // building the operator and inverting the clover term again.
+  EXPECT_THROW(
+      cache->acquire(key, prob->geom, prob->gauge, service_solver_config()),
+      Error);
+  EXPECT_EQ(cache->stats().misses, 1u);
+  EXPECT_EQ(cache->size(), 1u);
 }
 
 }  // namespace
