@@ -28,6 +28,34 @@ class PerThread {
   /// start.
   PerThread() : slots_(static_cast<std::size_t>(thread_limit())) {}
 
+  /// Add slots up to the current thread limit, which omp_set_num_threads()
+  /// may have raised since construction. Existing slots keep their values.
+  /// Serial only.
+  void grow_to_thread_limit() {
+    const auto n = static_cast<std::size_t>(thread_limit());
+    if (slots_.size() < n) slots_.resize(n);
+  }
+
+  /// The calling thread's slot. The region must not run more threads than
+  /// there are slots.
+  T& local() noexcept {
+    return slots_[static_cast<std::size_t>(thread_index())].value;
+  }
+
+  /// Call f on every slot, in thread-index order. Serial only.
+  template <class F>
+  void for_each(F&& f) {
+    for (Slot& s : slots_) f(s.value);
+  }
+
+  /// `init` with every slot added by `+=`, in thread-index order.
+  template <class U>
+  U merged(U init) const {
+    for (const Slot& s : slots_) init += s.value;
+    return init;
+  }
+
+ private:
   /// Threads the next parallel region may start (1 without OpenMP).
   static int thread_limit() noexcept {
 #if defined(LQCD_HAVE_OPENMP)
@@ -46,36 +74,6 @@ class PerThread {
 #endif
   }
 
-  /// Add slots up to the current thread limit, which omp_set_num_threads()
-  /// may have raised since construction. Existing slots keep their values.
-  /// Serial only.
-  void grow_to_thread_limit() {
-    const auto n = static_cast<std::size_t>(thread_limit());
-    if (slots_.size() < n) slots_.resize(n);
-  }
-
-  /// The calling thread's slot. The region must not run more threads than
-  /// there are slots.
-  T& local() noexcept {
-    return slots_[static_cast<std::size_t>(thread_index())].value;
-  }
-
-  std::size_t size() const noexcept { return slots_.size(); }
-
-  /// Call f on every slot, in thread-index order. Serial only.
-  template <class F>
-  void for_each(F&& f) {
-    for (Slot& s : slots_) f(s.value);
-  }
-
-  /// `init` with every slot added by `+=`, in thread-index order.
-  template <class U>
-  U merged(U init) const {
-    for (const Slot& s : slots_) init += s.value;
-    return init;
-  }
-
- private:
   struct alignas(kFieldAlignment) Slot {
     T value{};
   };

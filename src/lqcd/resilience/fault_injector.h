@@ -257,7 +257,8 @@ class FaultInjector {
       note_opportunity(site);
       return false;
     }
-    if (!should_fire(site) || !detail::corrupt_reals(rng_, config_, data, count))
+    if (!should_fire(site) ||
+        !detail::corrupt_reals(rng_, config_, data, count))
       return false;
     record_event(site);
     return true;

@@ -15,9 +15,9 @@
 //   void scal(std::complex<double> a, Vector& x)
 //   void sub(const Vector& x, const Vector& y, Vector& z)    z = x - y
 //   void zero(Vector& x)
-// The scalars are double; each space rounds them to its own precision.
-// The single-node space below wraps a LinearOperator's FermionFields; the
-// distributed space (vnode/distributed_solver.h) loops over the ranks and
+// Each space rounds the double scalars to its own precision. The
+// single-node space below holds a LinearOperator's fields; the
+// distributed one (vnode/distributed_solver.h) loops over the ranks and
 // sums over the proxy tree.
 #pragma once
 
@@ -33,23 +33,14 @@ struct BiCGstabParams {
   double tolerance = 1e-10;  ///< relative residual target
 };
 
-/// The per-iteration hook of a solve that has none.
-struct NoIterationHook {
-  template <class Vector>
-  bool operator()(int, Vector&) const noexcept {
-    return false;
-  }
-};
-
 /// BiCGstab in `space`. `per_iteration(it, r)` runs once per iteration,
 /// after the convergence test and before the first matvec, and may change
 /// the recursive residual r; it returns true when it did, and the residual
 /// norm is then recomputed.
-template <class Space, class Hook = NoIterationHook>
+template <class Space, class Hook>
 SolverStats bicgstab_solve(Space& space, const typename Space::Vector& b,
                            typename Space::Vector& x,
-                           const BiCGstabParams& params,
-                           Hook&& per_iteration = {}) {
+                           const BiCGstabParams& params, Hook&& per_iteration) {
   SolverStats stats;
   auto r = space.vector(), r0 = space.vector(), p = space.vector(),
        v = space.vector(), s = space.vector(), t = space.vector();
@@ -171,11 +162,11 @@ class OperatorSpace {
   }
   double norm2(const Vector& x) const { return lqcd::norm2(x); }
   void axpy(std::complex<double> a, const Vector& x, Vector& y) const {
-    lqcd::axpy(narrow(a), x, y);
+    lqcd::axpy(Complex<T>(a), x, y);
   }
   void copy(const Vector& x, Vector& y) const { lqcd::copy(x, y); }
   void scal(std::complex<double> a, Vector& x) const {
-    lqcd::scal(narrow(a), x);
+    lqcd::scal(Complex<T>(a), x);
   }
   void sub(const Vector& x, const Vector& y, Vector& z) const {
     lqcd::sub(x, y, z);
@@ -183,10 +174,6 @@ class OperatorSpace {
   void zero(Vector& x) const { x.zero(); }
 
  private:
-  static Complex<T> narrow(std::complex<double> a) noexcept {
-    return {static_cast<T>(a.real()), static_cast<T>(a.imag())};
-  }
-
   const LinearOperator<T>* op_;
 };
 
@@ -199,7 +186,8 @@ SolverStats bicgstab_solve(const LinearOperator<T>& op,
   const std::int64_t n = op.vector_size();
   LQCD_CHECK(b.size() == n && x.size() == n);
   detail::OperatorSpace<T> space(op);
-  return bicgstab_solve(space, b, x, params);
+  return bicgstab_solve(space, b, x, params,
+                        [](int, FermionField<T>&) { return false; });
 }
 
 }  // namespace lqcd

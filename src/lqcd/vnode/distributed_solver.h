@@ -56,15 +56,14 @@ class DistributedSpace {
     return red.value;
   }
   void axpy(std::complex<double> a, const Vector& x, Vector& y) const {
-    const Complex<T> ac(static_cast<T>(a.real()), static_cast<T>(a.imag()));
-    for (int r = 0; r < ranks(); ++r) lqcd::axpy(ac, x.rank(r), y.rank(r));
+    for (int r = 0; r < ranks(); ++r)
+      lqcd::axpy(Complex<T>(a), x.rank(r), y.rank(r));
   }
   void copy(const Vector& x, Vector& y) const {
     for (int r = 0; r < ranks(); ++r) lqcd::copy(x.rank(r), y.rank(r));
   }
   void scal(std::complex<double> a, Vector& x) const {
-    const Complex<T> ac(static_cast<T>(a.real()), static_cast<T>(a.imag()));
-    for (int r = 0; r < ranks(); ++r) lqcd::scal(ac, x.rank(r));
+    for (int r = 0; r < ranks(); ++r) lqcd::scal(Complex<T>(a), x.rank(r));
   }
   void sub(const Vector& x, const Vector& y, Vector& z) const {
     for (int r = 0; r < ranks(); ++r)

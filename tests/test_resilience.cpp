@@ -171,8 +171,10 @@ TEST(FaultInjector, Fp16OverflowWritesInfinity) {
   for (const Hook hook : kHooks) {
     const Corruption c = corrupt_through(hook, FaultClass::kZeroField);
     ASSERT_TRUE(c.fired);
-    EXPECT_EQ(changed_reals(c).size(), c.before.size()) << static_cast<int>(hook);
-    for (const float v : c.after) EXPECT_EQ(std::bit_cast<std::uint32_t>(v), 0u);
+    EXPECT_EQ(changed_reals(c).size(), c.before.size())
+        << static_cast<int>(hook);
+    for (const float v : c.after)
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(v), 0u);
   }
 }
 
