@@ -92,7 +92,7 @@ int main() {
     Checkerboard cb(prob.geom);
     WilsonCloverOperator<double> op(prob.geom, cb, prob.gauge, mass, csw);
     op.prepare_schur();
-    WilsonCloverLinOp<double> a(op);
+    const LinearOperator<double>& a = op;
     SchurLinOp<double> schur(op);
     BiCGstabParams p;
     p.tolerance = 1e-10;

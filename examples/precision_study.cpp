@@ -56,7 +56,7 @@ int main() {
   {
     Checkerboard cb(geom);
     WilsonCloverOperator<double> op(geom, cb, gauge, mass, csw);
-    WilsonCloverLinOp<double> a(op);
+    const LinearOperator<double>& a = op;
     FermionField<double> x(geom.volume());
     FGMRESDRParams p;
     p.basis_size = base.basis_size;

@@ -64,11 +64,11 @@ DDSolverSetup::DDSolverSetup(const Geometry& geom,
   part_ = std::make_unique<DomainPartition>(geom, config.block);
   // Pack exactly the precisions this config's solve path can touch: half
   // as the primary when half_precision_matrices, single as the primary
-  // otherwise — plus single as the fp16-overflow retry target when the
-  // resilient precision fallback is armed.
+  // otherwise — plus single as the fp16-overflow retry target of a
+  // resilient solve on half matrices.
   if (config.half_precision_matrices) {
     schwarz_half_ = std::make_shared<SchwarzSetup<Half>>(*part_, *op_f_);
-    if (config.resilience.enabled && config.resilience.precision_fallback)
+    if (config.resilience.enabled)
       schwarz_single_ = std::make_shared<SchwarzSetup<float>>(*part_, *op_f_);
   } else {
     schwarz_single_ = std::make_shared<SchwarzSetup<float>>(*part_, *op_f_);
@@ -126,14 +126,14 @@ DDSolver::DDSolver(std::shared_ptr<DDSolverSetup> setup,
     sp.fault_injector = rc.schwarz_injector;
     sp.packed_fault_injector = rc.packed_injector;
   }
-  BatchPreconditioner<float>* inner = nullptr;
+  Preconditioner<float>* inner = nullptr;
   if (config.half_precision_matrices) {
     LQCD_CHECK_MSG(setup_->schwarz_half() != nullptr,
                    "setup was built without half-precision matrices");
     schwarz_half_ = std::make_unique<SchwarzPreconditioner<Half>>(
         setup_->schwarz_half(), sp);
     inner = schwarz_half_.get();
-    if (rc.enabled && rc.precision_fallback) {
+    if (rc.enabled) {
       LQCD_CHECK_MSG(setup_->schwarz_single() != nullptr,
                      "setup was built without the single-precision fallback");
       // Single-precision fallback matrices, fault-free: the retry target
@@ -160,8 +160,7 @@ DDSolver::DDSolver(std::shared_ptr<DDSolverSetup> setup,
         if (schwarz_half_) schwarz_half_->note_precision_fallback();
       });
   if (rc.enabled) {
-    monitor_ = std::make_unique<CheckpointMonitor<double>>(
-        rc.iterate_injector);
+    checkpoint_stats_.emplace();
     if (rc.abft.enabled) {
       AbftConfig ac = rc.abft;
       if (ac.verify_interval == 0) {
@@ -184,21 +183,8 @@ DDSolver::DDSolver(std::shared_ptr<DDSolverSetup> setup,
       abft_guard_->set_source_repair(
           [this]() -> bool { return setup_->repair_from_master(); });
       bridge_->set_abft_guard(abft_guard_.get());
-      if (monitor_) monitor_->set_abft_guard(abft_guard_.get());
     }
   }
-  linop_ = std::make_unique<WilsonCloverLinOp<double>>(setup_->op_d());
-}
-
-FGMRESDRParams DDSolver::outer_params() const {
-  FGMRESDRParams p;
-  p.basis_size = config_.basis_size;
-  p.deflation_size = config_.deflation_size;
-  p.tolerance = config_.tolerance;
-  p.max_iterations = config_.max_iterations;
-  p.stagnation_threshold = config_.stagnation_threshold;
-  p.max_stagnant_cycles = config_.max_stagnant_cycles;
-  return p;
 }
 
 bool DDSolver::setup_is_stale() const {
@@ -253,10 +239,13 @@ void DDSolver::solve_lanes(std::span<const FermionField<double>* const> b,
   // the engines are per-lane, so a tight lane keeps iterating (and a
   // converged loose lane stops consuming preconditioner work) no matter
   // what the rest of the batch targets.
-  const auto lane_params = [&](int i) {
-    FGMRESDRParams p = outer_params();
-    if (!options.tolerances.empty())
-      p.tolerance = options.tolerances[static_cast<std::size_t>(i)];
+  const auto lane_params = [&](std::size_t i) {
+    FGMRESDRParams p;
+    p.basis_size = config_.basis_size;
+    p.deflation_size = config_.deflation_size;
+    p.max_iterations = config_.max_iterations;
+    p.tolerance = options.tolerances.empty() ? config_.tolerance
+                                             : options.tolerances[i];
     return p;
   };
 
@@ -280,8 +269,51 @@ void DDSolver::solve_lanes(std::span<const FermionField<double>* const> b,
     }
   }
 
+  // Runs RHS [first, last) in lockstep: every preconditioner application
+  // is one batched Schwarz sweep over the lanes still iterating. Each lane
+  // has its own CheckpointMonitor (the checkpoint is per-iterate state),
+  // whose counters are added to checkpoint_stats() when the lane finishes.
+  const ResilienceConfig& rc = config_.resilience;
+  const auto lockstep = [&](int first, int last) {
+    const auto nlanes = static_cast<std::size_t>(last - first);
+    std::vector<std::unique_ptr<CheckpointMonitor<double>>> monitors(nlanes);
+    std::vector<std::unique_ptr<FgmresDrEngine<double>>> lanes(nlanes);
+    for (std::size_t i = 0; i < nlanes; ++i) {
+      const auto r = static_cast<std::size_t>(first) + i;
+      if (checkpoint_stats_) {
+        monitors[i] =
+            std::make_unique<CheckpointMonitor<double>>(rc.iterate_injector);
+        if (abft_guard_) monitors[i]->set_abft_guard(abft_guard_.get());
+      }
+      lanes[i] = std::make_unique<FgmresDrEngine<double>>(
+          setup_->op_d(), *b[r], *x[r], lane_params(r), monitors[i].get(),
+          rec);
+    }
+    std::vector<const FermionField<double>*> pin;
+    std::vector<FermionField<double>*> pout;
+    for (;;) {
+      pin.clear();
+      pout.clear();
+      for (const auto& e : lanes)
+        if (!e->done()) {
+          pin.push_back(&e->precond_input());
+          pout.push_back(&e->precond_output());
+        }
+      if (pin.empty()) break;
+      bridge_->apply_batch(pin, pout);
+      for (const auto& e : lanes)
+        if (!e->done()) {
+          e->note_precond_application();
+          e->advance();
+        }
+    }
+    for (std::size_t i = 0; i < nlanes; ++i) {
+      out[static_cast<std::size_t>(first) + i] = lanes[i]->finish();
+      if (monitors[i]) *checkpoint_stats_ += monitors[i]->stats();
+    }
+  };
+
   try {
-    if (monitor_) monitor_->drop_checkpoint();
     if (abft_guard_) abft_guard_->begin_solve();
 
     // Cross-batch check_deflation scope: a persistent subspace is
@@ -296,70 +328,14 @@ void DDSolver::solve_lanes(std::span<const FermionField<double>* const> b,
       if (!intact) rec->clear();
     }
 
-    const ResilienceConfig& rc = config_.resilience;
-    int first_lane = 0;
-    if (rec == nullptr || !rec->valid()) {
-      // RHS 0 runs alone: its solve seeds the recycled deflation subspace
-      // the rest of the batch projects against. (With nrhs == 1 this is
-      // the whole solve, and the lockstep below has no lane.)
-      out[0] = fgmres_dr_solve<double>(*linop_, bridge_.get(), *b[0], *x[0],
-                                       lane_params(0), monitor_.get(), rec);
-      first_lane = 1;
-    }
-    // else: a valid subspace from a previous batch on this configuration
-    // exists — skip the solo seeding phase and run EVERY lane in lockstep
-    // from the first preconditioner application (the persistent-service
-    // fast path).
-
-    // Lockstep lanes. Each lane gets its own CheckpointMonitor (the
-    // checkpoint is per-iterate state); counters are merged back into the
-    // long-lived monitor afterwards.
-    const int nlanes = nrhs - first_lane;
-    std::vector<std::unique_ptr<CheckpointMonitor<double>>> lane_monitors(
-        static_cast<std::size_t>(nlanes));
-    std::vector<std::unique_ptr<FgmresDrEngine<double>>> lanes(
-        static_cast<std::size_t>(nlanes));
-    for (int i = 0; i < nlanes; ++i) {
-      const auto li = static_cast<std::size_t>(i);
-      const auto ri = static_cast<std::size_t>(first_lane + i);
-      if (monitor_) {
-        lane_monitors[li] =
-            std::make_unique<CheckpointMonitor<double>>(rc.iterate_injector);
-        if (abft_guard_) lane_monitors[li]->set_abft_guard(abft_guard_.get());
-      }
-      lanes[li] = std::make_unique<FgmresDrEngine<double>>(
-          *linop_, *b[ri], *x[ri], lane_params(first_lane + i),
-          lane_monitors[li].get(), rec);
-    }
-
-    std::vector<const FermionField<double>*> pin;
-    std::vector<FermionField<double>*> pout;
-    std::vector<int> active;
-    for (;;) {
-      pin.clear();
-      pout.clear();
-      active.clear();
-      for (int i = 0; i < nlanes; ++i) {
-        auto& e = *lanes[static_cast<std::size_t>(i)];
-        if (e.done()) continue;
-        active.push_back(i);
-        pin.push_back(&e.precond_input());
-        pout.push_back(&e.precond_output());
-      }
-      if (active.empty()) break;
-      bridge_->apply_batch(pin, pout);
-      for (const int i : active) {
-        auto& e = *lanes[static_cast<std::size_t>(i)];
-        e.note_precond_application();
-        e.advance();
-      }
-    }
-    for (int i = 0; i < nlanes; ++i) {
-      const auto li = static_cast<std::size_t>(i);
-      out[static_cast<std::size_t>(first_lane + i)] = lanes[li]->finish();
-      if (lane_monitors[li] && monitor_)
-        monitor_->absorb_stats(lane_monitors[li]->stats());
-    }
+    // Without a valid subspace RHS 0 runs alone, a lockstep of one lane:
+    // its solve seeds the recycled deflation subspace the rest of the
+    // batch projects against. With a valid subspace from a previous batch
+    // on this configuration, EVERY lane runs in lockstep from the first
+    // preconditioner application (the persistent-service fast path).
+    const int seed_lanes = rec == nullptr || !rec->valid() ? 1 : 0;
+    lockstep(0, seed_lanes);
+    lockstep(seed_lanes, nrhs);
     // Stamp the persistent cache against whatever the last finisher
     // harvested, so the NEXT batch's entry verification has a reference.
     if (cache != nullptr && rec != nullptr && rec->valid() && abft_guard_ &&
@@ -387,7 +363,7 @@ SchwarzStats DDSolver::schwarz_stats() const {
 void DDSolver::reset_stats() {
   if (schwarz_half_) schwarz_half_->reset_stats();
   if (schwarz_single_) schwarz_single_->reset_stats();
-  if (monitor_) monitor_->reset();
+  if (checkpoint_stats_) *checkpoint_stats_ = {};
 }
 
 }  // namespace lqcd

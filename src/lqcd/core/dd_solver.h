@@ -11,12 +11,12 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "lqcd/resilience/resilient_solve.h"
 #include "lqcd/schwarz/schwarz.h"
-#include "lqcd/solver/even_odd.h"
 #include "lqcd/solver/fgmres_dr.h"
 
 namespace lqcd {
@@ -28,12 +28,11 @@ struct ResilienceConfig {
   /// Arms the layer, including its CheckpointMonitor: the outer iterate
   /// is checkpointed at every FGMRES cycle whose true residual improved
   /// and rolled back when recursive and true residuals diverge (silent
-  /// data corruption of the iterate).
+  /// data corruption of the iterate). With half-precision matrices it
+  /// also retries a Schwarz apply on the single-precision matrices when
+  /// the half-precision one produces NaN/Inf (fp16 overflow), recorded in
+  /// SchwarzStats::precision_fallbacks.
   bool enabled = false;
-  /// Retry a Schwarz apply on the single-precision preconditioner
-  /// matrices when the half-precision one produces NaN/Inf (fp16
-  /// overflow). Recorded in SchwarzStats::precision_fallbacks.
-  bool precision_fallback = true;
   /// Optional fault injection (testing/benchmarking): `schwarz_injector`
   /// corrupts the preconditioner's sweep residual, `iterate_injector`
   /// corrupts the outer iterate between cycles, `packed_injector` flips
@@ -82,12 +81,6 @@ struct DDSolverConfig {
   bool half_precision_spinors = false;
   double tolerance = 1e-10;    ///< relative residual target (outer, double)
   int max_iterations = 2000;   ///< outer Arnoldi steps
-  /// Outer-solver stagnation handling (see FGMRESDRParams): a cycle whose
-  /// true residual fails to shrink below stagnation_threshold x the
-  /// previous cycle's counts as stagnant; max_stagnant_cycles consecutive
-  /// stagnant cycles force a plain restart with residual replacement.
-  double stagnation_threshold = 0.999;
-  int max_stagnant_cycles = 3;
   ResilienceConfig resilience; ///< breakdown detection & recovery layer
 };
 
@@ -213,10 +206,10 @@ struct BatchSolveOptions {
 /// tolerates inexact block solves is what makes both degradation paths
 /// safe). A plain bridge does not scan: a non-finite output reaches the
 /// outer solver, which ends the solve with Breakdown::kNanDetected.
-class PrecisionBridge final : public BatchPreconditioner<double> {
+class PrecisionBridge final : public Preconditioner<double> {
  public:
   /// `on_fallback` is told of every poisoned output of a resilient bridge.
-  PrecisionBridge(BatchPreconditioner<float>& primary, std::int64_t n,
+  PrecisionBridge(Preconditioner<float>& primary, std::int64_t n,
                   bool resilient, Preconditioner<float>* fallback = nullptr,
                   std::function<void()> on_fallback = {})
       : primary_(&primary),
@@ -271,7 +264,7 @@ class PrecisionBridge final : public BatchPreconditioner<double> {
   }
 
  private:
-  BatchPreconditioner<float>* primary_;
+  Preconditioner<float>* primary_;
   Preconditioner<float>* fallback_;
   std::function<void()> on_fallback_;
   AbftGuard* abft_ = nullptr;
@@ -334,13 +327,14 @@ class DDSolver {
 
   /// Counters accumulated inside the Schwarz preconditioner(s). Merged
   /// across the half-precision primary AND the single-precision fallback,
-  /// so sweeps executed during precision_fallback retries are reported.
+  /// so sweeps executed during precision-fallback retries are reported.
   SchwarzStats schwarz_stats() const;
   void reset_stats();
 
-  /// Checkpoint/rollback counters; nullptr when resilience is disabled.
+  /// Checkpoint/rollback counters, summed over every right-hand side's
+  /// CheckpointMonitor; nullptr when resilience is disabled.
   const CheckpointMonitorStats* checkpoint_stats() const noexcept {
-    return monitor_ ? &monitor_->stats() : nullptr;
+    return checkpoint_stats_ ? &*checkpoint_stats_ : nullptr;
   }
 
   /// ABFT sweep/repair counters; nullptr when ABFT is disabled.
@@ -352,7 +346,6 @@ class DDSolver {
   const AbftGuard* abft_guard() const noexcept { return abft_guard_.get(); }
 
  private:
-  FGMRESDRParams outer_params() const;
   /// The one solve path behind solve() and solve_batch(): the right-hand
   /// sides and solutions by pointer, each lane's stats into `out`;
   /// |b| == |x| == |out|.
@@ -375,9 +368,8 @@ class DDSolver {
   std::unique_ptr<SchwarzPreconditioner<float>> schwarz_single_;
   std::unique_ptr<SchwarzPreconditioner<Half>> schwarz_half_;
   std::unique_ptr<PrecisionBridge> bridge_;
-  std::unique_ptr<CheckpointMonitor<double>> monitor_;
+  std::optional<CheckpointMonitorStats> checkpoint_stats_;
   std::unique_ptr<AbftGuard> abft_guard_;
-  std::unique_ptr<WilsonCloverLinOp<double>> linop_;
 };
 
 }  // namespace lqcd

@@ -7,8 +7,8 @@
 
 #include <memory>
 
+#include "lqcd/dirac/wilson_clover.h"
 #include "lqcd/solver/bicgstab.h"
-#include "lqcd/solver/even_odd.h"
 #include "lqcd/solver/richardson.h"
 
 namespace lqcd {
@@ -31,13 +31,11 @@ class NonDDSolver {
       : config_(config), cb_(geom) {
     op_d_ = std::make_unique<WilsonCloverOperator<double>>(geom, cb_, gauge,
                                                            mass, csw);
-    linop_d_ = std::make_unique<WilsonCloverLinOp<double>>(*op_d_);
     if (config.mode == NonDDSolverConfig::Mode::kMixedRichardson) {
       gauge_f_ = std::make_unique<GaugeField<float>>(convert<float>(gauge));
       op_f_ = std::make_unique<WilsonCloverOperator<float>>(
           geom, cb_, *gauge_f_, static_cast<float>(mass),
           static_cast<float>(csw));
-      linop_f_ = std::make_unique<WilsonCloverLinOp<float>>(*op_f_);
     }
   }
 
@@ -46,18 +44,18 @@ class NonDDSolver {
       BiCGstabParams p;
       p.tolerance = config_.tolerance;
       p.max_iterations = config_.max_iterations;
-      return bicgstab_solve(*linop_d_, b, x, p);
+      return bicgstab_solve(*op_d_, b, x, p);
     }
     InnerSolver<float> inner = [this](const FermionField<float>& rhs,
                                       FermionField<float>& corr) {
       BiCGstabParams pi;
       pi.tolerance = config_.inner_tolerance;
       pi.max_iterations = config_.max_iterations;
-      return bicgstab_solve(*linop_f_, rhs, corr, pi);
+      return bicgstab_solve(*op_f_, rhs, corr, pi);
     };
     RichardsonParams pr;
     pr.tolerance = config_.tolerance;
-    return richardson_solve<double, float>(*linop_d_, b, x, inner, pr);
+    return richardson_solve<double, float>(*op_d_, b, x, inner, pr);
   }
 
   const WilsonCloverOperator<double>& op() const noexcept { return *op_d_; }
@@ -66,10 +64,8 @@ class NonDDSolver {
   NonDDSolverConfig config_;
   Checkerboard cb_;
   std::unique_ptr<WilsonCloverOperator<double>> op_d_;
-  std::unique_ptr<WilsonCloverLinOp<double>> linop_d_;
   std::unique_ptr<GaugeField<float>> gauge_f_;
   std::unique_ptr<WilsonCloverOperator<float>> op_f_;
-  std::unique_ptr<WilsonCloverLinOp<float>> linop_f_;
 };
 
 }  // namespace lqcd

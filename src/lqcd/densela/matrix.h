@@ -43,6 +43,23 @@ class Matrix {
               static_cast<std::size_t>(c)];
   }
 
+  /// A copy of the leading rows x cols block.
+  Matrix top_left(int rows, int cols) const {
+    LQCD_CHECK(rows <= rows_ && cols <= cols_);
+    Matrix m(rows, cols);
+    for (int r = 0; r < rows; ++r)
+      for (int c = 0; c < cols; ++c) m(r, c) = (*this)(r, c);
+    return m;
+  }
+
+  /// A copy of column c.
+  std::vector<Cplx> column(int c) const {
+    std::vector<Cplx> v(static_cast<std::size_t>(rows_));
+    for (int r = 0; r < rows_; ++r)
+      v[static_cast<std::size_t>(r)] = (*this)(r, c);
+    return v;
+  }
+
   Matrix transpose_conj() const {
     Matrix m(cols_, rows_);
     for (int r = 0; r < rows_; ++r)

@@ -15,6 +15,7 @@
 #include "lqcd/lattice/checkerboard.h"
 #include "lqcd/linalg/blas.h"
 #include "lqcd/linalg/fermion_field.h"
+#include "lqcd/solver/linear_operator.h"
 
 namespace lqcd {
 
@@ -49,8 +50,10 @@ inline Spinor<T> dslash_site(const Geometry& g, const GaugeField<T>& u,
   return acc;
 }
 
+/// The full operator A; as a LinearOperator its apply() is what the
+/// outer solvers run.
 template <class T>
-class WilsonCloverOperator {
+class WilsonCloverOperator final : public LinearOperator<T> {
  public:
   /// `gauge` must outlive the operator. mass is the bare quark-mass
   /// parameter m of Eq. 1; csw the clover coefficient.
@@ -83,7 +86,7 @@ class WilsonCloverOperator {
   }
 
   /// out = A in (full lattice).
-  void apply(const FermionField<T>& in, FermionField<T>& out) const {
+  void apply(const FermionField<T>& in, FermionField<T>& out) const override {
     const auto volume = geom_->volume();
     LQCD_CHECK(in.size() == volume && out.size() == volume);
     const T half = T(0.5);
@@ -100,6 +103,8 @@ class WilsonCloverOperator {
     }
     flops_.fetch_add(volume * kWilsonCloverFlopsPerSite, kRelaxed);
   }
+
+  std::int64_t vector_size() const override { return geom_->volume(); }
 
   /// out_cb (parity `out_parity`, checkerboard-indexed, half_volume sites)
   /// = D_w restricted to hops from the opposite parity. in_cb is indexed

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <complex>
+#include <vector>
 
 #include "lqcd/base/per_thread.h"
 #include "lqcd/linalg/fermion_field.h"
@@ -55,18 +56,19 @@ void axpy(T a, const FermionField<T>& x, FermionField<T>& y) {
   axpy(Complex<T>(a, 0), x, y);
 }
 
-/// y = a x + y ... with separate output: z = a x + y.
+/// y += sum_i a[i] x[i] over the a.size() leading fields of x: one axpy
+/// pass per term, in index order, each coefficient narrowed to T, so y is
+/// bit-identical to the sequence of axpy calls. With `skip_zero` a term
+/// whose coefficient is exactly zero is left out; otherwise it still runs
+/// and a NaN or Inf in its field reaches y.
 template <class T>
-void axpyz(const Complex<T>& a, const FermionField<T>& x,
-           const FermionField<T>& y, FermionField<T>& z) {
-  LQCD_CHECK(x.size() == y.size() && y.size() == z.size());
-  const std::int64_t n = x.size();
-#pragma omp parallel for schedule(static) default(none) \
-    shared(n, a, x, y, z)
-  for (std::int64_t i = 0; i < n; ++i)
-    for (int sp = 0; sp < kNumSpins; ++sp)
-      for (int c = 0; c < kNumColors; ++c)
-        z[i].s[sp].c[c] = a * x[i].s[sp].c[c] + y[i].s[sp].c[c];
+void multi_axpy(const std::vector<std::complex<double>>& a,
+                const std::vector<FermionField<T>>& x, FermionField<T>& y,
+                bool skip_zero = false) {
+  LQCD_CHECK(a.size() <= x.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (!skip_zero || a[i] != std::complex<double>(0, 0))
+      axpy(Complex<T>(a[i]), x[i], y);
 }
 
 /// x *= a.

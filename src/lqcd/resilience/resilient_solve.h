@@ -303,21 +303,6 @@ class CheckpointMonitor final : public SolveMonitor<T> {
 
   const CheckpointMonitorStats& stats() const noexcept { return stats_; }
 
-  void reset() noexcept {
-    stats_ = CheckpointMonitorStats{};
-    has_checkpoint_ = false;
-  }
-
-  /// Invalidate the snapshot (a new right-hand side means a new iterate);
-  /// keeps the accumulated counters.
-  void drop_checkpoint() noexcept { has_checkpoint_ = false; }
-
-  /// Fold another monitor's counters into this one. A batched solve runs
-  /// one monitor per right-hand side (checkpoints are per-iterate state
-  /// and must never be shared across lanes) and merges the counters back
-  /// into the solver's long-lived monitor afterwards.
-  void absorb_stats(const CheckpointMonitorStats& o) noexcept { stats_ += o; }
-
   /// Attach the ABFT guard whose escalated (rung-2) repairs request an
   /// iterate rollback at the next cycle boundary.
   void set_abft_guard(AbftGuard* guard) noexcept { abft_ = guard; }

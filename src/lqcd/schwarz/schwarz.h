@@ -112,7 +112,7 @@ inline SchwarzStats operator+(SchwarzStats a, const SchwarzStats& b) noexcept {
 }
 
 template <class S>
-class SchwarzPreconditioner final : public BatchPreconditioner<float> {
+class SchwarzPreconditioner final : public Preconditioner<float> {
  public:
   /// Legacy one-shot form: build (and own) a private SchwarzSetup. `op`
   /// must have prepare_schur() already called; partition and operator

@@ -1,5 +1,4 @@
-// LinearOperator adapters for the Wilson-Clover operator: the full
-// operator A, and the even-even Schur complement
+// LinearOperator adapter for the even-even Schur complement
 // Dtilde_ee = A_ee - A_eo A_oo^{-1} A_oe (paper Eq. 5) that even-odd
 // preconditioning solves on the half lattice. Solving the Schur system
 // typically halves the iteration count (paper cites ~2x, Ref. [14]);
@@ -11,22 +10,6 @@
 #include "lqcd/solver/linear_operator.h"
 
 namespace lqcd {
-
-/// LinearOperator adapter for the full Wilson-Clover operator A.
-template <class T>
-class WilsonCloverLinOp final : public LinearOperator<T> {
- public:
-  explicit WilsonCloverLinOp(const WilsonCloverOperator<T>& op) : op_(&op) {}
-  void apply(const FermionField<T>& in, FermionField<T>& out) const override {
-    op_->apply(in, out);
-  }
-  std::int64_t vector_size() const override {
-    return op_->geometry().volume();
-  }
-
- private:
-  const WilsonCloverOperator<T>* op_;
-};
 
 /// LinearOperator adapter for the even-even Schur operator Dtilde_ee.
 template <class T>

@@ -10,6 +10,42 @@
 
 namespace lqcd {
 
+namespace {
+
+using densela::Cplx;
+using densela::Matrix;
+
+/// A solved projected least-squares problem min_y ||c - H y||.
+struct Projection {
+  std::vector<Cplx> y;      ///< the minimizer
+  std::vector<Cplx> hy;     ///< H y
+  std::vector<Cplx> c_hat;  ///< residual coordinates c - H y
+
+  /// ||c - H y||: what the projected problem believes ||b - A x|| is.
+  double residual_norm() const {
+    double sum = 0;
+    for (const Cplx& e : c_hat) sum += std::norm(e);
+    return std::sqrt(sum);
+  }
+};
+
+/// The outer solver's one least-squares solve, for the Arnoldi relation
+/// and the recycled subspace alike: the leading `cols` columns of H, the
+/// (cols+1) x cols block, against the first cols+1 coordinates of c.
+Projection solve_projected(const Matrix& h, const std::vector<Cplx>& c,
+                           int cols) {
+  const Matrix hj = h.top_left(cols + 1, cols);
+  const std::vector<Cplx> cj(c.begin(), c.begin() + cols + 1);
+  Projection p;
+  p.y = densela::least_squares(hj, cj);
+  p.hy = densela::mul(hj, p.y);
+  p.c_hat.resize(cj.size());
+  for (std::size_t i = 0; i < cj.size(); ++i) p.c_hat[i] = cj[i] - p.hy[i];
+  return p;
+}
+
+}  // namespace
+
 template <class T>
 FgmresDrEngine<T>::FgmresDrEngine(const LinearOperator<T>& op,
                                   const FermionField<T>& b, FermionField<T>& x,
@@ -44,24 +80,12 @@ FgmresDrEngine<T>::FgmresDrEngine(const LinearOperator<T>& op,
   if (bnorm_ == 0.0) {
     x.zero();
     stats_.converged = true;
-    early_exit_ = true;
     done_ = true;
     return;
   }
 
-  op.apply(x, r_);
-  ++stats_.matvecs;
-  sub(b, r_, r_);
-  rnorm_ = norm(r_);
-  ++stats_.global_sum_events;
-  if (!std::isfinite(rnorm_)) {
-    ++stats_.nonfinite_events;
-    stats_.breakdown = Breakdown::kNanDetected;
-    stats_.final_relative_residual = rnorm_ / bnorm_;
-    early_exit_ = true;
-    done_ = true;
-    return;
-  }
+  recompute_residual();
+  if (stop_on_nonfinite_residual()) return;
 
   project_recycled_subspace();
 
@@ -73,24 +97,19 @@ FgmresDrEngine<T>::FgmresDrEngine(const LinearOperator<T>& op,
 template <class T>
 void FgmresDrEngine<T>::advance() {
   LQCD_CHECK_MSG(!done_, "advance() called on a finished solve");
-  auto& w = w_;
   const int j = j_;
-  op_->apply(z_[static_cast<std::size_t>(j)], w);
+  op_->apply(z_[static_cast<std::size_t>(j)], w_);
   ++stats_.matvecs;
   // Classical Gram-Schmidt: all j+1 inner products batch into a single
   // global reduction.
+  std::vector<Cplx> minus_h(static_cast<std::size_t>(j + 1));
   for (int i = 0; i <= j; ++i) {
-    const auto d = dot(v_[static_cast<std::size_t>(i)], w);
-    h_(i, j) = d;
+    h_(i, j) = dot(v_[static_cast<std::size_t>(i)], w_);
+    minus_h[static_cast<std::size_t>(i)] = -h_(i, j);
   }
   ++stats_.global_sum_events;
-  for (int i = 0; i <= j; ++i) {
-    const Cplx hij = h_(i, j);
-    axpy(Complex<T>(static_cast<T>(-hij.real()),
-                    static_cast<T>(-hij.imag())),
-         v_[static_cast<std::size_t>(i)], w);
-  }
-  const double wnorm = norm(w);
+  multi_axpy(minus_h, v_, w_);
+  const double wnorm = norm(w_);
   ++stats_.global_sum_events;
   mcur_ = j + 1;
   ++stats_.iterations;
@@ -127,21 +146,11 @@ void FgmresDrEngine<T>::advance() {
     return;
   }
   h_(j + 1, j) = Cplx(wnorm, 0);
-  copy(w, v_[static_cast<std::size_t>(j + 1)]);
+  copy(w_, v_[static_cast<std::size_t>(j + 1)]);
   scal(static_cast<T>(1.0 / wnorm), v_[static_cast<std::size_t>(j + 1)]);
 
   // Cheap residual estimate from the projected least-squares problem.
-  Matrix hj(j + 2, j + 1);
-  for (int rr2 = 0; rr2 < j + 2; ++rr2)
-    for (int cc = 0; cc < j + 1; ++cc) hj(rr2, cc) = h_(rr2, cc);
-  std::vector<Cplx> cj(c_.begin(), c_.begin() + j + 2);
-  const auto y = densela::least_squares(hj, cj);
-  const auto hy = densela::mul(hj, y);
-  double est2 = 0;
-  for (int i2 = 0; i2 < j + 2; ++i2)
-    est2 += std::norm(cj[static_cast<std::size_t>(i2)] -
-                      hy[static_cast<std::size_t>(i2)]);
-  const double est = std::sqrt(est2);
+  const double est = solve_projected(h_, c_, j + 1).residual_norm();
   stats_.residual_history.push_back(est / bnorm_);
   if (est / bnorm_ <= params_.tolerance) {
     end_cycle();
@@ -155,7 +164,7 @@ void FgmresDrEngine<T>::advance() {
 
 template <class T>
 SolverStats FgmresDrEngine<T>::finish() {
-  if (early_exit_) return stats_;
+  if (bnorm_ == 0.0) return stats_;
   stats_.final_relative_residual = rnorm_ / bnorm_;
   stats_.converged = stats_.final_relative_residual <= params_.tolerance;
   if (stats_.converged)
@@ -164,6 +173,24 @@ SolverStats FgmresDrEngine<T>::finish() {
     stats_.breakdown = Breakdown::kMaxIterations;
   harvest_recycled_subspace();
   return stats_;
+}
+
+template <class T>
+void FgmresDrEngine<T>::recompute_residual() {
+  op_->apply(*x_, r_);
+  ++stats_.matvecs;
+  sub(*b_, r_, r_);
+  rnorm_ = norm(r_);
+  ++stats_.global_sum_events;
+}
+
+template <class T>
+bool FgmresDrEngine<T>::stop_on_nonfinite_residual() {
+  if (std::isfinite(rnorm_)) return false;
+  ++stats_.nonfinite_events;
+  stats_.breakdown = Breakdown::kNanDetected;
+  done_ = true;
+  return true;
 }
 
 template <class T>
@@ -178,26 +205,17 @@ void FgmresDrEngine<T>::project_recycled_subspace() {
     cr[static_cast<std::size_t>(i)] =
         dot(recycle_->v[static_cast<std::size_t>(i)], r_);
   ++stats_.global_sum_events;
-  const auto y = densela::least_squares(recycle_->h, cr);
-  const auto hy = densela::mul(recycle_->h, y);
+  const Projection p = solve_projected(recycle_->h, cr, kr);
+  std::vector<Cplx> minus_hy(p.hy.size());
+  std::transform(p.hy.begin(), p.hy.end(), minus_hy.begin(),
+                 [](const Cplx& e) { return -e; });
   FermionField<T> rc(n_);
   copy(r_, rc);
-  for (int i = 0; i <= kr; ++i) {
-    const Cplx hyi = hy[static_cast<std::size_t>(i)];
-    if (hyi == Cplx(0, 0)) continue;
-    axpy(Complex<T>(static_cast<T>(-hyi.real()),
-                    static_cast<T>(-hyi.imag())),
-         recycle_->v[static_cast<std::size_t>(i)], rc);
-  }
+  multi_axpy(minus_hy, recycle_->v, rc, /*skip_zero=*/true);
   const double rn = norm(rc);
   ++stats_.global_sum_events;
   if (!std::isfinite(rn) || rn >= rnorm_) return;  // projection not useful
-  for (int jj = 0; jj < kr; ++jj) {
-    const Cplx yj = y[static_cast<std::size_t>(jj)];
-    axpy(Complex<T>(static_cast<T>(yj.real()),
-                    static_cast<T>(yj.imag())),
-         recycle_->z[static_cast<std::size_t>(jj)], *x_);
-  }
+  multi_axpy(p.y, recycle_->z, *x_);
   std::swap(r_, rc);
   rnorm_ = rn;
   ++stats_.recycle_projections;
@@ -206,17 +224,9 @@ void FgmresDrEngine<T>::project_recycled_subspace() {
 template <class T>
 void FgmresDrEngine<T>::harvest_recycled_subspace() {
   if (recycle_ == nullptr || !deflation_live_ || k_ <= 0) return;
-  recycle_->v.resize(static_cast<std::size_t>(k_ + 1));
-  recycle_->z.resize(static_cast<std::size_t>(k_));
-  for (int i = 0; i <= k_; ++i)
-    recycle_->v[static_cast<std::size_t>(i)] =
-        v_[static_cast<std::size_t>(i)];
-  for (int jj = 0; jj < k_; ++jj)
-    recycle_->z[static_cast<std::size_t>(jj)] =
-        z_[static_cast<std::size_t>(jj)];
-  recycle_->h = Matrix(k_ + 1, k_);
-  for (int i = 0; i <= k_; ++i)
-    for (int jj = 0; jj < k_; ++jj) recycle_->h(i, jj) = h_(i, jj);
+  recycle_->v.assign(v_.begin(), v_.begin() + k_ + 1);
+  recycle_->z.assign(z_.begin(), z_.begin() + k_);
+  recycle_->h = h_.top_left(k_ + 1, k_);
 }
 
 template <class T>
@@ -250,12 +260,12 @@ void FgmresDrEngine<T>::end_cycle() {
       return;
     }
     // Every direction this cycle was degenerate. After
-    // max_stagnant_cycles such cycles in a row the preconditioner is
+    // kMaxStagnantCycles such cycles in a row the preconditioner is
     // taken to never return a usable direction: end the solve, naming
     // the last column's defect. Until then, residual replacement:
     // discard the subspace and restart plain from the current true
     // residual (x is unchanged, r/rnorm are still current).
-    if (++degenerate_cycles_ >= params_.max_stagnant_cycles) {
+    if (++degenerate_cycles_ >= kMaxStagnantCycles) {
       stats_.breakdown = defect_;
       done_ = true;
       return;
@@ -268,37 +278,14 @@ void FgmresDrEngine<T>::end_cycle() {
   degenerate_cycles_ = 0;
 
   // ---- Projected solve and solution update ------------------------
-  const int mcur = mcur_;
-  Matrix hj(mcur + 1, mcur);
-  for (int rr2 = 0; rr2 < mcur + 1; ++rr2)
-    for (int cc = 0; cc < mcur; ++cc) hj(rr2, cc) = h_(rr2, cc);
-  std::vector<Cplx> cj(c_.begin(), c_.begin() + mcur + 1);
-  const auto y = densela::least_squares(hj, cj);
-  for (int j = 0; j < mcur; ++j)
-    axpy(Complex<T>(static_cast<T>(y[static_cast<std::size_t>(j)].real()),
-                    static_cast<T>(y[static_cast<std::size_t>(j)].imag())),
-         z_[static_cast<std::size_t>(j)], *x_);
-  // Residual coordinates c_hat = c - H y in the V basis.
-  const auto hy = densela::mul(hj, y);
-  std::vector<Cplx> c_hat(static_cast<std::size_t>(mcur + 1));
-  for (int i = 0; i < mcur + 1; ++i)
-    c_hat[static_cast<std::size_t>(i)] =
-        cj[static_cast<std::size_t>(i)] - hy[static_cast<std::size_t>(i)];
-
-  // Projected (recursive) residual estimate at the cycle boundary —
-  // what the Arnoldi recursion believes ||b - A x|| is.
-  double chat2 = 0;
-  for (int i = 0; i < mcur + 1; ++i)
-    chat2 += std::norm(c_hat[static_cast<std::size_t>(i)]);
-  const double est_rel = std::sqrt(chat2) / bnorm_;
+  const Projection p = solve_projected(h_, c_, mcur_);
+  multi_axpy(p.y, z_, *x_);
+  // Projected (recursive) residual estimate at the cycle boundary.
+  const double est_rel = p.residual_norm() / bnorm_;
 
   // True residual (recomputed; also what a production code does each
   // cycle to guard against drift of the projected estimate).
-  op_->apply(*x_, r_);
-  ++stats_.matvecs;
-  sub(*b_, r_, r_);
-  rnorm_ = norm(r_);
-  ++stats_.global_sum_events;
+  recompute_residual();
   if (monitor_ != nullptr &&
       monitor_->on_cycle(stats_.iterations, est_rel, rnorm_ / bnorm_,
                          *x_)) {
@@ -306,29 +293,15 @@ void FgmresDrEngine<T>::end_cycle() {
     // the recursive and true residuals diverged): recompute the
     // residual of the restored iterate and restart clean from it.
     ++stats_.rollback_restarts;
-    op_->apply(*x_, r_);
-    ++stats_.matvecs;
-    sub(*b_, r_, r_);
-    rnorm_ = norm(r_);
-    ++stats_.global_sum_events;
-    if (!std::isfinite(rnorm_)) {
-      ++stats_.nonfinite_events;
-      stats_.breakdown = Breakdown::kNanDetected;
-      done_ = true;
-      return;
-    }
+    recompute_residual();
+    if (stop_on_nonfinite_residual()) return;
     restart_plain();
     prev_cycle_rnorm_ = rnorm_;
     stagnant_cycles_ = 0;
     begin_cycle();
     return;
   }
-  if (!std::isfinite(rnorm_)) {
-    ++stats_.nonfinite_events;
-    stats_.breakdown = Breakdown::kNanDetected;
-    done_ = true;
-    return;
-  }
+  if (stop_on_nonfinite_residual()) return;
   if (rnorm_ / bnorm_ <= params_.tolerance) {
     done_ = true;
     return;
@@ -338,9 +311,8 @@ void FgmresDrEngine<T>::end_cycle() {
   // mean the carried subspace is poisoned (or useless); fall back to a
   // plain restart, replacing the recursive residual with the true one.
   bool force_plain = defective_;
-  if (rnorm_ > params_.stagnation_threshold * prev_cycle_rnorm_) {
-    if (++stagnant_cycles_ >= params_.max_stagnant_cycles)
-      force_plain = true;
+  if (rnorm_ > kStagnationThreshold * prev_cycle_rnorm_) {
+    if (++stagnant_cycles_ >= kMaxStagnantCycles) force_plain = true;
   } else {
     stagnant_cycles_ = 0;
   }
@@ -354,13 +326,13 @@ void FgmresDrEngine<T>::end_cycle() {
     begin_cycle();
     return;
   }
-  if (k_ == 0 || mcur < m_) {
+  if (k_ == 0 || mcur_ < m_) {
     restart_plain();
     begin_cycle();
     return;
   }
 
-  deflated_restart(c_hat);
+  deflated_restart(p.c_hat);
   begin_cycle();
 }
 
@@ -368,9 +340,7 @@ template <class T>
 void FgmresDrEngine<T>::deflated_restart(const std::vector<Cplx>& c_hat) {
   const int m = m_;
   const int k = k_;
-  Matrix hm(m, m);
-  for (int i = 0; i < m; ++i)
-    for (int j = 0; j < m; ++j) hm(i, j) = h_(i, j);
+  const Matrix hm = h_.top_left(m, m);
   const Cplx h_last = h_(m, m - 1);
   // f = H_m^{-H} e_m.
   std::vector<Cplx> em(static_cast<std::size_t>(m), Cplx(0, 0));
@@ -398,56 +368,33 @@ void FgmresDrEngine<T>::deflated_restart(const std::vector<Cplx>& c_hat) {
     p(i, k) = c_hat[static_cast<std::size_t>(i)];
   Matrix phat, rdummy;
   densela::thin_qr(p, phat, rdummy);
+  const Matrix pk = phat.top_left(m, k);
 
   // Transform the bases: V_new = V * Phat, Z_new = Z * Phat(0:m, 0:k).
   std::vector<FermionField<T>> vnew(static_cast<std::size_t>(k + 1)),
       znew(static_cast<std::size_t>(k));
   for (int j = 0; j <= k; ++j) {
     vnew[static_cast<std::size_t>(j)] = FermionField<T>(n_);
-    for (int i = 0; i <= m; ++i) {
-      const Cplx pij = phat(i, j);
-      if (pij == Cplx(0, 0)) continue;
-      axpy(Complex<T>(static_cast<T>(pij.real()),
-                      static_cast<T>(pij.imag())),
-           v_[static_cast<std::size_t>(i)],
-           vnew[static_cast<std::size_t>(j)]);
-    }
+    multi_axpy(phat.column(j), v_, vnew[static_cast<std::size_t>(j)],
+               /*skip_zero=*/true);
   }
   for (int j = 0; j < k; ++j) {
     znew[static_cast<std::size_t>(j)] = FermionField<T>(n_);
-    for (int i = 0; i < m; ++i) {
-      const Cplx pij = phat(i, j);
-      if (pij == Cplx(0, 0)) continue;
-      axpy(Complex<T>(static_cast<T>(pij.real()),
-                      static_cast<T>(pij.imag())),
-           z_[static_cast<std::size_t>(i)],
-           znew[static_cast<std::size_t>(j)]);
-    }
+    multi_axpy(pk.column(j), z_, znew[static_cast<std::size_t>(j)],
+               /*skip_zero=*/true);
   }
   // H_new = Phat^H Hbar Phat(0:m, 0:k),   c_new = Phat^H c_hat.
-  Matrix hbar(m + 1, m);
-  for (int i = 0; i < m + 1; ++i)
-    for (int j = 0; j < m; ++j) hbar(i, j) = h_(i, j);
-  Matrix pk(m, k);
-  for (int i = 0; i < m; ++i)
-    for (int j = 0; j < k; ++j) pk(i, j) = phat(i, j);
-  const Matrix hnew = densela::mul(phat.transpose_conj(),
-                                   densela::mul(hbar, pk));
-  std::vector<Cplx> cnew =
-      densela::mul(phat.transpose_conj(), c_hat);
+  const Matrix hnew =
+      densela::mul(phat.transpose_conj(), densela::mul(h_, pk));
+  const std::vector<Cplx> cnew = densela::mul(phat.transpose_conj(), c_hat);
 
   h_ = Matrix(m + 1, m);
   for (int i = 0; i <= k; ++i)
     for (int j = 0; j < k; ++j) h_(i, j) = hnew(i, j);
   std::fill(c_.begin(), c_.end(), Cplx(0, 0));
-  for (int i = 0; i <= k; ++i)
-    c_[static_cast<std::size_t>(i)] = cnew[static_cast<std::size_t>(i)];
-  for (int j = 0; j <= k; ++j)
-    std::swap(v_[static_cast<std::size_t>(j)],
-              vnew[static_cast<std::size_t>(j)]);
-  for (int j = 0; j < k; ++j)
-    std::swap(z_[static_cast<std::size_t>(j)],
-              znew[static_cast<std::size_t>(j)]);
+  std::copy(cnew.begin(), cnew.end(), c_.begin());
+  std::swap_ranges(vnew.begin(), vnew.end(), v_.begin());
+  std::swap_ranges(znew.begin(), znew.end(), z_.begin());
   j0_ = k;
   deflation_live_ = true;
 }
@@ -474,19 +421,13 @@ SolverStats fgmres_dr_solve(const LinearOperator<T>& op,
 
 template class FgmresDrEngine<float>;
 template class FgmresDrEngine<double>;
-template SolverStats fgmres_dr_solve(const LinearOperator<float>&,
-                                     Preconditioner<float>*,
-                                     const FermionField<float>&,
-                                     FermionField<float>&,
-                                     const FGMRESDRParams&,
-                                     SolveMonitor<float>*,
-                                     DeflationSpace<float>*);
-template SolverStats fgmres_dr_solve(const LinearOperator<double>&,
-                                     Preconditioner<double>*,
-                                     const FermionField<double>&,
-                                     FermionField<double>&,
-                                     const FGMRESDRParams&,
-                                     SolveMonitor<double>*,
-                                     DeflationSpace<double>*);
+template SolverStats fgmres_dr_solve(
+    const LinearOperator<float>&, Preconditioner<float>*,
+    const FermionField<float>&, FermionField<float>&, const FGMRESDRParams&,
+    SolveMonitor<float>*, DeflationSpace<float>*);
+template SolverStats fgmres_dr_solve(
+    const LinearOperator<double>&, Preconditioner<double>*,
+    const FermionField<double>&, FermionField<double>&, const FGMRESDRParams&,
+    SolveMonitor<double>*, DeflationSpace<double>*);
 
 }  // namespace lqcd

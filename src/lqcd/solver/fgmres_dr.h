@@ -39,18 +39,19 @@ struct FGMRESDRParams {
   int deflation_size = 0;   ///< k: harmonic Ritz vectors kept at restart
   int max_iterations = 2000;  ///< total Arnoldi steps across cycles
   double tolerance = 1e-10;   ///< relative residual target
-  /// A cycle whose true residual fails to drop below
-  /// stagnation_threshold x the previous cycle's counts as stagnant;
-  /// after max_stagnant_cycles consecutive stagnant cycles the deflation
-  /// subspace is discarded and the solve restarts plain from the freshly
-  /// recomputed true residual (residual replacement). A healthy deflated
-  /// solve reduces the residual every cycle, so this never fires on the
-  /// fault-free path. max_stagnant_cycles consecutive cycles whose every
-  /// preconditioned direction was NaN/Inf or zero end the solve with
-  /// kNanDetected or kStagnation.
-  double stagnation_threshold = 0.999;
-  int max_stagnant_cycles = 3;
 };
+
+/// A cycle whose true residual fails to drop below kStagnationThreshold x
+/// the previous cycle's counts as stagnant; after kMaxStagnantCycles
+/// consecutive stagnant cycles the deflation subspace is discarded and the
+/// solve restarts plain from the freshly recomputed true residual
+/// (residual replacement). A healthy deflated solve reduces the residual
+/// every cycle, so this never fires on the fault-free path.
+/// kMaxStagnantCycles consecutive cycles whose every preconditioned
+/// direction was NaN/Inf or zero end the solve with kNanDetected or
+/// kStagnation.
+inline constexpr double kStagnationThreshold = 0.999;
+inline constexpr int kMaxStagnantCycles = 3;
 
 /// Harmonic-Ritz deflation subspace harvested from a completed solve, for
 /// recycling into subsequent solves against the SAME operator (e.g. the
@@ -112,8 +113,6 @@ class FgmresDrEngine {
   }
   void note_precond_application() noexcept { ++stats_.precond_applications; }
 
-  const SolverStats& stats() const noexcept { return stats_; }
-
   /// Consume z_j and run to the next preconditioner request (or to
   /// completion): matvec, orthogonalization, and — at cycle boundaries —
   /// the projected solve, true-residual check, and restart logic.
@@ -125,6 +124,11 @@ class FgmresDrEngine {
   SolverStats finish();
 
  private:
+  /// r = b - A x and its norm: one matvec and one global sum.
+  void recompute_residual();
+  /// True, with the solve ended as kNanDetected, when ||r|| is not finite.
+  bool stop_on_nonfinite_residual();
+
   /// Galerkin-project the initial residual onto the recycled deflation
   /// subspace: y = argmin ||V^H r - H y||, x += Z y, r -= V H y. Since the
   /// recycled V is orthonormal and A Z = V H, this minimizes the true
@@ -168,7 +172,6 @@ class FgmresDrEngine {
   bool defective_ = false;
   Breakdown defect_ = Breakdown::kNone;  ///< last degenerate column's cause
   bool deflation_live_ = false;
-  bool early_exit_ = false;
   bool done_ = false;
 };
 

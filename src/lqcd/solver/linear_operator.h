@@ -33,24 +33,18 @@ class LinearOperator {
 
 /// Flexible preconditioner interface: apply() may be approximate and may
 /// differ from call to call (iterative preconditioners), which is exactly
-/// what flexible outer solvers tolerate.
+/// what flexible outer solvers tolerate. apply_batch() applies it to a
+/// whole batch of vectors in one call (multi-RHS, paper Sec. VI); the
+/// default runs one apply() per RHS, and implementations override it to
+/// amortize matrix streaming over the batch.
 template <class T>
 class Preconditioner {
  public:
   virtual ~Preconditioner() = default;
   virtual void apply(const FermionField<T>& in, FermionField<T>& out) = 0;
-};
-
-/// Preconditioner that can apply itself to a whole batch of vectors in
-/// one call (multi-RHS, paper Sec. VI). The base implementation falls
-/// back to one apply() per RHS; implementations override apply_batch()
-/// to amortize matrix streaming over the batch.
-template <class T>
-class BatchPreconditioner : public Preconditioner<T> {
- public:
   virtual void apply_batch(const std::vector<const FermionField<T>*>& in,
                            const std::vector<FermionField<T>*>& out) {
-    for (std::size_t i = 0; i < in.size(); ++i) this->apply(*in[i], *out[i]);
+    for (std::size_t i = 0; i < in.size(); ++i) apply(*in[i], *out[i]);
   }
 };
 

@@ -421,7 +421,7 @@ TEST(DDSolverAbft, HundredSeededStreamsConvergeWithZeroSilentSdc) {
 
     ASSERT_TRUE(st.converged) << "stream " << stream;
     EXPECT_EQ(st.breakdown, Breakdown::kNone) << "stream " << stream;
-    EXPECT_LT(true_residual(WilsonCloverLinOp<double>(solver.op()), prob.b, x),
+    EXPECT_LT(true_residual(solver.op(), prob.b, x),
               100.0 * cfg.tolerance)
         << "stream " << stream;
 

@@ -1,6 +1,10 @@
 // Field-level BLAS: axpy/dot/norm semantics and double accumulation.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "lqcd/linalg/blas.h"
 
 namespace lqcd {
@@ -64,21 +68,34 @@ TYPED_TEST(BlasTest, SubThenZero) {
   EXPECT_EQ(norm2(z), 0.0);
 }
 
-TYPED_TEST(BlasTest, AxpyzMatchesAxpy) {
+TYPED_TEST(BlasTest, MultiAxpyMatchesSequentialAxpy) {
+  // multi_axpy is one axpy pass per term in order, so it equals the
+  // sequence of axpy calls bit for bit. Term 1 has a zero coefficient on
+  // a field holding a NaN: skipped only with skip_zero, otherwise the
+  // NaN reaches y as it would through axpy.
   using T = TypeParam;
-  FermionField<T> x(24), y(24), z(24), y2(24);
-  gaussian(x, 7);
-  gaussian(y, 8);
-  copy(y, y2);
-  const Complex<T> a(T(-0.75), T(0.3));
-  axpyz(a, x, y, z);
-  axpy(a, x, y2);
-  // The two paths may contract multiplies and adds into FMA differently,
-  // so allow a few ulp.
-  for (std::int64_t i = 0; i < x.size(); ++i)
-    for (int sp = 0; sp < kNumSpins; ++sp)
-      for (int c = 0; c < kNumColors; ++c)
-        EXPECT_LT(std::abs(z[i].s[sp].c[c] - y2[i].s[sp].c[c]), 1e-5);
+  const std::int64_t n = 24;
+  std::vector<FermionField<T>> x(4, FermionField<T>(n));
+  for (std::size_t i = 0; i < x.size(); ++i) gaussian(x[i], 10 + i);
+  x[1][3].s[2].c[1] = Complex<T>(std::numeric_limits<T>::quiet_NaN(), 0);
+  const std::vector<std::complex<double>> a = {
+      {-0.75, 0.3}, {0, 0}, {1.0 / 3.0, -2.5}};  // x[3] is not a term
+  FermionField<T> y0(n);
+  gaussian(y0, 9);
+  for (const bool skip_zero : {false, true}) {
+    SCOPED_TRACE(skip_zero ? "skip_zero" : "every term");
+    FermionField<T> y(n), expect(n);
+    copy(y0, y);
+    copy(y0, expect);
+    multi_axpy(a, x, y, skip_zero);
+    for (std::size_t i = 0; i < a.size(); ++i)
+      if (!skip_zero || a[i] != std::complex<double>(0, 0))
+        axpy(Complex<T>(a[i]), x[i], expect);
+    EXPECT_EQ(std::memcmp(y.data(), expect.data(),
+                          static_cast<std::size_t>(n) * sizeof(Spinor<T>)),
+              0);
+    EXPECT_EQ(all_finite(y), skip_zero);
+  }
 }
 
 TEST(Blas, ConvertDoubleToFloatAndBack) {

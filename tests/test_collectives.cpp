@@ -601,7 +601,7 @@ TEST(DistributedSolver, MatchesSingleNodeBiCGstab) {
   auto gauge = random_gauge_field<double>(geom, 0.5, 71);
   gauge.make_time_antiperiodic();
   const WilsonCloverOperator<double> op(geom, cb, gauge, 0.3, 1.0);
-  const WilsonCloverLinOp<double> a(op);
+  const LinearOperator<double>& a = op;
   FermionField<double> b(geom.volume());
   gaussian(b, 72);
   BiCGstabParams p;
@@ -757,7 +757,7 @@ TEST(DistributedSolver, StopsWithTheSingleNodeCounters) {
   f.params.max_iterations = 3;
   const Checkerboard cb(f.geom);
   const WilsonCloverOperator<double> op(f.geom, cb, f.gauge, 0.3, 1.0);
-  const WilsonCloverLinOp<double> a(op);
+  const LinearOperator<double>& a = op;
   FermionField<double> b(f.geom.volume()), x(f.geom.volume());
   gather(f.vg, f.b, b);
   const SolverStats single = bicgstab_solve(a, b, x, f.params);

@@ -138,32 +138,6 @@ TEST(MultiRhs, StatsAccumulateAcrossSolveAndSolveBatchCalls) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite: stagnation parameters must reach the outer solver.
-// ---------------------------------------------------------------------------
-
-TEST(DDSolverConfig, StagnationParametersReachOuterSolver) {
-  // A pathological threshold makes EVERY cycle count as stagnant, so the
-  // wired-through config must produce forced plain restarts. Before the
-  // fix, DDSolver::solve() dropped both fields and this stayed at 0.
-  Problem prob({8, 8, 8, 8}, 0.7, 341);
-  DDSolverConfig cfg = batch_config();
-  cfg.max_iterations = 4000;
-
-  DDSolver defaults(prob.geom, prob.gauge, 0.1, 1.0, cfg);
-  FermionField<double> x1(prob.geom.volume());
-  const auto s_def = defaults.solve(prob.b, x1);
-  EXPECT_TRUE(s_def.converged);
-  EXPECT_EQ(s_def.stagnation_restarts, 0);
-
-  cfg.stagnation_threshold = 0.0;  // any nonzero residual is "stagnant"
-  cfg.max_stagnant_cycles = 1;
-  DDSolver aggressive(prob.geom, prob.gauge, 0.1, 1.0, cfg);
-  FermionField<double> x2(prob.geom.volume());
-  const auto s_agg = aggressive.solve(prob.b, x2);
-  EXPECT_GT(s_agg.stagnation_restarts, 0);
-}
-
-// ---------------------------------------------------------------------------
 // Satellite: merged Schwarz stats must include fallback sweeps.
 // ---------------------------------------------------------------------------
 

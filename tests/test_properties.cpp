@@ -185,7 +185,7 @@ TEST_P(SolverContract, ConvergedMeansResidualBelowTolerance) {
   auto gauge = random_gauge_field<double>(geom, 0.4, seed);
   gauge.make_time_antiperiodic();
   WilsonCloverOperator<double> op(geom, cb, gauge, mass, 1.0);
-  WilsonCloverLinOp<double> a(op);
+  const LinearOperator<double>& a = op;
   FermionField<double> b(geom.volume());
   gaussian(b, seed + 1);
 
@@ -235,7 +235,7 @@ TEST(GaugePhysics, CriticalMassTracksGaugeRoughness) {
     auto g = u;
     g.make_time_antiperiodic();
     WilsonCloverOperator<double> op(geom, cb, g, -0.05, 1.0);
-    WilsonCloverLinOp<double> a(op);
+    const LinearOperator<double>& a = op;
     FermionField<double> b(geom.volume()), x(geom.volume());
     gaussian(b, 78);
     BiCGstabParams p;

@@ -259,7 +259,7 @@ TEST(BiCGstab, ReportsNanInsteadOfLooping) {
 }
 
 template <class T>
-class ConstantPreconditioner final : public BatchPreconditioner<T> {
+class ConstantPreconditioner final : public Preconditioner<T> {
  public:
   explicit ConstantPreconditioner(T value) : value_(value) {}
   void apply(const FermionField<T>&, FermionField<T>& out) override {
@@ -292,7 +292,7 @@ TEST(FGMRESDR, NanRhsDetectedBeforeAnyWork) {
 TEST(FGMRESDR, UnusablePreconditionerEndsWithTypedBreakdown) {
   // A preconditioner that never returns a usable direction — every output
   // NaN, or every output zero — must end the solve after
-  // max_stagnant_cycles degenerate cycles instead of restarting until
+  // kMaxStagnantCycles degenerate cycles instead of restarting until
   // max_iterations.
   const std::int64_t n = 16;
   DiagonalOperator<double> op(std::vector<Complex<double>>(
@@ -312,8 +312,31 @@ TEST(FGMRESDR, UnusablePreconditionerEndsWithTypedBreakdown) {
     const auto stats = fgmres_dr_solve<double>(op, &m, b, x, p);
     EXPECT_FALSE(stats.converged);
     EXPECT_EQ(stats.breakdown, c.breakdown) << to_string(stats.breakdown);
-    EXPECT_LE(stats.precond_applications, p.max_stagnant_cycles + 1);
+    EXPECT_LE(stats.precond_applications, kMaxStagnantCycles + 1);
   }
+}
+
+TEST(FGMRESDR, RepeatedDirectionForcesStagnationRestart) {
+  // A preconditioner that returns the same direction every time confines
+  // x to one line. With one Arnoldi step per cycle the first cycle
+  // minimizes the residual along it, later cycles cannot reduce it, and
+  // kMaxStagnantCycles stagnant cycles in a row force a plain restart
+  // with residual replacement.
+  const std::int64_t n = 16;
+  std::vector<Complex<double>> d(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i)
+    d[static_cast<std::size_t>(i)] = Complex<double>(1.0 + 0.25 * i, 0);
+  DiagonalOperator<double> op(d);
+  FermionField<double> b(n), x(n);
+  gaussian(b, 23);
+  FGMRESDRParams p;
+  p.basis_size = 1;
+  p.max_iterations = 40;
+  ConstantPreconditioner<double> m(1.0);
+  const auto stats = fgmres_dr_solve<double>(op, &m, b, x, p);
+  EXPECT_FALSE(stats.converged);
+  EXPECT_GT(stats.stagnation_restarts, 0);
+  EXPECT_EQ(stats.breakdown, Breakdown::kMaxIterations);
 }
 
 TEST(Richardson, SkipsPoisonedInnerCorrection) {
@@ -411,15 +434,23 @@ TEST(PrecisionBridge, FallsBackWhenPrimaryOutputNonFinite) {
 }
 
 TEST(PrecisionBridge, ZeroesCorrectionWithoutFallback) {
+  // A poisoned output is zeroed when there is no fallback, and when the
+  // fallback's output is poisoned too.
   const std::int64_t n = 8;
   ConstantPreconditioner<float> primary(
       std::numeric_limits<float>::quiet_NaN());
-  PrecisionBridge bridge(primary, n, /*resilient=*/true);
-  FermionField<double> in(n), out(n);
-  gaussian(in, 18);
-  bridge.apply(in, out);
-  EXPECT_TRUE(all_finite(out));
-  EXPECT_EQ(norm(out), 0.0);
+  ConstantPreconditioner<float> poisoned(
+      std::numeric_limits<float>::infinity());
+  for (Preconditioner<float>* fallback :
+       {static_cast<Preconditioner<float>*>(nullptr),
+        static_cast<Preconditioner<float>*>(&poisoned)}) {
+    PrecisionBridge bridge(primary, n, /*resilient=*/true, fallback);
+    FermionField<double> in(n), out(n);
+    gaussian(in, 18);
+    bridge.apply(in, out);
+    EXPECT_TRUE(all_finite(out));
+    EXPECT_EQ(norm(out), 0.0);
+  }
 }
 
 TEST(PrecisionBridge, ApplyIsBatchOfOneAndPlainBridgePassesNonFinite) {
@@ -532,8 +563,7 @@ TEST(DDSolverResilience, RecoversFromInjectedSdcBitFlip) {
   EXPECT_GE(solver.checkpoint_stats()->rollbacks, 1);
   EXPECT_GE(stats.rollback_restarts, 1);
   EXPECT_TRUE(stats.converged);
-  EXPECT_LT(true_residual(WilsonCloverLinOp<double>(solver.op()), prob.b, x),
-            2e-10);
+  EXPECT_LT(true_residual(solver.op(), prob.b, x), 2e-10);
 }
 
 TEST(DDSolverResilience, RecoversFromFp16OverflowViaPrecisionFallback) {
@@ -563,22 +593,20 @@ TEST(DDSolverResilience, RecoversFromFp16OverflowViaPrecisionFallback) {
   EXPECT_EQ(solver.schwarz_stats().injected_faults, 2);
   EXPECT_GE(solver.schwarz_stats().precision_fallbacks, 1);
   EXPECT_TRUE(stats.converged);
-  EXPECT_LT(true_residual(WilsonCloverLinOp<double>(solver.op()), prob.b, x),
-            2e-10);
+  EXPECT_LT(true_residual(solver.op(), prob.b, x), 2e-10);
 }
 
 TEST(DDSolverResilience, Fp16OverflowEndsTypedOrFallsBack) {
   // Mass 7e4 puts the clover diagonal past the fp16 range (65504), so
   // every half-precision Schwarz output is non-finite. Without resilience
   // the solve must end at once with kNanDetected, not restart until
-  // max_iterations; the precision fallback converges; resilience without
-  // a fallback zeroes every correction and ends with kStagnation.
+  // max_iterations; with resilience the precision fallback converges.
   Problem prob({8, 8, 8, 8}, 0.7, 241);
   DDSolverConfig resilient;
   resilient.resilience.enabled = true;
   const auto setup = std::make_shared<DDSolverSetup>(prob.geom, prob.gauge,
                                                      7e4, 1.0, resilient);
-  const int few = DDSolverConfig{}.max_stagnant_cycles + 1;
+  const int few = kMaxStagnantCycles + 1;
 
   DDSolver plain(setup, DDSolverConfig{});
   FermionField<double> x(prob.geom.volume());
@@ -592,18 +620,7 @@ TEST(DDSolverResilience, Fp16OverflowEndsTypedOrFallsBack) {
   const auto st_hard = hardened.solve(prob.b, x);
   EXPECT_TRUE(st_hard.converged);
   EXPECT_GE(hardened.schwarz_stats().precision_fallbacks, 1);
-  EXPECT_LT(true_residual(WilsonCloverLinOp<double>(hardened.op()), prob.b,
-                          x),
-            2e-10);
-
-  DDSolverConfig no_fallback = resilient;
-  no_fallback.resilience.precision_fallback = false;
-  DDSolver zeroing(setup, no_fallback);
-  x.zero();
-  const auto st_zero = zeroing.solve(prob.b, x);
-  EXPECT_FALSE(st_zero.converged);
-  EXPECT_EQ(st_zero.breakdown, Breakdown::kStagnation);
-  EXPECT_LE(st_zero.precond_applications, few);
+  EXPECT_LT(true_residual(hardened.op(), prob.b, x), 2e-10);
 }
 
 TEST(DDSolverResilience, RecoversFromDegenerateZeroCorrection) {
@@ -630,8 +647,7 @@ TEST(DDSolverResilience, RecoversFromDegenerateZeroCorrection) {
 
   EXPECT_EQ(injector.stats().events, 1);
   EXPECT_TRUE(stats.converged);
-  EXPECT_LT(true_residual(WilsonCloverLinOp<double>(solver.op()), prob.b, x),
-            2e-10);
+  EXPECT_LT(true_residual(solver.op(), prob.b, x), 2e-10);
 }
 
 // ---------------------------------------------------------------------------

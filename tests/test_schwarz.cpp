@@ -317,7 +317,7 @@ TEST(Schwarz, PreconditionsFGMRESEffectively) {
   // multiplicative Schwarz preconditioner converges in far fewer outer
   // iterations than unpreconditioned FGMRES.
   Fixture f({8, 8, 8, 8}, {4, 4, 4, 4}, 0.7, 0.1f, 1.2f, 101);
-  WilsonCloverLinOp<float> a(f.op);
+  const LinearOperator<float>& a = f.op;
   FermionField<float> b(f.geom.volume()), x0(f.geom.volume()),
       x1(f.geom.volume());
   gaussian(b, 102);

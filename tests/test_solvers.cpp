@@ -57,7 +57,7 @@ struct WilsonFixture {
 
 TEST(BiCGstab, SolvesWilsonCloverSystem) {
   WilsonFixture f({4, 4, 4, 8}, 0.6, 0.2, 1.0, 21);
-  WilsonCloverLinOp<double> a(f.op);
+  const LinearOperator<double>& a = f.op;
   FermionField<double> b(f.geom.volume()), x(f.geom.volume());
   gaussian(b, 22);
   BiCGstabParams p;
@@ -71,7 +71,7 @@ TEST(BiCGstab, SolvesWilsonCloverSystem) {
 
 TEST(FGMRES, PlainRestartedConvergesOnWilsonClover) {
   WilsonFixture f({4, 4, 4, 8}, 0.6, 0.2, 1.0, 21);
-  WilsonCloverLinOp<double> a(f.op);
+  const LinearOperator<double>& a = f.op;
   FermionField<double> b(f.geom.volume()), x(f.geom.volume());
   gaussian(b, 22);
   FGMRESDRParams p;
@@ -86,7 +86,7 @@ TEST(FGMRES, PlainRestartedConvergesOnWilsonClover) {
 
 TEST(FGMRES, AgreesWithBiCGstabSolution) {
   WilsonFixture f({4, 4, 4, 4}, 0.5, 0.3, 1.2, 31);
-  WilsonCloverLinOp<double> a(f.op);
+  const LinearOperator<double>& a = f.op;
   FermionField<double> b(f.geom.volume()), x1(f.geom.volume()),
       x2(f.geom.volume());
   gaussian(b, 32);
@@ -142,7 +142,7 @@ TEST(FGMRESDR, DeflationAcceleratesSmallEigenvalueSystems) {
 
 TEST(FGMRESDR, ConvergesOnWilsonCloverWithDeflation) {
   WilsonFixture f({4, 4, 4, 8}, 0.7, 0.05, 1.3, 51);
-  WilsonCloverLinOp<double> a(f.op);
+  const LinearOperator<double>& a = f.op;
   FermionField<double> b(f.geom.volume()), x(f.geom.volume());
   gaussian(b, 52);
   FGMRESDRParams p;
@@ -177,7 +177,7 @@ class BiCGstabPreconditioner final : public Preconditioner<T> {
 
 TEST(FGMRES, FlexiblePreconditioningReducesOuterIterations) {
   WilsonFixture f({4, 4, 4, 8}, 0.6, 0.15, 1.0, 61);
-  WilsonCloverLinOp<double> a(f.op);
+  const LinearOperator<double>& a = f.op;
   FermionField<double> b(f.geom.volume()), x0(f.geom.volume()),
       x1(f.geom.volume());
   gaussian(b, 62);
@@ -197,11 +197,11 @@ TEST(FGMRES, FlexiblePreconditioningReducesOuterIterations) {
 
 TEST(Richardson, MixedPrecisionReachesDoublePrecisionTarget) {
   WilsonFixture f({4, 4, 4, 8}, 0.6, 0.2, 1.0, 71);
-  WilsonCloverLinOp<double> a_d(f.op);
+  const LinearOperator<double>& a_d = f.op;
   // Single-precision copy of the operator for the inner solver.
   auto gauge_f = convert<float>(f.gauge);
   WilsonCloverOperator<float> op_f(f.geom, f.cb, gauge_f, 0.2f, 1.0f);
-  WilsonCloverLinOp<float> a_f(op_f);
+  const LinearOperator<float>& a_f = op_f;
 
   FermionField<double> b(f.geom.volume()), x(f.geom.volume());
   gaussian(b, 72);
@@ -226,7 +226,7 @@ TEST(EvenOdd, SchurReducesIterationCount) {
   // iteration count.
   WilsonFixture f({4, 4, 4, 8}, 0.7, 0.1, 1.0, 91);
   f.op.prepare_schur();
-  WilsonCloverLinOp<double> a(f.op);
+  const LinearOperator<double>& a = f.op;
   SchurLinOp<double> schur(f.op);
 
   FermionField<double> b(f.geom.volume()), x(f.geom.volume());
@@ -252,7 +252,7 @@ TEST(SolverStats, GlobalSumEventsAreBatchedReductions) {
   // FGMRES counts ~2 reduction events per Arnoldi step (one batched
   // Gram-Schmidt + one norm), matching the paper's Table III accounting.
   WilsonFixture f({4, 4, 4, 4}, 0.5, 0.3, 1.0, 101);
-  WilsonCloverLinOp<double> a(f.op);
+  const LinearOperator<double>& a = f.op;
   FermionField<double> b(f.geom.volume()), x(f.geom.volume());
   gaussian(b, 102);
   FGMRESDRParams p;
