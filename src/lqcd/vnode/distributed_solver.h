@@ -104,8 +104,7 @@ DistributedSolveResult<T> distributed_bicgstab(
                    r.rank(it % grid.num_ranks()),
                    FaultSite::kDistributedSolver);
       });
-  res.comm.messages += op.comm().messages;
-  res.comm.bytes += op.comm().bytes;
+  res.comm += op.comm();
   return res;
 }
 

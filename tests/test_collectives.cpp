@@ -628,8 +628,10 @@ TEST(DistributedSolver, MatchesSingleNodeBiCGstab) {
   sub(x_ref, x_dist, x_dist);
   EXPECT_LT(norm(x_dist), 1e-6 * norm(x_ref));
 
-  // Comm accounting: 4 messages per rank per apply (2 cut dims), and
-  // multiple allreduces per iteration (BiCGstab's weakness).
+  // Comm accounting: one halo exchange and 4 messages per rank per apply
+  // (2 cut dims), and multiple allreduces per iteration (BiCGstab's
+  // weakness).
+  EXPECT_EQ(res.comm.halo_exchanges, res.stats.matvecs);
   EXPECT_EQ(res.comm.messages,
             res.stats.matvecs * vg.num_ranks() * 2 * 2);
   EXPECT_GT(res.comm.allreduces,

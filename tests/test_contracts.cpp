@@ -551,6 +551,26 @@ std::pair<Side, Side> solve_vs_batch_of_one() {
   return {solve(solver, prob.b), std::move(batch)};
 }
 
+/// Lane 0 of a batch without a RecycleCache runs alone and seeds the
+/// subspace the other lanes project against: the same solve as solve().
+std::pair<Side, Side> seed_lane_vs_solve() {
+  const Problem prob({8, 8, 8, 8}, 321);
+  const DDSolverConfig cfg = solver_config();
+  const auto setup =
+      std::make_shared<DDSolverSetup>(prob.geom, prob.gauge, 0.1, 1.0, cfg);
+  DDSolver batched(setup, cfg), single(setup, cfg);
+  std::vector<FermionField<double>> b(3, prob.b);
+  gaussian(b[1], 323);
+  gaussian(b[2], 324);
+  Side lane;
+  lane.x.assign(3, FermionField<double>(prob.geom.volume()));
+  lane.stats = batched.solve_batch(b, lane.x);
+  EXPECT_EQ(lane.stats[1].recycle_projections, 1);
+  lane.stats.resize(1);
+  lane.x.resize(1);
+  return {std::move(lane), solve(single, prob.b)};
+}
+
 std::pair<Side, Side> service_lone_request_vs_direct_solve() {
   const Problem prob({8, 4, 4, 4}, 101);
   SolverServiceConfig scfg;
@@ -696,6 +716,10 @@ void holds(Relation relation, const std::pair<Side, Side>& sides) {
 
 TEST(MultiRhs, BatchOfOneIsBitIdenticalToSolve) {
   holds(Relation::kSameTrajectory, solve_vs_batch_of_one());
+}
+
+TEST(MultiRhs, SeedLaneIsBitIdenticalToSolve) {
+  holds(Relation::kSameTrajectory, seed_lane_vs_solve());
 }
 
 TEST(Service, BatchOfOneBitIdenticalToDirectSolve) {
